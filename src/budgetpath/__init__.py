@@ -17,13 +17,15 @@ from budgetpath.billing import (
     select_billing,
 )
 from budgetpath.planner import Plan, build_weights, plan_transfer, plan_transfer_with_state
-from budgetpath.search import PathResult, WeightMatrices, enumerate_best_path, search_min_latency
+from budgetpath.search import EdgeList, EdgeWeights, PathResult, enumerate_best_path, search_min_latency
 from budgetpath.simulate import SimulationReport, compare, naive_baseline, simulate_transfer
 from budgetpath.topology import LinkSpec, NodeSpec, Topology, TopologyError, load_topology, probe_rtts
 from budgetpath.tunnels import KeyPair, PeerEntry, TunnelSpec, build_tunnels, generate_keypair, parse_conf, render_conf
 
 __all__ = [
     "BillingMethod",
+    "EdgeList",
+    "EdgeWeights",
     "KeyPair",
     "LinkSpec",
     "NodeBillingConfig",
@@ -36,7 +38,6 @@ __all__ = [
     "TopologyError",
     "TransferRequest",
     "TunnelSpec",
-    "WeightMatrices",
     "build_tunnels",
     "build_weights",
     "compare",

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from budgetpath.billing import TransferRequest
-from budgetpath.planner import load_plan, plan_to_dict, plan_transfer, save_plan
+from budgetpath.planner import build_weights, load_plan, plan_to_dict, plan_transfer, save_plan
 from budgetpath.search import SearchError, enumerate_best_path
 from budgetpath.simulate import SimulationError, compare
 from budgetpath.topology import TopologyError, load_topology, probe_rtts, save_topology
@@ -25,7 +25,6 @@ from budgetpath.tunnels import (
     keypair_from_private_b64,
     write_tunnel_files,
 )
-from budgetpath.planner import build_weights
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -79,9 +78,20 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _no_path(topology, request: TransferRequest) -> bool:
+    """Report an unreachable destination, which no budget can fix."""
+    if topology.edges.has_path(request.source, request.destination):
+        return False
+    print(f"no path from {request.source} to {request.destination}", file=sys.stderr)
+    return True
+
+
 def _cmd_plan(args) -> int:
     topology = load_topology(_resolve(args.topology), args.mode)
-    plan = plan_transfer(topology, _request(args), args.rule)
+    request = _request(args)
+    if _no_path(topology, request):
+        return EXIT_INFEASIBLE
+    plan = plan_transfer(topology, request, args.rule)
     if plan is None:
         print("insufficient budget: no feasible path found", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -123,7 +133,10 @@ def _cmd_render_wg(args) -> int:
 
 def _cmd_simulate(args) -> int:
     topology = load_topology(_resolve(args.topology), args.mode)
-    report = compare(topology, _request(args), args.rule)
+    request = _request(args)
+    if _no_path(topology, request):
+        return EXIT_INFEASIBLE
+    report = compare(topology, request, args.rule)
     text = report.to_table() if args.format == "table" else report.to_json()
     _emit(text, args.out)
     print("simulation complete", file=sys.stderr)

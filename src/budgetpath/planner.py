@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, truediv
 from typing import Optional
-
-import numpy as np
 
 from budgetpath.billing import (
     BillingMethod,
@@ -17,12 +17,13 @@ from budgetpath.billing import (
     edge_latency,
     node_cost,
     select_billing,
+    transfer_seconds,
 )
 from budgetpath.search import (
+    EdgeWeights,
     PathResult,
     ReconstructionError,
     SearchError,
-    WeightMatrices,
     search_min_latency,
 )
 from budgetpath.topology import Topology
@@ -61,32 +62,34 @@ def build_weights(
     request: TransferRequest,
     fraction_k: float,
     rule: str = "threshold",
-) -> tuple[WeightMatrices, dict[int, NodeBillingConfig]]:
+) -> tuple[EdgeWeights, dict[int, NodeBillingConfig]]:
     """Weights for one candidate configuration at bandwidth fraction `fraction_k`.
 
     Every node's PAYG candidate bandwidth is fraction_k times its cap; the
     billing rule then picks the method (PFDT restores the full rate). The
     egress cost of node i is attached to all of its outgoing edges; edge
-    latency uses the sending node's configured bandwidth.
+    latency uses the sending node's configured bandwidth. Billing is per
+    sending node, so cost and transmission time are computed once per node
+    and gathered onto the topology's edge list.
     """
     if not 0 < fraction_k <= 1:
         raise ValueError(f"fraction_k must be in (0, 1], got {fraction_k}")
-    n = len(topology)
-    a = np.zeros((n, n))
-    b = np.zeros((n, n))
-    adjacency = np.zeros((n, n), dtype=bool)
-
+    data_size_gb = request.data_size_gb
     configs: dict[int, NodeBillingConfig] = {}
+    cost = []
+    seconds = []
     for node in topology.nodes:
-        configs[node.id] = select_billing(
-            node, fraction_k * node.max_egress_mbps, request.data_size_gb, rule
-        )
-    for link in topology.links:
-        config = configs[link.src]
-        adjacency[link.src, link.dst] = True
-        a[link.src, link.dst] = node_cost(topology.node(link.src), config, request.data_size_gb)
-        b[link.src, link.dst] = edge_latency(link.rtt_s, request.data_size_gb, config.bandwidth_mbps)
-    return WeightMatrices(a, b, adjacency), configs
+        config = select_billing(node, fraction_k * node.max_egress_mbps, data_size_gb, rule)
+        configs[node.id] = config
+        cost.append(node_cost(node, config, data_size_gb))
+        seconds.append(transfer_seconds(data_size_gb, config.bandwidth_mbps))
+
+    edges = topology.edges
+    a = tuple(map(cost.__getitem__, edges.src))
+    # rtt / 2.0 + transfer_seconds, in that order, is edge_latency's arithmetic exactly
+    half_rtt = map(truediv, topology.edge_rtt, repeat(2.0))
+    b = tuple(map(add, half_rtt, map(seconds.__getitem__, edges.src)))
+    return EdgeWeights(edges, a, b), configs
 
 
 def _finalize(
@@ -136,7 +139,7 @@ def plan_transfer_with_state(
     if not 0 <= request.destination < len(topology):
         raise SearchError(f"destination {request.destination} is not a valid node id")
 
-    def checked_search(weights: WeightMatrices) -> Optional[PathResult]:
+    def checked_search(weights: EdgeWeights) -> Optional[PathResult]:
         # a detected reconstruction abort means the search produced nothing
         # trustworthy at this configuration; treat it like an infeasible round
         try:

@@ -6,15 +6,19 @@ cap. The single-label pruning is a heuristic: it can discard a feasible
 label whose higher latency would have been the only way to stay under the
 cap further on. `enumerate_best_path` is the exact (exponential) reference
 used to quantify that gap on small graphs.
+
+Both walk an `EdgeList` in compressed sparse row form: the graph structure
+is checked once when the edge list is built, and each set of weights only
+adds one cost and one latency per edge.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Iterable, Sequence
 
 
 class SearchError(ValueError):
@@ -31,31 +35,103 @@ class ReconstructionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class WeightMatrices:
-    """Per-edge cost (a, USD) and latency (b, seconds) weights plus adjacency."""
+class EdgeList:
+    """Directed edges in compressed sparse row form, sorted by (src, dst).
 
-    a: np.ndarray
-    b: np.ndarray
-    adjacency: np.ndarray
+    Edge e runs from src[e] to dst[e]. The edges leaving node u are
+    offsets[u] <= e < offsets[u + 1], in increasing dst order, so there are
+    no duplicate edges; self-loops and endpoints outside the node range are
+    rejected as well.
+    """
+
+    offsets: tuple[int, ...]
+    src: tuple[int, ...]
+    dst: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = self.adjacency.shape[0]
-        if self.adjacency.shape != (n, n) or self.a.shape != (n, n) or self.b.shape != (n, n):
-            raise SearchError("weight matrices must be square and same-shaped")
-        if self.adjacency.diagonal().any():
-            raise SearchError("self-loops are not allowed")
-        present_a = self.a[self.adjacency]
-        present_b = self.b[self.adjacency]
-        for name, vals in (("a", present_a), ("b", present_b)):
-            if vals.size and (not np.isfinite(vals).all() or (vals < 0).any()):
+        n = len(self.offsets) - 1
+        m = len(self.dst)
+        if n < 0 or self.offsets[0] != 0 or self.offsets[-1] != m or len(self.src) != m:
+            raise SearchError("edge list offsets do not match its edges")
+        for u in range(n):
+            if self.offsets[u + 1] < self.offsets[u]:
+                raise SearchError(f"edge list offsets decrease at node {u}")
+            previous = -1
+            for e in range(self.offsets[u], self.offsets[u + 1]):
+                v = self.dst[e]
+                if self.src[e] != u:
+                    raise SearchError(f"edge {e} is filed under node {u} but leaves {self.src[e]}")
+                if v == u:
+                    raise SearchError(f"edge ({u}, {v}): self-loops are not allowed")
+                if not 0 <= v < n:
+                    raise SearchError(f"edge ({u}, {v}): endpoint {v} is not a node id")
+                if v <= previous:
+                    raise SearchError(f"edges of node {u} are duplicated or not sorted at ({u}, {v})")
+                previous = v
+
+    @classmethod
+    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> EdgeList:
+        """Edge list over nodes 0..n-1 from (src, dst) pairs in any order."""
+        ordered = sorted(pairs)
+        offsets = [0] * (n + 1)
+        for u, _ in ordered:
+            if not 0 <= u < n:
+                raise SearchError(f"edge source {u} is not a node id")
+            offsets[u + 1] += 1
+        for u in range(n):
+            offsets[u + 1] += offsets[u]
+        return cls(tuple(offsets), tuple(u for u, _ in ordered), tuple(v for _, v in ordered))
+
+    @property
+    def n(self) -> int:
+        return len(self.offsets) - 1
+
+    def successors(self, node: int) -> tuple[int, ...]:
+        return self.dst[self.offsets[node] : self.offsets[node + 1]]
+
+    def index(self, src: int, dst: int) -> int:
+        """Index of edge (src, dst); KeyError if the graph has no such edge."""
+        lo, hi = self.offsets[src], self.offsets[src + 1]
+        e = bisect_left(self.dst, dst, lo, hi)
+        if e == hi or self.dst[e] != dst:
+            raise KeyError(f"no edge ({src}, {dst})")
+        return e
+
+    def has_path(self, source: int, destination: int) -> bool:
+        """Whether any directed path leads from source to destination."""
+        _check_node(self.n, source, "source")
+        _check_node(self.n, destination, "destination")
+        seen = [False] * self.n
+        seen[source] = True
+        stack = [source]
+        while stack:
+            u = stack.pop()
+            for v in self.successors(u):
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        return seen[destination]
+
+
+@dataclass(frozen=True)
+class EdgeWeights:
+    """Per-edge cost (a, USD) and latency (b, seconds) over an edge list."""
+
+    edges: EdgeList
+    a: Sequence[float]
+    b: Sequence[float]
+
+    def __post_init__(self) -> None:
+        if len(self.a) != len(self.edges.dst) or len(self.b) != len(self.edges.dst):
+            raise SearchError("need exactly one a and one b weight per edge")
+        for name, vals in (("a", self.a), ("b", self.b)):
+            # min() rejects negatives; any NaN or infinity makes the sum non-finite
+            if vals and not (min(vals) >= 0.0 and math.isfinite(sum(vals))):
                 raise SearchError(f"{name} weights on present edges must be finite and >= 0")
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
-
-    def successors(self, node: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[node])
+        return self.edges.n
 
 
 @dataclass(frozen=True)
@@ -67,24 +143,22 @@ class PathResult:
     total_b: float
 
 
-def _path_totals(weights: WeightMatrices, path: tuple[int, ...]) -> tuple[float, float]:
+def _path_totals(weights: EdgeWeights, edge_path: Sequence[int]) -> tuple[float, float]:
     total_a = 0.0
     total_b = 0.0
-    for u, v in zip(path, path[1:]):
-        if not weights.adjacency[u, v]:
-            raise ReconstructionError(f"reconstructed path uses absent edge ({u}, {v})")
-        total_a += float(weights.a[u, v])
-        total_b += float(weights.b[u, v])
+    for e in edge_path:
+        total_a += weights.a[e]
+        total_b += weights.b[e]
     return total_a, total_b
 
 
-def _check_node(weights: WeightMatrices, node: int, label: str) -> None:
-    if not 0 <= node < weights.n:
+def _check_node(n: int, node: int, label: str) -> None:
+    if not 0 <= node < n:
         raise SearchError(f"{label} {node} is not a valid node id")
 
 
 def search_min_latency(
-    weights: WeightMatrices,
+    weights: EdgeWeights,
     source: int,
     destination: int,
     cost_cap: float,
@@ -97,45 +171,52 @@ def search_min_latency(
     latency strictly improves the node's best. None means no label ever
     reached the destination, i.e. the configuration is too expensive.
     """
-    _check_node(weights, source, "source")
-    _check_node(weights, destination, "destination")
+    n = weights.n
+    _check_node(n, source, "source")
+    _check_node(n, destination, "destination")
     if cost_cap < 0:
         raise SearchError(f"cost_cap must be >= 0, got {cost_cap}")
 
-    n = weights.n
-    prev = np.full(n, -1, dtype=int)
-    min_b = np.full(n, math.inf)
+    offsets, src, dst = weights.edges.offsets, weights.edges.src, weights.edges.dst
+    a, b = weights.a, weights.b
+    prev_edge = [-1] * n  # edge of the latest label pushed to each node, shared by its labels
+    min_b = [math.inf] * n
     min_b[source] = 0.0
     frontier: list[tuple[float, float, int]] = [(0.0, 0.0, source)]
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     while frontier:
-        curr_b, curr_a, node = heapq.heappop(frontier)
+        curr_b, curr_a, node = heappop(frontier)
         if node == destination:
             path = [node]
+            edge_path = []
             while path[-1] != source:
-                parent = int(prev[path[-1]])
-                if parent < 0 or parent in path:
+                e = prev_edge[path[-1]]
+                if e < 0 or src[e] in path:
                     raise ReconstructionError(f"broken predecessor chain at node {path[-1]}")
-                path.append(parent)
+                path.append(src[e])
+                edge_path.append(e)
             path.reverse()
-            total_a, total_b = _path_totals(weights, tuple(path))
+            edge_path.reverse()
+            total_a, total_b = _path_totals(weights, edge_path)
             if total_a > cost_cap:
                 raise ReconstructionError(
                     f"reconstructed path cost {total_a} exceeds cap {cost_cap}"
                 )
             return PathResult(tuple(path), total_a, total_b)
-        for nxt in weights.successors(node):
-            new_a = curr_a + float(weights.a[node, nxt])
-            new_b = curr_b + float(weights.b[node, nxt])
+        for e in range(offsets[node], offsets[node + 1]):
+            nxt = dst[e]
+            new_a = curr_a + a[e]
+            new_b = curr_b + b[e]
             if new_a <= cost_cap and new_b < min_b[nxt]:
                 min_b[nxt] = new_b
-                prev[nxt] = node
-                heapq.heappush(frontier, (new_b, new_a, int(nxt)))
+                prev_edge[nxt] = e
+                heappush(frontier, (new_b, new_a, nxt))
     return None
 
 
 def enumerate_best_path(
-    weights: WeightMatrices,
+    weights: EdgeWeights,
     source: int,
     destination: int,
     cost_cap: float,
@@ -148,11 +229,13 @@ def enumerate_best_path(
     cost, then lexicographic path. Exponential, so guarded to small graphs
     unless `force` is set.
     """
-    _check_node(weights, source, "source")
-    _check_node(weights, destination, "destination")
+    _check_node(weights.n, source, "source")
+    _check_node(weights.n, destination, "destination")
     if weights.n > max_nodes and not force:
         raise SearchError(f"oracle enumeration refused for n={weights.n} > {max_nodes}")
 
+    offsets, dst = weights.edges.offsets, weights.edges.dst
+    a, b = weights.a, weights.b
     best: PathResult | None = None
 
     def visit(node: int, total_a: float, total_b: float, path: list[int], on_path: set[int]) -> None:
@@ -168,13 +251,13 @@ def enumerate_best_path(
             ):
                 best = candidate
             return
-        for nxt in weights.successors(node):
-            nxt = int(nxt)
+        for e in range(offsets[node], offsets[node + 1]):
+            nxt = dst[e]
             if nxt in on_path:
                 continue
             path.append(nxt)
             on_path.add(nxt)
-            visit(nxt, total_a + float(weights.a[node, nxt]), total_b + float(weights.b[node, nxt]), path, on_path)
+            visit(nxt, total_a + a[e], total_b + b[e], path, on_path)
             on_path.remove(nxt)
             path.pop()
 

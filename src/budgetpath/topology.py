@@ -13,7 +13,10 @@ import shutil
 import statistics
 import subprocess
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from functools import cached_property
+from typing import Callable, Optional
+
+from budgetpath.search import EdgeList
 
 log = logging.getLogger(__name__)
 
@@ -107,6 +110,17 @@ class Topology:
 
     def neighbors(self, node_id: int) -> list[int]:
         return sorted(link.dst for link in self.links if link.src == node_id)
+
+    @cached_property
+    def edges(self) -> EdgeList:
+        """The links as a compressed sparse row edge list, built once per topology."""
+        return EdgeList.from_pairs(len(self.nodes), ((link.src, link.dst) for link in self.links))
+
+    @cached_property
+    def edge_rtt(self) -> tuple[float, ...]:
+        """rtt_s of every edge of `edges`, in edge order."""
+        rtt = {(link.src, link.dst): link.rtt_s for link in self.links}
+        return tuple(map(rtt.__getitem__, zip(self.edges.src, self.edges.dst)))
 
 
 def expand_undirected(topology: Topology) -> Topology:
@@ -267,7 +281,3 @@ def probe_rtts(
             links.append(link)
     return Topology(topology.nodes, tuple(links), directed=topology.directed)
 
-
-def iter_edges(topology: Topology) -> Iterable[tuple[int, int, float]]:
-    for link in topology.links:
-        yield link.src, link.dst, link.rtt_s

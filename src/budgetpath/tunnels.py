@@ -17,9 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
-
 from budgetpath.planner import Plan
 from budgetpath.topology import Topology
 
@@ -58,6 +55,10 @@ class KeyPair:
 
 def generate_keypair(entropy: bytes) -> KeyPair:
     """Deterministically derive a clamped keypair from 32 entropy bytes."""
+    # imported here so that planning, which never needs keys, skips its import cost
+    from cryptography.hazmat.primitives import serialization
+    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+
     private = clamp_scalar(entropy)
     public = (
         X25519PrivateKey.from_private_bytes(private)

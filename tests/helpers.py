@@ -7,25 +7,22 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
-
-from budgetpath.search import WeightMatrices
+from budgetpath.search import EdgeList, EdgeWeights
 from budgetpath.topology import LinkSpec, NodeSpec, Topology
 from budgetpath.tunnels import TunnelSpec, clamp_scalar
 
 # --- random instances -------------------------------------------------
 
-def random_weights(rng: random.Random, n: int, edge_prob: float = 0.45) -> WeightMatrices:
-    a = np.zeros((n, n))
-    b = np.zeros((n, n))
-    adjacency = np.zeros((n, n), dtype=bool)
+def random_weights(rng: random.Random, n: int, edge_prob: float = 0.45) -> EdgeWeights:
+    pairs, a, b = [], [], []
+    # (i, j) comes out in (src, dst) order, which is the edge list's order
     for i in range(n):
         for j in range(n):
             if i != j and rng.random() < edge_prob:
-                adjacency[i, j] = True
-                a[i, j] = rng.uniform(0.0, 1.0)
-                b[i, j] = rng.uniform(0.01, 1.0)
-    return WeightMatrices(a, b, adjacency)
+                pairs.append((i, j))
+                a.append(rng.uniform(0.0, 1.0))
+                b.append(rng.uniform(0.01, 1.0))
+    return EdgeWeights(EdgeList.from_pairs(n, pairs), tuple(a), tuple(b))
 
 
 def random_topology(rng: random.Random, n_min: int = 2, n_max: int = 7) -> Topology:
@@ -139,13 +136,13 @@ def route_packet(specs: list[TunnelSpec], start: TunnelSpec, dst_ip: str) -> lis
     raise AssertionError(f"forwarding loop: {visited}")
 
 
-def is_connected(weights: WeightMatrices, source: int, destination: int) -> bool:
+def is_connected(weights: EdgeWeights, source: int, destination: int) -> bool:
     seen = {source}
     stack = [source]
     while stack:
         u = stack.pop()
-        for v in weights.successors(u):
-            if int(v) not in seen:
-                seen.add(int(v))
-                stack.append(int(v))
+        for v in weights.edges.successors(u):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
     return destination in seen

@@ -74,8 +74,9 @@ def test_criterion_2_search_soundness_suite():
             continue
         feasible += 1
         assert mine.total_a <= cap + 1e-12
-        sum_a = sum(w.a[u, v] for u, v in zip(mine.path, mine.path[1:]))
-        sum_b = sum(w.b[u, v] for u, v in zip(mine.path, mine.path[1:]))
+        edge_path = [w.edges.index(u, v) for u, v in zip(mine.path, mine.path[1:])]
+        sum_a = sum(w.a[e] for e in edge_path)
+        sum_b = sum(w.b[e] for e in edge_path)
         assert mine.total_a == sum_a and mine.total_b == sum_b
         exact = enumerate_best_path(w, src, dst, cap)
         assert exact is not None

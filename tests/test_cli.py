@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,19 @@ class TestExitCodes:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["total_cost_usd"] <= 0.5
+
+    def test_unreachable_destination_is_no_path(self, tmp_path, capsys):
+        doc = json.loads(Path(TESTBED).read_text())
+        doc["nodes"].append({**doc["nodes"][0], "id": 6, "name": "isolated"})
+        topology = tmp_path / "isolated.json"
+        topology.write_text(json.dumps(doc))
+        base = ["--topology", str(topology), "--src", "0", "--dst", "6",
+                "--data-gb", "1", "--budget-usd", "100"]
+        assert run(["plan", *base]) == 2
+        err = capsys.readouterr().err
+        assert "no path from 0 to 6" in err and "insufficient" not in err
+        assert run(["simulate", *base]) == 2
+        assert "no path from 0 to 6" in capsys.readouterr().err
 
     def test_oracle_infeasible(self, capsys):
         code = run(["oracle", "--topology", TESTBED, "--src", "0", "--dst", "5",
@@ -120,3 +134,12 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["path"]
+
+
+def test_cli_import_skips_numpy_and_cryptography():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, budgetpath.cli; print(sorted({'numpy', 'cryptography'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

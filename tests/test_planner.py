@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from budgetpath.billing import BillingMethod, TransferRequest, payg_cost
+from budgetpath.billing import BillingMethod, TransferRequest, edge_latency, node_cost, payg_cost
 from budgetpath.planner import (
     build_weights,
     load_plan,
@@ -34,8 +34,9 @@ class TestBuildWeights:
         request = TransferRequest(0, 2, 1.0, 10.0, 5)
         weights, configs = build_weights(topo, request, 1.0)
         assert all(c.method is BillingMethod.PFDT for c in configs.values())
-        assert weights.a[0, 1] == pytest.approx(0.081)
-        assert weights.b[0, 1] == pytest.approx(0.020 + 80.0)
+        e = weights.edges.index(0, 1)
+        assert weights.a[e] == pytest.approx(0.081)
+        assert weights.b[e] == pytest.approx(0.020 + 80.0)
 
     def test_large_data_all_payg(self):
         topo = make_topology(2)
@@ -43,7 +44,7 @@ class TestBuildWeights:
         weights, configs = build_weights(topo, request, 1.0)
         assert configs[0].method is BillingMethod.PAYG
         # 30 GB at 100 Mbps = 2400 s -> 1 billed hour
-        assert weights.a[0, 1] == pytest.approx(0.021 * 100 * 1)
+        assert weights.a[weights.edges.index(0, 1)] == pytest.approx(0.021 * 100 * 1)
 
     def test_half_fraction_hour_ceiling_interaction(self):
         topo = make_topology(2)
@@ -52,7 +53,25 @@ class TestBuildWeights:
         assert configs[0].method is BillingMethod.PAYG
         assert configs[0].bandwidth_mbps == 50.0
         # 30 GB at 50 Mbps = 4800 s -> 2 billed hours, cost back to 2.10
-        assert weights.a[0, 1] == pytest.approx(0.021 * 50 * 2)
+        assert weights.a[weights.edges.index(0, 1)] == pytest.approx(0.021 * 50 * 2)
+
+    @pytest.mark.parametrize("rule", ["threshold", "exact-cost"])
+    def test_every_edge_equals_per_link_billing(self, rule):
+        # per-node vectors gathered onto edges must give bit-identical weights
+        rng = random.Random(23)
+        for _ in range(40):
+            topo = random_topology(rng)
+            request = TransferRequest(0, len(topo) - 1, rng.uniform(0.1, 40.0), 1.0, 5)
+            for k in (1.0, 0.5, 0.3, 2.0 ** -7):
+                weights, configs = build_weights(topo, request, k, rule)
+                assert len(weights.a) == len(weights.b) == len(topo.links)
+                for link in topo.links:
+                    e = weights.edges.index(link.src, link.dst)
+                    config = configs[link.src]
+                    assert weights.a[e] == node_cost(topo.node(link.src), config, request.data_size_gb)
+                    assert weights.b[e] == edge_latency(
+                        link.rtt_s, request.data_size_gb, config.bandwidth_mbps
+                    )
 
     def test_rejects_bad_fraction(self):
         topo = make_topology(2)

@@ -1,13 +1,13 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from budgetpath.search import (
+    EdgeList,
+    EdgeWeights,
     ReconstructionError,
     SearchError,
-    WeightMatrices,
     enumerate_best_path,
     search_min_latency,
 )
@@ -16,14 +16,9 @@ from helpers import is_connected, random_weights
 
 def weights_from_edges(n, edges):
     """edges: {(u, v): (a, b)}"""
-    a = np.zeros((n, n))
-    b = np.zeros((n, n))
-    adjacency = np.zeros((n, n), dtype=bool)
-    for (u, v), (wa, wb) in edges.items():
-        adjacency[u, v] = True
-        a[u, v] = wa
-        b[u, v] = wb
-    return WeightMatrices(a, b, adjacency)
+    graph = EdgeList.from_pairs(n, edges)
+    pairs = list(zip(graph.src, graph.dst))
+    return EdgeWeights(graph, tuple(edges[p][0] for p in pairs), tuple(edges[p][1] for p in pairs))
 
 
 DIAMOND = weights_from_edges(4, {
@@ -109,8 +104,9 @@ class TestRandomInstances:
             if result is None:
                 continue
             assert result.total_a <= cap + 1e-12
-            recomputed_a = sum(w.a[u, v] for u, v in zip(result.path, result.path[1:]))
-            recomputed_b = sum(w.b[u, v] for u, v in zip(result.path, result.path[1:]))
+            edge_path = [w.edges.index(u, v) for u, v in zip(result.path, result.path[1:])]
+            recomputed_a = sum(w.a[e] for e in edge_path)
+            recomputed_b = sum(w.b[e] for e in edge_path)
             assert result.total_a == pytest.approx(recomputed_a, abs=0)
             assert result.total_b == pytest.approx(recomputed_b, abs=0)
 
@@ -152,24 +148,47 @@ class TestRandomInstances:
         print(f"\noracle/search equality rate: {equal}/{total} = {equal / total:.1%}")
 
 
-class TestWeightMatrices:
+class TestEdgeWeights:
     def test_rejects_self_loops(self):
-        adjacency = np.eye(2, dtype=bool)
         with pytest.raises(SearchError, match="self-loop"):
-            WeightMatrices(np.zeros((2, 2)), np.zeros((2, 2)), adjacency)
+            weights_from_edges(2, {(0, 0): (0.0, 0.0)})
+        with pytest.raises(SearchError, match="self-loop"):
+            EdgeWeights(EdgeList((0, 1, 1), (0,), (0,)), (0.0,), (0.0,))
+
+    @pytest.mark.parametrize("pairs", [[(0, 2)], [(2, 0)], [(0, -1)], [(0, 1), (0, 1)]])
+    def test_rejects_absent_nodes_and_duplicates(self, pairs):
+        with pytest.raises(SearchError):
+            EdgeList.from_pairs(2, pairs)
+
+    @pytest.mark.parametrize(
+        "edge_list",
+        [((0, 1), (0,), (1,)), ((0, 1, 1), (1,), (0,)), ((0, 2, 2), (0, 0), (1, 1)),
+         ((0, 2, 1, 2), (0, 0), (1, 2))],
+    )
+    def test_rejects_inconsistent_rows(self, edge_list):
+        with pytest.raises(SearchError):
+            EdgeList(*edge_list)
 
     def test_rejects_negative_present_weights(self):
-        adjacency = np.zeros((2, 2), dtype=bool)
-        adjacency[0, 1] = True
-        a = np.zeros((2, 2))
-        a[0, 1] = -1.0
         with pytest.raises(SearchError, match="finite"):
-            WeightMatrices(a, np.zeros((2, 2)), adjacency)
+            weights_from_edges(2, {(0, 1): (-1.0, 0.0)})
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_rejects_invalid_weights_on_either_side(self, bad, which):
+        weights = {(0, 1): (0.5, 0.5), (1, 0): (0.5, 0.5)}
+        weights[1, 0] = (bad, 0.5) if which == "a" else (0.5, bad)
+        with pytest.raises(SearchError, match="finite"):
+            weights_from_edges(2, weights)
+
+    def test_rejects_weight_count_mismatch(self):
+        graph = EdgeList.from_pairs(2, [(0, 1)])
+        with pytest.raises(SearchError):
+            EdgeWeights(graph, (0.0, 0.0), (0.0,))
 
     def test_absent_edge_entries_ignored(self):
-        adjacency = np.zeros((2, 2), dtype=bool)
-        adjacency[0, 1] = True
-        a = np.zeros((2, 2))
-        a[1, 0] = -5.0  # absent edge, never read
-        w = WeightMatrices(a, np.zeros((2, 2)), adjacency)
+        w = weights_from_edges(2, {(0, 1): (0.0, 0.0)})
+        assert w.edges.index(0, 1) == 0
+        with pytest.raises(KeyError):
+            w.edges.index(1, 0)  # absent edge, never read
         assert search_min_latency(w, 0, 1, 1.0).path == (0, 1)

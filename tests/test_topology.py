@@ -133,6 +133,27 @@ class TestValidation:
         assert len(topo.nodes) >= 2
 
 
+class TestEdgeList:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_edges_match_links(self, seed):
+        topo = random_topology(random.Random(seed))
+        edges = topo.edges
+        assert topo.edges is edges  # built once per topology
+        pairs = list(zip(edges.src, edges.dst))
+        assert pairs == sorted((link.src, link.dst) for link in topo.links)
+        for u in range(len(topo)):
+            assert list(edges.successors(u)) == topo.neighbors(u)
+        for (u, v), rtt in zip(pairs, topo.edge_rtt):
+            assert rtt == topo.rtt(u, v)
+
+    def test_has_path(self):
+        topo = Topology(topology_from_dict(two_node_doc(), mode="directed").nodes,
+                        (LinkSpec(0, 1, 0.01),))
+        assert topo.edges.has_path(0, 1)
+        assert not topo.edges.has_path(1, 0)
+        assert topo.edges.has_path(1, 1)
+
+
 class TestRoundTripAndExpansion:
     def test_serialize_round_trip(self, tmp_path):
         topo = random_topology(random.Random(7))
