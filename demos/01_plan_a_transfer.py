@@ -7,7 +7,7 @@ per-node billing configuration.
 
 from pathlib import Path
 
-from budgetpath import BillingMethod, TransferRequest, load_topology, plan_transfer
+from budgetpath import TransferRequest, load_topology, plan_transfer
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -27,8 +27,6 @@ print(f"bandwidth fraction k = {plan.fraction_k}, binary iterations = {plan.iter
 print()
 print("per-node billing:")
 for node_id, config in sorted(plan.configs.items()):
-    if config.method is BillingMethod.NONE:
-        continue
     print(f"  {topology.node(node_id).name}: {config.method.name} "
           f"at {config.bandwidth_mbps:.0f} Mbps")
 

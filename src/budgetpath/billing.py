@@ -25,7 +25,6 @@ SECONDS_PER_HOUR = 3600.0
 
 
 class BillingMethod(IntEnum):
-    NONE = 0
     PAYG = 1
     PFDT = 2
 
@@ -35,8 +34,7 @@ class NodeBillingConfig:
     """Billing method and configured egress bandwidth for one node.
 
     PFDT always runs at the node's full egress rate; PAYG runs at whatever
-    bandwidth was purchased. Method NONE (off-path nodes, destination)
-    carries bandwidth 0.
+    bandwidth was purchased.
     """
 
     method: BillingMethod
@@ -111,10 +109,8 @@ def node_cost(node: NodeSpec, config: NodeBillingConfig, data_size_gb: float) ->
     if config.method is BillingMethod.PFDT:
         assert node.pfdt_rate is not None
         return pfdt_cost(node.pfdt_rate, data_size_gb)
-    if config.method is BillingMethod.PAYG:
-        assert node.payg_rate is not None
-        return payg_cost(node.payg_rate, config.bandwidth_mbps, data_size_gb)
-    return 0.0
+    assert node.payg_rate is not None
+    return payg_cost(node.payg_rate, config.bandwidth_mbps, data_size_gb)
 
 
 def select_billing(

@@ -19,13 +19,7 @@ from budgetpath.billing import (
     select_billing,
     transfer_seconds,
 )
-from budgetpath.search import (
-    EdgeWeights,
-    PathResult,
-    ReconstructionError,
-    SearchError,
-    search_min_latency,
-)
+from budgetpath.search import EdgeWeights, PathResult, SearchError, search_min_latency
 from budgetpath.topology import Topology
 
 
@@ -33,9 +27,9 @@ from budgetpath.topology import Topology
 class Plan:
     """A chosen path with per-node billing and its predicted cost/latency.
 
-    `configs` covers every node: on-path nodes except the destination carry
-    a real method; the destination and off-path nodes are NONE (the final
-    hop has no billed egress).
+    `configs` holds exactly the billed senders, `path[:-1]`: the final hop
+    has no billed egress, so the destination and off-path nodes have no
+    entry.
     """
 
     path: tuple[int, ...]
@@ -100,25 +94,17 @@ def _finalize(
     fraction_k: float,
     iterations_used: int,
 ) -> Plan:
-    """Mask off-path nodes and recompute cost/latency from first principles."""
-    on_path_senders = set(result.path[:-1])
-    final_configs = {
-        node_id: (
-            config
-            if node_id in on_path_senders
-            else NodeBillingConfig(BillingMethod.NONE, 0.0)
-        )
-        for node_id, config in configs.items()
-    }
+    """Keep the senders' configs and recompute cost/latency from first principles."""
+    senders = {i: configs[i] for i in result.path[:-1]}
     cost = sum(
-        node_cost(topology.node(i), final_configs[i], request.data_size_gb)
-        for i in result.path[:-1]
+        node_cost(topology.node(i), config, request.data_size_gb)
+        for i, config in senders.items()
     )
     latency = sum(
-        edge_latency(topology.rtt(u, v), request.data_size_gb, final_configs[u].bandwidth_mbps)
+        edge_latency(topology.rtt(u, v), request.data_size_gb, senders[u].bandwidth_mbps)
         for u, v in zip(result.path, result.path[1:])
     )
-    return Plan(result.path, final_configs, cost, latency, fraction_k, iterations_used)
+    return Plan(result.path, senders, cost, latency, fraction_k, iterations_used)
 
 
 def plan_transfer_with_state(
@@ -139,26 +125,17 @@ def plan_transfer_with_state(
     if not 0 <= request.destination < len(topology):
         raise SearchError(f"destination {request.destination} is not a valid node id")
 
-    def checked_search(weights: EdgeWeights) -> Optional[PathResult]:
-        # a detected reconstruction abort means the search produced nothing
-        # trustworthy at this configuration; treat it like an infeasible round
-        try:
-            return search_min_latency(
-                weights, request.source, request.destination, request.budget_usd
-            )
-        except ReconstructionError:
-            return None
-
+    source, destination, budget = request.source, request.destination, request.budget_usd
     state = BinarySearchState()
     weights, configs = build_weights(topology, request, 1.0, rule)
-    result = checked_search(weights)
+    result = search_min_latency(weights, source, destination, budget)
     if result is not None:
         state.best_plan = _finalize(topology, request, result, configs, 1.0, 0)
         return state.best_plan, state
 
     while state.iteration < request.max_iterations:
         weights, configs = build_weights(topology, request, state.k, rule)
-        result = checked_search(weights)
+        result = search_min_latency(weights, source, destination, budget)
         if result is not None:
             state.best_plan = _finalize(
                 topology, request, result, configs, state.k, request.max_iterations
@@ -183,10 +160,13 @@ def plan_transfer(
 
 _METHOD_NAMES = {BillingMethod.PAYG: "payg", BillingMethod.PFDT: "pfdt"}
 _METHOD_VALUES = {"payg": BillingMethod.PAYG, "pfdt": BillingMethod.PFDT}
+_PLAN_KEYS = (
+    "path", "per_node", "predicted_cost_usd", "predicted_latency_s", "fraction_k", "iterations_used"
+)
 
 
 def plan_to_dict(plan: Plan) -> dict:
-    """JSON-ready form; `per_node` lists only nodes with a billed method."""
+    """JSON-ready form; `per_node` lists the billed senders."""
     return {
         "path": list(plan.path),
         "per_node": {
@@ -195,7 +175,6 @@ def plan_to_dict(plan: Plan) -> dict:
                 "bandwidth_mbps": config.bandwidth_mbps,
             }
             for node_id, config in sorted(plan.configs.items())
-            if config.method is not BillingMethod.NONE
         },
         "predicted_cost_usd": plan.predicted_cost_usd,
         "predicted_latency_s": plan.predicted_latency_s,
@@ -205,13 +184,40 @@ def plan_to_dict(plan: Plan) -> dict:
 
 
 def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
-    configs = {i: NodeBillingConfig(BillingMethod.NONE, 0.0) for i in range(n_nodes)}
-    for node_id, entry in doc["per_node"].items():
-        configs[int(node_id)] = NodeBillingConfig(
+    """Plan from its JSON form, checked against a topology of `n_nodes` nodes.
+
+    ValueError unless every key is present, the path names only nodes of the
+    topology, and `per_node` lists exactly the path's senders, each with a
+    known method and a bandwidth.
+    """
+    missing = [key for key in _PLAN_KEYS if key not in doc]
+    if missing:
+        raise ValueError(f"plan has no {', '.join(missing)}")
+    path = tuple(doc["path"])
+    for node_id in path:
+        if node_id not in range(n_nodes):
+            raise ValueError(
+                f"plan path names node {node_id!r}, but the topology has {n_nodes} nodes"
+            )
+    per_node = {int(node_id): entry for node_id, entry in doc["per_node"].items()}
+    senders = path[:-1]
+    if sorted(per_node) != sorted(senders):
+        raise ValueError(
+            f"plan per_node lists nodes {sorted(per_node)}, "
+            f"but the path's senders are {sorted(senders)}"
+        )
+    configs = {}
+    for node_id in senders:
+        entry = per_node[node_id]
+        if entry.get("method") not in _METHOD_VALUES or "bandwidth_mbps" not in entry:
+            raise ValueError(
+                f"plan per_node entry {node_id} needs a method (payg or pfdt) and a bandwidth_mbps"
+            )
+        configs[node_id] = NodeBillingConfig(
             _METHOD_VALUES[entry["method"]], float(entry["bandwidth_mbps"])
         )
     return Plan(
-        path=tuple(doc["path"]),
+        path=path,
         configs=configs,
         predicted_cost_usd=float(doc["predicted_cost_usd"]),
         predicted_latency_s=float(doc["predicted_latency_s"]),

@@ -2,10 +2,12 @@
 
 `search_min_latency` is a Dijkstra variant keeping a single best-latency
 label per node while discarding labels whose accumulated cost exceeds the
-cap. The single-label pruning is a heuristic: it can discard a feasible
-label whose higher latency would have been the only way to stay under the
-cap further on. `enumerate_best_path` is the exact (exponential) reference
-used to quantify that gap on small graphs.
+cap. Every label records the edge it arrived by and its parent label, so
+the path returned is the chain of the destination label itself: simple and
+within the cap by construction. The single-label pruning is a heuristic:
+it can discard a feasible label whose higher latency would have been the
+only way to stay under the cap further on. `enumerate_best_path` is the
+exact (exponential) reference used to quantify that gap on small graphs.
 
 Both walk an `EdgeList` in compressed sparse row form: the graph structure
 is checked once when the edge list is built, and each set of weights only
@@ -23,15 +25,6 @@ from typing import Iterable, Sequence
 
 class SearchError(ValueError):
     """Invalid search inputs."""
-
-
-class ReconstructionError(RuntimeError):
-    """The predecessor chain produced a path violating the cost cap.
-
-    The shared predecessor array holds one parent per node and later labels
-    may overwrite it; reconstruction is validated so corruption surfaces as
-    this error instead of a silently wrong answer.
-    """
 
 
 @dataclass(frozen=True)
@@ -136,20 +129,11 @@ class EdgeWeights:
 
 @dataclass(frozen=True)
 class PathResult:
-    """A concrete path with its recomputed cost and latency totals."""
+    """A concrete path with its cost and latency totals, summed along the path."""
 
     path: tuple[int, ...]
     total_a: float
     total_b: float
-
-
-def _path_totals(weights: EdgeWeights, edge_path: Sequence[int]) -> tuple[float, float]:
-    total_a = 0.0
-    total_b = 0.0
-    for e in edge_path:
-        total_a += weights.a[e]
-        total_b += weights.b[e]
-    return total_a, total_b
 
 
 def _check_node(n: int, node: int, label: str) -> None:
@@ -166,10 +150,12 @@ def search_min_latency(
     """Least-latency path whose summed cost stays within `cost_cap`.
 
     Pops the frontier label with minimum accumulated latency (ties broken
-    by accumulated cost, then node id) and returns on the first destination
-    pop. A label is only pushed when its cost respects the cap and its
-    latency strictly improves the node's best. None means no label ever
-    reached the destination, i.e. the configuration is too expensive.
+    by accumulated cost, then node id, then push order) and returns on the
+    first destination pop, with that label's own chain and sums. A label is
+    only pushed when its cost respects the cap and its latency strictly
+    improves the node's best, so its chain never revisits a node. None
+    means no label ever reached the destination, i.e. the configuration is
+    too expensive.
     """
     n = weights.n
     _check_node(n, source, "source")
@@ -179,39 +165,29 @@ def search_min_latency(
 
     offsets, src, dst = weights.edges.offsets, weights.edges.src, weights.edges.dst
     a, b = weights.a, weights.b
-    prev_edge = [-1] * n  # edge of the latest label pushed to each node, shared by its labels
     min_b = [math.inf] * n
     min_b[source] = 0.0
-    frontier: list[tuple[float, float, int]] = [(0.0, 0.0, source)]
+    labels = [(-1, 0)]  # (edge in, parent label) of every pushed label; 0 is the source
+    frontier: list[tuple[float, float, int, int]] = [(0.0, 0.0, source, 0)]
     heappop, heappush = heapq.heappop, heapq.heappush
 
     while frontier:
-        curr_b, curr_a, node = heappop(frontier)
+        curr_b, curr_a, node, label = heappop(frontier)
         if node == destination:
             path = [node]
-            edge_path = []
-            while path[-1] != source:
-                e = prev_edge[path[-1]]
-                if e < 0 or src[e] in path:
-                    raise ReconstructionError(f"broken predecessor chain at node {path[-1]}")
+            while label:
+                e, label = labels[label]
                 path.append(src[e])
-                edge_path.append(e)
             path.reverse()
-            edge_path.reverse()
-            total_a, total_b = _path_totals(weights, edge_path)
-            if total_a > cost_cap:
-                raise ReconstructionError(
-                    f"reconstructed path cost {total_a} exceeds cap {cost_cap}"
-                )
-            return PathResult(tuple(path), total_a, total_b)
+            return PathResult(tuple(path), curr_a, curr_b)
         for e in range(offsets[node], offsets[node + 1]):
             nxt = dst[e]
             new_a = curr_a + a[e]
             new_b = curr_b + b[e]
             if new_a <= cost_cap and new_b < min_b[nxt]:
                 min_b[nxt] = new_b
-                prev_edge[nxt] = e
-                heappush(frontier, (new_b, new_a, nxt))
+                heappush(frontier, (new_b, new_a, nxt, len(labels)))
+                labels.append((e, label))
     return None
 
 

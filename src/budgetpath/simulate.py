@@ -42,8 +42,7 @@ def simulate_transfer(
     """Predicted (latency_s, cost_usd) of sending the payload along `path`."""
     path = tuple(path)
     for node_id in path[:-1]:
-        config = configs.get(node_id)
-        if config is None or config.method is BillingMethod.NONE:
+        if node_id not in configs:
             raise SimulationError(f"path node {node_id} has no billing config")
     latency = sum(
         edge_latency(topology.rtt(u, v), data_size_gb, configs[u].bandwidth_mbps)
@@ -62,8 +61,6 @@ def naive_baseline(
     Nodes without a per-volume rate fall back to PAYG at full bandwidth.
     """
     src, dst = request.source, request.destination
-    if src == dst:
-        return (src,), {i: NodeBillingConfig(BillingMethod.NONE, 0.0) for i in range(len(topology))}
 
     # BFS levels, then enumerate all minimum-hop paths over the level DAG.
     dist = {src: 0}
@@ -94,7 +91,7 @@ def naive_baseline(
     collect(src, [src], 0.0)
     _, path = min(candidates, key=lambda item: (item[0], item[1]))
 
-    configs = {i: NodeBillingConfig(BillingMethod.NONE, 0.0) for i in range(len(topology))}
+    configs = {}
     for node_id in path[:-1]:
         node = topology.node(node_id)
         method = BillingMethod.PFDT if node.pfdt_rate is not None else BillingMethod.PAYG
@@ -188,14 +185,7 @@ def compare(
             weights, request.source, request.destination, request.budget_usd, oracle_max_nodes
         )
         if best is not None:
-            oracle_configs = {
-                i: configs[i] if i in set(best.path[:-1])
-                else NodeBillingConfig(BillingMethod.NONE, 0.0)
-                for i in configs
-            }
-            latency, cost = simulate_transfer(
-                topology, best.path, oracle_configs, request.data_size_gb
-            )
+            latency, cost = simulate_transfer(topology, best.path, configs, request.data_size_gb)
             rows.append(
                 ReportRow("oracle", best.path, latency, cost, cost <= request.budget_usd)
             )

@@ -12,7 +12,7 @@ import pytest
 from budgetpath.billing import TransferRequest, data_threshold, payg_cost, pfdt_cost
 from budgetpath.cli import run
 from budgetpath.planner import plan_transfer_with_state
-from budgetpath.search import ReconstructionError, enumerate_best_path, search_min_latency
+from budgetpath.search import enumerate_best_path, search_min_latency
 from budgetpath.simulate import compare, naive_baseline, simulate_transfer
 from budgetpath.topology import LinkSpec, NodeSpec, Topology
 from budgetpath.tunnels import build_tunnels, generate_keypair, parse_conf, render_conf
@@ -47,7 +47,7 @@ def test_criterion_1_billing_formulas_match_published_rates():
 
 def test_criterion_2_search_soundness_suite():
     rng = random.Random(20260826)
-    instances = feasible = equal = both = reconstruction_errors = 0
+    instances = feasible = equal = both = false_infeasible = 0
     while instances < 1000:
         instances += 1
         n = rng.randint(2, 8)
@@ -65,12 +65,11 @@ def test_criterion_2_search_soundness_suite():
             assert math.isclose(mine_inf.total_b, exact_inf.total_b, rel_tol=1e-9, abs_tol=1e-12)
 
         # capped: feasibility, edge-sum consistency, oracle dominance
-        try:
-            mine = search_min_latency(w, src, dst, cap)
-        except ReconstructionError:
-            reconstruction_errors += 1
-            continue
+        mine = search_min_latency(w, src, dst, cap)
+        exact = enumerate_best_path(w, src, dst, cap)
         if mine is None:
+            if exact is not None:
+                false_infeasible += 1  # single-label pruning missed a cap-feasible path
             continue
         feasible += 1
         assert mine.total_a <= cap + 1e-12
@@ -78,7 +77,6 @@ def test_criterion_2_search_soundness_suite():
         sum_a = sum(w.a[e] for e in edge_path)
         sum_b = sum(w.b[e] for e in edge_path)
         assert mine.total_a == sum_a and mine.total_b == sum_b
-        exact = enumerate_best_path(w, src, dst, cap)
         assert exact is not None
         assert exact.total_b <= mine.total_b + 1e-12
         both += 1
@@ -88,7 +86,8 @@ def test_criterion_2_search_soundness_suite():
         2,
         f"{instances} instances, {feasible} feasible results all sound; "
         f"equality rate vs oracle {equal}/{both} = {equal / both:.1%} (measured, not asserted); "
-        f"{reconstruction_errors} detected reconstruction aborts",
+        f"false-infeasible {false_infeasible}/{instances} (search None, oracle finds a path; "
+        f"measured, not asserted)",
     )
 
 
@@ -154,7 +153,7 @@ def test_criterion_5_wireguard_chain_correctness():
     for length in range(2, 7):
         topo = make_topology(length)
         path = list(range(length))
-        specs = build_tunnels(make_plan(path, length), topo,
+        specs = build_tunnels(make_plan(path), topo,
                               entropy_source=lambda: rng.randbytes(32))
         assert route_packet(specs, specs[0], f"10.44.0.{length}") == path
         assert route_packet(specs, specs[-1], "10.44.0.1") == list(reversed(path))

@@ -79,6 +79,36 @@ class TestExitCodes:
         assert code == 2
 
 
+def _drop_per_node(doc):
+    del doc["per_node"]
+
+
+def _bill_off_path_node(doc):
+    doc["per_node"]["42"] = doc["per_node"]["0"]
+
+
+def _name_absent_node(doc):
+    doc["path"][-1] = 9
+
+
+class TestPlanFileValidation:
+    @pytest.mark.parametrize("corrupt", [_name_absent_node, _drop_per_node, _bill_off_path_node])
+    def test_render_wg_rejects_plan_that_does_not_fit_topology(self, tmp_path, capsys, corrupt):
+        plan_file = tmp_path / "plan.json"
+        assert run(["plan", "--topology", TESTBED, "--src", "0", "--dst", "5",
+                    "--data-gb", "1", "--budget-usd", "0.5", "--out", str(plan_file)]) == 0
+        doc = json.loads(plan_file.read_text())
+        corrupt(doc)
+        plan_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["render-wg", "--topology", TESTBED, "--plan", str(plan_file),
+                    "--seed", "1", "--out-dir", str(tmp_path / "wg")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: plan ")
+        assert not (tmp_path / "wg").exists()
+
+
 class TestDeterminism:
     def test_seeded_pipeline_is_byte_identical(self, tmp_path):
         first = run_pipeline(tmp_path / "a")

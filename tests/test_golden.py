@@ -21,7 +21,7 @@ from pathlib import Path
 
 from budgetpath.billing import TransferRequest, node_cost, select_billing
 from budgetpath.planner import build_weights, plan_to_dict, plan_transfer
-from budgetpath.search import ReconstructionError, enumerate_best_path, search_min_latency
+from budgetpath.search import enumerate_best_path, search_min_latency
 from budgetpath.simulate import SimulationError, compare
 from budgetpath.topology import LinkSpec, NodeSpec, Topology
 from helpers import random_topology, random_weights
@@ -72,13 +72,6 @@ def _path_result(result) -> dict | None:
     if result is None:
         return None
     return {"path": list(result.path), "total_a": result.total_a, "total_b": result.total_b}
-
-
-def _search(weights, source, destination, cap):
-    try:
-        return _path_result(search_min_latency(weights, source, destination, cap))
-    except ReconstructionError:
-        return "ReconstructionError"
 
 
 def cheapest_full_bandwidth_cost(topology: Topology, src: int, dst: int, data_gb: float) -> float:
@@ -142,7 +135,7 @@ def answers(sparse: list[dict]) -> dict:
         weights = random_weights(rng, n)
         cap = rng.uniform(0.0, 2.5)
         searches.append({
-            "search": _search(weights, 0, n - 1, cap),
+            "search": _path_result(search_min_latency(weights, 0, n - 1, cap)),
             "oracle": _path_result(enumerate_best_path(weights, 0, n - 1, cap)),
         })
     for _ in range(30):
@@ -151,7 +144,7 @@ def answers(sparse: list[dict]) -> dict:
         request = TransferRequest(0, n - 1, rng.uniform(0.1, 40.0), rng.uniform(0.0, 3.0), 1)
         weights, _ = build_weights(topology, request, rng.choice([1.0, 0.5, 0.3]))
         searches.append({
-            "search": _search(weights, 0, n - 1, request.budget_usd),
+            "search": _path_result(search_min_latency(weights, 0, n - 1, request.budget_usd)),
             "oracle": _path_result(enumerate_best_path(weights, 0, n - 1, request.budget_usd)),
         })
 
@@ -183,7 +176,6 @@ def test_golden_covers_every_planner_outcome():
         else:
             outcomes["k1" if plan["fraction_k"] == 1.0 else "shrunk"] += 1
     assert all(count >= 2 for count in outcomes.values()), outcomes
-    assert sum(s["search"] == "ReconstructionError" for s in golden["searches"]) >= 1
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

@@ -102,15 +102,13 @@ class TestPlanTransfer:
         assert plan.path == (0,)
         assert plan.predicted_cost_usd == 0.0
         assert plan.predicted_latency_s == 0.0
-        assert all(c.method is BillingMethod.NONE for c in plan.configs.values())
+        assert plan.configs == {}
 
     def test_destination_and_off_path_unbilled(self):
         topo = make_topology(4)
         plan = plan_transfer(topo, TransferRequest(0, 2, 1.0, 5.0, 5))
         assert plan.path == (0, 1, 2)
-        assert plan.configs[2].method is BillingMethod.NONE
-        assert plan.configs[3].method is BillingMethod.NONE
-        assert plan.configs[0].method is not BillingMethod.NONE
+        assert set(plan.configs) == set(plan.path[:-1])
 
     @pytest.mark.parametrize("budget", [1.20, 1.50, 1.60, 1.90, 2.05])
     def test_binary_search_replay(self, budget):

@@ -23,11 +23,7 @@ def line_topology(n, cap=100.0, rtt=0.0):
 
 
 def full_pfdt_configs(topo, path):
-    return {
-        i: NodeBillingConfig(BillingMethod.PFDT, topo.node(i).max_egress_mbps)
-        if i in set(path[:-1]) else NodeBillingConfig(BillingMethod.NONE, 0.0)
-        for i in range(len(topo))
-    }
+    return {i: NodeBillingConfig(BillingMethod.PFDT, topo.node(i).max_egress_mbps) for i in path[:-1]}
 
 
 class TestSimulateTransfer:
@@ -49,7 +45,7 @@ class TestSimulateTransfer:
     def test_missing_config_rejected(self):
         topo = line_topology(3)
         configs = full_pfdt_configs(topo, (0, 1, 2))
-        configs[1] = NodeBillingConfig(BillingMethod.NONE, 0.0)
+        del configs[1]
         with pytest.raises(SimulationError, match="node 1"):
             simulate_transfer(topo, (0, 1, 2), configs, 1.0)
 

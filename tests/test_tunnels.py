@@ -34,12 +34,8 @@ def make_topology(n, shared_address=False):
     return Topology(nodes, tuple(links))
 
 
-def make_plan(path, n):
-    configs = {
-        i: NodeBillingConfig(BillingMethod.PFDT, 100.0)
-        if i in set(path[:-1]) else NodeBillingConfig(BillingMethod.NONE, 0.0)
-        for i in range(n)
-    }
+def make_plan(path):
+    configs = {i: NodeBillingConfig(BillingMethod.PFDT, 100.0) for i in path[:-1]}
     return Plan(tuple(path), configs, 0.081 * (len(path) - 1), 80.0 * (len(path) - 1), 1.0, 0)
 
 
@@ -84,7 +80,7 @@ class TestKeys:
 class TestBuildTunnels:
     def test_two_node_chain(self):
         topo = make_topology(2)
-        specs = build_tunnels(make_plan([0, 1], 2), topo, entropy_source=seeded_entropy(1))
+        specs = build_tunnels(make_plan([0, 1]), topo, entropy_source=seeded_entropy(1))
         assert len(specs) == 2
         assert all(len(s.peers) == 1 for s in specs)
         assert specs[0].peers[0].allowed_ips == ("10.44.0.2/32",)
@@ -92,7 +88,7 @@ class TestBuildTunnels:
 
     def test_four_node_allowed_ips_closure(self):
         topo = make_topology(4)
-        specs = build_tunnels(make_plan([0, 1, 2, 3], 4), topo, entropy_source=seeded_entropy(2))
+        specs = build_tunnels(make_plan([0, 1, 2, 3]), topo, entropy_source=seeded_entropy(2))
         a = specs[1]  # second hop
         assert len(a.peers) == 2
         toward_source, toward_dest = a.peers
@@ -104,28 +100,28 @@ class TestBuildTunnels:
     def test_subnet_exhaustion(self):
         topo = make_topology(4)
         with pytest.raises(TunnelError, match="usable hosts"):
-            build_tunnels(make_plan([0, 1, 2, 3], 4), topo, overlay_subnet="10.44.0.0/30",
+            build_tunnels(make_plan([0, 1, 2, 3]), topo, overlay_subnet="10.44.0.0/30",
                           entropy_source=seeded_entropy(3))
 
     def test_path_too_short(self):
         topo = make_topology(2)
         with pytest.raises(TunnelError, match="at least 2"):
-            build_tunnels(make_plan([0], 2), topo)
+            build_tunnels(make_plan([0]), topo)
 
     def test_shared_address_gets_distinct_ports(self):
         topo = make_topology(3, shared_address=True)
-        specs = build_tunnels(make_plan([0, 1, 2], 3), topo, entropy_source=seeded_entropy(4))
+        specs = build_tunnels(make_plan([0, 1, 2]), topo, entropy_source=seeded_entropy(4))
         assert [s.listen_port for s in specs] == [51820, 51821, 51822]
 
     def test_distinct_hosts_share_port(self):
         topo = make_topology(3)
-        specs = build_tunnels(make_plan([0, 1, 2], 3), topo, entropy_source=seeded_entropy(4))
+        specs = build_tunnels(make_plan([0, 1, 2]), topo, entropy_source=seeded_entropy(4))
         assert {s.listen_port for s in specs} == {51820}
 
     def test_identity_keys_override_fresh_ones(self):
         topo = make_topology(3)
         stable = generate_keypair(bytes([9] * 32))
-        specs = build_tunnels(make_plan([0, 1, 2], 3), topo,
+        specs = build_tunnels(make_plan([0, 1, 2]), topo,
                               entropy_source=seeded_entropy(12),
                               identity_keys={1: stable})
         assert specs[1].keypair == stable
@@ -136,7 +132,7 @@ class TestBuildTunnels:
 
     def test_key_uniqueness(self):
         topo = make_topology(6)
-        specs = build_tunnels(make_plan(list(range(6)), 6), topo,
+        specs = build_tunnels(make_plan(list(range(6))), topo,
                               entropy_source=seeded_entropy(5))
         publics = [s.keypair.public_b64 for s in specs]
         assert len(set(publics)) == len(publics)
@@ -147,7 +143,7 @@ class TestOverlayRouting:
     def test_packets_traverse_planned_order_both_ways(self, length):
         topo = make_topology(length)
         path = list(range(length))
-        specs = build_tunnels(make_plan(path, length), topo, entropy_source=seeded_entropy(length))
+        specs = build_tunnels(make_plan(path), topo, entropy_source=seeded_entropy(length))
         forward = route_packet(specs, specs[0], f"10.44.0.{length}")
         assert forward == path
         backward = route_packet(specs, specs[-1], "10.44.0.1")
@@ -157,13 +153,13 @@ class TestOverlayRouting:
 class TestRenderParse:
     def test_endpoint_has_one_peer_section(self):
         topo = make_topology(3)
-        specs = build_tunnels(make_plan([0, 1, 2], 3), topo, entropy_source=seeded_entropy(6))
+        specs = build_tunnels(make_plan([0, 1, 2]), topo, entropy_source=seeded_entropy(6))
         assert render_conf(specs[0]).count("[Peer]") == 1
         assert render_conf(specs[1]).count("[Peer]") == 2
 
     def test_field_order(self):
         topo = make_topology(2)
-        spec = build_tunnels(make_plan([0, 1], 2), topo, entropy_source=seeded_entropy(7))[0]
+        spec = build_tunnels(make_plan([0, 1]), topo, entropy_source=seeded_entropy(7))[0]
         text = render_conf(spec)
         assert text.index("PrivateKey") < text.index("Address") < text.index("ListenPort")
         peer = text[text.index("[Peer]"):]
@@ -171,19 +167,19 @@ class TestRenderParse:
 
     def test_round_trip(self):
         topo = make_topology(4)
-        for spec in build_tunnels(make_plan([0, 1, 2, 3], 4), topo,
+        for spec in build_tunnels(make_plan([0, 1, 2, 3]), topo,
                                   entropy_source=seeded_entropy(8)):
             assert parse_conf(render_conf(spec)) == spec
 
     def test_relay_forwarding_note(self):
         topo = make_topology(3)
-        specs = build_tunnels(make_plan([0, 1, 2], 3), topo, entropy_source=seeded_entropy(9))
+        specs = build_tunnels(make_plan([0, 1, 2]), topo, entropy_source=seeded_entropy(9))
         assert "ip_forward" in render_conf(specs[1])
         assert "ip_forward" not in render_conf(specs[0])
 
     def test_private_key_never_in_peer_sections(self):
         topo = make_topology(4)
-        specs = build_tunnels(make_plan([0, 1, 2, 3], 4), topo, entropy_source=seeded_entropy(10))
+        specs = build_tunnels(make_plan([0, 1, 2, 3]), topo, entropy_source=seeded_entropy(10))
         privates = {s.keypair.private_b64 for s in specs}
         for spec in specs:
             text = render_conf(spec)
@@ -194,7 +190,7 @@ class TestRenderParse:
 class TestManifest:
     def test_files_and_manifest(self, tmp_path):
         topo = make_topology(3)
-        specs = build_tunnels(make_plan([0, 1, 2], 3), topo, entropy_source=seeded_entropy(11))
+        specs = build_tunnels(make_plan([0, 1, 2]), topo, entropy_source=seeded_entropy(11))
         manifest = write_tunnel_files(specs, topo, tmp_path)
         for i in range(3):
             assert (tmp_path / f"node{i}.conf").exists()
