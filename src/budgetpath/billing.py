@@ -7,6 +7,11 @@ Two billing methods are modeled:
 * PFDT (pay-for-data-transfer): billed per GB sent, independent of
   bandwidth; the node transmits at its full egress rate.
 
+`price` is the one place where a node's method is chosen: it returns the
+method, bandwidth, cost and transmission time as plain values, so a round of
+the planner prices every node without building objects. `select_billing`
+wraps it for callers that want a `NodeBillingConfig`.
+
 Units are fixed package-wide: bandwidth in Mbps (10^6 bit/s), data size in
 GB (10^9 bytes), latency in seconds, money in USD.
 """
@@ -22,6 +27,7 @@ from budgetpath.topology import NodeSpec
 BITS_PER_GB = 8e9
 BITS_PER_MBPS = 1e6
 SECONDS_PER_HOUR = 3600.0
+RULES = ("threshold", "exact-cost")
 
 
 class BillingMethod(IntEnum):
@@ -29,7 +35,7 @@ class BillingMethod(IntEnum):
     PFDT = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeBillingConfig:
     """Billing method and configured egress bandwidth for one node.
 
@@ -39,6 +45,10 @@ class NodeBillingConfig:
 
     method: BillingMethod
     bandwidth_mbps: float
+
+
+# what `price` returns for one node: (method, bandwidth_mbps, cost_usd, seconds)
+NodePrice = tuple[BillingMethod, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -113,38 +123,58 @@ def node_cost(node: NodeSpec, config: NodeBillingConfig, data_size_gb: float) ->
     return payg_cost(node.payg_rate, config.bandwidth_mbps, data_size_gb)
 
 
+def check_rule(rule: str) -> None:
+    """ValueError unless `rule` is one of `RULES`."""
+    if rule not in RULES:
+        raise ValueError(f"unknown billing rule {rule!r}")
+
+
+def price(
+    node: NodeSpec,
+    bandwidth_candidate_mbps: float,
+    data_size_gb: float,
+    rule: str,
+) -> NodePrice:
+    """(method, bandwidth_mbps, cost_usd, seconds) of one node at a candidate PAYG bandwidth.
+
+    `threshold` rule: strict D < D_thresh selects PFDT (at the node's full
+    rate), otherwise PAYG at the candidate bandwidth. `exact-cost` rule:
+    whichever method is strictly cheaper, ties going to PFDT since it is
+    never slower. Nodes offering only one method always use it. Neither the
+    rule nor the candidate's range is checked here; `check_rule` and
+    `select_billing` do that.
+    """
+    payg_rate, pfdt_rate = node.payg_rate, node.pfdt_rate
+    if pfdt_rate is None:
+        pfdt = False
+    elif payg_rate is None:
+        pfdt = True
+    elif rule == "threshold":
+        pfdt = data_size_gb < data_threshold(payg_rate, pfdt_rate, bandwidth_candidate_mbps)
+    else:
+        pfdt = pfdt_cost(pfdt_rate, data_size_gb) <= payg_cost(
+            payg_rate, bandwidth_candidate_mbps, data_size_gb
+        )
+    if pfdt:
+        method, bandwidth = BillingMethod.PFDT, node.max_egress_mbps
+        cost = pfdt_cost(pfdt_rate, data_size_gb)
+    else:
+        method, bandwidth = BillingMethod.PAYG, bandwidth_candidate_mbps
+        cost = payg_cost(payg_rate, bandwidth, data_size_gb)
+    return method, bandwidth, cost, transfer_seconds(data_size_gb, bandwidth)
+
+
 def select_billing(
     node: NodeSpec,
     bandwidth_candidate_mbps: float,
     data_size_gb: float,
     rule: str = "threshold",
 ) -> NodeBillingConfig:
-    """Pick PAYG vs. PFDT for one node at a candidate PAYG bandwidth.
-
-    `threshold` rule: strict D < D_thresh selects PFDT (at the node's full
-    rate), otherwise PAYG at the candidate bandwidth. `exact-cost` rule:
-    whichever method is strictly cheaper, ties going to PFDT since it is
-    never slower. Nodes offering only one method always use it.
-    """
+    """Pick PAYG vs. PFDT for one node at a candidate PAYG bandwidth, as `price` does."""
     if not 0 < bandwidth_candidate_mbps <= node.max_egress_mbps:
         raise ValueError(
             f"candidate bandwidth {bandwidth_candidate_mbps} outside (0, {node.max_egress_mbps}]"
         )
-    if rule not in ("threshold", "exact-cost"):
-        raise ValueError(f"unknown billing rule {rule!r}")
-
-    pfdt_config = NodeBillingConfig(BillingMethod.PFDT, node.max_egress_mbps)
-    payg_config = NodeBillingConfig(BillingMethod.PAYG, bandwidth_candidate_mbps)
-
-    if node.pfdt_rate is None:
-        return payg_config
-    if node.payg_rate is None:
-        return pfdt_config
-
-    if rule == "threshold":
-        thresh = data_threshold(node.payg_rate, node.pfdt_rate, bandwidth_candidate_mbps)
-        return pfdt_config if data_size_gb < thresh else payg_config
-
-    cost_pfdt = pfdt_cost(node.pfdt_rate, data_size_gb)
-    cost_payg = payg_cost(node.payg_rate, bandwidth_candidate_mbps, data_size_gb)
-    return pfdt_config if cost_pfdt <= cost_payg else payg_config
+    check_rule(rule)
+    method, bandwidth, _, _ = price(node, bandwidth_candidate_mbps, data_size_gb, rule)
+    return NodeBillingConfig(method, bandwidth)

@@ -14,7 +14,7 @@ import random
 import sys
 from pathlib import Path
 
-from budgetpath.billing import TransferRequest
+from budgetpath.billing import RULES, TransferRequest
 from budgetpath.planner import build_weights, load_plan, plan_to_dict, plan_transfer, save_plan
 from budgetpath.search import SearchError, enumerate_best_path
 from budgetpath.simulate import SimulationError, compare
@@ -64,7 +64,7 @@ def _add_request_args(parser) -> None:
     parser.add_argument("--data-gb", type=float, required=True)
     parser.add_argument("--budget-usd", type=float, required=True)
     parser.add_argument("--iterations", type=int, default=30)
-    parser.add_argument("--rule", choices=["threshold", "exact-cost"], default="threshold")
+    parser.add_argument("--rule", choices=RULES, default="threshold")
 
 
 def _request(args) -> TransferRequest:

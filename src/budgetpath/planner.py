@@ -6,24 +6,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add, truediv
+from operator import add, itemgetter
 from typing import Optional
 
 from budgetpath.billing import (
     BillingMethod,
     NodeBillingConfig,
+    NodePrice,
     TransferRequest,
+    check_rule,
     edge_latency,
     node_cost,
-    select_billing,
-    transfer_seconds,
+    price,
 )
 from budgetpath.search import EdgeWeights, PathResult, SearchError, search_min_latency
 from budgetpath.topology import Topology
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plan:
     """A chosen path with per-node billing and its predicted cost/latency.
 
@@ -56,46 +56,51 @@ def build_weights(
     request: TransferRequest,
     fraction_k: float,
     rule: str = "threshold",
-) -> tuple[EdgeWeights, dict[int, NodeBillingConfig]]:
+) -> tuple[EdgeWeights, list[NodePrice]]:
     """Weights for one candidate configuration at bandwidth fraction `fraction_k`.
 
     Every node's PAYG candidate bandwidth is fraction_k times its cap; the
     billing rule then picks the method (PFDT restores the full rate). The
     egress cost of node i is attached to all of its outgoing edges; edge
     latency uses the sending node's configured bandwidth. Billing is per
-    sending node, so cost and transmission time are computed once per node
-    and gathered onto the topology's edge list.
+    sending node, so each node is priced once (`billing.price`) and its cost
+    and transmission time are gathered onto the topology's edge list. The
+    per-node prices, (method, bandwidth_mbps, cost_usd, seconds) indexed by
+    node id, are returned alongside the weights.
     """
     if not 0 < fraction_k <= 1:
         raise ValueError(f"fraction_k must be in (0, 1], got {fraction_k}")
+    check_rule(rule)
     data_size_gb = request.data_size_gb
-    configs: dict[int, NodeBillingConfig] = {}
-    cost = []
-    seconds = []
-    for node in topology.nodes:
-        config = select_billing(node, fraction_k * node.max_egress_mbps, data_size_gb, rule)
-        configs[node.id] = config
-        cost.append(node_cost(node, config, data_size_gb))
-        seconds.append(transfer_seconds(data_size_gb, config.bandwidth_mbps))
+    prices = [
+        price(node, fraction_k * node.max_egress_mbps, data_size_gb, rule)
+        for node in topology.nodes
+    ]
+    cost = tuple(map(itemgetter(2), prices))
+    seconds = tuple(map(itemgetter(3), prices))
 
-    edges = topology.edges
-    a = tuple(map(cost.__getitem__, edges.src))
+    src = topology.edges.src
+    a = tuple(map(cost.__getitem__, src))
     # rtt / 2.0 + transfer_seconds, in that order, is edge_latency's arithmetic exactly
-    half_rtt = map(truediv, topology.edge_rtt, repeat(2.0))
-    b = tuple(map(add, half_rtt, map(seconds.__getitem__, edges.src)))
-    return EdgeWeights(edges, a, b), configs
+    b = tuple(map(add, topology.edge_half_rtt, map(seconds.__getitem__, src)))
+    return EdgeWeights(topology.edges, a, b), prices
+
+
+def sender_configs(path: tuple[int, ...], prices: list[NodePrice]) -> dict[int, NodeBillingConfig]:
+    """Billing configs of the path's senders, `path[:-1]`, from `build_weights`'s prices."""
+    return {i: NodeBillingConfig(prices[i][0], prices[i][1]) for i in path[:-1]}
 
 
 def _finalize(
     topology: Topology,
     request: TransferRequest,
     result: PathResult,
-    configs: dict[int, NodeBillingConfig],
+    prices: list[NodePrice],
     fraction_k: float,
     iterations_used: int,
 ) -> Plan:
-    """Keep the senders' configs and recompute cost/latency from first principles."""
-    senders = {i: configs[i] for i in result.path[:-1]}
+    """Build the senders' configs and recompute cost/latency from first principles."""
+    senders = sender_configs(result.path, prices)
     cost = sum(
         node_cost(topology.node(i), config, request.data_size_gb)
         for i, config in senders.items()
@@ -127,18 +132,18 @@ def plan_transfer_with_state(
 
     source, destination, budget = request.source, request.destination, request.budget_usd
     state = BinarySearchState()
-    weights, configs = build_weights(topology, request, 1.0, rule)
+    weights, prices = build_weights(topology, request, 1.0, rule)
     result = search_min_latency(weights, source, destination, budget)
     if result is not None:
-        state.best_plan = _finalize(topology, request, result, configs, 1.0, 0)
+        state.best_plan = _finalize(topology, request, result, prices, 1.0, 0)
         return state.best_plan, state
 
     while state.iteration < request.max_iterations:
-        weights, configs = build_weights(topology, request, state.k, rule)
+        weights, prices = build_weights(topology, request, state.k, rule)
         result = search_min_latency(weights, source, destination, budget)
         if result is not None:
             state.best_plan = _finalize(
-                topology, request, result, configs, state.k, request.max_iterations
+                topology, request, result, prices, state.k, request.max_iterations
             )
             state.k_lower = state.k
             state.k = (state.k + state.k_upper) / 2.0
@@ -183,22 +188,37 @@ def plan_to_dict(plan: Plan) -> dict:
     }
 
 
+def _plan_number(doc: dict, key: str, convert=float):
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"plan {key} must be a number, got {doc[key]!r}") from exc
+
+
 def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
     """Plan from its JSON form, checked against a topology of `n_nodes` nodes.
 
-    ValueError unless every key is present, the path names only nodes of the
-    topology, and `per_node` lists exactly the path's senders, each with a
-    known method and a bandwidth.
+    ValueError unless the document is an object with every key present, the
+    path is a list naming only nodes of the topology, `per_node` is an object
+    listing exactly the path's senders, each an object with a known method
+    and a numeric bandwidth, and the totals, `fraction_k` and
+    `iterations_used` are numbers.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"plan must be an object, got {type(doc).__name__}")
     missing = [key for key in _PLAN_KEYS if key not in doc]
     if missing:
         raise ValueError(f"plan has no {', '.join(missing)}")
+    if not isinstance(doc["path"], list):
+        raise ValueError(f"plan path must be a list of node ids, got {doc['path']!r}")
     path = tuple(doc["path"])
     for node_id in path:
-        if node_id not in range(n_nodes):
+        if type(node_id) is not int or node_id not in range(n_nodes):
             raise ValueError(
                 f"plan path names node {node_id!r}, but the topology has {n_nodes} nodes"
             )
+    if not isinstance(doc["per_node"], dict):
+        raise ValueError(f"plan per_node must be an object, got {doc['per_node']!r}")
     per_node = {int(node_id): entry for node_id, entry in doc["per_node"].items()}
     senders = path[:-1]
     if sorted(per_node) != sorted(senders):
@@ -209,20 +229,24 @@ def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
     configs = {}
     for node_id in senders:
         entry = per_node[node_id]
-        if entry.get("method") not in _METHOD_VALUES or "bandwidth_mbps" not in entry:
+        if not (
+            isinstance(entry, dict)
+            and entry.get("method") in _METHOD_VALUES
+            and "bandwidth_mbps" in entry
+        ):
             raise ValueError(
                 f"plan per_node entry {node_id} needs a method (payg or pfdt) and a bandwidth_mbps"
             )
         configs[node_id] = NodeBillingConfig(
-            _METHOD_VALUES[entry["method"]], float(entry["bandwidth_mbps"])
+            _METHOD_VALUES[entry["method"]], _plan_number(entry, "bandwidth_mbps")
         )
     return Plan(
         path=path,
         configs=configs,
-        predicted_cost_usd=float(doc["predicted_cost_usd"]),
-        predicted_latency_s=float(doc["predicted_latency_s"]),
-        fraction_k=float(doc["fraction_k"]),
-        iterations_used=int(doc["iterations_used"]),
+        predicted_cost_usd=_plan_number(doc, "predicted_cost_usd"),
+        predicted_latency_s=_plan_number(doc, "predicted_latency_s"),
+        fraction_k=_plan_number(doc, "fraction_k"),
+        iterations_used=_plan_number(doc, "iterations_used", int),
     )
 
 

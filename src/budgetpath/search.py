@@ -127,7 +127,7 @@ class EdgeWeights:
         return self.edges.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathResult:
     """A concrete path with its cost and latency totals, summed along the path."""
 

@@ -19,7 +19,7 @@ from budgetpath.billing import (
     edge_latency,
     node_cost,
 )
-from budgetpath.planner import build_weights, plan_transfer
+from budgetpath.planner import build_weights, plan_transfer, sender_configs
 from budgetpath.search import enumerate_best_path
 from budgetpath.topology import Topology
 
@@ -180,11 +180,12 @@ def compare(
     )
 
     if plan is not None and len(topology) <= oracle_max_nodes:
-        weights, configs = build_weights(topology, request, plan.fraction_k, rule)
+        weights, prices = build_weights(topology, request, plan.fraction_k, rule)
         best = enumerate_best_path(
             weights, request.source, request.destination, request.budget_usd, oracle_max_nodes
         )
         if best is not None:
+            configs = sender_configs(best.path, prices)
             latency, cost = simulate_transfer(topology, best.path, configs, request.data_size_gb)
             rows.append(
                 ReportRow("oracle", best.path, latency, cost, cost <= request.budget_usd)

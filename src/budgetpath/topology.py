@@ -35,7 +35,7 @@ class TopologyError(ValueError):
     """Raised for malformed or invalid topology documents."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeSpec:
     """One cloud instance / edge router.
 
@@ -60,7 +60,7 @@ class NodeSpec:
                 raise TopologyError(f"node {self.id} ({self.name}): invalid {label} rate {rate}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkSpec:
     """A directed physical connection; rtt_s is the measured round trip in seconds."""
 
@@ -117,10 +117,10 @@ class Topology:
         return EdgeList.from_pairs(len(self.nodes), ((link.src, link.dst) for link in self.links))
 
     @cached_property
-    def edge_rtt(self) -> tuple[float, ...]:
-        """rtt_s of every edge of `edges`, in edge order."""
-        rtt = {(link.src, link.dst): link.rtt_s for link in self.links}
-        return tuple(map(rtt.__getitem__, zip(self.edges.src, self.edges.dst)))
+    def edge_half_rtt(self) -> tuple[float, ...]:
+        """One-way propagation delay, rtt_s / 2.0, of every edge of `edges`, in edge order."""
+        half_rtt = {(link.src, link.dst): link.rtt_s / 2.0 for link in self.links}
+        return tuple(map(half_rtt.__getitem__, zip(self.edges.src, self.edges.dst)))
 
 
 def expand_undirected(topology: Topology) -> Topology:

@@ -91,8 +91,31 @@ def _name_absent_node(doc):
     doc["path"][-1] = 9
 
 
+def _per_node_entry_is_string(doc):
+    doc["per_node"]["0"] = "pfdt"
+
+
+def _per_node_is_list(doc):
+    doc["per_node"] = list(doc["per_node"].values())
+
+
+def _path_is_number(doc):
+    doc["path"] = 5
+
+
+def _null_cost(doc):
+    doc["predicted_cost_usd"] = None
+
+
+def _null_bandwidth(doc):
+    doc["per_node"]["0"]["bandwidth_mbps"] = None
+
+
 class TestPlanFileValidation:
-    @pytest.mark.parametrize("corrupt", [_name_absent_node, _drop_per_node, _bill_off_path_node])
+    @pytest.mark.parametrize("corrupt", [
+        _name_absent_node, _drop_per_node, _bill_off_path_node, _per_node_entry_is_string,
+        _per_node_is_list, _path_is_number, _null_cost, _null_bandwidth,
+    ])
     def test_render_wg_rejects_plan_that_does_not_fit_topology(self, tmp_path, capsys, corrupt):
         plan_file = tmp_path / "plan.json"
         assert run(["plan", "--topology", TESTBED, "--src", "0", "--dst", "5",
@@ -157,19 +180,21 @@ class TestFixtureDirOverride:
         assert code == 0
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def test_console_script_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "budgetpath.cli", "plan", "--topology", TESTBED,
          "--src", "0", "--dst", "5", "--data-gb", "1", "--budget-usd", "0.5"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["path"]
 
 
 def test_cli_import_skips_numpy_and_cryptography():
-    src = str(Path(__file__).resolve().parent.parent / "src")
     code = "import sys, budgetpath.cli; print(sorted({'numpy', 'cryptography'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -3,8 +3,18 @@ import random
 
 import pytest
 
-from budgetpath.billing import BillingMethod, TransferRequest, edge_latency, node_cost, payg_cost
+from budgetpath.billing import (
+    BillingMethod,
+    NodeBillingConfig,
+    TransferRequest,
+    edge_latency,
+    node_cost,
+    payg_cost,
+    select_billing,
+    transfer_seconds,
+)
 from budgetpath.planner import (
+    Plan,
     build_weights,
     load_plan,
     plan_from_dict,
@@ -13,6 +23,7 @@ from budgetpath.planner import (
     plan_transfer_with_state,
     save_plan,
 )
+from budgetpath.search import PathResult
 from budgetpath.simulate import simulate_transfer
 from budgetpath.topology import LinkSpec, NodeSpec, Topology
 from helpers import random_topology
@@ -28,12 +39,30 @@ def make_topology(n=2, cap=100.0, payg=K1, pfdt=K2, rtt=0.0):
     return Topology(nodes, tuple(links))
 
 
+# nodes whose pricing takes the less common branches: free PFDT (threshold
+# +inf), a single billing method, and an exact-cost tie at k = 1 (2 GB at
+# 100 Mbps is one billed hour: PAYG 0.01 * 100 * 1 == PFDT 0.5 * 2.0 == 1.0)
+TIE_DATA_GB = 2.0
+EDGE_CASE_NODES = (
+    NodeSpec(0, "free-pfdt", "203.0.113.1", 100.0, K1, 0.0),
+    NodeSpec(1, "payg-only", "203.0.113.2", 50.0, K1, None),
+    NodeSpec(2, "pfdt-only", "203.0.113.3", 200.0, None, K2),
+    NodeSpec(3, "tie", "203.0.113.4", 100.0, 0.01, 0.5),
+)
+
+
+def edge_case_topology():
+    n = len(EDGE_CASE_NODES)
+    links = tuple(LinkSpec(u, v, 0.001 * (u + 2 * v + 1)) for u in range(n) for v in range(n) if u != v)
+    return Topology(EDGE_CASE_NODES, links)
+
+
 class TestBuildWeights:
     def test_small_data_all_pfdt(self):
         topo = make_topology(3, rtt=0.040)
         request = TransferRequest(0, 2, 1.0, 10.0, 5)
-        weights, configs = build_weights(topo, request, 1.0)
-        assert all(c.method is BillingMethod.PFDT for c in configs.values())
+        weights, prices = build_weights(topo, request, 1.0)
+        assert all(method is BillingMethod.PFDT for method, _, _, _ in prices)
         e = weights.edges.index(0, 1)
         assert weights.a[e] == pytest.approx(0.081)
         assert weights.b[e] == pytest.approx(0.020 + 80.0)
@@ -41,37 +70,72 @@ class TestBuildWeights:
     def test_large_data_all_payg(self):
         topo = make_topology(2)
         request = TransferRequest(0, 1, 30.0, 10.0, 5)
-        weights, configs = build_weights(topo, request, 1.0)
-        assert configs[0].method is BillingMethod.PAYG
+        weights, prices = build_weights(topo, request, 1.0)
+        assert prices[0][0] is BillingMethod.PAYG
         # 30 GB at 100 Mbps = 2400 s -> 1 billed hour
         assert weights.a[weights.edges.index(0, 1)] == pytest.approx(0.021 * 100 * 1)
 
     def test_half_fraction_hour_ceiling_interaction(self):
         topo = make_topology(2)
         request = TransferRequest(0, 1, 30.0, 10.0, 5)
-        weights, configs = build_weights(topo, request, 0.5)
-        assert configs[0].method is BillingMethod.PAYG
-        assert configs[0].bandwidth_mbps == 50.0
+        weights, prices = build_weights(topo, request, 0.5)
+        assert prices[0][0] is BillingMethod.PAYG
+        assert prices[0][1] == 50.0
         # 30 GB at 50 Mbps = 4800 s -> 2 billed hours, cost back to 2.10
         assert weights.a[weights.edges.index(0, 1)] == pytest.approx(0.021 * 50 * 2)
 
     @pytest.mark.parametrize("rule", ["threshold", "exact-cost"])
     def test_every_edge_equals_per_link_billing(self, rule):
-        # per-node vectors gathered onto edges must give bit-identical weights
+        # per-node prices gathered onto edges must give bit-identical weights
         rng = random.Random(23)
-        for _ in range(40):
-            topo = random_topology(rng)
-            request = TransferRequest(0, len(topo) - 1, rng.uniform(0.1, 40.0), 1.0, 5)
-            for k in (1.0, 0.5, 0.3, 2.0 ** -7):
-                weights, configs = build_weights(topo, request, k, rule)
+        cases = [
+            (random_topology(rng), rng.uniform(0.1, 40.0)) for _ in range(40)
+        ] + [(edge_case_topology(), data_gb) for data_gb in (0.001, TIE_DATA_GB, 30.0)]
+        for topo, data_gb in cases:
+            request = TransferRequest(0, len(topo) - 1, data_gb, 1.0, 5)
+            for k in (1.0, 0.5, 0.3, 2.0 ** -7, 2.0 ** -30):
+                weights, prices = build_weights(topo, request, k, rule)
                 assert len(weights.a) == len(weights.b) == len(topo.links)
+                configs = [
+                    select_billing(node, k * node.max_egress_mbps, data_gb, rule)
+                    for node in topo.nodes
+                ]
+                for node, config, price in zip(topo.nodes, configs, prices, strict=True):
+                    assert price == (
+                        config.method,
+                        config.bandwidth_mbps,
+                        node_cost(node, config, data_gb),
+                        transfer_seconds(data_gb, config.bandwidth_mbps),
+                    )
                 for link in topo.links:
                     e = weights.edges.index(link.src, link.dst)
                     config = configs[link.src]
-                    assert weights.a[e] == node_cost(topo.node(link.src), config, request.data_size_gb)
-                    assert weights.b[e] == edge_latency(
-                        link.rtt_s, request.data_size_gb, config.bandwidth_mbps
-                    )
+                    assert weights.a[e] == node_cost(topo.node(link.src), config, data_gb)
+                    assert weights.b[e] == edge_latency(link.rtt_s, data_gb, config.bandwidth_mbps)
+
+    @pytest.mark.parametrize("rule", ["threshold", "exact-cost"])
+    def test_edge_case_nodes_pick_the_expected_method(self, rule):
+        topo = edge_case_topology()
+        for data_gb in (0.001, TIE_DATA_GB, 30.0):
+            request = TransferRequest(0, 1, data_gb, 1.0, 5)
+            for k in (1.0, 2.0 ** -30):
+                _, prices = build_weights(topo, request, k, rule)
+                free_pfdt, payg_only, pfdt_only, _ = prices
+                assert free_pfdt[:3] == (BillingMethod.PFDT, 100.0, 0.0)
+                assert payg_only[:2] == (BillingMethod.PAYG, k * 50.0)
+                assert pfdt_only[:2] == (BillingMethod.PFDT, 200.0)
+        # at the tie exact-cost picks PFDT; the threshold rule's strict D < D* picks PAYG
+        _, prices = build_weights(topo, TransferRequest(0, 1, TIE_DATA_GB, 1.0, 5), 1.0, rule)
+        method, bandwidth, cost, _ = prices[3]
+        assert cost == 1.0 and bandwidth == 100.0
+        expected = BillingMethod.PFDT if rule == "exact-cost" else BillingMethod.PAYG
+        assert method is expected
+
+    def test_rejects_unknown_rule(self):
+        topo = make_topology(2)
+        request = TransferRequest(0, 1, 1.0, 1.0, 5)
+        with pytest.raises(ValueError, match="unknown billing rule"):
+            build_weights(topo, request, 1.0, "cheapest")
 
     def test_rejects_bad_fraction(self):
         topo = make_topology(2)
@@ -201,3 +265,15 @@ class TestPlanSerialization:
         topo = make_topology(4)
         plan = plan_transfer(topo, TransferRequest(0, 3, 30.0, 10.0, 6))
         assert plan_from_dict(plan_to_dict(plan), len(topo)) == plan
+
+
+# records kept per node, per link and per plan carry no per-instance __dict__
+@pytest.mark.parametrize("record", [
+    LinkSpec(0, 1, 0.01),
+    NodeSpec(0, "n0", "203.0.113.1", 100.0, K1, K2),
+    NodeBillingConfig(BillingMethod.PFDT, 100.0),
+    Plan((0, 1), {0: NodeBillingConfig(BillingMethod.PFDT, 100.0)}, 0.081, 80.0, 1.0, 0),
+    PathResult((0, 1), 0.081, 80.0),
+], ids=lambda record: type(record).__name__)
+def test_records_are_slotted(record):
+    assert not hasattr(record, "__dict__")

@@ -143,8 +143,8 @@ class TestEdgeList:
         assert pairs == sorted((link.src, link.dst) for link in topo.links)
         for u in range(len(topo)):
             assert list(edges.successors(u)) == topo.neighbors(u)
-        for (u, v), rtt in zip(pairs, topo.edge_rtt):
-            assert rtt == topo.rtt(u, v)
+        for (u, v), half_rtt in zip(pairs, topo.edge_half_rtt, strict=True):
+            assert half_rtt == topo.rtt(u, v) / 2.0
 
     def test_has_path(self):
         topo = Topology(topology_from_dict(two_node_doc(), mode="directed").nodes,
