@@ -4,57 +4,55 @@ Plans a minimum-latency path through a graph of cloud edge routers whose
 total egress cost stays within a user budget, picks a billing method and
 egress bandwidth for every node on the path, and renders the path as a
 chain of WireGuard tunnel configurations.
+
+Importing the package loads none of its modules. Each public name and each
+submodule is imported on first access (PEP 562) and then cached in the
+package namespace, so a command loads only the modules it uses.
 """
 
-from budgetpath.billing import (
-    BillingMethod,
-    NodeBillingConfig,
-    TransferRequest,
-    data_threshold,
-    edge_latency,
-    payg_cost,
-    pfdt_cost,
-    select_billing,
-)
-from budgetpath.planner import Plan, build_weights, plan_transfer, plan_transfer_with_state
-from budgetpath.search import EdgeList, EdgeWeights, PathResult, enumerate_best_path, search_min_latency
-from budgetpath.simulate import SimulationReport, compare, naive_baseline, simulate_transfer
-from budgetpath.topology import LinkSpec, NodeSpec, Topology, TopologyError, load_topology, probe_rtts
-from budgetpath.tunnels import KeyPair, PeerEntry, TunnelSpec, build_tunnels, generate_keypair, parse_conf, render_conf
+from importlib import import_module
 
-__all__ = [
-    "BillingMethod",
-    "EdgeList",
-    "EdgeWeights",
-    "KeyPair",
-    "LinkSpec",
-    "NodeBillingConfig",
-    "NodeSpec",
-    "PathResult",
-    "PeerEntry",
-    "Plan",
-    "SimulationReport",
-    "Topology",
-    "TopologyError",
-    "TransferRequest",
-    "TunnelSpec",
-    "build_tunnels",
-    "build_weights",
-    "compare",
-    "data_threshold",
-    "edge_latency",
-    "enumerate_best_path",
-    "generate_keypair",
-    "load_topology",
-    "naive_baseline",
-    "parse_conf",
-    "payg_cost",
-    "pfdt_cost",
-    "plan_transfer",
-    "plan_transfer_with_state",
-    "probe_rtts",
-    "render_conf",
-    "search_min_latency",
-    "select_billing",
-    "simulate_transfer",
-]
+_EXPORTS = {
+    "billing": (
+        "BillingMethod",
+        "NodeBillingConfig",
+        "TransferRequest",
+        "data_threshold",
+        "edge_latency",
+        "payg_cost",
+        "pfdt_cost",
+        "select_billing",
+    ),
+    "planner": ("Plan", "build_weights", "plan_transfer", "plan_transfer_with_state"),
+    "search": ("EdgeList", "EdgeWeights", "PathResult", "enumerate_best_path", "search_min_latency"),
+    "simulate": ("SimulationReport", "compare", "naive_baseline", "simulate_transfer"),
+    "topology": ("LinkSpec", "NodeSpec", "Topology", "TopologyError", "load_topology", "probe_rtts"),
+    "tunnels": (
+        "KeyPair",
+        "PeerEntry",
+        "TunnelSpec",
+        "build_tunnels",
+        "generate_keypair",
+        "parse_conf",
+        "render_conf",
+    ),
+}
+_SUBMODULES = frozenset({*_EXPORTS, "cli"})
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

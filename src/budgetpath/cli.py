@@ -10,21 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from pathlib import Path
 
+# Only what `plan` needs is imported here; the other subcommands import
+# their modules themselves, so no invocation pays for code it never runs.
 from budgetpath.billing import RULES, TransferRequest
-from budgetpath.planner import build_weights, load_plan, plan_to_dict, plan_transfer, save_plan
-from budgetpath.search import SearchError, enumerate_best_path
-from budgetpath.simulate import SimulationError, compare
-from budgetpath.topology import TopologyError, load_topology, probe_rtts, save_topology
-from budgetpath.tunnels import (
-    TunnelError,
-    build_tunnels,
-    keypair_from_private_b64,
-    write_tunnel_files,
-)
+from budgetpath.planner import build_weights, load_plan, plan_to_dict, plan_transfer
+from budgetpath.search import enumerate_best_path
+from budgetpath.topology import load_topology
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -105,7 +99,20 @@ def _cmd_plan(args) -> int:
     return EXIT_OK
 
 
+def _load_keys(path: str) -> dict:
+    """The node id -> base64 private key object of a `--keys` file."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or not all(isinstance(private, str) for private in doc.values()):
+        raise ValueError(f"keys file {path}: expected an object of node id -> base64 private key")
+    return doc
+
+
 def _cmd_render_wg(args) -> int:
+    import random
+
+    from budgetpath.tunnels import build_tunnels, keypair_from_private_b64, write_tunnel_files
+
     topology = load_topology(_resolve(args.topology), args.mode)
     plan = load_plan(args.plan, len(topology))
     entropy_source = None
@@ -114,11 +121,10 @@ def _cmd_render_wg(args) -> int:
         entropy_source = lambda: rng.randbytes(32)
     identity_keys = None
     if args.keys:
-        with open(args.keys) as fh:
-            identity_keys = {
-                int(node_id): keypair_from_private_b64(private)
-                for node_id, private in json.load(fh).items()
-            }
+        identity_keys = {
+            int(node_id): keypair_from_private_b64(private)
+            for node_id, private in _load_keys(args.keys).items()
+        }
     specs = build_tunnels(plan, topology, args.subnet, args.port, entropy_source, identity_keys)
     manifest = write_tunnel_files(specs, topology, args.out_dir)
     print(
@@ -132,6 +138,8 @@ def _cmd_render_wg(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from budgetpath.simulate import compare
+
     topology = load_topology(_resolve(args.topology), args.mode)
     request = _request(args)
     if _no_path(topology, request):
@@ -171,6 +179,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from budgetpath.topology import probe_rtts, save_topology
+
     topology = load_topology(_resolve(args.topology), args.mode)
     probed = probe_rtts(topology, args.attempts)
     save_topology(probed, args.out)
@@ -229,15 +239,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
-    except (
-        TopologyError,
-        TunnelError,
-        SearchError,
-        SimulationError,
-        ValueError,
-        RuntimeError,
-        OSError,
-    ) as exc:
+    # TopologyError, SearchError, SimulationError and TunnelError are all
+    # ValueErrors; naming them here would import their modules.
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -7,18 +7,12 @@ arrays. RTTs are milliseconds at the file boundary and seconds internally.
 from __future__ import annotations
 
 import json
-import logging
 import math
-import shutil
-import statistics
-import subprocess
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
 from budgetpath.search import EdgeList
-
-log = logging.getLogger(__name__)
 
 _NODE_KEYS = {
     "id",
@@ -152,6 +146,25 @@ def _parse_rate(entry: dict, key: str, where: str) -> Optional[float]:
     return float(value)
 
 
+def _array(doc: dict, key: str) -> list:
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise TopologyError(f"{key} must be an array, got {type(entries).__name__}")
+    return entries
+
+
+def _entry_error(where: str, entry, reason: str) -> TopologyError:
+    """Name the entry a node or link could not be read from, and why."""
+    if not isinstance(entry, dict):
+        reason = f"expected an object, got {type(entry).__name__}"
+    return TopologyError(f"{where}: {reason}")
+
+
+# A malformed entry raises one of these while its record is built. They are
+# caught around each entry, so a valid document pays for no extra checks.
+_ENTRY_ERRORS = (TypeError, ValueError, OverflowError)
+
+
 def topology_from_dict(doc: dict, mode: str = "undirected") -> Topology:
     if mode not in ("directed", "undirected"):
         raise TopologyError(f"unknown mode {mode!r}")
@@ -162,30 +175,42 @@ def topology_from_dict(doc: dict, mode: str = "undirected") -> Topology:
         raise TopologyError(f"unknown top-level keys: {sorted(unknown)}")
 
     nodes = []
-    for entry in doc.get("nodes", []):
-        extra = set(entry) - _NODE_KEYS
-        if extra:
-            raise TopologyError(f"node entry {entry.get('id')}: unknown keys {sorted(extra)}")
-        where = f"node {entry.get('id')}"
-        nodes.append(
-            NodeSpec(
-                id=int(entry["id"]),
-                name=str(entry["name"]),
-                public_address=str(entry["public_address"]),
-                max_egress_mbps=float(entry["max_egress_mbps"]),
-                payg_rate=_parse_rate(entry, "payg_usd_per_mbps_hour", where),
-                pfdt_rate=_parse_rate(entry, "pfdt_usd_per_gb", where),
+    for index, entry in enumerate(_array(doc, "nodes")):
+        where = f"node entry {index}"
+        try:
+            extra = set(entry) - _NODE_KEYS
+            if extra:
+                raise _entry_error(where, entry, f"unknown keys {sorted(extra)}")
+            nodes.append(
+                NodeSpec(
+                    id=int(entry["id"]),
+                    name=str(entry["name"]),
+                    public_address=str(entry["public_address"]),
+                    max_egress_mbps=float(entry["max_egress_mbps"]),
+                    payg_rate=_parse_rate(entry, "payg_usd_per_mbps_hour", where),
+                    pfdt_rate=_parse_rate(entry, "pfdt_usd_per_gb", where),
+                )
             )
-        )
+        except TopologyError:
+            raise
+        except KeyError as exc:
+            raise _entry_error(where, entry, f"missing key {exc.args[0]!r}") from exc
+        except _ENTRY_ERRORS as exc:
+            raise _entry_error(where, entry, f"invalid value: {exc}") from exc
 
     links = []
-    for entry in doc.get("links", []):
-        extra = set(entry) - _LINK_KEYS
-        if extra:
-            raise TopologyError(
-                f"link ({entry.get('src')}, {entry.get('dst')}): unknown keys {sorted(extra)}"
-            )
-        links.append(LinkSpec(int(entry["src"]), int(entry["dst"]), float(entry["rtt_ms"]) / 1000.0))
+    for index, entry in enumerate(_array(doc, "links")):
+        try:
+            extra = set(entry) - _LINK_KEYS
+            if extra:
+                raise _entry_error(f"link entry {index}", entry, f"unknown keys {sorted(extra)}")
+            links.append(LinkSpec(int(entry["src"]), int(entry["dst"]), float(entry["rtt_ms"]) / 1000.0))
+        except TopologyError:
+            raise
+        except KeyError as exc:
+            raise _entry_error(f"link entry {index}", entry, f"missing key {exc.args[0]!r}") from exc
+        except _ENTRY_ERRORS as exc:
+            raise _entry_error(f"link entry {index}", entry, f"invalid value: {exc}") from exc
 
     topology = Topology(tuple(nodes), tuple(links), directed=True)
     if mode == "undirected":
@@ -231,6 +256,8 @@ def save_topology(topology: Topology, path) -> None:
 
 def _ping_once(address: str, timeout_s: float = 2.0) -> Optional[float]:
     """Single ICMP echo via the system ping; returns RTT in seconds or None."""
+    import subprocess
+
     cmd = ["ping", "-c", "1", "-W", str(int(math.ceil(timeout_s))), address]
     try:
         out = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout_s + 2)
@@ -257,6 +284,11 @@ def probe_rtts(
     Links whose probes all fail keep their original rtt and are logged as
     warnings. Only the availability of a probing mechanism is fatal.
     """
+    # probing is the only user of these modules, so loading a topology skips them
+    import logging
+    import shutil
+    import statistics
+
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
     if prober is None:
@@ -271,7 +303,7 @@ def probe_rtts(
         if samples:
             links.append(replace(link, rtt_s=statistics.median(samples)))
         else:
-            log.warning(
+            logging.getLogger(__name__).warning(
                 "link (%d, %d): no probe succeeded for %s; keeping rtt %.3f ms",
                 link.src,
                 link.dst,

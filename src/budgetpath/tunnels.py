@@ -12,7 +12,6 @@ from __future__ import annotations
 import base64
 import ipaddress
 import json
-import secrets
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -56,15 +55,10 @@ class KeyPair:
 def generate_keypair(entropy: bytes) -> KeyPair:
     """Deterministically derive a clamped keypair from 32 entropy bytes."""
     # imported here so that planning, which never needs keys, skips its import cost
-    from cryptography.hazmat.primitives import serialization
     from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
     private = clamp_scalar(entropy)
-    public = (
-        X25519PrivateKey.from_private_bytes(private)
-        .public_key()
-        .public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
-    )
+    public = X25519PrivateKey.from_private_bytes(private).public_key().public_bytes_raw()
     return KeyPair(private, public)
 
 
@@ -120,6 +114,8 @@ def build_tunnels(
     if len(path) < 2:
         raise TunnelError(f"path must have at least 2 nodes, got {len(path)}")
     if entropy_source is None:
+        import secrets
+
         entropy_source = lambda: secrets.token_bytes(32)
 
     network = ipaddress.ip_network(overlay_subnet, strict=True)

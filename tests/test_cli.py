@@ -172,6 +172,71 @@ class TestIdentityKeys:
         assert manifest["beijing"]["public_key"] == stable.public_b64
 
 
+def _plan_file(tmp_path) -> Path:
+    plan_file = tmp_path / "plan.json"
+    assert run(["plan", "--topology", TESTBED, "--src", "0", "--dst", "5",
+                "--data-gb", "1", "--budget-usd", "0.5", "--out", str(plan_file)]) == 0
+    return plan_file
+
+
+def assert_one_error_line(capsys, code: int) -> str:
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+class TestKeysFileValidation:
+    @pytest.mark.parametrize("keys", [["AAAA"], {"0": 5}])
+    def test_render_wg_rejects_keys_file_of_wrong_shape(self, tmp_path, capsys, keys):
+        plan_file = _plan_file(tmp_path)
+        keys_file = tmp_path / "keys.json"
+        keys_file.write_text(json.dumps(keys))
+        capsys.readouterr()
+        code = run(["render-wg", "--topology", TESTBED, "--plan", str(plan_file),
+                    "--seed", "1", "--keys", str(keys_file), "--out-dir", str(tmp_path / "wg")])
+        assert "keys file" in assert_one_error_line(capsys, code)
+        assert not (tmp_path / "wg").exists()
+
+
+class TestErrorsEndInOneLine:
+    """Each module's ValueError subclass reaches `run` and ends as exit 1 with one `error:` line."""
+
+    def test_topology_error(self, tmp_path, capsys):
+        doc = json.loads(Path(TESTBED).read_text())
+        del doc["nodes"][2]["name"]
+        topology = tmp_path / "no-name.json"
+        topology.write_text(json.dumps(doc))
+        for command in (["plan", "--src", "0", "--dst", "5", "--data-gb", "1", "--budget-usd", "1"],
+                        ["render-wg", "--plan", str(tmp_path / "plan.json")]):
+            code = run([command[0], "--topology", str(topology), *command[1:]])
+            assert "node entry 2: missing key 'name'" in assert_one_error_line(capsys, code)
+
+    def test_search_error(self, capsys):
+        code = run(["plan", "--topology", TESTBED, "--src", "9", "--dst", "5",
+                    "--data-gb", "1", "--budget-usd", "1"])
+        assert "source 9 is not a valid node id" in assert_one_error_line(capsys, code)
+
+    def test_simulation_error(self, monkeypatch, capsys):
+        import budgetpath.simulate
+
+        def fail(topology, request):
+            raise budgetpath.simulate.SimulationError(f"no path from {request.source} to {request.destination}")
+
+        # unreachable pairs stop at the CLI's own check, so make the baseline fail instead
+        monkeypatch.setattr(budgetpath.simulate, "naive_baseline", fail)
+        code = run(["simulate", "--topology", TESTBED, "--src", "0", "--dst", "5",
+                    "--data-gb", "1", "--budget-usd", "1"])
+        assert "no path from 0 to 5" in assert_one_error_line(capsys, code)
+
+    def test_tunnel_error(self, tmp_path, capsys):
+        plan_file = _plan_file(tmp_path)
+        capsys.readouterr()
+        code = run(["render-wg", "--topology", TESTBED, "--plan", str(plan_file),
+                    "--subnet", "10.0.0.0/31", "--seed", "1", "--out-dir", str(tmp_path / "wg")])
+        assert "fewer than 3 usable hosts" in assert_one_error_line(capsys, code)
+
+
 class TestFixtureDirOverride:
     def test_env_var_resolves_relative_fixture(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BUDGETPATH_FIXTURE_DIR", str(FIXTURES))
@@ -192,9 +257,37 @@ def test_console_script_entry_point(tmp_path):
     assert json.loads(proc.stdout)["path"]
 
 
-def test_cli_import_skips_numpy_and_cryptography():
-    code = "import sys, budgetpath.cli; print(sorted({'numpy', 'cryptography'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": SRC})
+def _child_modules(code: str) -> set[str]:
+    """The names in sys.modules once a child interpreter has run `code`."""
+    proc = subprocess.run([sys.executable, "-c", code + "\nimport sys; print(' '.join(sys.modules))"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(proc.stdout.split())
+
+
+def _package(names: set[str], package: str) -> set[str]:
+    return {name for name in names if name == package or name.startswith(package + ".")}
+
+
+def test_cli_import_skips_numpy_and_cryptography():
+    loaded = _child_modules("import budgetpath.cli")
+    added = loaded - _child_modules("pass")
+    assert _package(loaded, "budgetpath") == {
+        "budgetpath", "budgetpath.billing", "budgetpath.cli", "budgetpath.planner",
+        "budgetpath.search", "budgetpath.topology"}
+    for package in ("numpy", "cryptography", "subprocess", "statistics", "logging",
+                    "secrets", "hmac", "hashlib"):
+        assert not _package(added, package), package
+
+
+def test_render_wg_skips_key_serialization_module(tmp_path):
+    code = f"""
+from budgetpath.cli import run
+assert run(["plan", "--topology", {TESTBED!r}, "--src", "0", "--dst", "5", "--data-gb", "1",
+            "--budget-usd", "0.5", "--out", {str(tmp_path / "plan.json")!r}]) == 0
+assert run(["render-wg", "--topology", {TESTBED!r}, "--plan", {str(tmp_path / "plan.json")!r},
+            "--seed", "7", "--out-dir", {str(tmp_path / "wg")!r}]) == 0
+"""
+    loaded = _child_modules(code)
+    assert "budgetpath.tunnels" in loaded and _package(loaded, "cryptography")
+    assert "cryptography.hazmat.primitives.serialization" not in loaded

@@ -92,6 +92,51 @@ class TestLoad:
             load_topology(tmp_path / "nope.json")
 
 
+def _drop_node_name(doc):
+    del doc["nodes"][1]["name"]
+
+
+def _node_is_string(doc):
+    doc["nodes"][1] = "b"
+
+
+def _drop_link_rtt(doc):
+    del doc["links"][0]["rtt_ms"]
+
+
+def _null_link_rtt(doc):
+    doc["links"][0]["rtt_ms"] = None
+
+
+def _null_node_id(doc):
+    doc["nodes"][1]["id"] = None
+
+
+def _nodes_is_object(doc):
+    doc["nodes"] = {}
+
+
+def _links_is_string(doc):
+    doc["links"] = "0-1"
+
+
+class TestMalformedEntries:
+    @pytest.mark.parametrize("corrupt, message", [
+        (_drop_node_name, r"node entry 1: missing key 'name'"),
+        (_node_is_string, r"node entry 1: expected an object, got str"),
+        (_drop_link_rtt, r"link entry 0: missing key 'rtt_ms'"),
+        (_null_link_rtt, r"link entry 0: invalid value"),
+        (_null_node_id, r"node entry 1: invalid value"),
+        (_nodes_is_object, r"nodes must be an array, got dict"),
+        (_links_is_string, r"links must be an array, got str"),
+    ])
+    def test_raises_topology_error_naming_the_entry(self, corrupt, message):
+        doc = two_node_doc()
+        corrupt(doc)
+        with pytest.raises(TopologyError, match=message):
+            topology_from_dict(doc)
+
+
 class TestValidation:
     def test_nonpositive_bandwidth(self):
         with pytest.raises(TopologyError, match="node 0"):
