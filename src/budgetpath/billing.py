@@ -19,9 +19,9 @@ GB (10^9 bytes), latency in seconds, money in USD.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 
+from budgetpath.records import Record, set_field
 from budgetpath.topology import NodeSpec
 
 BITS_PER_GB = 8e9
@@ -35,39 +35,54 @@ class BillingMethod(IntEnum):
     PFDT = 2
 
 
-@dataclass(frozen=True, slots=True)
-class NodeBillingConfig:
+class NodeBillingConfig(Record):
     """Billing method and configured egress bandwidth for one node.
 
     PFDT always runs at the node's full egress rate; PAYG runs at whatever
     bandwidth was purchased.
     """
 
-    method: BillingMethod
-    bandwidth_mbps: float
+    __slots__ = _fields = ("method", "bandwidth_mbps")
+
+    def __init__(self, method: BillingMethod, bandwidth_mbps: float) -> None:
+        set_field(self, "method", method)
+        set_field(self, "bandwidth_mbps", bandwidth_mbps)
 
 
 # what `price` returns for one node: (method, bandwidth_mbps, cost_usd, seconds)
 NodePrice = tuple[BillingMethod, float, float, float]
 
 
-@dataclass(frozen=True)
-class TransferRequest:
-    """One bulk transfer to plan: endpoints, size, budget, iteration cap."""
+class TransferRequest(Record):
+    """One bulk transfer to plan: endpoints, size, budget, iteration cap.
 
-    source: int
-    destination: int
-    data_size_gb: float
-    budget_usd: float
-    max_iterations: int
+    The data size must be finite and the budget a number; an infinite budget
+    is valid and never binds.
+    """
 
-    def __post_init__(self) -> None:
-        if self.data_size_gb <= 0:
-            raise ValueError(f"data_size_gb must be > 0, got {self.data_size_gb}")
-        if self.budget_usd < 0:
-            raise ValueError(f"budget_usd must be >= 0, got {self.budget_usd}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+    __slots__ = _fields = ("source", "destination", "data_size_gb", "budget_usd", "max_iterations")
+
+    def __init__(
+        self,
+        source: int,
+        destination: int,
+        data_size_gb: float,
+        budget_usd: float,
+        max_iterations: int,
+    ) -> None:
+        if not data_size_gb > 0:
+            raise ValueError(f"data_size_gb must be > 0, got {data_size_gb}")
+        if data_size_gb == math.inf:
+            raise ValueError(f"data_size_gb must be finite, got {data_size_gb}")
+        if not budget_usd >= 0:
+            raise ValueError(f"budget_usd must be >= 0, got {budget_usd}")
+        if max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+        set_field(self, "source", source)
+        set_field(self, "destination", destination)
+        set_field(self, "data_size_gb", data_size_gb)
+        set_field(self, "budget_usd", budget_usd)
+        set_field(self, "max_iterations", max_iterations)
 
 
 def transfer_seconds(data_size_gb: float, bandwidth_mbps: float) -> float:
@@ -92,8 +107,17 @@ def pfdt_cost(pfdt_rate: float, data_size_gb: float) -> float:
 
 
 def billed_hours(data_size_gb: float, bandwidth_mbps: float) -> int:
-    """PAYG billable duration: transfer time rounded up to hours, minimum 1."""
-    return max(1, math.ceil(transfer_seconds(data_size_gb, bandwidth_mbps) / SECONDS_PER_HOUR))
+    """PAYG billable duration: transfer time rounded up to hours, minimum 1.
+
+    ValueError when the transfer time is too large to be a float.
+    """
+    hours = transfer_seconds(data_size_gb, bandwidth_mbps) / SECONDS_PER_HOUR
+    try:
+        return max(1, math.ceil(hours))
+    except OverflowError:
+        raise ValueError(
+            f"sending {data_size_gb} GB at {bandwidth_mbps} Mbps takes too long to bill"
+        ) from None
 
 
 def payg_cost(payg_rate: float, bandwidth_mbps: float, data_size_gb: float) -> float:

@@ -5,9 +5,7 @@ binary search that shrinks PAYG rates until a budget-feasible path exists.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from operator import add, itemgetter
-from typing import Optional
 
 from budgetpath.billing import (
     BillingMethod,
@@ -19,36 +17,65 @@ from budgetpath.billing import (
     node_cost,
     price,
 )
+from budgetpath.records import Record, set_field
 from budgetpath.search import EdgeWeights, PathResult, SearchError, search_min_latency
 from budgetpath.topology import Topology
 
 
-@dataclass(frozen=True, slots=True)
-class Plan:
+class Plan(Record):
     """A chosen path with per-node billing and its predicted cost/latency.
 
     `configs` holds exactly the billed senders, `path[:-1]`: the final hop
     has no billed egress, so the destination and off-path nodes have no
-    entry.
+    entry. The dict makes a plan unhashable.
     """
 
-    path: tuple[int, ...]
-    configs: dict[int, NodeBillingConfig]
-    predicted_cost_usd: float
-    predicted_latency_s: float
-    fraction_k: float
-    iterations_used: int
+    __slots__ = _fields = (
+        "path", "configs", "predicted_cost_usd", "predicted_latency_s", "fraction_k",
+        "iterations_used",
+    )
+
+    def __init__(
+        self,
+        path: tuple[int, ...],
+        configs: dict[int, NodeBillingConfig],
+        predicted_cost_usd: float,
+        predicted_latency_s: float,
+        fraction_k: float,
+        iterations_used: int,
+    ) -> None:
+        set_field(self, "path", path)
+        set_field(self, "configs", configs)
+        set_field(self, "predicted_cost_usd", predicted_cost_usd)
+        set_field(self, "predicted_latency_s", predicted_latency_s)
+        set_field(self, "fraction_k", fraction_k)
+        set_field(self, "iterations_used", iterations_used)
 
 
-@dataclass
-class BinarySearchState:
-    """Bracketed fraction search over a uniform bandwidth scale factor."""
+class BinarySearchState(Record):
+    """Bracketed fraction search over a uniform bandwidth scale factor.
 
-    k: float = 0.5
-    k_lower: float = 0.0
-    k_upper: float = 1.0
-    iteration: int = 0
-    best_plan: Optional[Plan] = field(default=None)
+    The one mutable record: the search updates it in place, so it is not hashable.
+    """
+
+    __slots__ = _fields = ("k", "k_lower", "k_upper", "iteration", "best_plan")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        k: float = 0.5,
+        k_lower: float = 0.0,
+        k_upper: float = 1.0,
+        iteration: int = 0,
+        best_plan: Plan | None = None,
+    ) -> None:
+        self.k = k
+        self.k_lower = k_lower
+        self.k_upper = k_upper
+        self.iteration = iteration
+        self.best_plan = best_plan
 
 
 def build_weights(
@@ -116,7 +143,7 @@ def plan_transfer_with_state(
     topology: Topology,
     request: TransferRequest,
     rule: str = "threshold",
-) -> tuple[Optional[Plan], BinarySearchState]:
+) -> tuple[Plan | None, BinarySearchState]:
     """Plan a transfer, returning the final bracket state alongside the plan.
 
     Step 1 tries full bandwidth; on success the plan is returned with zero
@@ -158,7 +185,7 @@ def plan_transfer(
     topology: Topology,
     request: TransferRequest,
     rule: str = "threshold",
-) -> Optional[Plan]:
+) -> Plan | None:
     plan, _ = plan_transfer_with_state(topology, request, rule)
     return plan
 
@@ -188,11 +215,11 @@ def plan_to_dict(plan: Plan) -> dict:
     }
 
 
-def _plan_number(doc: dict, key: str, convert=float):
-    try:
-        return convert(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"plan {key} must be a number, got {doc[key]!r}") from exc
+def _plan_number(doc: dict, key: str) -> float:
+    value = doc[key]
+    if type(value) not in (int, float):
+        raise ValueError(f"plan {key} must be a number, got {value!r}")
+    return float(value)
 
 
 def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
@@ -200,9 +227,10 @@ def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
 
     ValueError unless the document is an object with every key present, the
     path is a list naming only nodes of the topology, `per_node` is an object
-    listing exactly the path's senders, each an object with a known method
-    and a numeric bandwidth, and the totals, `fraction_k` and
-    `iterations_used` are numbers.
+    keyed by exactly the path's senders as decimal strings, each an object
+    with a known method and a numeric bandwidth, the totals and `fraction_k`
+    are numbers and `iterations_used` is an integer. Booleans are not
+    numbers, and no value is converted from another type.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"plan must be an object, got {type(doc).__name__}")
@@ -219,16 +247,16 @@ def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
             )
     if not isinstance(doc["per_node"], dict):
         raise ValueError(f"plan per_node must be an object, got {doc['per_node']!r}")
-    per_node = {int(node_id): entry for node_id, entry in doc["per_node"].items()}
+    per_node = doc["per_node"]
     senders = path[:-1]
-    if sorted(per_node) != sorted(senders):
+    keys = [str(node_id) for node_id in senders]
+    if len(per_node) != len(keys) or set(per_node) != set(keys):
         raise ValueError(
-            f"plan per_node lists nodes {sorted(per_node)}, "
-            f"but the path's senders are {sorted(senders)}"
+            f"plan per_node lists nodes {list(per_node)}, but the path's senders are {keys}"
         )
     configs = {}
-    for node_id in senders:
-        entry = per_node[node_id]
+    for node_id, key in zip(senders, keys):
+        entry = per_node[key]
         if not (
             isinstance(entry, dict)
             and entry.get("method") in _METHOD_VALUES
@@ -240,13 +268,16 @@ def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
         configs[node_id] = NodeBillingConfig(
             _METHOD_VALUES[entry["method"]], _plan_number(entry, "bandwidth_mbps")
         )
+    iterations_used = doc["iterations_used"]
+    if type(iterations_used) is not int:
+        raise ValueError(f"plan iterations_used must be an integer, got {iterations_used!r}")
     return Plan(
         path=path,
         configs=configs,
         predicted_cost_usd=_plan_number(doc, "predicted_cost_usd"),
         predicted_latency_s=_plan_number(doc, "predicted_latency_s"),
         fraction_k=_plan_number(doc, "fraction_k"),
-        iterations_used=_plan_number(doc, "iterations_used", int),
+        iterations_used=iterations_used,
     )
 
 

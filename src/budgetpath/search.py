@@ -19,16 +19,16 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+
+from budgetpath.records import Record, set_field
 
 
 class SearchError(ValueError):
     """Invalid search inputs."""
 
 
-@dataclass(frozen=True)
-class EdgeList:
+class EdgeList(Record):
     """Directed edges in compressed sparse row form, sorted by (src, dst).
 
     Edge e runs from src[e] to dst[e]. The edges leaving node u are
@@ -37,23 +37,21 @@ class EdgeList:
     rejected as well.
     """
 
-    offsets: tuple[int, ...]
-    src: tuple[int, ...]
-    dst: tuple[int, ...]
+    __slots__ = _fields = ("offsets", "src", "dst")
 
-    def __post_init__(self) -> None:
-        n = len(self.offsets) - 1
-        m = len(self.dst)
-        if n < 0 or self.offsets[0] != 0 or self.offsets[-1] != m or len(self.src) != m:
+    def __init__(self, offsets: tuple[int, ...], src: tuple[int, ...], dst: tuple[int, ...]) -> None:
+        n = len(offsets) - 1
+        m = len(dst)
+        if n < 0 or offsets[0] != 0 or offsets[-1] != m or len(src) != m:
             raise SearchError("edge list offsets do not match its edges")
         for u in range(n):
-            if self.offsets[u + 1] < self.offsets[u]:
+            if offsets[u + 1] < offsets[u]:
                 raise SearchError(f"edge list offsets decrease at node {u}")
             previous = -1
-            for e in range(self.offsets[u], self.offsets[u + 1]):
-                v = self.dst[e]
-                if self.src[e] != u:
-                    raise SearchError(f"edge {e} is filed under node {u} but leaves {self.src[e]}")
+            for e in range(offsets[u], offsets[u + 1]):
+                v = dst[e]
+                if src[e] != u:
+                    raise SearchError(f"edge {e} is filed under node {u} but leaves {src[e]}")
                 if v == u:
                     raise SearchError(f"edge ({u}, {v}): self-loops are not allowed")
                 if not 0 <= v < n:
@@ -61,6 +59,9 @@ class EdgeList:
                 if v <= previous:
                     raise SearchError(f"edges of node {u} are duplicated or not sorted at ({u}, {v})")
                 previous = v
+        set_field(self, "offsets", offsets)
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> EdgeList:
@@ -106,34 +107,36 @@ class EdgeList:
         return seen[destination]
 
 
-@dataclass(frozen=True)
-class EdgeWeights:
+class EdgeWeights(Record):
     """Per-edge cost (a, USD) and latency (b, seconds) over an edge list."""
 
-    edges: EdgeList
-    a: Sequence[float]
-    b: Sequence[float]
+    __slots__ = _fields = ("edges", "a", "b")
 
-    def __post_init__(self) -> None:
-        if len(self.a) != len(self.edges.dst) or len(self.b) != len(self.edges.dst):
+    def __init__(self, edges: EdgeList, a: Sequence[float], b: Sequence[float]) -> None:
+        if len(a) != len(edges.dst) or len(b) != len(edges.dst):
             raise SearchError("need exactly one a and one b weight per edge")
-        for name, vals in (("a", self.a), ("b", self.b)):
+        for name, vals in (("a", a), ("b", b)):
             # min() rejects negatives; any NaN or infinity makes the sum non-finite
             if vals and not (min(vals) >= 0.0 and math.isfinite(sum(vals))):
                 raise SearchError(f"{name} weights on present edges must be finite and >= 0")
+        set_field(self, "edges", edges)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
     @property
     def n(self) -> int:
         return self.edges.n
 
 
-@dataclass(frozen=True, slots=True)
-class PathResult:
+class PathResult(Record):
     """A concrete path with its cost and latency totals, summed along the path."""
 
-    path: tuple[int, ...]
-    total_a: float
-    total_b: float
+    __slots__ = _fields = ("path", "total_a", "total_b")
+
+    def __init__(self, path: tuple[int, ...], total_a: float, total_b: float) -> None:
+        set_field(self, "path", path)
+        set_field(self, "total_a", total_a)
+        set_field(self, "total_b", total_b)
 
 
 def _check_node(n: int, node: int, label: str) -> None:

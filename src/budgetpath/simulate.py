@@ -9,8 +9,7 @@ per-volume billing, budget ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from budgetpath.billing import (
     BillingMethod,
@@ -20,6 +19,7 @@ from budgetpath.billing import (
     node_cost,
 )
 from budgetpath.planner import build_weights, plan_transfer, sender_configs
+from budgetpath.records import Record, set_field
 from budgetpath.search import enumerate_best_path
 from budgetpath.topology import Topology
 
@@ -99,19 +99,34 @@ def naive_baseline(
     return path, configs
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    label: str
-    path: Optional[tuple[int, ...]]
-    latency_s: Optional[float]
-    cost_usd: Optional[float]
-    feasible: bool
+class ReportRow(Record):
+    """One compared route; path, latency and cost are None when the method found none."""
+
+    __slots__ = _fields = ("label", "path", "latency_s", "cost_usd", "feasible")
+
+    def __init__(
+        self,
+        label: str,
+        path: tuple[int, ...] | None,
+        latency_s: float | None,
+        cost_usd: float | None,
+        feasible: bool,
+    ) -> None:
+        set_field(self, "label", label)
+        set_field(self, "path", path)
+        set_field(self, "latency_s", latency_s)
+        set_field(self, "cost_usd", cost_usd)
+        set_field(self, "feasible", feasible)
 
 
-@dataclass(frozen=True)
-class SimulationReport:
-    rows: tuple[ReportRow, ...]
-    improvement: Optional[float]  # (naive - planner) latency, relative to naive
+class SimulationReport(Record):
+    """The compared routes; `improvement` is (naive - planner) latency, relative to naive."""
+
+    __slots__ = _fields = ("rows", "improvement")
+
+    def __init__(self, rows: tuple[ReportRow, ...], improvement: float | None) -> None:
+        set_field(self, "rows", rows)
+        set_field(self, "improvement", improvement)
 
     def to_dict(self) -> dict:
         return {

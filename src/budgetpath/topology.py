@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Callable, Optional
+from collections.abc import Callable
 
+from budgetpath.records import Record, set_field
 from budgetpath.search import EdgeList
 
 _NODE_KEYS = {
@@ -29,20 +28,33 @@ class TopologyError(ValueError):
     """Raised for malformed or invalid topology documents."""
 
 
-@dataclass(frozen=True, slots=True)
-class NodeSpec:
+class NodeSpec(Record):
     """One cloud instance / edge router.
 
     Rates may be absent (None) individually, but not both: a node must
-    offer at least one billing method.
+    offer at least one billing method. `payg_rate` is in USD per Mbps per
+    hour, `pfdt_rate` in USD per GB.
     """
 
-    id: int
-    name: str
-    public_address: str
-    max_egress_mbps: float
-    payg_rate: Optional[float]  # USD per Mbps per hour
-    pfdt_rate: Optional[float]  # USD per GB
+    __slots__ = _fields = (
+        "id", "name", "public_address", "max_egress_mbps", "payg_rate", "pfdt_rate"
+    )
+
+    def __init__(
+        self,
+        id: int,
+        name: str,
+        public_address: str,
+        max_egress_mbps: float,
+        payg_rate: float | None,
+        pfdt_rate: float | None,
+    ) -> None:
+        set_field(self, "id", id)
+        set_field(self, "name", name)
+        set_field(self, "public_address", public_address)
+        set_field(self, "max_egress_mbps", max_egress_mbps)
+        set_field(self, "payg_rate", payg_rate)
+        set_field(self, "pfdt_rate", pfdt_rate)
 
     def validate(self) -> None:
         if self.max_egress_mbps <= 0:
@@ -54,33 +66,37 @@ class NodeSpec:
                 raise TopologyError(f"node {self.id} ({self.name}): invalid {label} rate {rate}")
 
 
-@dataclass(frozen=True, slots=True)
-class LinkSpec:
+class LinkSpec(Record):
     """A directed physical connection; rtt_s is the measured round trip in seconds."""
 
-    src: int
-    dst: int
-    rtt_s: float
+    __slots__ = _fields = ("src", "dst", "rtt_s")
+
+    def __init__(self, src: int, dst: int, rtt_s: float) -> None:
+        set_field(self, "src", src)
+        set_field(self, "dst", dst)
+        set_field(self, "rtt_s", rtt_s)
 
 
-@dataclass(frozen=True)
-class Topology:
-    nodes: tuple[NodeSpec, ...]
-    links: tuple[LinkSpec, ...]
-    directed: bool = True
+class Topology(Record):
+    """Validated nodes and directed links; the edge list is built on first use."""
 
-    def __post_init__(self) -> None:
-        ids = [n.id for n in self.nodes]
-        if ids != list(range(len(self.nodes))):
+    _fields = ("nodes", "links", "directed")
+    __slots__ = (*_fields, "_edges", "_edge_half_rtt")
+
+    def __init__(
+        self, nodes: tuple[NodeSpec, ...], links: tuple[LinkSpec, ...], directed: bool = True
+    ) -> None:
+        ids = [n.id for n in nodes]
+        if ids != list(range(len(nodes))):
             raise TopologyError(f"node ids must be unique and contiguous from 0, got {ids}")
-        for node in self.nodes:
+        for node in nodes:
             node.validate()
         seen: set[tuple[int, int]] = set()
-        for link in self.links:
+        for link in links:
             if link.src == link.dst:
                 raise TopologyError(f"link ({link.src}, {link.dst}): self-loop")
             for end in (link.src, link.dst):
-                if not 0 <= end < len(self.nodes):
+                if not 0 <= end < len(nodes):
                     raise TopologyError(
                         f"link ({link.src}, {link.dst}): endpoint {end} is not a node id"
                     )
@@ -89,6 +105,11 @@ class Topology:
             if (link.src, link.dst) in seen:
                 raise TopologyError(f"duplicate directed link ({link.src}, {link.dst})")
             seen.add((link.src, link.dst))
+        set_field(self, "nodes", nodes)
+        set_field(self, "links", links)
+        set_field(self, "directed", directed)
+        set_field(self, "_edges", None)
+        set_field(self, "_edge_half_rtt", None)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -105,16 +126,24 @@ class Topology:
     def neighbors(self, node_id: int) -> list[int]:
         return sorted(link.dst for link in self.links if link.src == node_id)
 
-    @cached_property
+    @property
     def edges(self) -> EdgeList:
         """The links as a compressed sparse row edge list, built once per topology."""
-        return EdgeList.from_pairs(len(self.nodes), ((link.src, link.dst) for link in self.links))
+        if self._edges is None:
+            pairs = ((link.src, link.dst) for link in self.links)
+            set_field(self, "_edges", EdgeList.from_pairs(len(self.nodes), pairs))
+        return self._edges
 
-    @cached_property
+    @property
     def edge_half_rtt(self) -> tuple[float, ...]:
         """One-way propagation delay, rtt_s / 2.0, of every edge of `edges`, in edge order."""
-        half_rtt = {(link.src, link.dst): link.rtt_s / 2.0 for link in self.links}
-        return tuple(map(half_rtt.__getitem__, zip(self.edges.src, self.edges.dst)))
+        if self._edge_half_rtt is None:
+            half_rtt = {(link.src, link.dst): link.rtt_s / 2.0 for link in self.links}
+            edges = self.edges
+            set_field(
+                self, "_edge_half_rtt", tuple(map(half_rtt.__getitem__, zip(edges.src, edges.dst)))
+            )
+        return self._edge_half_rtt
 
 
 def expand_undirected(topology: Topology) -> Topology:
@@ -137,7 +166,7 @@ def expand_undirected(topology: Topology) -> Topology:
     return Topology(topology.nodes, tuple(links), directed=True)
 
 
-def _parse_rate(entry: dict, key: str, where: str) -> Optional[float]:
+def _parse_rate(entry: dict, key: str, where: str) -> float | None:
     value = entry.get(key)
     if value is None:
         return None
@@ -160,9 +189,18 @@ def _entry_error(where: str, entry, reason: str) -> TopologyError:
     return TopologyError(f"{where}: {reason}")
 
 
-# A malformed entry raises one of these while its record is built. They are
-# caught around each entry, so a valid document pays for no extra checks.
-_ENTRY_ERRORS = (TypeError, ValueError, OverflowError)
+def _wrong_type(where: str, key: str, value, expected: str) -> TopologyError:
+    return TopologyError(f"{where}: invalid value: {key} must be {expected}, got {value!r}")
+
+
+# Entry values are type-checked, never converted: `type(value) is int` and
+# `type(value) in _NUMBER` both reject bool, a subclass of int.
+_NUMBER = (int, float)
+
+# An entry that is not an object, or a number too large for a float, raises one
+# of these while its record is built. They are caught around each entry, so a
+# valid document pays for no extra checks.
+_ENTRY_ERRORS = (TypeError, OverflowError)
 
 
 def topology_from_dict(doc: dict, mode: str = "undirected") -> Topology:
@@ -181,12 +219,22 @@ def topology_from_dict(doc: dict, mode: str = "undirected") -> Topology:
             extra = set(entry) - _NODE_KEYS
             if extra:
                 raise _entry_error(where, entry, f"unknown keys {sorted(extra)}")
+            node_id, name, address = entry["id"], entry["name"], entry["public_address"]
+            egress = entry["max_egress_mbps"]
+            if type(node_id) is not int:
+                raise _wrong_type(where, "id", node_id, "an integer")
+            if type(name) is not str:
+                raise _wrong_type(where, "name", name, "a string")
+            if type(address) is not str:
+                raise _wrong_type(where, "public_address", address, "a string")
+            if type(egress) not in _NUMBER:
+                raise _wrong_type(where, "max_egress_mbps", egress, "a number")
             nodes.append(
                 NodeSpec(
-                    id=int(entry["id"]),
-                    name=str(entry["name"]),
-                    public_address=str(entry["public_address"]),
-                    max_egress_mbps=float(entry["max_egress_mbps"]),
+                    id=node_id,
+                    name=name,
+                    public_address=address,
+                    max_egress_mbps=float(egress),
                     payg_rate=_parse_rate(entry, "payg_usd_per_mbps_hour", where),
                     pfdt_rate=_parse_rate(entry, "pfdt_usd_per_gb", where),
                 )
@@ -204,7 +252,14 @@ def topology_from_dict(doc: dict, mode: str = "undirected") -> Topology:
             extra = set(entry) - _LINK_KEYS
             if extra:
                 raise _entry_error(f"link entry {index}", entry, f"unknown keys {sorted(extra)}")
-            links.append(LinkSpec(int(entry["src"]), int(entry["dst"]), float(entry["rtt_ms"]) / 1000.0))
+            src, dst, rtt_ms = entry["src"], entry["dst"], entry["rtt_ms"]
+            if type(src) is not int:
+                raise _wrong_type(f"link entry {index}", "src", src, "an integer")
+            if type(dst) is not int:
+                raise _wrong_type(f"link entry {index}", "dst", dst, "an integer")
+            if type(rtt_ms) not in _NUMBER:
+                raise _wrong_type(f"link entry {index}", "rtt_ms", rtt_ms, "a number")
+            links.append(LinkSpec(src, dst, rtt_ms / 1000.0))
         except TopologyError:
             raise
         except KeyError as exc:
@@ -254,7 +309,7 @@ def save_topology(topology: Topology, path) -> None:
         fh.write("\n")
 
 
-def _ping_once(address: str, timeout_s: float = 2.0) -> Optional[float]:
+def _ping_once(address: str, timeout_s: float = 2.0) -> float | None:
     """Single ICMP echo via the system ping; returns RTT in seconds or None."""
     import subprocess
 
@@ -277,7 +332,7 @@ def _ping_once(address: str, timeout_s: float = 2.0) -> Optional[float]:
 def probe_rtts(
     topology: Topology,
     attempts: int,
-    prober: Optional[Callable[[str], Optional[float]]] = None,
+    prober: Callable[[str], float | None] | None = None,
 ) -> Topology:
     """Re-measure every link's rtt as the median of `attempts` probes.
 
@@ -301,7 +356,7 @@ def probe_rtts(
         address = topology.node(link.dst).public_address
         samples = [s for s in (prober(address) for _ in range(attempts)) if s is not None]
         if samples:
-            links.append(replace(link, rtt_s=statistics.median(samples)))
+            links.append(LinkSpec(link.src, link.dst, statistics.median(samples)))
         else:
             logging.getLogger(__name__).warning(
                 "link (%d, %d): no probe succeeded for %s; keeping rtt %.3f ms",

@@ -12,11 +12,11 @@ from __future__ import annotations
 import base64
 import ipaddress
 import json
-from dataclasses import dataclass
+from collections.abc import Callable
 from pathlib import Path
-from typing import Callable, Optional
 
 from budgetpath.planner import Plan
+from budgetpath.records import Record, set_field
 from budgetpath.topology import Topology
 
 DEFAULT_KEEPALIVE_S = 25
@@ -38,10 +38,14 @@ def clamp_scalar(raw: bytes) -> bytes:
     return bytes(scalar)
 
 
-@dataclass(frozen=True)
-class KeyPair:
-    private: bytes  # clamped 32-byte scalar
-    public: bytes  # Curve25519 point
+class KeyPair(Record):
+    """A clamped 32-byte Curve25519 private scalar and its public point."""
+
+    __slots__ = _fields = ("private", "public")
+
+    def __init__(self, private: bytes, public: bytes) -> None:
+        set_field(self, "private", private)
+        set_field(self, "public", public)
 
     @property
     def private_b64(self) -> str:
@@ -69,21 +73,42 @@ def keypair_from_private_b64(text: str) -> KeyPair:
     return generate_keypair(raw)
 
 
-@dataclass(frozen=True)
-class PeerEntry:
-    public_key_b64: str
-    endpoint: str
-    allowed_ips: tuple[str, ...]
-    keepalive_s: Optional[int] = DEFAULT_KEEPALIVE_S
+class PeerEntry(Record):
+    """One `[Peer]` section; a `keepalive_s` of None omits PersistentKeepalive."""
+
+    __slots__ = _fields = ("public_key_b64", "endpoint", "allowed_ips", "keepalive_s")
+
+    def __init__(
+        self,
+        public_key_b64: str,
+        endpoint: str,
+        allowed_ips: tuple[str, ...],
+        keepalive_s: int | None = DEFAULT_KEEPALIVE_S,
+    ) -> None:
+        set_field(self, "public_key_b64", public_key_b64)
+        set_field(self, "endpoint", endpoint)
+        set_field(self, "allowed_ips", allowed_ips)
+        set_field(self, "keepalive_s", keepalive_s)
 
 
-@dataclass(frozen=True)
-class TunnelSpec:
-    node_id: int
-    overlay_address: str  # host address with prefix length, e.g. 10.44.0.1/24
-    listen_port: int
-    keypair: KeyPair
-    peers: tuple[PeerEntry, ...]
+class TunnelSpec(Record):
+    """One node's tunnel; `overlay_address` carries its prefix length, e.g. 10.44.0.1/24."""
+
+    __slots__ = _fields = ("node_id", "overlay_address", "listen_port", "keypair", "peers")
+
+    def __init__(
+        self,
+        node_id: int,
+        overlay_address: str,
+        listen_port: int,
+        keypair: KeyPair,
+        peers: tuple[PeerEntry, ...],
+    ) -> None:
+        set_field(self, "node_id", node_id)
+        set_field(self, "overlay_address", overlay_address)
+        set_field(self, "listen_port", listen_port)
+        set_field(self, "keypair", keypair)
+        set_field(self, "peers", peers)
 
     @property
     def is_relay(self) -> bool:
@@ -95,8 +120,8 @@ def build_tunnels(
     topology: Topology,
     overlay_subnet: str = "10.44.0.0/24",
     base_port: int = DEFAULT_LISTEN_PORT,
-    entropy_source: Optional[Callable[[], bytes]] = None,
-    identity_keys: Optional[dict[int, KeyPair]] = None,
+    entropy_source: Callable[[], bytes] | None = None,
+    identity_keys: dict[int, KeyPair] | None = None,
 ) -> list[TunnelSpec]:
     """One TunnelSpec per path node, chained along the planned hop order.
 
@@ -199,10 +224,10 @@ def render_conf(spec: TunnelSpec) -> str:
 
 def parse_conf(text: str) -> TunnelSpec:
     """Inverse of render_conf; round-trips every spec this module emits."""
-    node_id: Optional[int] = None
+    node_id: int | None = None
     interface: dict[str, str] = {}
     peers: list[dict[str, str]] = []
-    current: Optional[dict[str, str]] = None
+    current: dict[str, str] | None = None
     for line in text.splitlines():
         line = line.strip()
         if not line:

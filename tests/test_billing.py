@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from budgetpath.billing import (
     BillingMethod,
+    TransferRequest,
     billed_hours,
     data_threshold,
     edge_latency,
@@ -153,3 +154,27 @@ class TestSelectBilling:
             select_billing(make_node(), 150.0, 1.0)
         with pytest.raises(ValueError):
             select_billing(make_node(), 0.0, 1.0)
+
+
+class TestTransferRequest:
+    @pytest.mark.parametrize("data_gb, budget, message", [
+        (math.nan, 1.0, "data_size_gb must be > 0"),
+        (math.inf, 1.0, "data_size_gb must be finite"),
+        (0.0, 1.0, "data_size_gb must be > 0"),
+        (1.0, math.nan, "budget_usd must be >= 0"),
+        (1.0, -1.0, "budget_usd must be >= 0"),
+    ])
+    def test_rejects_sizes_and_budgets_that_are_not_numbers_in_range(self, data_gb, budget, message):
+        with pytest.raises(ValueError, match=message):
+            TransferRequest(0, 1, data_gb, budget, 5)
+
+    def test_infinite_budget_is_valid(self):
+        assert TransferRequest(0, 1, 1.0, math.inf, 5).budget_usd == math.inf
+
+
+def test_billed_hours_rejects_a_transfer_too_long_to_count():
+    # 1e300 GB at 1 Mbps takes longer than the largest float of seconds
+    with pytest.raises(ValueError, match="too long to bill"):
+        billed_hours(1e300, 1.0)
+    with pytest.raises(ValueError, match="too long to bill"):
+        payg_cost(K1, 1.0, 1e300)

@@ -111,10 +111,23 @@ def _null_bandwidth(doc):
     doc["per_node"]["0"]["bandwidth_mbps"] = None
 
 
+def _per_node_key_is_padded(doc):
+    doc["per_node"][" 0"] = doc["per_node"].pop("0")
+
+
+def _bandwidth_is_bool(doc):
+    doc["per_node"]["0"]["bandwidth_mbps"] = True
+
+
+def _iterations_are_fractional(doc):
+    doc["iterations_used"] = 2.7
+
+
 class TestPlanFileValidation:
     @pytest.mark.parametrize("corrupt", [
         _name_absent_node, _drop_per_node, _bill_off_path_node, _per_node_entry_is_string,
         _per_node_is_list, _path_is_number, _null_cost, _null_bandwidth,
+        _per_node_key_is_padded, _bandwidth_is_bool, _iterations_are_fractional,
     ])
     def test_render_wg_rejects_plan_that_does_not_fit_topology(self, tmp_path, capsys, corrupt):
         plan_file = tmp_path / "plan.json"
@@ -229,6 +242,18 @@ class TestErrorsEndInOneLine:
                     "--data-gb", "1", "--budget-usd", "1"])
         assert "no path from 0 to 5" in assert_one_error_line(capsys, code)
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--budget-usd", "nan", "budget_usd must be >= 0, got nan"),
+        ("--data-gb", "nan", "data_size_gb must be > 0, got nan"),
+        ("--data-gb", "inf", "data_size_gb must be finite, got inf"),
+        ("--data-gb", "1e300", "takes too long to bill"),
+    ])
+    def test_request_number_out_of_range(self, capsys, option, value, message):
+        numbers = {"--data-gb": "1", "--budget-usd": "1", option: value}
+        code = run(["plan", "--topology", TESTBED, "--src", "0", "--dst", "5",
+                    *(word for pair in numbers.items() for word in pair)])
+        assert message in assert_one_error_line(capsys, code)
+
     def test_tunnel_error(self, tmp_path, capsys):
         plan_file = _plan_file(tmp_path)
         capsys.readouterr()
@@ -274,7 +299,7 @@ def test_cli_import_skips_numpy_and_cryptography():
     added = loaded - _child_modules("pass")
     assert _package(loaded, "budgetpath") == {
         "budgetpath", "budgetpath.billing", "budgetpath.cli", "budgetpath.planner",
-        "budgetpath.search", "budgetpath.topology"}
+        "budgetpath.records", "budgetpath.search", "budgetpath.topology"}
     for package in ("numpy", "cryptography", "subprocess", "statistics", "logging",
                     "secrets", "hmac", "hashlib"):
         assert not _package(added, package), package

@@ -1,9 +1,12 @@
-"""The lazily loaded package namespace, and the demos that import from it."""
+"""The lazily loaded package namespace, the demos that import from it, and the
+functions the benchmark's tracer wraps."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -62,9 +65,9 @@ print(json.dumps(loaded))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
         ["budgetpath"],
-        ["budgetpath", "budgetpath.search", "budgetpath.topology"],
-        ["budgetpath", "budgetpath.billing", "budgetpath.planner", "budgetpath.search",
-         "budgetpath.simulate", "budgetpath.topology"],
+        ["budgetpath", "budgetpath.records", "budgetpath.search", "budgetpath.topology"],
+        ["budgetpath", "budgetpath.billing", "budgetpath.planner", "budgetpath.records",
+         "budgetpath.search", "budgetpath.simulate", "budgetpath.topology"],
     ]
 
 
@@ -73,3 +76,32 @@ def test_demo_runs(demo):
     proc = _child([str(demo)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+MODULES = sorted(path.stem for path in (ROOT / "src" / "budgetpath").glob("*.py"))
+
+
+def _traced_targets() -> list[str]:
+    """The names in `TARGETS` of perfbench/spans.py, read without importing the benchmark."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign) and any(
+            getattr(target, "id", None) == "TARGETS" for target in statement.targets
+        ):
+            return [name for name, _ in ast.literal_eval(statement.value)]
+    raise AssertionError("perfbench/spans.py assigns no TARGETS")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports(module):
+    import_module("budgetpath" if module == "__init__" else f"budgetpath.{module}")
+
+
+# A traced benchmark run reports a renamed or removed target only as an absent layer.
+@pytest.mark.parametrize("target", _traced_targets())
+def test_benchmark_trace_target_exists(target):
+    module, *attributes = target.split(".")
+    value = import_module(f"budgetpath.{module}")
+    for attribute in attributes:
+        value = getattr(value, attribute)
+    assert callable(value)

@@ -120,6 +120,14 @@ def _links_is_string(doc):
     doc["links"] = "0-1"
 
 
+def _set_value(kind, index, key, value):
+    def corrupt(doc):
+        doc[kind][index][key] = value
+
+    corrupt.__name__ = f"_{key}_is_{json.dumps(value)}"
+    return corrupt
+
+
 class TestMalformedEntries:
     @pytest.mark.parametrize("corrupt, message", [
         (_drop_node_name, r"node entry 1: missing key 'name'"),
@@ -129,6 +137,18 @@ class TestMalformedEntries:
         (_null_node_id, r"node entry 1: invalid value"),
         (_nodes_is_object, r"nodes must be an array, got dict"),
         (_links_is_string, r"links must be an array, got str"),
+        (_set_value("nodes", 1, "id", True), r"node entry 1: .*id must be an integer, got True"),
+        (_set_value("nodes", 1, "id", 1.0), r"node entry 1: .*id must be an integer, got 1.0"),
+        (_set_value("links", 0, "src", False), r"link entry 0: .*src must be an integer, got False"),
+        (_set_value("links", 0, "dst", 1.7), r"link entry 0: .*dst must be an integer, got 1.7"),
+        (_set_value("nodes", 1, "name", None), r"node entry 1: .*name must be a string, got None"),
+        (_set_value("nodes", 0, "public_address", None),
+         r"node entry 0: .*public_address must be a string, got None"),
+        (_set_value("nodes", 1, "max_egress_mbps", True),
+         r"node entry 1: .*max_egress_mbps must be a number, got True"),
+        (_set_value("nodes", 1, "max_egress_mbps", "100"),
+         r"node entry 1: .*max_egress_mbps must be a number, got '100'"),
+        (_set_value("links", 0, "rtt_ms", True), r"link entry 0: .*rtt_ms must be a number, got True"),
     ])
     def test_raises_topology_error_naming_the_entry(self, corrupt, message):
         doc = two_node_doc()
