@@ -5,7 +5,8 @@ binary search that shrinks PAYG rates until a budget-feasible path exists.
 from __future__ import annotations
 
 import json
-from operator import add, itemgetter
+import math
+from operator import itemgetter
 
 from budgetpath.billing import (
     BillingMethod,
@@ -87,13 +88,13 @@ def build_weights(
     """Weights for one candidate configuration at bandwidth fraction `fraction_k`.
 
     Every node's PAYG candidate bandwidth is fraction_k times its cap; the
-    billing rule then picks the method (PFDT restores the full rate). The
-    egress cost of node i is attached to all of its outgoing edges; edge
-    latency uses the sending node's configured bandwidth. Billing is per
-    sending node, so each node is priced once (`billing.price`) and its cost
-    and transmission time are gathered onto the topology's edge list. The
-    per-node prices, (method, bandwidth_mbps, cost_usd, seconds) indexed by
-    node id, are returned alongside the weights.
+    billing rule then picks the method (PFDT restores the full rate). Billing
+    is per sending node, so each node is priced once (`billing.price`): its
+    egress cost is its `a` and its transmission time at the configured
+    bandwidth its `b`, whichever edge it sends on. The per-node prices,
+    (method, bandwidth_mbps, cost_usd, seconds) indexed by node id, are
+    returned alongside the weights. ValueError when a node's bandwidth is
+    too small to bill.
     """
     if not 0 < fraction_k <= 1:
         raise ValueError(f"fraction_k must be in (0, 1], got {fraction_k}")
@@ -105,12 +106,7 @@ def build_weights(
     ]
     cost = tuple(map(itemgetter(2), prices))
     seconds = tuple(map(itemgetter(3), prices))
-
-    src = topology.edges.src
-    a = tuple(map(cost.__getitem__, src))
-    # rtt / 2.0 + transfer_seconds, in that order, is edge_latency's arithmetic exactly
-    b = tuple(map(add, topology.edge_half_rtt, map(seconds.__getitem__, src)))
-    return EdgeWeights(topology.edges, a, b), prices
+    return EdgeWeights(topology.edges, cost, seconds), prices
 
 
 def sender_configs(path: tuple[int, ...], prices: list[NodePrice]) -> dict[int, NodeBillingConfig]:
@@ -166,8 +162,14 @@ def plan_transfer_with_state(
         return state.best_plan, state
 
     while state.iteration < request.max_iterations:
-        weights, prices = build_weights(topology, request, state.k, rule)
-        result = search_min_latency(weights, source, destination, budget)
+        try:
+            weights, prices = build_weights(topology, request, state.k, rule)
+        except ValueError:
+            # k is in (0, 1] and the rule passed at k = 1, so a node's bandwidth
+            # is too small to bill: no path is affordable at this k
+            result = None
+        else:
+            result = search_min_latency(weights, source, destination, budget)
         if result is not None:
             state.best_plan = _finalize(
                 topology, request, result, prices, state.k, request.max_iterations
@@ -176,7 +178,10 @@ def plan_transfer_with_state(
             state.k = (state.k + state.k_upper) / 2.0
         else:
             state.k_upper = state.k
-            state.k = (state.k + state.k_lower) / 2.0
+            midpoint = (state.k + state.k_lower) / 2.0
+            # halving the smallest positive float gives 0.0, which is no bandwidth
+            if midpoint > 0.0:
+                state.k = midpoint
         state.iteration += 1
     return state.best_plan, state
 
@@ -215,10 +220,18 @@ def plan_to_dict(plan: Plan) -> dict:
     }
 
 
-def _plan_number(doc: dict, key: str) -> float:
+# (test, what it asks for) of each kind of number a plan file holds
+_POSITIVE = (lambda value: 0 < value < math.inf, "a finite number > 0")
+_NON_NEGATIVE = (lambda value: 0 <= value < math.inf, "a finite number >= 0")
+_FRACTION = (lambda value: 0 < value <= 1, "a number in (0, 1]")
+
+
+def _plan_number(doc: dict, key: str, kind: tuple, where: str = "plan") -> float:
+    """doc[key] as a float; ValueError unless it is a number of the given kind."""
     value = doc[key]
-    if type(value) not in (int, float):
-        raise ValueError(f"plan {key} must be a number, got {value!r}")
+    valid, expected = kind
+    if type(value) not in (int, float) or not valid(value):
+        raise ValueError(f"{where} {key} must be {expected}, got {value!r}")
     return float(value)
 
 
@@ -228,9 +241,10 @@ def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
     ValueError unless the document is an object with every key present, the
     path is a list naming only nodes of the topology, `per_node` is an object
     keyed by exactly the path's senders as decimal strings, each an object
-    with a known method and a numeric bandwidth, the totals and `fraction_k`
-    are numbers and `iterations_used` is an integer. Booleans are not
-    numbers, and no value is converted from another type.
+    with a known method and a finite bandwidth > 0, the predicted totals are
+    finite and >= 0, `fraction_k` is in (0, 1] and `iterations_used` is an
+    integer >= 0. Booleans are not numbers, and no value is converted from
+    another type.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"plan must be an object, got {type(doc).__name__}")
@@ -265,18 +279,18 @@ def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
             raise ValueError(
                 f"plan per_node entry {node_id} needs a method (payg or pfdt) and a bandwidth_mbps"
             )
-        configs[node_id] = NodeBillingConfig(
-            _METHOD_VALUES[entry["method"]], _plan_number(entry, "bandwidth_mbps")
-        )
+        where = f"plan per_node entry {node_id}"
+        bandwidth = _plan_number(entry, "bandwidth_mbps", _POSITIVE, where)
+        configs[node_id] = NodeBillingConfig(_METHOD_VALUES[entry["method"]], bandwidth)
     iterations_used = doc["iterations_used"]
-    if type(iterations_used) is not int:
-        raise ValueError(f"plan iterations_used must be an integer, got {iterations_used!r}")
+    if type(iterations_used) is not int or iterations_used < 0:
+        raise ValueError(f"plan iterations_used must be an integer >= 0, got {iterations_used!r}")
     return Plan(
         path=path,
         configs=configs,
-        predicted_cost_usd=_plan_number(doc, "predicted_cost_usd"),
-        predicted_latency_s=_plan_number(doc, "predicted_latency_s"),
-        fraction_k=_plan_number(doc, "fraction_k"),
+        predicted_cost_usd=_plan_number(doc, "predicted_cost_usd", _NON_NEGATIVE),
+        predicted_latency_s=_plan_number(doc, "predicted_latency_s", _NON_NEGATIVE),
+        fraction_k=_plan_number(doc, "fraction_k", _FRACTION),
         iterations_used=iterations_used,
     )
 

@@ -2,16 +2,18 @@
 
 `search_min_latency` is a Dijkstra variant keeping a single best-latency
 label per node while discarding labels whose accumulated cost exceeds the
-cap. Every label records the edge it arrived by and its parent label, so
-the path returned is the chain of the destination label itself: simple and
+cap. Every label records its node and its parent label, so the path
+returned is the chain of the destination label itself: simple and
 within the cap by construction. The single-label pruning is a heuristic:
 it can discard a feasible label whose higher latency would have been the
 only way to stay under the cap further on. `enumerate_best_path` is the
 exact (exponential) reference used to quantify that gap on small graphs.
 
-Both walk an `EdgeList` in compressed sparse row form: the graph structure
-is checked once when the edge list is built, and each set of weights only
-adds one cost and one latency per edge.
+Both walk an `EdgeList` in compressed sparse row form, which carries each
+edge's propagation delay and is checked once when it is built. Cost is
+billed per sending node, so a set of weights adds only one cost and one
+transmission time per node: leaving node u by edge e costs a[u] and takes
+delay[e] + b[u].
 """
 
 from __future__ import annotations
@@ -31,18 +33,21 @@ class SearchError(ValueError):
 class EdgeList(Record):
     """Directed edges in compressed sparse row form, sorted by (src, dst).
 
-    Edge e runs from src[e] to dst[e]. The edges leaving node u are
-    offsets[u] <= e < offsets[u + 1], in increasing dst order, so there are
-    no duplicate edges; self-loops and endpoints outside the node range are
-    rejected as well.
+    The edges leaving node u are offsets[u] <= e < offsets[u + 1], in
+    increasing dst order, so there are no duplicate edges; edge e runs to
+    dst[e] and delays the data by delay[e] seconds of propagation.
+    Self-loops, endpoints outside the node range and delays that are
+    negative or not finite are rejected as well.
     """
 
-    __slots__ = _fields = ("offsets", "src", "dst")
+    __slots__ = _fields = ("offsets", "dst", "delay")
 
-    def __init__(self, offsets: tuple[int, ...], src: tuple[int, ...], dst: tuple[int, ...]) -> None:
+    def __init__(
+        self, offsets: tuple[int, ...], dst: tuple[int, ...], delay: tuple[float, ...]
+    ) -> None:
         n = len(offsets) - 1
         m = len(dst)
-        if n < 0 or offsets[0] != 0 or offsets[-1] != m or len(src) != m:
+        if n < 0 or offsets[0] != 0 or offsets[-1] != m or len(delay) != m:
             raise SearchError("edge list offsets do not match its edges")
         for u in range(n):
             if offsets[u + 1] < offsets[u]:
@@ -50,31 +55,35 @@ class EdgeList(Record):
             previous = -1
             for e in range(offsets[u], offsets[u + 1]):
                 v = dst[e]
-                if src[e] != u:
-                    raise SearchError(f"edge {e} is filed under node {u} but leaves {src[e]}")
                 if v == u:
                     raise SearchError(f"edge ({u}, {v}): self-loops are not allowed")
                 if not 0 <= v < n:
                     raise SearchError(f"edge ({u}, {v}): endpoint {v} is not a node id")
                 if v <= previous:
                     raise SearchError(f"edges of node {u} are duplicated or not sorted at ({u}, {v})")
+                if not 0.0 <= delay[e] < math.inf:
+                    raise SearchError(f"edge ({u}, {v}): delay {delay[e]} is not finite and >= 0")
                 previous = v
         set_field(self, "offsets", offsets)
-        set_field(self, "src", src)
         set_field(self, "dst", dst)
+        set_field(self, "delay", delay)
 
     @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> EdgeList:
-        """Edge list over nodes 0..n-1 from (src, dst) pairs in any order."""
-        ordered = sorted(pairs)
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]]) -> EdgeList:
+        """Edge list over nodes 0..n-1 from (src, dst, delay) triples in any order."""
+        ordered = sorted(edges)
         offsets = [0] * (n + 1)
-        for u, _ in ordered:
+        for u, _, _ in ordered:
             if not 0 <= u < n:
                 raise SearchError(f"edge source {u} is not a node id")
             offsets[u + 1] += 1
         for u in range(n):
             offsets[u + 1] += offsets[u]
-        return cls(tuple(offsets), tuple(u for u, _ in ordered), tuple(v for _, v in ordered))
+        return cls(
+            tuple(offsets),
+            tuple(v for _, v, _ in ordered),
+            tuple(delay for _, _, delay in ordered),
+        )
 
     @property
     def n(self) -> int:
@@ -108,17 +117,21 @@ class EdgeList(Record):
 
 
 class EdgeWeights(Record):
-    """Per-edge cost (a, USD) and latency (b, seconds) over an edge list."""
+    """Per-node cost (a, USD) and transmission time (b, seconds) over an edge list.
+
+    Node u pays a[u] to send the data once and spends b[u] seconds sending
+    it, whichever of its edges it takes; edge e adds its own delay[e].
+    """
 
     __slots__ = _fields = ("edges", "a", "b")
 
     def __init__(self, edges: EdgeList, a: Sequence[float], b: Sequence[float]) -> None:
-        if len(a) != len(edges.dst) or len(b) != len(edges.dst):
-            raise SearchError("need exactly one a and one b weight per edge")
-        for name, vals in (("a", a), ("b", b)):
-            # min() rejects negatives; any NaN or infinity makes the sum non-finite
-            if vals and not (min(vals) >= 0.0 and math.isfinite(sum(vals))):
-                raise SearchError(f"{name} weights on present edges must be finite and >= 0")
+        if len(a) != edges.n or len(b) != edges.n:
+            raise SearchError(f"need exactly one a and one b value per node, for {edges.n} nodes")
+        for name, values in (("a", a), ("b", b)):
+            # each value on its own: a sum of large finite values can overflow
+            if not all(map(math.isfinite, values)) or (values and min(values) < 0.0):
+                raise SearchError(f"{name} values of the nodes must be finite and >= 0")
         set_field(self, "edges", edges)
         set_field(self, "a", a)
         set_field(self, "b", b)
@@ -163,34 +176,39 @@ def search_min_latency(
     n = weights.n
     _check_node(n, source, "source")
     _check_node(n, destination, "destination")
-    if cost_cap < 0:
+    if not cost_cap >= 0:  # also rejects NaN
         raise SearchError(f"cost_cap must be >= 0, got {cost_cap}")
 
-    offsets, src, dst = weights.edges.offsets, weights.edges.src, weights.edges.dst
+    edges = weights.edges
+    offsets, dst, delay = edges.offsets, edges.dst, edges.delay
     a, b = weights.a, weights.b
     min_b = [math.inf] * n
     min_b[source] = 0.0
-    labels = [(-1, 0)]  # (edge in, parent label) of every pushed label; 0 is the source
+    labels = [(source, -1)]  # (node, parent label) of every pushed label; 0 is the source
     frontier: list[tuple[float, float, int, int]] = [(0.0, 0.0, source, 0)]
     heappop, heappush = heapq.heappop, heapq.heappush
 
     while frontier:
         curr_b, curr_a, node, label = heappop(frontier)
         if node == destination:
-            path = [node]
-            while label:
-                e, label = labels[label]
-                path.append(src[e])
+            path = []
+            while label >= 0:
+                node, label = labels[label]
+                path.append(node)
             path.reverse()
             return PathResult(tuple(path), curr_a, curr_b)
+        # every edge out of the node costs the same, so one test prunes them all
+        new_a = curr_a + a[node]
+        if new_a > cost_cap:
+            continue
+        b_node = b[node]
         for e in range(offsets[node], offsets[node + 1]):
             nxt = dst[e]
-            new_a = curr_a + a[e]
-            new_b = curr_b + b[e]
-            if new_a <= cost_cap and new_b < min_b[nxt]:
+            new_b = curr_b + (delay[e] + b_node)
+            if new_b < min_b[nxt]:
                 min_b[nxt] = new_b
                 heappush(frontier, (new_b, new_a, nxt, len(labels)))
-                labels.append((e, label))
+                labels.append((nxt, label))
     return None
 
 
@@ -213,7 +231,8 @@ def enumerate_best_path(
     if weights.n > max_nodes and not force:
         raise SearchError(f"oracle enumeration refused for n={weights.n} > {max_nodes}")
 
-    offsets, dst = weights.edges.offsets, weights.edges.dst
+    edges = weights.edges
+    offsets, dst, delay = edges.offsets, edges.dst, edges.delay
     a, b = weights.a, weights.b
     best: PathResult | None = None
 
@@ -230,13 +249,15 @@ def enumerate_best_path(
             ):
                 best = candidate
             return
+        next_a = total_a + a[node]
+        b_node = b[node]
         for e in range(offsets[node], offsets[node + 1]):
             nxt = dst[e]
             if nxt in on_path:
                 continue
             path.append(nxt)
             on_path.add(nxt)
-            visit(nxt, total_a + a[e], total_b + b[e], path, on_path)
+            visit(nxt, next_a, total_b + (delay[e] + b_node), path, on_path)
             on_path.remove(nxt)
             path.pop()
 

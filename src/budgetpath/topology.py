@@ -81,7 +81,7 @@ class Topology(Record):
     """Validated nodes and directed links; the edge list is built on first use."""
 
     _fields = ("nodes", "links", "directed")
-    __slots__ = (*_fields, "_edges", "_edge_half_rtt")
+    __slots__ = (*_fields, "_edges")
 
     def __init__(
         self, nodes: tuple[NodeSpec, ...], links: tuple[LinkSpec, ...], directed: bool = True
@@ -109,7 +109,6 @@ class Topology(Record):
         set_field(self, "links", links)
         set_field(self, "directed", directed)
         set_field(self, "_edges", None)
-        set_field(self, "_edge_half_rtt", None)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -128,22 +127,20 @@ class Topology(Record):
 
     @property
     def edges(self) -> EdgeList:
-        """The links as a compressed sparse row edge list, built once per topology."""
-        if self._edges is None:
-            pairs = ((link.src, link.dst) for link in self.links)
-            set_field(self, "_edges", EdgeList.from_pairs(len(self.nodes), pairs))
-        return self._edges
+        """The links as a compressed sparse row edge list, built once per topology.
 
-    @property
-    def edge_half_rtt(self) -> tuple[float, ...]:
-        """One-way propagation delay, rtt_s / 2.0, of every edge of `edges`, in edge order."""
-        if self._edge_half_rtt is None:
-            half_rtt = {(link.src, link.dst): link.rtt_s / 2.0 for link in self.links}
-            edges = self.edges
-            set_field(
-                self, "_edge_half_rtt", tuple(map(half_rtt.__getitem__, zip(edges.src, edges.dst)))
+        Each edge's delay is its link's one-way propagation delay, rtt_s / 2.0;
+        links with equal rtts, such as the two directions of an undirected
+        link, share one delay float.
+        """
+        if self._edges is None:
+            halves: dict[float, float] = {}
+            edges = (
+                (link.src, link.dst, halves.setdefault(link.rtt_s, link.rtt_s / 2.0))
+                for link in self.links
             )
-        return self._edge_half_rtt
+            set_field(self, "_edges", EdgeList.from_edges(len(self.nodes), edges))
+        return self._edges
 
 
 def expand_undirected(topology: Topology) -> Topology:

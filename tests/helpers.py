@@ -14,15 +14,34 @@ from budgetpath.tunnels import TunnelSpec, clamp_scalar
 # --- random instances -------------------------------------------------
 
 def random_weights(rng: random.Random, n: int, edge_prob: float = 0.45) -> EdgeWeights:
-    pairs, a, b = [], [], []
-    # (i, j) comes out in (src, dst) order, which is the edge list's order
-    for i in range(n):
-        for j in range(n):
-            if i != j and rng.random() < edge_prob:
-                pairs.append((i, j))
-                a.append(rng.uniform(0.0, 1.0))
-                b.append(rng.uniform(0.01, 1.0))
-    return EdgeWeights(EdgeList.from_pairs(n, pairs), tuple(a), tuple(b))
+    """Node-billed weights: a cost and a transmission time per node, a delay per edge."""
+    edges = [
+        (i, j, rng.uniform(0.0, 0.5))
+        for i in range(n)
+        for j in range(n)
+        if i != j and rng.random() < edge_prob
+    ]
+    a = tuple(rng.uniform(0.0, 1.0) for _ in range(n))
+    b = tuple(rng.uniform(0.01, 0.5) for _ in range(n))
+    return EdgeWeights(EdgeList.from_edges(n, edges), a, b)
+
+
+def edge_triples(edges: EdgeList) -> list[tuple[int, int, float]]:
+    """(src, dst, delay) of every edge, in edge order."""
+    return [
+        (u, edges.dst[e], edges.delay[e])
+        for u in range(edges.n)
+        for e in range(edges.offsets[u], edges.offsets[u + 1])
+    ]
+
+
+def path_sums(weights: EdgeWeights, path: tuple[int, ...]) -> tuple[float, float]:
+    """Cost and latency of `path`, added hop by hop in path order as the search adds them."""
+    total_a = total_b = 0.0
+    for u, v in zip(path, path[1:]):
+        total_a += weights.a[u]
+        total_b += weights.edges.delay[weights.edges.index(u, v)] + weights.b[u]
+    return total_a, total_b
 
 
 def random_topology(rng: random.Random, n_min: int = 2, n_max: int = 7) -> Topology:

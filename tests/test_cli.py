@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -39,11 +40,14 @@ class TestExitCodes:
         assert doc["path"][0] == 0 and doc["path"][-1] == 5
         assert doc["predicted_cost_usd"] <= 0.5
 
-    def test_zero_budget_is_infeasible(self, capsys):
+    # past about a thousand halvings a PAYG bandwidth is too small to bill,
+    # and past about 1075 halving k again would reach 0.0
+    @pytest.mark.parametrize("iterations", ["5", "1100", "1200"])
+    def test_zero_budget_is_infeasible(self, capsys, iterations):
         code = run(["plan", "--topology", TESTBED, "--src", "0", "--dst", "5",
-                    "--data-gb", "1", "--budget-usd", "0", "--iterations", "5"])
+                    "--data-gb", "1", "--budget-usd", "0", "--iterations", iterations])
         assert code == 2
-        assert "insufficient budget" in capsys.readouterr().err
+        assert capsys.readouterr().err == "insufficient budget: no feasible path found\n"
 
     def test_usage_error(self, capsys):
         assert run(["plan", "--bogus"]) == 1
@@ -123,11 +127,54 @@ def _iterations_are_fractional(doc):
     doc["iterations_used"] = 2.7
 
 
+def _iterations_are_negative(doc):
+    doc["iterations_used"] = -1
+
+
+def _bandwidth_is_negative(doc):
+    doc["per_node"]["0"]["bandwidth_mbps"] = -5
+
+
+def _bandwidth_is_zero(doc):
+    doc["per_node"]["0"]["bandwidth_mbps"] = 0
+
+
+def _bandwidth_is_infinite(doc):
+    doc["per_node"]["0"]["bandwidth_mbps"] = math.inf
+
+
+def _cost_is_nan(doc):
+    doc["predicted_cost_usd"] = math.nan
+
+
+def _cost_is_negative(doc):
+    doc["predicted_cost_usd"] = -0.5
+
+
+def _latency_is_infinite(doc):
+    doc["predicted_latency_s"] = math.inf
+
+
+def _latency_is_nan(doc):
+    doc["predicted_latency_s"] = math.nan
+
+
+def _fraction_is_above_one(doc):
+    doc["fraction_k"] = 7.0
+
+
+def _fraction_is_zero(doc):
+    doc["fraction_k"] = 0.0
+
+
 class TestPlanFileValidation:
     @pytest.mark.parametrize("corrupt", [
         _name_absent_node, _drop_per_node, _bill_off_path_node, _per_node_entry_is_string,
         _per_node_is_list, _path_is_number, _null_cost, _null_bandwidth,
         _per_node_key_is_padded, _bandwidth_is_bool, _iterations_are_fractional,
+        _iterations_are_negative, _bandwidth_is_negative, _bandwidth_is_zero,
+        _bandwidth_is_infinite, _cost_is_nan, _cost_is_negative, _latency_is_infinite,
+        _latency_is_nan, _fraction_is_above_one, _fraction_is_zero,
     ])
     def test_render_wg_rejects_plan_that_does_not_fit_topology(self, tmp_path, capsys, corrupt):
         plan_file = tmp_path / "plan.json"

@@ -4,6 +4,10 @@ The planner is a heuristic, so a change that alters its arithmetic or its
 tie-breaking changes answers without breaking any invariant the other
 tests check. This test compares plans, comparison reports and oracle
 results with the recorded ones exactly; floats round-trip through JSON.
+The `searches` answers were recorded with a per-edge search run on each
+node-billed instance's per-edge expansion, a[e] = a[src[e]] and
+b[e] = delay[e] + b[src[e]], so they also pin that the node-billed search
+adds the same floats in the same order.
 
 Regenerate only for a change meant to alter answers:
 

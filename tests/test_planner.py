@@ -10,9 +10,11 @@ from budgetpath.billing import (
     edge_latency,
     node_cost,
     payg_cost,
+    price,
     select_billing,
     transfer_seconds,
 )
+from budgetpath import planner
 from budgetpath.planner import (
     Plan,
     build_weights,
@@ -64,8 +66,8 @@ class TestBuildWeights:
         weights, prices = build_weights(topo, request, 1.0)
         assert all(method is BillingMethod.PFDT for method, _, _, _ in prices)
         e = weights.edges.index(0, 1)
-        assert weights.a[e] == pytest.approx(0.081)
-        assert weights.b[e] == pytest.approx(0.020 + 80.0)
+        assert weights.a[0] == pytest.approx(0.081)
+        assert weights.edges.delay[e] + weights.b[0] == pytest.approx(0.020 + 80.0)
 
     def test_large_data_all_payg(self):
         topo = make_topology(2)
@@ -73,7 +75,7 @@ class TestBuildWeights:
         weights, prices = build_weights(topo, request, 1.0)
         assert prices[0][0] is BillingMethod.PAYG
         # 30 GB at 100 Mbps = 2400 s -> 1 billed hour
-        assert weights.a[weights.edges.index(0, 1)] == pytest.approx(0.021 * 100 * 1)
+        assert weights.a[0] == pytest.approx(0.021 * 100 * 1)
 
     def test_half_fraction_hour_ceiling_interaction(self):
         topo = make_topology(2)
@@ -82,11 +84,12 @@ class TestBuildWeights:
         assert prices[0][0] is BillingMethod.PAYG
         assert prices[0][1] == 50.0
         # 30 GB at 50 Mbps = 4800 s -> 2 billed hours, cost back to 2.10
-        assert weights.a[weights.edges.index(0, 1)] == pytest.approx(0.021 * 50 * 2)
+        assert weights.a[0] == pytest.approx(0.021 * 50 * 2)
 
     @pytest.mark.parametrize("rule", ["threshold", "exact-cost"])
     def test_every_edge_equals_per_link_billing(self, rule):
-        # per-node prices gathered onto edges must give bit-identical weights
+        # a node's cost, and its time plus an edge's delay, must be bit-identical
+        # to pricing each link on its own
         rng = random.Random(23)
         cases = [
             (random_topology(rng), rng.uniform(0.1, 40.0)) for _ in range(40)
@@ -95,7 +98,7 @@ class TestBuildWeights:
             request = TransferRequest(0, len(topo) - 1, data_gb, 1.0, 5)
             for k in (1.0, 0.5, 0.3, 2.0 ** -7, 2.0 ** -30):
                 weights, prices = build_weights(topo, request, k, rule)
-                assert len(weights.a) == len(weights.b) == len(topo.links)
+                assert len(weights.a) == len(weights.b) == len(topo)
                 configs = [
                     select_billing(node, k * node.max_egress_mbps, data_gb, rule)
                     for node in topo.nodes
@@ -110,8 +113,10 @@ class TestBuildWeights:
                 for link in topo.links:
                     e = weights.edges.index(link.src, link.dst)
                     config = configs[link.src]
-                    assert weights.a[e] == node_cost(topo.node(link.src), config, data_gb)
-                    assert weights.b[e] == edge_latency(link.rtt_s, data_gb, config.bandwidth_mbps)
+                    assert weights.a[link.src] == node_cost(topo.node(link.src), config, data_gb)
+                    assert weights.edges.delay[e] + weights.b[link.src] == edge_latency(
+                        link.rtt_s, data_gb, config.bandwidth_mbps
+                    )
 
     @pytest.mark.parametrize("rule", ["threshold", "exact-cost"])
     def test_edge_case_nodes_pick_the_expected_method(self, rule):
@@ -130,6 +135,20 @@ class TestBuildWeights:
         assert cost == 1.0 and bandwidth == 100.0
         expected = BillingMethod.PFDT if rule == "exact-cost" else BillingMethod.PAYG
         assert method is expected
+
+    def test_one_round_prices_each_node_once(self, monkeypatch):
+        calls = []
+
+        def counting_price(node, *args):
+            calls.append(node.id)
+            return price(node, *args)
+
+        monkeypatch.setattr(planner, "price", counting_price)
+        topo = random_topology(random.Random(31), 5, 7)
+        weights, prices = build_weights(topo, TransferRequest(0, 1, 30.0, 1.0, 5), 0.5)
+        assert calls == list(range(len(topo)))
+        assert len(weights.a) == len(weights.b) == len(prices) == len(topo) < len(topo.links)
+        assert weights.edges is topo.edges
 
     def test_rejects_unknown_rule(self):
         topo = make_topology(2)

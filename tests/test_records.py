@@ -47,7 +47,7 @@ def _node(i):
 
 
 def _edges():
-    return EdgeList(offsets=(0, 1, 2), src=(0, 1), dst=(1, 0))
+    return EdgeList(offsets=(0, 1, 2), dst=(1, 0), delay=(0.005, 0.005))
 
 
 def _config():
@@ -72,7 +72,7 @@ FIELDS = {
     NodeBillingConfig: lambda: {"method": BillingMethod.PAYG, "bandwidth_mbps": 50.0},
     TransferRequest: lambda: {"source": 0, "destination": 1, "data_size_gb": 1.0,
                               "budget_usd": 2.0, "max_iterations": 5},
-    EdgeList: lambda: {"offsets": (0, 1, 2), "src": (0, 1), "dst": (1, 0)},
+    EdgeList: lambda: {"offsets": (0, 1, 2), "dst": (1, 0), "delay": (0.005, 0.02)},
     EdgeWeights: lambda: {"edges": _edges(), "a": (0.1, 0.2), "b": (1.0, 2.0)},
     PathResult: lambda: {"path": (0, 1), "total_a": 0.081, "total_b": 80.0},
     NodeSpec: lambda: {"id": 0, "name": "n0", "public_address": "203.0.113.1",
@@ -154,6 +154,4 @@ def test_defaults():
 def test_topology_builds_its_edge_list_once():
     topology = Topology(**FIELDS[Topology]())
     assert topology.edges is topology.edges
-    assert topology.edge_half_rtt is topology.edge_half_rtt
-    assert topology.edges == _edges()
-    assert topology.edge_half_rtt == (0.005, 0.005)
+    assert topology.edges == _edges()  # each edge's delay is its link's rtt_s / 2.0

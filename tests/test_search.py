@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 
@@ -11,22 +12,21 @@ from budgetpath.search import (
     enumerate_best_path,
     search_min_latency,
 )
-from helpers import is_connected, random_weights
+from helpers import edge_triples, is_connected, path_sums, random_weights
 
 
-def weights_from_edges(n, edges):
-    """edges: {(u, v): (a, b)}"""
-    graph = EdgeList.from_pairs(n, edges)
-    pairs = list(zip(graph.src, graph.dst))
-    return EdgeWeights(graph, tuple(edges[p][0] for p in pairs), tuple(edges[p][1] for p in pairs))
+def node_billed(n, delays, a, b):
+    """delays: {(u, v): seconds}; a and b: one cost and one transmission time per node."""
+    return EdgeWeights(EdgeList.from_edges(n, ((u, v, d) for (u, v), d in delays.items())), a, b)
 
 
-DIAMOND = weights_from_edges(4, {
-    (0, 1): (0.3, 10.0),   # s -> x
-    (1, 3): (0.3, 10.0),   # x -> d
-    (0, 2): (0.05, 50.0),  # s -> y
-    (2, 3): (0.05, 50.0),  # y -> d
-})
+# s -> x -> d is fast but x is expensive; s -> y -> d is slow but y is cheap
+DIAMOND = node_billed(
+    4,
+    {(0, 1): 10.0, (1, 3): 0.0, (0, 2): 50.0, (2, 3): 0.0},
+    a=(0.05, 0.3, 0.05, 0.0),
+    b=(0.0, 10.0, 50.0, 0.0),
+)
 
 
 class TestSearch:
@@ -37,7 +37,7 @@ class TestSearch:
         assert result.total_b == 0.0
 
     def test_cap_below_first_edge(self):
-        line = weights_from_edges(3, {(0, 1): (0.1, 1.0), (1, 2): (0.1, 1.0)})
+        line = node_billed(3, {(0, 1): 0.5, (1, 2): 0.5}, a=(0.1, 0.1, 0.0), b=(0.5, 0.5, 0.0))
         assert search_min_latency(line, 0, 2, 0.05) is None
 
     def test_diamond_tight_cap_takes_cheap_slow_path(self):
@@ -61,12 +61,12 @@ class TestSearch:
         # node 1 is reached cheaply by 0->1, then faster by 0->2->1, whose
         # cost leaves no room for 1->3 under the cap; the destination label
         # must keep the cheap chain it was built on
-        w = weights_from_edges(4, {
-            (0, 1): (1.0, 1.0),
-            (0, 2): (5.0, 0.1),
-            (2, 1): (5.0, 0.1),
-            (1, 3): (2.0, 1.0),
-        })
+        w = node_billed(
+            4,
+            {(0, 1): 1.0, (0, 2): 0.1, (2, 1): 0.1, (1, 3): 1.0},
+            a=(1.0, 2.0, 9.0, 0.0),
+            b=(0.0, 0.0, 0.0, 0.0),
+        )
         result = search_min_latency(w, 0, 3, 11.0)
         assert result == PathResult((0, 1, 3), 3.0, 2.0)
         assert result == enumerate_best_path(w, 0, 3, 11.0)
@@ -85,7 +85,7 @@ class TestOracle:
         assert enumerate_best_path(DIAMOND, 0, 3, 0.2) == search_min_latency(DIAMOND, 0, 3, 0.2)
 
     def test_disconnected(self):
-        w = weights_from_edges(3, {(0, 1): (0.1, 1.0)})
+        w = node_billed(3, {(0, 1): 0.5}, a=(0.1, 0.0, 0.0), b=(0.5, 0.0, 0.0))
         assert enumerate_best_path(w, 0, 2, 10.0) is None
 
     def test_node_guard(self):
@@ -115,11 +115,7 @@ class TestRandomInstances:
             if result is None:
                 continue
             assert result.total_a <= cap + 1e-12
-            edge_path = [w.edges.index(u, v) for u, v in zip(result.path, result.path[1:])]
-            recomputed_a = sum(w.a[e] for e in edge_path)
-            recomputed_b = sum(w.b[e] for e in edge_path)
-            assert result.total_a == pytest.approx(recomputed_a, abs=0)
-            assert result.total_b == pytest.approx(recomputed_b, abs=0)
+            assert (result.total_a, result.total_b) == path_sums(w, result.path)
 
     def test_uncapped_equals_plain_dijkstra(self):
         rng = random.Random(7)
@@ -159,44 +155,117 @@ class TestRandomInstances:
 class TestEdgeWeights:
     def test_rejects_self_loops(self):
         with pytest.raises(SearchError, match="self-loop"):
-            weights_from_edges(2, {(0, 0): (0.0, 0.0)})
+            node_billed(2, {(0, 0): 0.0}, a=(0.0, 0.0), b=(0.0, 0.0))
         with pytest.raises(SearchError, match="self-loop"):
-            EdgeWeights(EdgeList((0, 1, 1), (0,), (0,)), (0.0,), (0.0,))
+            EdgeList((0, 1, 1), (0,), (0.0,))
 
     @pytest.mark.parametrize("pairs", [[(0, 2)], [(2, 0)], [(0, -1)], [(0, 1), (0, 1)]])
     def test_rejects_absent_nodes_and_duplicates(self, pairs):
         with pytest.raises(SearchError):
-            EdgeList.from_pairs(2, pairs)
+            EdgeList.from_edges(2, [(u, v, 0.0) for u, v in pairs])
 
     @pytest.mark.parametrize(
         "edge_list",
-        [((0, 1), (0,), (1,)), ((0, 1, 1), (1,), (0,)), ((0, 2, 2), (0, 0), (1, 1)),
-         ((0, 2, 1, 2), (0, 0), (1, 2))],
+        [((0, 1), (1,), (0.0,)), ((0, 1, 1), (1, 0), (0.0, 0.0)), ((1, 1, 1), (1,), (0.0,)),
+         ((0, 2, 2), (1, 1), (0.0, 0.0)), ((0, 2, 1, 2), (1, 2), (0.0, 0.0)),
+         ((0, 1, 1), (1,), ()), ((0, 1, 1), (1,), (0.0, 0.0)), ((), (), ())],
     )
     def test_rejects_inconsistent_rows(self, edge_list):
         with pytest.raises(SearchError):
             EdgeList(*edge_list)
 
-    def test_rejects_negative_present_weights(self):
-        with pytest.raises(SearchError, match="finite"):
-            weights_from_edges(2, {(0, 1): (-1.0, 0.0)})
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, -math.inf])
+    def test_rejects_invalid_delays(self, bad):
+        with pytest.raises(SearchError, match="delay"):
+            EdgeList.from_edges(2, [(0, 1, 0.5), (1, 0, bad)])
+
+    def test_edges_carry_their_delays_in_edge_order(self):
+        edges = EdgeList.from_edges(3, [(2, 0, 0.3), (0, 2, 0.1), (0, 1, 0.2)])
+        assert edges == EdgeList((0, 2, 2, 3), (1, 2, 0), (0.2, 0.1, 0.3))
+        assert edge_triples(edges) == [(0, 1, 0.2), (0, 2, 0.1), (2, 0, 0.3)]
+        assert EdgeList.from_edges(2, []) == EdgeList((0, 0, 0), (), ())
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("which", ["a", "b"])
-    def test_rejects_invalid_weights_on_either_side(self, bad, which):
-        weights = {(0, 1): (0.5, 0.5), (1, 0): (0.5, 0.5)}
-        weights[1, 0] = (bad, 0.5) if which == "a" else (0.5, bad)
-        with pytest.raises(SearchError, match="finite"):
-            weights_from_edges(2, weights)
+    @pytest.mark.parametrize("node", [0, 1])
+    def test_rejects_invalid_values_on_either_side(self, bad, which, node):
+        values = [0.5, 0.5]
+        values[node] = bad
+        a, b = (values, (0.5, 0.5)) if which == "a" else ((0.5, 0.5), values)
+        with pytest.raises(SearchError, match=f"{which} values .* finite"):
+            node_billed(2, {(0, 1): 0.5, (1, 0): 0.5}, a=tuple(a), b=tuple(b))
 
-    def test_rejects_weight_count_mismatch(self):
-        graph = EdgeList.from_pairs(2, [(0, 1)])
-        with pytest.raises(SearchError):
-            EdgeWeights(graph, (0.0, 0.0), (0.0,))
+    def test_accepts_large_values_whose_sum_overflows(self):
+        w = node_billed(2, {(0, 1): 0.5}, a=(1e308, 1e308), b=(1e308, 1e308))
+        assert w.a == (1e308, 1e308)
 
-    def test_absent_edge_entries_ignored(self):
-        w = weights_from_edges(2, {(0, 1): (0.0, 0.0)})
+    # one edge over two nodes: (0.0,) is one value per edge, not per node
+    @pytest.mark.parametrize("a, b", [((0.0,), (0.0,)), ((0.0,), (0.0, 0.0)),
+                                      ((0.0, 0.0), (0.0, 0.0, 0.0)), ((), ())])
+    def test_rejects_vectors_of_the_wrong_length(self, a, b):
+        graph = EdgeList.from_edges(2, [(0, 1, 0.0)])
+        with pytest.raises(SearchError, match="per node"):
+            EdgeWeights(graph, a, b)
+        assert EdgeWeights(graph, (0.0, 0.0), (0.0, 0.0)).n == 2
+
+    def test_absent_edges_are_never_read(self):
+        w = node_billed(2, {(0, 1): 0.0}, a=(0.0, 0.0), b=(0.0, 0.0))
         assert w.edges.index(0, 1) == 0
         with pytest.raises(KeyError):
             w.edges.index(1, 0)  # absent edge, never read
         assert search_min_latency(w, 0, 1, 1.0).path == (0, 1)
+
+
+class TestNodeBilling:
+    def test_diamond_sums_node_costs_and_edge_delays(self):
+        assert path_sums(DIAMOND, (0, 1, 3)) == (0.35, 20.0)
+        assert path_sums(DIAMOND, (0, 2, 3)) == (0.1, 100.0)
+
+    def test_node_over_cap_prunes_all_its_edges(self):
+        # node 1 alone costs more than the cap, so no path through it is kept
+        w = node_billed(
+            4,
+            {(0, 1): 0.0, (0, 2): 5.0, (1, 3): 0.0, (2, 3): 0.0},
+            a=(0.0, 2.0, 0.5, 0.0),
+            b=(0.0, 0.0, 0.0, 0.0),
+        )
+        assert search_min_latency(w, 0, 3, 1.0) == PathResult((0, 2, 3), 0.5, 5.0)
+        assert search_min_latency(w, 0, 3, 2.0) == PathResult((0, 1, 3), 2.0, 0.0)
+        assert search_min_latency(w, 0, 1, 0.0) == PathResult((0, 1), 0.0, 0.0)
+
+    def test_rejects_cap_that_is_not_a_number(self):
+        with pytest.raises(SearchError, match="cost_cap"):
+            search_min_latency(DIAMOND, 0, 3, math.nan)
+
+    def test_matches_per_edge_search_on_expanded_weights(self):
+        # the same floats, added in the same order, as a search over per-edge
+        # weights a[e] = a[src[e]] and b[e] = delay[e] + b[src[e]]
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(2, 8)
+            w = random_weights(rng, n)
+            cap = rng.uniform(0.0, 2.5)
+            assert search_min_latency(w, 0, n - 1, cap) == per_edge_search(w, 0, n - 1, cap)
+
+
+def per_edge_search(w, source, destination, cap):
+    """Single-label search over per-edge weights, with no per-node shortcut."""
+    edges = w.edges
+    a = [w.a[u] for u, _, _ in edge_triples(edges)]
+    b = [d + w.b[u] for u, _, d in edge_triples(edges)]
+    min_b = [math.inf] * w.n
+    min_b[source] = 0.0
+    frontier = [(0.0, 0.0, source, 0, (source,))]
+    pushed = 0
+    while frontier:
+        curr_b, curr_a, node, _, path = heapq.heappop(frontier)
+        if node == destination:
+            return PathResult(path, curr_a, curr_b)
+        for e in range(edges.offsets[node], edges.offsets[node + 1]):
+            nxt = edges.dst[e]
+            new_a, new_b = curr_a + a[e], curr_b + b[e]
+            if new_a <= cap and new_b < min_b[nxt]:
+                min_b[nxt] = new_b
+                pushed += 1
+                heapq.heappush(frontier, (new_b, new_a, nxt, pushed, path + (nxt,)))
+    return None

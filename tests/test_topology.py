@@ -17,7 +17,7 @@ from budgetpath.topology import (
     save_topology,
     topology_from_dict,
 )
-from helpers import random_topology
+from helpers import edge_triples, random_topology
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -204,12 +204,18 @@ class TestEdgeList:
         topo = random_topology(random.Random(seed))
         edges = topo.edges
         assert topo.edges is edges  # built once per topology
-        pairs = list(zip(edges.src, edges.dst))
-        assert pairs == sorted((link.src, link.dst) for link in topo.links)
+        triples = edge_triples(edges)
+        assert [(u, v) for u, v, _ in triples] == sorted((l.src, l.dst) for l in topo.links)
         for u in range(len(topo)):
             assert list(edges.successors(u)) == topo.neighbors(u)
-        for (u, v), half_rtt in zip(pairs, topo.edge_half_rtt, strict=True):
-            assert half_rtt == topo.rtt(u, v) / 2.0
+        for u, v, delay in triples:
+            assert delay == topo.rtt(u, v) / 2.0
+
+    def test_directions_of_a_link_share_one_delay(self):
+        edges = load_topology(FIXTURES / "testbed6.json").edges
+        delays = {(u, v): delay for u, v, delay in edge_triples(edges)}
+        assert len(delays) > 2
+        assert all(delay is delays[v, u] for (u, v), delay in delays.items())
 
     def test_has_path(self):
         topo = Topology(topology_from_dict(two_node_doc(), mode="directed").nodes,
