@@ -23,7 +23,7 @@ _EXPORTS = {
         "pfdt_cost",
         "select_billing",
     ),
-    "planner": ("Plan", "build_weights", "plan_transfer", "plan_transfer_with_state"),
+    "planner": ("Plan", "build_weights", "plan_transfer"),
     "search": ("EdgeList", "EdgeWeights", "PathResult", "enumerate_best_path", "search_min_latency"),
     "simulate": ("SimulationReport", "compare", "naive_baseline", "simulate_transfer"),
     "topology": ("LinkSpec", "NodeSpec", "Topology", "TopologyError", "load_topology", "probe_rtts"),

@@ -56,8 +56,9 @@ NodePrice = tuple[BillingMethod, float, float, float]
 class TransferRequest(Record):
     """One bulk transfer to plan: endpoints, size, budget, iteration cap.
 
-    The data size must be finite and the budget a number; an infinite budget
-    is valid and never binds.
+    The endpoints and the iteration cap must be integers (a bool is not one),
+    the data size finite and the budget a number; an infinite budget is valid
+    and never binds.
     """
 
     __slots__ = _fields = ("source", "destination", "data_size_gb", "budget_usd", "max_iterations")
@@ -70,6 +71,11 @@ class TransferRequest(Record):
         budget_usd: float,
         max_iterations: int,
     ) -> None:
+        for name, value in (
+            ("source", source), ("destination", destination), ("max_iterations", max_iterations)
+        ):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not data_size_gb > 0:
             raise ValueError(f"data_size_gb must be > 0, got {data_size_gb}")
         if data_size_gb == math.inf:

@@ -17,7 +17,7 @@ from pathlib import Path
 # their modules themselves, so no invocation pays for code it never runs.
 from budgetpath.billing import RULES, TransferRequest
 from budgetpath.planner import build_weights, load_plan, plan_to_dict, plan_transfer
-from budgetpath.search import enumerate_best_path
+from budgetpath.search import ORACLE_MAX_NODES, enumerate_best_path
 from budgetpath.topology import load_topology
 
 EXIT_OK = 0
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_topology_args(p)
     _add_request_args(p)
     p.add_argument("--fraction", type=float, default=1.0)
-    p.add_argument("--max-nodes", type=int, default=12)
+    p.add_argument("--max-nodes", type=int, default=ORACLE_MAX_NODES)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_oracle)
 

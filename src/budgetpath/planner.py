@@ -14,8 +14,6 @@ from budgetpath.billing import (
     NodePrice,
     TransferRequest,
     check_rule,
-    edge_latency,
-    node_cost,
     price,
 )
 from budgetpath.records import Record, set_field
@@ -51,32 +49,6 @@ class Plan(Record):
         set_field(self, "predicted_latency_s", predicted_latency_s)
         set_field(self, "fraction_k", fraction_k)
         set_field(self, "iterations_used", iterations_used)
-
-
-class BinarySearchState(Record):
-    """Bracketed fraction search over a uniform bandwidth scale factor.
-
-    The one mutable record: the search updates it in place, so it is not hashable.
-    """
-
-    __slots__ = _fields = ("k", "k_lower", "k_upper", "iteration", "best_plan")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(
-        self,
-        k: float = 0.5,
-        k_lower: float = 0.0,
-        k_upper: float = 1.0,
-        iteration: int = 0,
-        best_plan: Plan | None = None,
-    ) -> None:
-        self.k = k
-        self.k_lower = k_lower
-        self.k_upper = k_upper
-        self.iteration = iteration
-        self.best_plan = best_plan
 
 
 def build_weights(
@@ -115,75 +87,17 @@ def sender_configs(path: tuple[int, ...], prices: list[NodePrice]) -> dict[int, 
 
 
 def _finalize(
-    topology: Topology,
-    request: TransferRequest,
-    result: PathResult,
-    prices: list[NodePrice],
-    fraction_k: float,
-    iterations_used: int,
+    result: PathResult, prices: list[NodePrice], fraction_k: float, iterations_used: int
 ) -> Plan:
-    """Build the senders' configs and recompute cost/latency from first principles."""
-    senders = sender_configs(result.path, prices)
-    cost = sum(
-        node_cost(topology.node(i), config, request.data_size_gb)
-        for i, config in senders.items()
+    """The plan of one round's path: its senders' configs and the search's own totals."""
+    return Plan(
+        result.path,
+        sender_configs(result.path, prices),
+        result.total_a,
+        result.total_b,
+        fraction_k,
+        iterations_used,
     )
-    latency = sum(
-        edge_latency(topology.rtt(u, v), request.data_size_gb, senders[u].bandwidth_mbps)
-        for u, v in zip(result.path, result.path[1:])
-    )
-    return Plan(result.path, senders, cost, latency, fraction_k, iterations_used)
-
-
-def plan_transfer_with_state(
-    topology: Topology,
-    request: TransferRequest,
-    rule: str = "threshold",
-) -> tuple[Plan | None, BinarySearchState]:
-    """Plan a transfer, returning the final bracket state alongside the plan.
-
-    Step 1 tries full bandwidth; on success the plan is returned with zero
-    binary iterations. Otherwise a uniform bandwidth fraction is binary
-    searched for exactly `max_iterations` rounds, keeping the most recent
-    feasible plan. None means no round ever produced a feasible path: the
-    budget is insufficient.
-    """
-    if not 0 <= request.source < len(topology):
-        raise SearchError(f"source {request.source} is not a valid node id")
-    if not 0 <= request.destination < len(topology):
-        raise SearchError(f"destination {request.destination} is not a valid node id")
-
-    source, destination, budget = request.source, request.destination, request.budget_usd
-    state = BinarySearchState()
-    weights, prices = build_weights(topology, request, 1.0, rule)
-    result = search_min_latency(weights, source, destination, budget)
-    if result is not None:
-        state.best_plan = _finalize(topology, request, result, prices, 1.0, 0)
-        return state.best_plan, state
-
-    while state.iteration < request.max_iterations:
-        try:
-            weights, prices = build_weights(topology, request, state.k, rule)
-        except ValueError:
-            # k is in (0, 1] and the rule passed at k = 1, so a node's bandwidth
-            # is too small to bill: no path is affordable at this k
-            result = None
-        else:
-            result = search_min_latency(weights, source, destination, budget)
-        if result is not None:
-            state.best_plan = _finalize(
-                topology, request, result, prices, state.k, request.max_iterations
-            )
-            state.k_lower = state.k
-            state.k = (state.k + state.k_upper) / 2.0
-        else:
-            state.k_upper = state.k
-            midpoint = (state.k + state.k_lower) / 2.0
-            # halving the smallest positive float gives 0.0, which is no bandwidth
-            if midpoint > 0.0:
-                state.k = midpoint
-        state.iteration += 1
-    return state.best_plan, state
 
 
 def plan_transfer(
@@ -191,7 +105,52 @@ def plan_transfer(
     request: TransferRequest,
     rule: str = "threshold",
 ) -> Plan | None:
-    plan, _ = plan_transfer_with_state(topology, request, rule)
+    """Plan a transfer: full bandwidth first, then a binary search over one fraction k.
+
+    Step 1 tries every node at full bandwidth (k = 1); on success the plan
+    is returned with zero binary iterations. Otherwise a uniform bandwidth
+    fraction k is binary searched in the bracket [k_lower, k_upper] for at
+    most `max_iterations` rounds, keeping the most recent feasible plan, and
+    the plan reports `max_iterations` as its iterations. A round that
+    leaves k unchanged ends the search: every later round would repeat its
+    k, its bracket and its plan. None means no round ever produced a
+    feasible path: the budget is insufficient.
+    """
+    if not 0 <= request.source < len(topology):
+        raise SearchError(f"source {request.source} is not a valid node id")
+    if not 0 <= request.destination < len(topology):
+        raise SearchError(f"destination {request.destination} is not a valid node id")
+
+    source, destination, budget = request.source, request.destination, request.budget_usd
+    weights, prices = build_weights(topology, request, 1.0, rule)
+    result = search_min_latency(weights, source, destination, budget)
+    if result is not None:
+        return _finalize(result, prices, 1.0, 0)
+
+    plan = None
+    k, k_lower, k_upper = 0.5, 0.0, 1.0
+    for _ in range(request.max_iterations):
+        try:
+            weights, prices = build_weights(topology, request, k, rule)
+        except ValueError:
+            # k is in (0, 1] and the rule passed at k = 1, so a node's bandwidth
+            # is too small to bill: no path is affordable at this k
+            result = None
+        else:
+            result = search_min_latency(weights, source, destination, budget)
+        if result is not None:
+            plan = _finalize(result, prices, k, request.max_iterations)
+            k_lower = k
+            next_k = (k + k_upper) / 2.0
+        else:
+            k_upper = k
+            next_k = (k + k_lower) / 2.0
+        # the midpoint rounds to k once the bracket is as narrow as floats allow,
+        # and halving the smallest positive float gives 0.0, which is no
+        # bandwidth: either way every later round would repeat this one
+        if next_k == k or next_k == 0.0:
+            break
+        k = next_k
     return plan
 
 

@@ -26,6 +26,10 @@ from collections.abc import Iterable, Sequence
 from budgetpath.records import Record, set_field
 
 
+# the most nodes `enumerate_best_path` enumerates by default: its time is exponential
+ORACLE_MAX_NODES = 12
+
+
 class SearchError(ValueError):
     """Invalid search inputs."""
 
@@ -217,18 +221,17 @@ def enumerate_best_path(
     source: int,
     destination: int,
     cost_cap: float,
-    max_nodes: int = 12,
-    force: bool = False,
+    max_nodes: int = ORACLE_MAX_NODES,
 ) -> PathResult | None:
     """Exact reference: enumerate every simple path and keep the best.
 
     Minimizes total latency among cap-feasible paths; ties broken by lower
-    cost, then lexicographic path. Exponential, so guarded to small graphs
-    unless `force` is set.
+    cost, then lexicographic path. Exponential, so refused on graphs of
+    more than `max_nodes` nodes.
     """
     _check_node(weights.n, source, "source")
     _check_node(weights.n, destination, "destination")
-    if weights.n > max_nodes and not force:
+    if weights.n > max_nodes:
         raise SearchError(f"oracle enumeration refused for n={weights.n} > {max_nodes}")
 
     edges = weights.edges

@@ -20,7 +20,7 @@ from budgetpath.billing import (
 )
 from budgetpath.planner import build_weights, plan_transfer, sender_configs
 from budgetpath.records import Record, set_field
-from budgetpath.search import enumerate_best_path
+from budgetpath.search import ORACLE_MAX_NODES, enumerate_best_path
 from budgetpath.topology import Topology
 
 NAIVE_DEFINITION = (
@@ -173,9 +173,8 @@ def compare(
     topology: Topology,
     request: TransferRequest,
     rule: str = "threshold",
-    oracle_max_nodes: int = 12,
 ) -> SimulationReport:
-    """Planner vs. naive baseline vs. (on small graphs) the exact oracle."""
+    """Planner vs. naive baseline vs. the exact oracle (on at most `ORACLE_MAX_NODES` nodes)."""
     rows = []
     plan = plan_transfer(topology, request, rule)
     planner_latency = None
@@ -194,11 +193,9 @@ def compare(
         ReportRow("naive", naive_path, naive_latency, naive_cost, naive_cost <= request.budget_usd)
     )
 
-    if plan is not None and len(topology) <= oracle_max_nodes:
+    if plan is not None and len(topology) <= ORACLE_MAX_NODES:
         weights, prices = build_weights(topology, request, plan.fraction_k, rule)
-        best = enumerate_best_path(
-            weights, request.source, request.destination, request.budget_usd, oracle_max_nodes
-        )
+        best = enumerate_best_path(weights, request.source, request.destination, request.budget_usd)
         if best is not None:
             configs = sender_configs(best.path, prices)
             latency, cost = simulate_transfer(topology, best.path, configs, request.data_size_gb)

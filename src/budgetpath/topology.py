@@ -80,12 +80,10 @@ class LinkSpec(Record):
 class Topology(Record):
     """Validated nodes and directed links; the edge list is built on first use."""
 
-    _fields = ("nodes", "links", "directed")
+    _fields = ("nodes", "links")
     __slots__ = (*_fields, "_edges")
 
-    def __init__(
-        self, nodes: tuple[NodeSpec, ...], links: tuple[LinkSpec, ...], directed: bool = True
-    ) -> None:
+    def __init__(self, nodes: tuple[NodeSpec, ...], links: tuple[LinkSpec, ...]) -> None:
         ids = [n.id for n in nodes]
         if ids != list(range(len(nodes))):
             raise TopologyError(f"node ids must be unique and contiguous from 0, got {ids}")
@@ -107,7 +105,6 @@ class Topology(Record):
             seen.add((link.src, link.dst))
         set_field(self, "nodes", nodes)
         set_field(self, "links", links)
-        set_field(self, "directed", directed)
         set_field(self, "_edges", None)
 
     def __len__(self) -> int:
@@ -160,7 +157,7 @@ def expand_undirected(topology: Topology) -> Topology:
                 f"links ({link.src}, {link.dst}) and ({link.dst}, {link.src}) disagree on rtt "
                 "in undirected mode"
             )
-    return Topology(topology.nodes, tuple(links), directed=True)
+    return Topology(topology.nodes, tuple(links))
 
 
 def _parse_rate(entry: dict, key: str, where: str) -> float | None:
@@ -264,7 +261,7 @@ def topology_from_dict(doc: dict, mode: str = "undirected") -> Topology:
         except _ENTRY_ERRORS as exc:
             raise _entry_error(f"link entry {index}", entry, f"invalid value: {exc}") from exc
 
-    topology = Topology(tuple(nodes), tuple(links), directed=True)
+    topology = Topology(tuple(nodes), tuple(links))
     if mode == "undirected":
         topology = expand_undirected(topology)
     return topology
@@ -363,5 +360,5 @@ def probe_rtts(
                 link.rtt_s * 1000.0,
             )
             links.append(link)
-    return Topology(topology.nodes, tuple(links), directed=topology.directed)
+    return Topology(topology.nodes, tuple(links))
 

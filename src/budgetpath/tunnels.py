@@ -134,6 +134,7 @@ def build_tunnels(
     upstream one, so transit traffic is routed onward at each relay.
     Distinct hosts share `base_port`; when two path nodes share a public
     address (loopback test setups) each node gets base_port + path index.
+    Every node's port must be in 1..65535.
     """
     path = plan.path
     if len(path) < 2:
@@ -157,6 +158,9 @@ def build_tunnels(
     public_addresses = [topology.node(i).public_address for i in path]
     shared_host = len(set(public_addresses)) < len(public_addresses)
     ports = [base_port + i if shared_host else base_port for i in range(len(path))]
+    for port in ports:
+        if not 1 <= port <= 65535:
+            raise TunnelError(f"listen port {port} is outside 1..65535")
     identity_keys = identity_keys or {}
     keypairs = [
         identity_keys[node_id] if node_id in identity_keys else generate_keypair(entropy_source())

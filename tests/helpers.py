@@ -1,5 +1,6 @@
-"""Shared test machinery: random instance generators, an independent
-X25519 reference implementation, and a cryptokey-routing walker.
+"""Shared test machinery: random instance generators, a recorder of the
+planner's rounds, an independent X25519 reference implementation, and a
+cryptokey-routing walker.
 """
 
 from __future__ import annotations
@@ -7,7 +8,8 @@ from __future__ import annotations
 import math
 import random
 
-from budgetpath.search import EdgeList, EdgeWeights
+from budgetpath import planner
+from budgetpath.search import EdgeList, EdgeWeights, PathResult
 from budgetpath.topology import LinkSpec, NodeSpec, Topology
 from budgetpath.tunnels import TunnelSpec, clamp_scalar
 
@@ -82,6 +84,52 @@ def random_topology(rng: random.Random, n_min: int = 2, n_max: int = 7) -> Topol
             seen.add((v, u))
             link_specs.append(LinkSpec(v, u, rtt))
     return Topology(tuple(nodes), tuple(link_specs))
+
+
+# --- the planner's rounds --------------------------------------------
+
+def record_rounds(monkeypatch) -> list[tuple[float, object]]:
+    """A list that `plan_transfer` appends each of its rounds to, as (k, outcome).
+
+    The outcome is the search's PathResult when the round was feasible,
+    None when the search found no path within the budget, and ValueError
+    when `build_weights` could not price a node at k. Step 1 is the first
+    round, at k = 1.0.
+    """
+    rounds = []
+    build_weights, search_min_latency = planner.build_weights, planner.search_min_latency
+
+    def recording_build_weights(topology, request, fraction_k, rule="threshold"):
+        rounds.append((fraction_k, ValueError))
+        return build_weights(topology, request, fraction_k, rule)
+
+    def recording_search(weights, source, destination, cost_cap):
+        result = search_min_latency(weights, source, destination, cost_cap)
+        rounds[-1] = (rounds[-1][0], result)
+        return result
+
+    monkeypatch.setattr(planner, "build_weights", recording_build_weights)
+    monkeypatch.setattr(planner, "search_min_latency", recording_search)
+    return rounds
+
+
+def bisection_bracket(rounds: list[tuple[float, object]]) -> tuple[float, float]:
+    """The final bracket (k_lower, k_upper) that the binary-search rounds imply.
+
+    `rounds` are the rounds after step 1. Each round's k must be the
+    midpoint of the bracket that the earlier outcomes left: a feasible
+    round raises k_lower to its k, any other lowers k_upper to it.
+    """
+    k, lower, upper = 0.5, 0.0, 1.0
+    for i, (round_k, outcome) in enumerate(rounds):
+        assert round_k == k, f"round {i} ran at k={round_k!r}, the bracket's midpoint is {k!r}"
+        if isinstance(outcome, PathResult):
+            lower = k
+            k = (k + upper) / 2.0
+        else:
+            upper = k
+            k = (k + lower) / 2.0
+    return lower, upper
 
 
 # --- independent X25519 reference (Montgomery ladder) ------------------

@@ -11,12 +11,16 @@ import pytest
 
 from budgetpath.billing import TransferRequest, data_threshold, payg_cost, pfdt_cost
 from budgetpath.cli import run
-from budgetpath.planner import plan_transfer_with_state
+from budgetpath.planner import plan_transfer
+from budgetpath.search import PathResult
 from budgetpath.search import enumerate_best_path, search_min_latency
 from budgetpath.simulate import compare, naive_baseline, simulate_transfer
 from budgetpath.topology import LinkSpec, NodeSpec, Topology
 from budgetpath.tunnels import build_tunnels, generate_keypair, parse_conf, render_conf
-from helpers import path_sums, random_topology, random_weights, route_packet, x25519_reference
+from helpers import (
+    bisection_bracket, path_sums, random_topology, random_weights, record_rounds, route_packet,
+    x25519_reference,
+)
 from test_cli import TESTBED, run_pipeline
 from test_simulate import full_pfdt_configs, line_topology
 from test_tunnels import RFC7748_PUBLIC, RFC7748_SCALAR, make_plan, make_topology, seeded_entropy
@@ -88,9 +92,10 @@ def test_criterion_2_search_soundness_suite():
     )
 
 
-def test_criterion_3_planner_budget_safety_and_bracket_contraction():
+def test_criterion_3_planner_budget_safety_and_bracket_contraction(monkeypatch):
     rng = random.Random(7261)
     instances = planned = brackets = 0
+    rounds = record_rounds(monkeypatch)
     while instances < 500:
         instances += 1
         topo = random_topology(rng)
@@ -98,11 +103,16 @@ def test_criterion_3_planner_budget_safety_and_bracket_contraction():
         request = TransferRequest(
             rng.randrange(n), rng.randrange(n),
             rng.uniform(0.1, 40.0), rng.uniform(0.0, 2.5), rng.randint(1, 10))
-        plan, state = plan_transfer_with_state(topo, request)
-        if state.iteration > 0:
+        rounds.clear()
+        plan = plan_transfer(topo, request)
+        assert rounds[0][0] == 1.0
+        bisection = rounds[1:]
+        if bisection:
             brackets += 1
-            assert state.k_upper - state.k_lower <= 2.0 ** -state.iteration + 1e-15
-            assert state.iteration == request.max_iterations
+            assert not isinstance(rounds[0][1], PathResult)
+            k_lower, k_upper = bisection_bracket(bisection)
+            assert k_upper - k_lower <= 2.0 ** -len(bisection) + 1e-15
+            assert len(bisection) == request.max_iterations
         if plan is None:
             continue
         planned += 1

@@ -168,6 +168,19 @@ class TestTransferRequest:
         with pytest.raises(ValueError, match=message):
             TransferRequest(0, 1, data_gb, budget, 5)
 
+    @pytest.mark.parametrize("fields, message", [
+        ((0, 5, 10.0, 1.5, 2.5), "max_iterations must be an integer, got 2.5"),
+        ((0, 5, 10.0, 1.5, 10.0), "max_iterations must be an integer, got 10.0"),
+        ((0, 5, 10.0, 1.5, True), "max_iterations must be an integer, got True"),
+        ((True, 5, 10.0, 1.5, 10), "source must be an integer, got True"),
+        ((0.0, 5, 10.0, 1.5, 10), "source must be an integer, got 0.0"),
+        ((0, False, 10.0, 1.5, 10), "destination must be an integer, got False"),
+        ((0, "5", 10.0, 1.5, 10), "destination must be an integer, got '5'"),
+    ])
+    def test_rejects_endpoints_and_iteration_caps_that_are_not_integers(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            TransferRequest(*fields)
+
     def test_infinite_budget_is_valid(self):
         assert TransferRequest(0, 1, 1.0, math.inf, 5).budget_usd == math.inf
 

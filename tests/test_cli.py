@@ -301,6 +301,28 @@ class TestErrorsEndInOneLine:
                     *(word for pair in numbers.items() for word in pair)])
         assert message in assert_one_error_line(capsys, code)
 
+    @pytest.mark.parametrize("port, shared, message", [
+        ("0", False, "listen port 0 is outside 1..65535"),
+        ("-5", False, "listen port -5 is outside 1..65535"),
+        ("70000", False, "listen port 70000 is outside 1..65535"),
+        ("65535", True, "listen port 65536 is outside 1..65535"),
+    ])
+    def test_port_out_of_range(self, tmp_path, capsys, port, shared, message):
+        plan_file = _plan_file(tmp_path)
+        assert len(json.loads(plan_file.read_text())["path"]) == 3
+        topology = TESTBED
+        if shared:  # path nodes on one address listen on port + path index
+            doc = json.loads(Path(TESTBED).read_text())
+            for node in doc["nodes"]:
+                node["public_address"] = "127.0.0.1"
+            topology = tmp_path / "shared.json"
+            topology.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["render-wg", "--topology", str(topology), "--plan", str(plan_file),
+                    "--port", port, "--seed", "1", "--out-dir", str(tmp_path / "wg")])
+        assert message in assert_one_error_line(capsys, code)
+        assert not (tmp_path / "wg").exists()
+
     def test_tunnel_error(self, tmp_path, capsys):
         plan_file = _plan_file(tmp_path)
         capsys.readouterr()

@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,13 +23,14 @@ from budgetpath.planner import (
     plan_from_dict,
     plan_to_dict,
     plan_transfer,
-    plan_transfer_with_state,
     save_plan,
 )
 from budgetpath.search import PathResult
 from budgetpath.simulate import simulate_transfer
-from budgetpath.topology import LinkSpec, NodeSpec, Topology
-from helpers import random_topology
+from budgetpath.topology import LinkSpec, NodeSpec, Topology, load_topology
+from helpers import bisection_bracket, random_topology, record_rounds
+
+TESTBED = Path(__file__).resolve().parent.parent / "fixtures" / "testbed6.json"
 
 K1, K2 = 0.021, 0.081
 
@@ -173,18 +175,23 @@ class TestPlanTransfer:
         assert plan.iterations_used == 0
         assert plan.predicted_cost_usd == pytest.approx(0.081)
 
-    def test_zero_budget_exhausts_iterations(self):
+    def test_zero_budget_exhausts_iterations(self, monkeypatch):
         topo = make_topology(2)
-        plan, state = plan_transfer_with_state(topo, TransferRequest(0, 1, 1.0, 0.0, 10))
+        rounds = record_rounds(monkeypatch)
+        plan = plan_transfer(topo, TransferRequest(0, 1, 1.0, 0.0, 10))
         assert plan is None
-        assert state.iteration == 10
+        assert rounds[0] == (1.0, None)
+        assert len(rounds[1:]) == 10
+        assert not any(isinstance(outcome, PathResult) for _, outcome in rounds)
+        bisection_bracket(rounds[1:])
 
     def test_source_equals_destination_empty_plan(self):
         topo = make_topology(2)
         plan = plan_transfer(topo, TransferRequest(0, 0, 1.0, 0.0, 5))
         assert plan.path == (0,)
-        assert plan.predicted_cost_usd == 0.0
-        assert plan.predicted_latency_s == 0.0
+        # the search's empty sums: floats, as on every other path
+        assert (plan.predicted_cost_usd, plan.predicted_latency_s) == (0.0, 0.0)
+        assert type(plan.predicted_cost_usd) is type(plan.predicted_latency_s) is float
         assert plan.configs == {}
 
     def test_destination_and_off_path_unbilled(self):
@@ -194,14 +201,15 @@ class TestPlanTransfer:
         assert set(plan.configs) == set(plan.path[:-1])
 
     @pytest.mark.parametrize("budget", [1.20, 1.50, 1.60, 1.90, 2.05])
-    def test_binary_search_replay(self, budget):
+    def test_binary_search_replay(self, monkeypatch, budget):
         # 2-node link, 30 GB, budget below the full-bandwidth PAYG cost of
         # $2.10: replay the bracket loop against the cost formula directly.
         # PAYG cost here never drops under 0.021 * (30*8000/3600) = $1.40,
         # so the smallest budgets stay infeasible through all iterations.
         topo = make_topology(2)
         request = TransferRequest(0, 1, 30.0, budget, 12)
-        plan, state = plan_transfer_with_state(topo, request)
+        rounds = record_rounds(monkeypatch)
+        plan = plan_transfer(topo, request)
 
         def cost_at(k):
             bw = k * 100.0
@@ -213,7 +221,9 @@ class TestPlanTransfer:
         assert cost_at(1.0) == pytest.approx(2.10)  # step 1 must fail
         k, lo, hi = 0.5, 0.0, 1.0
         expected_k = None
+        expected_rounds = []
         for _ in range(12):
+            expected_rounds.append((k, cost_at(k) <= budget))
             if cost_at(k) <= budget:
                 expected_k = k
                 lo = k
@@ -221,7 +231,8 @@ class TestPlanTransfer:
             else:
                 hi = k
                 k = (k + lo) / 2
-        assert state.iteration == 12
+        assert rounds[0] == (1.0, None)
+        assert [(k, isinstance(outcome, PathResult)) for k, outcome in rounds[1:]] == expected_rounds
         if expected_k is None:
             assert plan is None
         else:
@@ -230,12 +241,37 @@ class TestPlanTransfer:
             assert plan.predicted_cost_usd == pytest.approx(cost_at(expected_k))
             assert plan.predicted_cost_usd <= budget
             assert plan.iterations_used == 12
-        assert (state.k_lower, state.k_upper) == (lo, hi)
+        assert bisection_bracket(rounds[1:]) == (lo, hi)
 
-    def test_bracket_contraction(self):
+    def test_bracket_contraction(self, monkeypatch):
         topo = make_topology(2)
-        _, state = plan_transfer_with_state(topo, TransferRequest(0, 1, 30.0, 1.20, 12))
-        assert state.k_upper - state.k_lower <= 2.0 ** -12 + 1e-15
+        rounds = record_rounds(monkeypatch)
+        plan_transfer(topo, TransferRequest(0, 1, 30.0, 1.20, 12))
+        assert len(rounds[1:]) == 12
+        k_lower, k_upper = bisection_bracket(rounds[1:])
+        assert k_upper - k_lower <= 2.0 ** -12 + 1e-15
+
+    @pytest.mark.parametrize("budget", [0.0, 1.0, 1.5])
+    def test_search_stops_once_k_is_unchanged(self, monkeypatch, budget):
+        # a round that leaves k unchanged would be repeated by every later
+        # one, so an iteration cap of 10**7 costs no more rounds than the
+        # bisection takes to reach that point
+        topo = load_topology(TESTBED)
+        rounds = record_rounds(monkeypatch)
+        plan = plan_transfer(topo, TransferRequest(0, 5, 10.0, budget, 10**7))
+        assert rounds[0][0] == 1.0 and not isinstance(rounds[0][1], PathResult)
+        assert len(rounds) <= 1100
+        bisection_bracket(rounds[1:])
+        reference = plan_transfer(topo, TransferRequest(0, 5, 10.0, budget, 1100))
+        assert (reference is None) == (budget == 0.0)
+        if reference is None:
+            assert plan is None
+        else:
+            assert plan.iterations_used == 10**7
+            assert reference.iterations_used == 1100
+            for field in Plan._fields:
+                if field != "iterations_used":
+                    assert getattr(plan, field) == getattr(reference, field), field
 
     def test_invalid_endpoints(self):
         topo = make_topology(2)

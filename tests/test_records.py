@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from budgetpath.billing import BillingMethod, NodeBillingConfig, TransferRequest
-from budgetpath.planner import BinarySearchState, Plan
+from budgetpath.planner import Plan
 from budgetpath.search import EdgeList, EdgeWeights, PathResult
 from budgetpath.simulate import ReportRow, SimulationReport
 from budgetpath.topology import LinkSpec, NodeSpec, Topology
@@ -79,11 +79,9 @@ FIELDS = {
                        "max_egress_mbps": 100.0, "payg_rate": None, "pfdt_rate": 0.081},
     LinkSpec: lambda: {"src": 0, "dst": 1, "rtt_s": 0.01},
     Topology: lambda: {"nodes": (_node(0), _node(1)),
-                       "links": (LinkSpec(0, 1, 0.01), LinkSpec(1, 0, 0.01)), "directed": True},
+                       "links": (LinkSpec(0, 1, 0.01), LinkSpec(1, 0, 0.01))},
     Plan: lambda: {"path": (0, 1), "configs": {0: _config()}, "predicted_cost_usd": 0.081,
                    "predicted_latency_s": 80.0, "fraction_k": 1.0, "iterations_used": 0},
-    BinarySearchState: lambda: {"k": 0.25, "k_lower": 0.0, "k_upper": 0.5, "iteration": 2,
-                                "best_plan": None},
     ReportRow: lambda: {"label": "naive", "path": None, "latency_s": None, "cost_usd": None,
                         "feasible": False},
     SimulationReport: lambda: {"rows": (_row(),), "improvement": 0.5},
@@ -93,8 +91,7 @@ FIELDS = {
     TunnelSpec: lambda: {"node_id": 0, "overlay_address": "10.44.0.1/24", "listen_port": 51820,
                          "keypair": _keypair(), "peers": (_peer(),)},
 }
-UNHASHABLE = {Plan, BinarySearchState}  # a dict field; mutable
-MUTABLE = {BinarySearchState}
+UNHASHABLE = {Plan}  # a dict field
 by_name = pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
 
 
@@ -131,11 +128,8 @@ def test_fields_cannot_be_assigned(cls):
     fields = FIELDS[cls]()
     record = cls(**fields)
     for name, value in fields.items():
-        if cls in MUTABLE:
+        with pytest.raises(AttributeError):
             setattr(record, name, value)
-        else:
-            with pytest.raises(AttributeError):
-                setattr(record, name, value)
     assert record == cls(**FIELDS[cls]())
 
 
@@ -146,9 +140,7 @@ def test_pickle_round_trip(cls):
 
 
 def test_defaults():
-    assert BinarySearchState() == BinarySearchState(0.5, 0.0, 1.0, 0, None)
     assert PeerEntry("AAAA", "203.0.113.2:51820", ("10.44.0.2/32",)).keepalive_s == 25
-    assert Topology((_node(0),), ()).directed is True
 
 
 def test_topology_builds_its_edge_list_once():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from budgetpath.search import (
+    ORACLE_MAX_NODES,
     EdgeList,
     EdgeWeights,
     PathResult,
@@ -89,10 +90,12 @@ class TestOracle:
         assert enumerate_best_path(w, 0, 2, 10.0) is None
 
     def test_node_guard(self):
-        w = random_weights(random.Random(0), 13)
+        assert ORACLE_MAX_NODES == 12
+        enumerate_best_path(random_weights(random.Random(0), ORACLE_MAX_NODES), 0, 1, 1.0)
+        w = random_weights(random.Random(0), ORACLE_MAX_NODES + 1)
         with pytest.raises(SearchError, match="refused"):
             enumerate_best_path(w, 0, 1, 1.0)
-        enumerate_best_path(w, 0, 1, 1.0, force=True)  # override allowed
+        enumerate_best_path(w, 0, 1, 1.0, max_nodes=w.n)  # a larger bound allowed
 
     def test_monotone_in_cap(self):
         rng = random.Random(11)

@@ -113,6 +113,20 @@ class TestBuildTunnels:
         specs = build_tunnels(make_plan([0, 1, 2]), topo, entropy_source=seeded_entropy(4))
         assert [s.listen_port for s in specs] == [51820, 51821, 51822]
 
+    @pytest.mark.parametrize("shared, base_port, ok", [
+        (False, 1, True), (False, 65535, True), (True, 65533, True),
+        (False, 0, False), (False, -5, False), (False, 65536, False), (True, 65534, False),
+    ])
+    def test_every_port_is_in_range(self, shared, base_port, ok):
+        topo = make_topology(3, shared_address=shared)
+        build = lambda: build_tunnels(make_plan([0, 1, 2]), topo, base_port=base_port,
+                                      entropy_source=seeded_entropy(4))
+        if ok:
+            assert build()[-1].listen_port == base_port + 2 * shared
+        else:
+            with pytest.raises(TunnelError, match="outside 1..65535"):
+                build()
+
     def test_distinct_hosts_share_port(self):
         topo = make_topology(3)
         specs = build_tunnels(make_plan([0, 1, 2]), topo, entropy_source=seeded_entropy(4))
