@@ -237,32 +237,25 @@ def enumerate_best_path(
     edges = weights.edges
     offsets, dst, delay = edges.offsets, edges.dst, edges.delay
     a, b = weights.a, weights.b
-    best: PathResult | None = None
-
-    def visit(node: int, total_a: float, total_b: float, path: list[int], on_path: set[int]) -> None:
-        nonlocal best
-        if total_a > cost_cap:
-            return
+    if 0.0 > cost_cap:
+        return None
+    best: tuple[float, float, tuple[int, ...]] | None = None
+    stack = [(source, 0.0, 0.0, (source,))]
+    while stack:
+        node, total_a, total_b, path = stack.pop()
         if node == destination:
-            candidate = PathResult(tuple(path), total_a, total_b)
-            if best is None or (candidate.total_b, candidate.total_a, candidate.path) < (
-                best.total_b,
-                best.total_a,
-                best.path,
-            ):
-                best = candidate
-            return
+            if best is None or (total_b, total_a, path) < best:
+                best = (total_b, total_a, path)
+            continue
         next_a = total_a + a[node]
+        if next_a > cost_cap:
+            continue
         b_node = b[node]
         for e in range(offsets[node], offsets[node + 1]):
             nxt = dst[e]
-            if nxt in on_path:
-                continue
-            path.append(nxt)
-            on_path.add(nxt)
-            visit(nxt, next_a, total_b + (delay[e] + b_node), path, on_path)
-            on_path.remove(nxt)
-            path.pop()
-
-    visit(source, 0.0, 0.0, [source], {source})
-    return best
+            if nxt not in path:
+                stack.append((nxt, next_a, total_b + (delay[e] + b_node), path + (nxt,)))
+    if best is None:
+        return None
+    total_b, total_a, path = best
+    return PathResult(path, total_a, total_b)

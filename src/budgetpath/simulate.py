@@ -45,10 +45,13 @@ def simulate_transfer(
         if node_id not in configs:
             raise SimulationError(f"path node {node_id} has no billing config")
     latency = sum(
-        edge_latency(topology.rtt(u, v), data_size_gb, configs[u].bandwidth_mbps)
-        for u, v in zip(path, path[1:])
+        (
+            edge_latency(topology.rtt(u, v), data_size_gb, configs[u].bandwidth_mbps)
+            for u, v in zip(path, path[1:])
+        ),
+        0.0,
     )
-    cost = sum(node_cost(topology.node(i), configs[i], data_size_gb) for i in path[:-1])
+    cost = sum((node_cost(topology.node(i), configs[i], data_size_gb) for i in path[:-1]), 0.0)
     return latency, cost
 
 
@@ -62,10 +65,12 @@ def naive_baseline(
     """
     src, dst = request.source, request.destination
 
-    # BFS levels, then enumerate all minimum-hop paths over the level DAG.
+    # BFS levels, then one pass over the level DAG in level order.
     dist = {src: 0}
     frontier = [src]
+    levels = []
     while frontier:
+        levels.append(frontier)
         nxt_frontier = []
         for u in frontier:
             for v in topology.neighbors(u):
@@ -76,20 +81,29 @@ def naive_baseline(
     if dst not in dist:
         raise SimulationError(f"no path from {src} to {dst}")
 
-    candidates: list[tuple[float, tuple[int, ...]]] = []
-
-    def collect(node: int, path: list[int], rtt_sum: float) -> None:
-        if node == dst:
-            candidates.append((rtt_sum, tuple(path)))
-            return
-        for v in topology.neighbors(node):
-            if dist.get(v) == dist[node] + 1:
-                path.append(v)
-                collect(v, path, rtt_sum + topology.rtt(node, v))
-                path.pop()
-
-    collect(src, [src], 0.0)
-    _, path = min(candidates, key=lambda item: (item[0], item[1]))
+    # Each node keeps the (rtt_sum, path) labels that no other label there
+    # beats on both. All paths to a node have the same length, and float
+    # addition is monotone, so every extension of a beaten label is beaten
+    # by the same extension of the label that beats it.
+    labels = {src: [(0.0, (src,))]}
+    for level in levels[: dist[dst]]:
+        reached: dict[int, list[tuple[float, tuple[int, ...]]]] = {}
+        for u in level:
+            here = labels.pop(u)
+            for v in topology.neighbors(u):
+                if dist[v] == dist[u] + 1:
+                    rtt = topology.rtt(u, v)
+                    reached.setdefault(v, []).extend(
+                        (rtt_sum + rtt, path + (v,)) for rtt_sum, path in here
+                    )
+        for v, found in reached.items():
+            found.sort()
+            kept = [found[0]]
+            for label in found:
+                if label[1] < kept[-1][1]:
+                    kept.append(label)
+            labels[v] = kept
+    _, path = labels[dst][0]
 
     configs = {}
     for node_id in path[:-1]:

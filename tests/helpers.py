@@ -1,12 +1,14 @@
 """Shared test machinery: random instance generators, a recorder of the
-planner's rounds, an independent X25519 reference implementation, and a
-cryptokey-routing walker.
+planner's rounds, the naive baseline's path by enumeration, an independent
+X25519 reference implementation, and a cryptokey-routing walker.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+from collections.abc import Callable
 
 from budgetpath import planner
 from budgetpath.search import EdgeList, EdgeWeights, PathResult
@@ -84,6 +86,82 @@ def random_topology(rng: random.Random, n_min: int = 2, n_max: int = 7) -> Topol
             seen.add((v, u))
             link_specs.append(LinkSpec(v, u, rtt))
     return Topology(tuple(nodes), tuple(link_specs))
+
+
+def grid_topology(rng: random.Random, width: int, height: int, rtts: list[float]) -> Topology:
+    """A width x height grid, node r * width + c at row r and column c.
+
+    Each undirected link draws its rtt from `rtts`; a short list gives many
+    ties between paths.
+    """
+    nodes = tuple(
+        NodeSpec(i, f"n{i}", f"198.51.100.{i % 250 + 1}", 100.0, 0.021, 0.081)
+        for i in range(width * height)
+    )
+    links = []
+    for r in range(height):
+        for c in range(width):
+            i = r * width + c
+            for j in ([i + 1] if c + 1 < width else []) + ([i + width] if r + 1 < height else []):
+                rtt = rng.choice(rtts)
+                links += [LinkSpec(i, j, rtt), LinkSpec(j, i, rtt)]
+    return Topology(nodes, tuple(links))
+
+
+# --- the naive baseline by enumeration ----------------------------------
+
+def naive_path_by_enumeration(topology: Topology, src: int, dst: int) -> tuple[int, ...] | None:
+    """The naive baseline's path, from every minimum-hop path (exponential).
+
+    Enumerates every path over the BFS level DAG and keeps the least
+    (rtt_sum, path), with rtt_sum added left to right along the path.
+    None when dst is unreachable.
+    """
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt_frontier = []
+        for u in frontier:
+            for v in topology.neighbors(u):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt_frontier.append(v)
+        frontier = nxt_frontier
+    if dst not in dist:
+        return None
+
+    candidates = []
+
+    def collect(node: int, path: list[int], rtt_sum: float) -> None:
+        if node == dst:
+            candidates.append((rtt_sum, tuple(path)))
+            return
+        for v in topology.neighbors(node):
+            if dist.get(v) == dist[node] + 1:
+                path.append(v)
+                collect(v, path, rtt_sum + topology.rtt(node, v))
+                path.pop()
+
+    collect(src, [src], 0.0)
+    return min(candidates)[1]
+
+
+def cyclic_garbage(call: Callable[[], object]) -> int:
+    """Objects that one `call()` leaves behind in reference cycles.
+
+    Runs `call` once to fill caches, such as a topology's edge list, then
+    again with the collector off, and counts what a full collection frees.
+    """
+    call()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        call()
+    finally:
+        if enabled:
+            gc.enable()
+    return gc.collect()
 
 
 # --- the planner's rounds --------------------------------------------

@@ -3,7 +3,8 @@
 The planner is a heuristic, so a change that alters its arithmetic or its
 tie-breaking changes answers without breaking any invariant the other
 tests check. This test compares plans, comparison reports and oracle
-results with the recorded ones exactly; floats round-trip through JSON.
+results with the recorded ones exactly, as JSON text, so a number that
+changes type (0 for 0.0) fails it too; floats round-trip through JSON.
 The `searches` answers were recorded with a per-edge search run on each
 node-billed instance's per-edge expansion, a[e] = a[src[e]] and
 b[e] = delay[e] + b[src[e]], so they also pin that the node-billed search
@@ -168,7 +169,8 @@ def test_answers_match_golden():
     for key in ("plans", "reports", "searches", "sparse_plans"):
         assert len(computed[key]) == len(golden[key]), key
         for i, (mine, pinned) in enumerate(zip(computed[key], golden[key])):
-            assert mine == pinned, f"{key}[{i}]"
+            # as JSON text, which tells 0 from 0.0 where == on numbers would not
+            assert json.dumps(mine) == json.dumps(pinned), f"{key}[{i}]"
 
 
 def test_golden_covers_every_planner_outcome():

@@ -13,7 +13,7 @@ from budgetpath.search import (
     enumerate_best_path,
     search_min_latency,
 )
-from helpers import edge_triples, is_connected, path_sums, random_weights
+from helpers import cyclic_garbage, edge_triples, is_connected, path_sums, random_weights
 
 
 def node_billed(n, delays, a, b):
@@ -96,6 +96,10 @@ class TestOracle:
         with pytest.raises(SearchError, match="refused"):
             enumerate_best_path(w, 0, 1, 1.0)
         enumerate_best_path(w, 0, 1, 1.0, max_nodes=w.n)  # a larger bound allowed
+
+    def test_leaves_no_cyclic_garbage(self):
+        w = random_weights(random.Random(8), 8)
+        assert cyclic_garbage(lambda: enumerate_best_path(w, 0, 7, math.inf)) == 0
 
     def test_monotone_in_cap(self):
         rng = random.Random(11)

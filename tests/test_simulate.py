@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from budgetpath.simulate import (
     simulate_transfer,
 )
 from budgetpath.topology import LinkSpec, NodeSpec, Topology
-from helpers import random_topology
+from helpers import cyclic_garbage, grid_topology, naive_path_by_enumeration, random_topology
 
 
 def line_topology(n, cap=100.0, rtt=0.0):
@@ -41,6 +42,17 @@ class TestSimulateTransfer:
     def test_empty_path(self):
         topo = line_topology(2)
         assert simulate_transfer(topo, (0,), {}, 1.0) == (0.0, 0.0)
+
+    def test_one_node_path_totals_are_floats(self):
+        topo = line_topology(2)
+        for total in simulate_transfer(topo, (0,), {}, 1.0):
+            assert type(total) is float
+        report = compare(topo, TransferRequest(1, 1, 1.0, 5.0, 5))
+        assert [r.label for r in report.rows] == ["planner", "naive", "oracle"]
+        for row in report.rows:
+            assert row.path == (1,)
+            assert type(row.latency_s) is float and row.latency_s == 0.0
+            assert type(row.cost_usd) is float and row.cost_usd == 0.0
 
     def test_missing_config_rejected(self):
         topo = line_topology(3)
@@ -87,6 +99,88 @@ class TestNaiveBaseline:
             # no simple path may beat the baseline's hop count
             for other in _all_simple_paths(topo, src, dst):
                 assert len(other) - 1 >= hops
+
+    def test_matches_enumeration(self):
+        # grids and three rtt values give many equal and nearly equal sums:
+        # 0.1 + 0.2 != 0.3 in floats, and sums round differently by order
+        rng = random.Random(2026)
+        checked = 0
+        for i in range(1200):
+            kind = i % 4
+            if kind == 0:
+                topo = random_topology(rng, 2, 9)
+            elif kind == 1:
+                topo = random_topology(rng, 2, 9)
+                topo = Topology(topo.nodes, tuple(
+                    LinkSpec(l.src, l.dst, [0.1, 0.2, 0.3][(l.src + l.dst) % 3]) for l in topo.links
+                ))
+            elif kind == 2:
+                topo = grid_topology(rng, rng.randint(1, 6), rng.randint(1, 5), [0.1, 0.2, 0.3])
+            else:
+                rtts = [rng.uniform(0.001, 0.3) for _ in range(rng.randint(1, 4))]
+                topo = grid_topology(rng, rng.randint(1, 6), rng.randint(1, 5), rtts)
+            src, dst = rng.randrange(len(topo)), rng.randrange(len(topo))
+            expected = naive_path_by_enumeration(topo, src, dst)
+            if expected is None:
+                with pytest.raises(SimulationError, match="no path"):
+                    naive_baseline(topo, TransferRequest(src, dst, 1.0, 0.0, 1))
+                continue
+            path, _ = naive_baseline(topo, TransferRequest(src, dst, 1.0, 0.0, 1))
+            assert path == expected, (i, src, dst)
+            checked += 1
+        assert checked >= 1000
+
+    def test_rounding_tie_keeps_slower_lexicographically_smaller_prefix(self):
+        # at node 3, (0, 1, 3) is one ulp slower than (0, 2, 3); adding 1.0
+        # rounds both sums to the same float, so the lexicographic rule picks
+        # the slower prefix, which a per-node minimum rtt would have dropped
+        slow = math.nextafter(0.1, 1.0)
+        assert slow + 1.0 == 0.1 + 1.0
+        nodes = tuple(NodeSpec(i, f"n{i}", f"198.51.100.{i+1}", 100.0, 0.021, 0.081)
+                      for i in range(5))
+        links = (LinkSpec(0, 1, slow), LinkSpec(0, 2, 0.1), LinkSpec(1, 3, 0.0),
+                 LinkSpec(2, 3, 0.0), LinkSpec(3, 4, 1.0))
+        topo = Topology(nodes, links)
+        path, _ = naive_baseline(topo, TransferRequest(0, 4, 1.0, 0.0, 1))
+        assert path == (0, 1, 3, 4) == naive_path_by_enumeration(topo, 0, 4)
+
+    def test_grid_15x15_makes_polynomially_many_calls(self, monkeypatch):
+        # corner to corner there are C(28, 14) = 40116600 minimum-hop paths
+        width = 15
+        topo = grid_topology(random.Random(15), width, width, [0.01, 0.02, 0.03, 0.05])
+        rtt_of = {(l.src, l.dst): l.rtt_s for l in topo.links}
+        calls = {"neighbors": 0, "rtt": 0}
+        neighbors, rtt = Topology.neighbors, Topology.rtt
+
+        def counting_neighbors(self, node_id):
+            calls["neighbors"] += 1
+            return neighbors(self, node_id)
+
+        def counting_rtt(self, src, dst):
+            calls["rtt"] += 1
+            return rtt(self, src, dst)
+
+        monkeypatch.setattr(Topology, "neighbors", counting_neighbors)
+        monkeypatch.setattr(Topology, "rtt", counting_rtt)
+        path, _ = naive_baseline(topo, TransferRequest(0, width * width - 1, 1.0, 0.0, 1))
+        # the BFS lists each node's neighbours once, the pass once more for
+        # each node before the destination's level; one rtt per DAG edge
+        assert calls["neighbors"] <= 2 * len(topo)
+        assert calls["rtt"] <= len(topo.links)
+
+        assert len(path) == 2 * width - 1
+        # least left-to-right rtt sum, row by row over the right/down DAG
+        least = {0: 0.0}
+        for i in range(1, width * width):
+            r, c = divmod(i, width)
+            least[i] = min(
+                least[j] + rtt_of[(j, i)]
+                for j in ([i - width] if r else []) + ([i - 1] if c else [])
+            )
+        rtt_sum = 0.0
+        for u, v in zip(path, path[1:]):
+            rtt_sum += rtt_of[(u, v)]
+        assert rtt_sum == least[width * width - 1]
 
 
 def _all_simple_paths(topo, src, dst):
@@ -160,3 +254,16 @@ class TestCompare:
         r2 = compare(topo, request)
         assert r1.to_json() == r2.to_json()
         assert r1.to_table() == r2.to_table()
+
+
+@pytest.mark.parametrize("call", [naive_baseline, compare], ids=["naive_baseline", "compare"])
+def test_leaves_no_cyclic_garbage(call):
+    rng = random.Random(9)
+    for _ in range(20):
+        topo = random_topology(rng, 5, 9)
+        request = TransferRequest(0, len(topo) - 1, rng.uniform(0.1, 40.0), rng.uniform(0.0, 3.0), 8)
+        try:
+            garbage = cyclic_garbage(lambda: call(topo, request))
+        except SimulationError:  # the destination is unreachable
+            continue
+        assert garbage == 0
