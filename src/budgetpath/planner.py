@@ -261,5 +261,16 @@ def save_plan(plan: Plan, path) -> None:
 
 
 def load_plan(path, n_nodes: int) -> Plan:
-    with open(path) as fh:
-        return plan_from_dict(json.load(fh), n_nodes)
+    """Read a plan file and check it against a topology of `n_nodes` nodes.
+
+    A file that is not UTF-8 JSON is reported with its path.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, nested too deeply, or holding a number too long to read
+        raise ValueError(f"{path}: {exc}") from exc
+    return plan_from_dict(doc, n_nodes)

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from budgetpath.records import Record, set_field
-from budgetpath.search import EdgeList
 
 _NODE_KEYS = {
     "id",
@@ -57,8 +56,11 @@ class NodeSpec(Record):
         set_field(self, "pfdt_rate", pfdt_rate)
 
     def validate(self) -> None:
-        if self.max_egress_mbps <= 0:
-            raise TopologyError(f"node {self.id} ({self.name}): max_egress_mbps must be > 0")
+        if not 0 < self.max_egress_mbps < math.inf:
+            raise TopologyError(
+                f"node {self.id} ({self.name}): max_egress_mbps must be finite and > 0, "
+                f"got {self.max_egress_mbps}"
+            )
         if self.payg_rate is None and self.pfdt_rate is None:
             raise TopologyError(f"node {self.id} ({self.name}): no billing rate given")
         for label, rate in (("payg", self.payg_rate), ("pfdt", self.pfdt_rate)):
@@ -84,25 +86,29 @@ class Topology(Record):
     __slots__ = (*_fields, "_edges")
 
     def __init__(self, nodes: tuple[NodeSpec, ...], links: tuple[LinkSpec, ...]) -> None:
-        ids = [n.id for n in nodes]
-        if ids != list(range(len(nodes))):
-            raise TopologyError(f"node ids must be unique and contiguous from 0, got {ids}")
+        n = len(nodes)
+        ids = [node.id for node in nodes]
+        if ids != list(range(n)):
+            index = next(i for i, node_id in enumerate(ids) if node_id != i)
+            raise TopologyError(
+                "node ids must be unique and contiguous from 0, "
+                f"but node entry {index} has id {ids[index]!r}"
+            )
         for node in nodes:
             node.validate()
-        seen: set[tuple[int, int]] = set()
+        # the one loop over every link: the checks share one condition, and
+        # _link_error works out which one failed
+        pairs: set[tuple[int, int]] = set()
+        add_pair = pairs.add
+        inf = math.inf
         for link in links:
-            if link.src == link.dst:
-                raise TopologyError(f"link ({link.src}, {link.dst}): self-loop")
-            for end in (link.src, link.dst):
-                if not 0 <= end < len(nodes):
-                    raise TopologyError(
-                        f"link ({link.src}, {link.dst}): endpoint {end} is not a node id"
-                    )
-            if link.rtt_s < 0 or not math.isfinite(link.rtt_s):
-                raise TopologyError(f"link ({link.src}, {link.dst}): invalid rtt {link.rtt_s}")
-            if (link.src, link.dst) in seen:
-                raise TopologyError(f"duplicate directed link ({link.src}, {link.dst})")
-            seen.add((link.src, link.dst))
+            src, dst = pair = link.src, link.dst
+            if src != dst and 0 <= src < n and 0 <= dst < n and 0 <= link.rtt_s < inf and (
+                pair not in pairs
+            ):
+                add_pair(pair)
+            else:
+                raise _link_error(link, n)
         set_field(self, "nodes", nodes)
         set_field(self, "links", links)
         set_field(self, "_edges", None)
@@ -131,6 +137,9 @@ class Topology(Record):
         link, share one delay float.
         """
         if self._edges is None:
+            # imported here so that loading a topology skips the search module
+            from budgetpath.search import EdgeList
+
             halves: dict[float, float] = {}
             edges = (
                 (link.src, link.dst, halves.setdefault(link.rtt_s, link.rtt_s / 2.0))
@@ -140,33 +149,55 @@ class Topology(Record):
         return self._edges
 
 
+def _link_error(link: LinkSpec, n_nodes: int) -> TopologyError:
+    """Why `Topology` rejects `link`: the first check it fails.
+
+    The checks run in the order `Topology` reports them: self-loop, each
+    endpoint, rtt, and last a pair listed before.
+    """
+    src, dst = link.src, link.dst
+    if src == dst:
+        return TopologyError(f"link ({src}, {dst}): self-loop")
+    for end in (src, dst):
+        if not 0 <= end < n_nodes:
+            return TopologyError(f"link ({src}, {dst}): endpoint {end} is not a node id")
+    if not 0 <= link.rtt_s < math.inf:
+        return TopologyError(f"link ({src}, {dst}): invalid rtt {link.rtt_s}")
+    return TopologyError(f"duplicate directed link ({src}, {dst})")
+
+
+def _with_reverses(links: Sequence[LinkSpec]) -> tuple[list[LinkSpec], TopologyError | None]:
+    """`links`, then the reverse of each link that has none, in the order of the originals.
+
+    A reverse has its original's rtt. Also returns the error for the first
+    link whose reverse is listed with another rtt, or None: the caller
+    raises it once the links pass `Topology`'s checks, which come first.
+    """
+    rtts = {(link.src, link.dst): link.rtt_s for link in links}
+    expanded = list(links)
+    conflict = None
+    for link in links:
+        src, dst, rtt = link.src, link.dst, link.rtt_s
+        reverse = rtts.get((dst, src))
+        if reverse is None:
+            expanded.append(LinkSpec(dst, src, rtt))
+        elif reverse != rtt and conflict is None:
+            conflict = TopologyError(
+                f"links ({src}, {dst}) and ({dst}, {src}) disagree on rtt in undirected mode"
+            )
+    return expanded, conflict
+
+
 def expand_undirected(topology: Topology) -> Topology:
     """Add the reverse of every link with the same rtt. Idempotent.
 
     A pre-existing reverse link with a different rtt is a conflict, not a
     silent overwrite.
     """
-    by_pair = {(l.src, l.dst): l for l in topology.links}
-    links = list(topology.links)
-    for link in topology.links:
-        reverse = by_pair.get((link.dst, link.src))
-        if reverse is None:
-            links.append(LinkSpec(link.dst, link.src, link.rtt_s))
-        elif reverse.rtt_s != link.rtt_s:
-            raise TopologyError(
-                f"links ({link.src}, {link.dst}) and ({link.dst}, {link.src}) disagree on rtt "
-                "in undirected mode"
-            )
+    links, conflict = _with_reverses(topology.links)
+    if conflict is not None:
+        raise conflict
     return Topology(topology.nodes, tuple(links))
-
-
-def _parse_rate(entry: dict, key: str, where: str) -> float | None:
-    value = entry.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise TopologyError(f"{where}: {key} must be a number or null")
-    return float(value)
 
 
 def _array(doc: dict, key: str) -> list:
@@ -176,28 +207,71 @@ def _array(doc: dict, key: str) -> list:
     return entries
 
 
-def _entry_error(where: str, entry, reason: str) -> TopologyError:
-    """Name the entry a node or link could not be read from, and why."""
-    if not isinstance(entry, dict):
-        reason = f"expected an object, got {type(entry).__name__}"
-    return TopologyError(f"{where}: {reason}")
-
-
-def _wrong_type(where: str, key: str, value, expected: str) -> TopologyError:
-    return TopologyError(f"{where}: invalid value: {key} must be {expected}, got {value!r}")
-
-
 # Entry values are type-checked, never converted: `type(value) is int` and
 # `type(value) in _NUMBER` both reject bool, a subclass of int.
 _NUMBER = (int, float)
 
-# An entry that is not an object, or a number too large for a float, raises one
-# of these while its record is built. They are caught around each entry, so a
-# valid document pays for no extra checks.
-_ENTRY_ERRORS = (TypeError, OverflowError)
+# The required keys of an entry, in the order they are checked, each with
+# the types it accepts and what an error says it must be.
+_NODE_FIELDS = (
+    ("id", (int,), "an integer"),
+    ("name", (str,), "a string"),
+    ("public_address", (str,), "a string"),
+    ("max_egress_mbps", _NUMBER, "a number"),
+)
+_LINK_FIELDS = (
+    ("src", (int,), "an integer"),
+    ("dst", (int,), "an integer"),
+    ("rtt_ms", _NUMBER, "a number"),
+)
+# The keys whose values are converted to float, in the order they are
+# converted; only the rates may be null.
+_NODE_FLOATS = ("max_egress_mbps", "payg_usd_per_mbps_hour", "pfdt_usd_per_gb")
+_LINK_FLOATS = ("rtt_ms",)
+
+# Reading an entry that is not an object or lacks a key raises one of these,
+# and so does converting a number too large for a float. The parse loops
+# catch them around each entry, so a valid document pays for no extra checks.
+_ENTRY_ERRORS = (AttributeError, KeyError, TypeError, OverflowError)
+
+
+def _entry_error(where: str, entry, keys: set[str], fields: tuple, floats: tuple) -> TopologyError:
+    """Why a node or link entry could not be read: the first check it fails.
+
+    Only an entry that the loader's parse loop rejects comes here.
+    """
+    if not isinstance(entry, dict):
+        return TopologyError(f"{where}: expected an object, got {type(entry).__name__}")
+    extra = entry.keys() - keys
+    if extra:
+        return TopologyError(f"{where}: unknown keys {sorted(extra)}")
+    for key, _, _ in fields:
+        if key not in entry:
+            return TopologyError(f"{where}: missing key {key!r}")
+    for key, types, expected in fields:
+        if type(entry[key]) not in types:
+            return TopologyError(
+                f"{where}: invalid value: {key} must be {expected}, got {entry[key]!r}"
+            )
+    for key in floats:
+        value = entry.get(key)
+        if value is None:
+            continue
+        if type(value) not in _NUMBER:
+            return TopologyError(f"{where}: {key} must be a number or null")
+        try:
+            float(value)
+        except OverflowError as exc:
+            return TopologyError(f"{where}: invalid value: {exc}")
+    raise AssertionError(f"{where} passes every check")
 
 
 def topology_from_dict(doc: dict, mode: str = "undirected") -> Topology:
+    """Check and build a topology; undirected mode adds each link's reverse first.
+
+    The reverse links follow the document's links, in the order of their
+    originals, and the whole list is checked once.
+    """
     if mode not in ("directed", "undirected"):
         raise TopologyError(f"unknown mode {mode!r}")
     if not isinstance(doc, dict):
@@ -208,62 +282,54 @@ def topology_from_dict(doc: dict, mode: str = "undirected") -> Topology:
 
     nodes = []
     for index, entry in enumerate(_array(doc, "nodes")):
-        where = f"node entry {index}"
         try:
-            extra = set(entry) - _NODE_KEYS
-            if extra:
-                raise _entry_error(where, entry, f"unknown keys {sorted(extra)}")
-            node_id, name, address = entry["id"], entry["name"], entry["public_address"]
-            egress = entry["max_egress_mbps"]
-            if type(node_id) is not int:
-                raise _wrong_type(where, "id", node_id, "an integer")
-            if type(name) is not str:
-                raise _wrong_type(where, "name", name, "a string")
-            if type(address) is not str:
-                raise _wrong_type(where, "public_address", address, "a string")
-            if type(egress) not in _NUMBER:
-                raise _wrong_type(where, "max_egress_mbps", egress, "a number")
-            nodes.append(
-                NodeSpec(
-                    id=node_id,
-                    name=name,
-                    public_address=address,
-                    max_egress_mbps=float(egress),
-                    payg_rate=_parse_rate(entry, "payg_usd_per_mbps_hour", where),
-                    pfdt_rate=_parse_rate(entry, "pfdt_usd_per_gb", where),
-                )
-            )
-        except TopologyError:
-            raise
-        except KeyError as exc:
-            raise _entry_error(where, entry, f"missing key {exc.args[0]!r}") from exc
-        except _ENTRY_ERRORS as exc:
-            raise _entry_error(where, entry, f"invalid value: {exc}") from exc
+            if entry.keys() <= _NODE_KEYS:
+                node_id, name, address = entry["id"], entry["name"], entry["public_address"]
+                egress = entry["max_egress_mbps"]
+                payg = entry.get("payg_usd_per_mbps_hour")
+                pfdt = entry.get("pfdt_usd_per_gb")
+                if (
+                    type(node_id) is int
+                    and type(name) is str
+                    and type(address) is str
+                    and type(egress) in _NUMBER
+                    and (payg is None or type(payg) in _NUMBER)
+                    and (pfdt is None or type(pfdt) in _NUMBER)
+                ):
+                    nodes.append(
+                        NodeSpec(
+                            node_id,
+                            name,
+                            address,
+                            float(egress),
+                            None if payg is None else float(payg),
+                            None if pfdt is None else float(pfdt),
+                        )
+                    )
+                    continue
+        except _ENTRY_ERRORS:
+            pass
+        raise _entry_error(f"node entry {index}", entry, _NODE_KEYS, _NODE_FIELDS, _NODE_FLOATS)
 
     links = []
+    add_link = links.append
     for index, entry in enumerate(_array(doc, "links")):
         try:
-            extra = set(entry) - _LINK_KEYS
-            if extra:
-                raise _entry_error(f"link entry {index}", entry, f"unknown keys {sorted(extra)}")
-            src, dst, rtt_ms = entry["src"], entry["dst"], entry["rtt_ms"]
-            if type(src) is not int:
-                raise _wrong_type(f"link entry {index}", "src", src, "an integer")
-            if type(dst) is not int:
-                raise _wrong_type(f"link entry {index}", "dst", dst, "an integer")
-            if type(rtt_ms) not in _NUMBER:
-                raise _wrong_type(f"link entry {index}", "rtt_ms", rtt_ms, "a number")
-            links.append(LinkSpec(src, dst, rtt_ms / 1000.0))
-        except TopologyError:
-            raise
-        except KeyError as exc:
-            raise _entry_error(f"link entry {index}", entry, f"missing key {exc.args[0]!r}") from exc
-        except _ENTRY_ERRORS as exc:
-            raise _entry_error(f"link entry {index}", entry, f"invalid value: {exc}") from exc
+            if entry.keys() <= _LINK_KEYS:
+                src, dst, rtt_ms = entry["src"], entry["dst"], entry["rtt_ms"]
+                if type(src) is int and type(dst) is int and type(rtt_ms) in _NUMBER:
+                    add_link(LinkSpec(src, dst, rtt_ms / 1000.0))
+                    continue
+        except _ENTRY_ERRORS:
+            pass
+        raise _entry_error(f"link entry {index}", entry, _LINK_KEYS, _LINK_FIELDS, _LINK_FLOATS)
 
-    topology = Topology(tuple(nodes), tuple(links))
+    conflict = None
     if mode == "undirected":
-        topology = expand_undirected(topology)
+        links, conflict = _with_reverses(links)
+    topology = Topology(tuple(nodes), tuple(links))
+    if conflict is not None:
+        raise conflict
     return topology
 
 
@@ -286,13 +352,17 @@ def topology_to_dict(topology: Topology) -> dict:
 
 
 def load_topology(path, mode: str = "undirected") -> Topology:
-    """Load and validate a topology file; undirected mode symmetrizes the link set."""
+    """Load and validate a topology file; undirected mode symmetrizes the link set.
+
+    Errors in reading the file name it.
+    """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise TopologyError(f"{path}: malformed JSON: {exc}") from exc
-    except OSError as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # unreadable, not UTF-8, nested too deeply, or holding a number too long to read
         raise TopologyError(f"{path}: {exc}") from exc
     return topology_from_dict(doc, mode=mode)
 
@@ -361,4 +431,3 @@ def probe_rtts(
             )
             links.append(link)
     return Topology(topology.nodes, tuple(links))
-

@@ -1,6 +1,7 @@
-"""Shared test machinery: random instance generators, a recorder of the
-planner's rounds, the naive baseline's path by enumeration, an independent
-X25519 reference implementation, and a cryptokey-routing walker.
+"""Shared test machinery: random instance generators, a reference topology
+loader, a recorder of the planner's rounds, the naive baseline's path by
+enumeration, an independent X25519 reference implementation, and a
+cryptokey-routing walker.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections.abc import Callable
 
 from budgetpath import planner
 from budgetpath.search import EdgeList, EdgeWeights, PathResult
-from budgetpath.topology import LinkSpec, NodeSpec, Topology
+from budgetpath.topology import LinkSpec, NodeSpec, Topology, TopologyError
 from budgetpath.tunnels import TunnelSpec, clamp_scalar
 
 # --- random instances -------------------------------------------------
@@ -106,6 +107,143 @@ def grid_topology(rng: random.Random, width: int, height: int, rtts: list[float]
                 rtt = rng.choice(rtts)
                 links += [LinkSpec(i, j, rtt), LinkSpec(j, i, rtt)]
     return Topology(nodes, tuple(links))
+
+
+# --- the topology loader, checked twice -----------------------------------
+
+def reference_topology_from_dict(doc: dict, mode: str = "undirected") -> Topology:
+    """The loader as it was before it checked a topology in one pass.
+
+    It builds a set of each entry's keys, converts and checks every entry
+    with its own statements, checks the file's links, then adds the reverse
+    links and checks the whole list again. The error messages are that
+    loader's: a non-contiguous id lists every id, and `max_egress_mbps` is
+    only checked to be > 0.
+    """
+    if mode not in ("directed", "undirected"):
+        raise TopologyError(f"unknown mode {mode!r}")
+    if not isinstance(doc, dict):
+        raise TopologyError("topology document must be an object")
+    unknown = set(doc) - {"nodes", "links"}
+    if unknown:
+        raise TopologyError(f"unknown top-level keys: {sorted(unknown)}")
+
+    def array(key: str) -> list:
+        entries = doc.get(key, [])
+        if not isinstance(entries, list):
+            raise TopologyError(f"{key} must be an array, got {type(entries).__name__}")
+        return entries
+
+    def entry_error(where: str, entry, reason: str) -> TopologyError:
+        if not isinstance(entry, dict):
+            reason = f"expected an object, got {type(entry).__name__}"
+        return TopologyError(f"{where}: {reason}")
+
+    def wrong_type(where: str, key: str, value, expected: str) -> TopologyError:
+        return TopologyError(f"{where}: invalid value: {key} must be {expected}, got {value!r}")
+
+    def rate(entry: dict, key: str, where: str) -> float | None:
+        value = entry.get(key)
+        if value is None:
+            return None
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise TopologyError(f"{where}: {key} must be a number or null")
+        return float(value)
+
+    node_keys = {"id", "name", "public_address", "max_egress_mbps", "payg_usd_per_mbps_hour",
+                 "pfdt_usd_per_gb"}
+    nodes = []
+    for index, entry in enumerate(array("nodes")):
+        where = f"node entry {index}"
+        try:
+            extra = set(entry) - node_keys
+            if extra:
+                raise entry_error(where, entry, f"unknown keys {sorted(extra)}")
+            node_id, name, address = entry["id"], entry["name"], entry["public_address"]
+            egress = entry["max_egress_mbps"]
+            if type(node_id) is not int:
+                raise wrong_type(where, "id", node_id, "an integer")
+            if type(name) is not str:
+                raise wrong_type(where, "name", name, "a string")
+            if type(address) is not str:
+                raise wrong_type(where, "public_address", address, "a string")
+            if type(egress) not in (int, float):
+                raise wrong_type(where, "max_egress_mbps", egress, "a number")
+            nodes.append(NodeSpec(node_id, name, address, float(egress),
+                                  rate(entry, "payg_usd_per_mbps_hour", where),
+                                  rate(entry, "pfdt_usd_per_gb", where)))
+        except TopologyError:
+            raise
+        except KeyError as exc:
+            raise entry_error(where, entry, f"missing key {exc.args[0]!r}") from exc
+        except (TypeError, OverflowError) as exc:
+            raise entry_error(where, entry, f"invalid value: {exc}") from exc
+
+    links = []
+    for index, entry in enumerate(array("links")):
+        where = f"link entry {index}"
+        try:
+            extra = set(entry) - {"src", "dst", "rtt_ms"}
+            if extra:
+                raise entry_error(where, entry, f"unknown keys {sorted(extra)}")
+            src, dst, rtt_ms = entry["src"], entry["dst"], entry["rtt_ms"]
+            if type(src) is not int:
+                raise wrong_type(where, "src", src, "an integer")
+            if type(dst) is not int:
+                raise wrong_type(where, "dst", dst, "an integer")
+            if type(rtt_ms) not in (int, float):
+                raise wrong_type(where, "rtt_ms", rtt_ms, "a number")
+            links.append(LinkSpec(src, dst, rtt_ms / 1000.0))
+        except TopologyError:
+            raise
+        except KeyError as exc:
+            raise entry_error(where, entry, f"missing key {exc.args[0]!r}") from exc
+        except (TypeError, OverflowError) as exc:
+            raise entry_error(where, entry, f"invalid value: {exc}") from exc
+
+    reference_check(nodes, links)
+    if mode == "undirected":
+        by_pair = {(l.src, l.dst): l for l in links}
+        for link in list(links):
+            reverse = by_pair.get((link.dst, link.src))
+            if reverse is None:
+                links.append(LinkSpec(link.dst, link.src, link.rtt_s))
+            elif reverse.rtt_s != link.rtt_s:
+                raise TopologyError(
+                    f"links ({link.src}, {link.dst}) and ({link.dst}, {link.src}) disagree on rtt "
+                    "in undirected mode"
+                )
+        reference_check(nodes, links)
+    return Topology(tuple(nodes), tuple(links))
+
+
+def reference_check(nodes: list[NodeSpec], links: list[LinkSpec]) -> None:
+    """The checks `Topology` made before it made them in one pass, in the same order."""
+    ids = [n.id for n in nodes]
+    if ids != list(range(len(nodes))):
+        raise TopologyError(f"node ids must be unique and contiguous from 0, got {ids}")
+    for node in nodes:
+        if node.max_egress_mbps <= 0:
+            raise TopologyError(f"node {node.id} ({node.name}): max_egress_mbps must be > 0")
+        if node.payg_rate is None and node.pfdt_rate is None:
+            raise TopologyError(f"node {node.id} ({node.name}): no billing rate given")
+        for label, rate in (("payg", node.payg_rate), ("pfdt", node.pfdt_rate)):
+            if rate is not None and (rate < 0 or not math.isfinite(rate)):
+                raise TopologyError(f"node {node.id} ({node.name}): invalid {label} rate {rate}")
+    seen = set()
+    for link in links:
+        if link.src == link.dst:
+            raise TopologyError(f"link ({link.src}, {link.dst}): self-loop")
+        for end in (link.src, link.dst):
+            if not 0 <= end < len(nodes):
+                raise TopologyError(
+                    f"link ({link.src}, {link.dst}): endpoint {end} is not a node id"
+                )
+        if link.rtt_s < 0 or not math.isfinite(link.rtt_s):
+            raise TopologyError(f"link ({link.src}, {link.dst}): invalid rtt {link.rtt_s}")
+        if (link.src, link.dst) in seen:
+            raise TopologyError(f"duplicate directed link ({link.src}, {link.dst})")
+        seen.add((link.src, link.dst))
 
 
 # --- the naive baseline by enumeration ----------------------------------

@@ -272,6 +272,41 @@ class TestErrorsEndInOneLine:
             code = run([command[0], "--topology", str(topology), *command[1:]])
             assert "node entry 2: missing key 'name'" in assert_one_error_line(capsys, code)
 
+    @pytest.mark.parametrize("egress", ["Infinity", "1e400", "NaN"])
+    def test_egress_must_be_finite(self, tmp_path, capsys, egress):
+        doc = json.loads(Path(TESTBED).read_text())
+        doc["nodes"][2]["max_egress_mbps"] = 12345.5
+        topology = tmp_path / "unbounded.json"
+        topology.write_text(json.dumps(doc).replace("12345.5", egress))
+        code = run(["plan", "--topology", str(topology), "--src", "0", "--dst", "5",
+                    "--data-gb", "1", "--budget-usd", "1"])
+        message = "node 2 (shenzhen): max_egress_mbps must be finite and > 0"
+        assert message in assert_one_error_line(capsys, code)
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+        (b'{"nodes": [', "malformed JSON: Expecting value"),
+    ], ids=["not-utf-8", "truncated"])
+    def test_topology_read_error_names_the_file(self, tmp_path, capsys, content, reason):
+        topology = tmp_path / "topology.json"
+        topology.write_bytes(content)
+        code = run(["plan", "--topology", str(topology), "--src", "0", "--dst", "5",
+                    "--data-gb", "1", "--budget-usd", "1"])
+        assert assert_one_error_line(capsys, code).startswith(f"error: {topology}: {reason}")
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+        (b"", "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["not-utf-8", "empty", "nested-too-deeply"])
+    def test_plan_read_error_names_the_file(self, tmp_path, capsys, content, reason):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_bytes(content)
+        code = run(["render-wg", "--topology", TESTBED, "--plan", str(plan_file),
+                    "--seed", "1", "--out-dir", str(tmp_path / "wg")])
+        assert assert_one_error_line(capsys, code).startswith(f"error: {plan_file}: {reason}")
+        assert not (tmp_path / "wg").exists()
+
     def test_search_error(self, capsys):
         code = run(["plan", "--topology", TESTBED, "--src", "9", "--dst", "5",
                     "--data-gb", "1", "--budget-usd", "1"])

@@ -65,7 +65,7 @@ print(json.dumps(loaded))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
         ["budgetpath"],
-        ["budgetpath", "budgetpath.records", "budgetpath.search", "budgetpath.topology"],
+        ["budgetpath", "budgetpath.records", "budgetpath.topology"],
         ["budgetpath", "budgetpath.billing", "budgetpath.planner", "budgetpath.records",
          "budgetpath.search", "budgetpath.simulate", "budgetpath.topology"],
     ]

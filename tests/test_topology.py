@@ -1,6 +1,9 @@
+import ast
 import json
 import logging
+import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,7 @@ from budgetpath.topology import (
     save_topology,
     topology_from_dict,
 )
-from helpers import edge_triples, random_topology
+from helpers import edge_triples, random_topology, reference_topology_from_dict
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -128,6 +131,15 @@ def _set_value(kind, index, key, value):
     return corrupt
 
 
+def _huge_egress_and_text_rate(doc):
+    doc["nodes"][1]["max_egress_mbps"] = 10**400
+    doc["nodes"][1]["payg_usd_per_mbps_hour"] = "0.02"
+
+
+def _huge_rtt(doc):
+    doc["links"][0]["rtt_ms"] = -(10**400)
+
+
 class TestMalformedEntries:
     @pytest.mark.parametrize("corrupt, message", [
         (_drop_node_name, r"node entry 1: missing key 'name'"),
@@ -149,6 +161,8 @@ class TestMalformedEntries:
         (_set_value("nodes", 1, "max_egress_mbps", "100"),
          r"node entry 1: .*max_egress_mbps must be a number, got '100'"),
         (_set_value("links", 0, "rtt_ms", True), r"link entry 0: .*rtt_ms must be a number, got True"),
+        (_huge_egress_and_text_rate, r"node entry 1: invalid value: int too large to convert to float"),
+        (_huge_rtt, r"link entry 0: invalid value: int too large to convert to float"),
     ])
     def test_raises_topology_error_naming_the_entry(self, corrupt, message):
         doc = two_node_doc()
@@ -169,8 +183,23 @@ class TestValidation:
     def test_noncontiguous_ids(self):
         nodes = (NodeSpec(0, "a", "x", 100.0, 0.01, 0.01),
                  NodeSpec(2, "b", "y", 100.0, 0.01, 0.01))
-        with pytest.raises(TopologyError, match="contiguous"):
+        with pytest.raises(TopologyError, match="contiguous.* node entry 1 has id 2$"):
             Topology(nodes, ())
+        # one wrong id among many names that entry, not every id
+        nodes = [NodeSpec(i, f"n{i}", "x", 100.0, 0.01, 0.01) for i in range(1600)]
+        nodes[1234] = NodeSpec(1235, "n1235", "x", 100.0, 0.01, 0.01)
+        with pytest.raises(TopologyError, match="contiguous.* node entry 1234 has id 1235$") as info:
+            Topology(tuple(nodes), ())
+        assert len(str(info.value)) < 100
+
+    @pytest.mark.parametrize("text", ["Infinity", "1e400", "NaN", "-Infinity", "0", "-5"])
+    def test_egress_must_be_finite_and_positive(self, text):
+        doc = two_node_doc()
+        document = json.dumps(doc).replace('"max_egress_mbps": 100', f'"max_egress_mbps": {text}', 1)
+        with pytest.raises(TopologyError) as info:
+            topology_from_dict(json.loads(document))
+        egress = float(json.loads(text))
+        assert str(info.value) == f"node 0 (a): max_egress_mbps must be finite and > 0, got {egress}"
 
     def test_duplicate_edge(self):
         nodes = (NodeSpec(0, "a", "x", 100.0, 0.01, 0.01),
@@ -272,3 +301,252 @@ class TestProbe:
         if rtt is None:
             pytest.skip("ICMP not permitted in this environment")
         assert 0 <= rtt < 0.005
+
+
+# --- the one-pass loader against the reference loader ---------------------
+
+def _node_entry(rng: random.Random, i: int) -> dict:
+    rates = [round(rng.uniform(0.005, 0.05), 4), rng.choice([0, 1, round(rng.uniform(0.01, 0.2), 4)])]
+    if rng.random() < 0.2:
+        rates[rng.randrange(2)] = None
+    entry = {"id": i, "name": f"r{i}", "public_address": f"10.0.{i // 256}.{i % 256}",
+             "max_egress_mbps": rng.choice([50, 100, 0.5, 250.0])}
+    for key, rate in zip(("payg_usd_per_mbps_hour", "pfdt_usd_per_gb"), rates):
+        if rate is not None or rng.random() < 0.5:  # a rate not offered is null or absent
+            entry[key] = rate
+    return entry
+
+
+def _random_pairs(rng: random.Random, n: int) -> set[tuple[int, int]]:
+    """A random spanning tree plus random extra links, as the benchmark generates them."""
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+    for _ in range(rng.randrange(2 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    return pairs
+
+
+def _grid_pairs(k: int) -> set[tuple[int, int]]:
+    return {(i, j) for i in range(k * k) for j in (i + 1, i + k)
+            if j < k * k and (j == i + k or j % k)}
+
+
+def random_document(rng: random.Random) -> dict:
+    """A valid topology document: a random graph or a grid, some listing both directions."""
+    shape = rng.choice(["random", "grid", "both directions"])
+    if shape == "grid":
+        k = rng.randint(1, 6)
+        n, pairs = k * k, _grid_pairs(k)
+    else:
+        n = rng.randint(1, 30)
+        pairs = _random_pairs(rng, n)
+    links = []
+    for u, v in sorted(pairs):
+        rtt = rng.choice([round(rng.uniform(5.0, 200.0), 1), rng.randint(0, 300), 0.0])
+        links.append({"src": u, "dst": v, "rtt_ms": rtt})
+        if shape == "both directions" and rng.random() < 0.7:
+            links.append({"src": v, "dst": u, "rtt_ms": rtt})
+    if rng.random() < 0.5:
+        rng.shuffle(links)
+    return {"nodes": [_node_entry(rng, i) for i in range(n)], "links": links}
+
+
+def _pick(rng: random.Random, doc: dict, kind: str):
+    """The index of an entry to corrupt; half of them are entry 0 or 1, so that
+    faults often meet in one entry."""
+    entries = doc[kind]
+    if not entries:
+        entries.append(_node_entry(rng, len(doc["nodes"])) if kind == "nodes"
+                       else {"src": 0, "dst": 1, "rtt_ms": 1.0})
+    return rng.randrange(min(len(entries), 2) if rng.random() < 0.5 else len(entries))
+
+
+def _set(rng, doc, kind, key, value):
+    index = _pick(rng, doc, kind)
+    if isinstance(doc[kind][index], dict):
+        doc[kind][index][key] = value
+
+
+def _self_loop(rng, doc):
+    index = _pick(rng, doc, "links")
+    if isinstance(doc["links"][index], dict):
+        doc["links"][index]["dst"] = doc["links"][index].get("src", 0)
+
+
+def _endpoint_out_of_range(rng, doc):
+    _set(rng, doc, "links", rng.choice(["src", "dst"]), rng.choice([-1, len(doc["nodes"]), 10**6]))
+
+
+def _bad_rtt(rng, doc):
+    _set(rng, doc, "links", "rtt_ms", rng.choice([-1.5, -3, math.nan, math.inf, -math.inf]))
+
+
+def _duplicate_link(rng, doc):
+    entry = doc["links"][_pick(rng, doc, "links")]
+    if isinstance(entry, dict):
+        copy = {**entry, "rtt_ms": rng.choice([entry.get("rtt_ms"), 7.5])}
+        doc["links"].insert(rng.randint(0, len(doc["links"])), copy)
+
+
+def _conflicting_reverse(rng, doc):
+    entry = doc["links"][_pick(rng, doc, "links")]
+    if isinstance(entry, dict) and "src" in entry and "dst" in entry:
+        reverse = {"src": entry["dst"], "dst": entry["src"], "rtt_ms": rng.uniform(201.0, 300.0)}
+        doc["links"].insert(rng.randint(0, len(doc["links"])), reverse)
+
+
+def _wrong_type(rng, doc):
+    kind = rng.choice(["nodes", "links"])
+    keys = (["id", "name", "public_address", "max_egress_mbps", "payg_usd_per_mbps_hour",
+             "pfdt_usd_per_gb"] if kind == "nodes" else ["src", "dst", "rtt_ms"])
+    _set(rng, doc, kind, rng.choice(keys), rng.choice(["7", None, 1.5, [], {}]))
+
+
+def _too_large_for_a_float(rng, doc):
+    kind = rng.choice(["nodes", "links"])
+    keys = (["max_egress_mbps", "payg_usd_per_mbps_hour", "pfdt_usd_per_gb"] if kind == "nodes"
+            else ["rtt_ms"])
+    _set(rng, doc, kind, rng.choice(keys), 10**400)
+
+
+def _two_bad_values(rng, doc):
+    """Two faulty values in one entry: the loader reports the one it checks first."""
+    kind = rng.choice(["nodes", "links"])
+    entry = doc[kind][_pick(rng, doc, kind)]
+    if isinstance(entry, dict):
+        for key in rng.sample(sorted(entry), min(len(entry), 2)):
+            entry[key] = rng.choice(["7", None, True, 10**400, []])
+
+
+def _bool(rng, doc):
+    kind = rng.choice(["nodes", "links"])
+    keys = (["id", "max_egress_mbps", "payg_usd_per_mbps_hour"] if kind == "nodes"
+            else ["src", "rtt_ms"])
+    _set(rng, doc, kind, rng.choice(keys), rng.choice([True, False]))
+
+
+def _unknown_key(rng, doc):
+    _set(rng, doc, rng.choice(["nodes", "links"]), rng.choice(["color", "zone"]), 1)
+
+
+def _missing_key(rng, doc):
+    kind = rng.choice(["nodes", "links"])
+    entry = doc[kind][_pick(rng, doc, kind)]
+    if isinstance(entry, dict):
+        for key in rng.sample(sorted(entry), min(len(entry), rng.randint(1, 2))):
+            del entry[key]
+
+
+def _not_an_object(rng, doc):
+    kind = rng.choice(["nodes", "links"])
+    doc[kind][_pick(rng, doc, kind)] = rng.choice(["r0", ["src", "dst", "rtt_ms"], [], 3, None])
+
+
+def _bad_rate(rng, doc):
+    index = _pick(rng, doc, "nodes")
+    node = doc["nodes"][index]
+    if not isinstance(node, dict):
+        return
+    change = rng.choice(["negative", "nan", "inf", "no rate", "zero egress", "negative egress"])
+    if change == "no rate":
+        node["payg_usd_per_mbps_hour"] = node["pfdt_usd_per_gb"] = None
+    elif change.endswith("egress"):
+        node["max_egress_mbps"] = 0 if change == "zero egress" else -rng.uniform(1.0, 9.0)
+    else:
+        key = rng.choice(["payg_usd_per_mbps_hour", "pfdt_usd_per_gb"])
+        node[key] = {"negative": -0.01, "nan": math.nan, "inf": math.inf}[change]
+
+
+def _noncontiguous_id(rng, doc):
+    n = len(doc["nodes"])
+    _set(rng, doc, "nodes", "id", rng.choice([n, n + 5, -1, rng.randrange(max(n, 1))]))
+
+
+FAULTS = [_self_loop, _endpoint_out_of_range, _bad_rtt, _duplicate_link, _conflicting_reverse,
+          _wrong_type, _too_large_for_a_float, _two_bad_values, _bool, _unknown_key, _missing_key,
+          _not_an_object, _bad_rate, _noncontiguous_id]
+
+# a part of each error message the loader can raise for an entry or a link
+ERRORS = ["expected an object", "unknown keys", "missing key", "must be an integer",
+          "must be a string", "must be a number, got", "must be a number or null",
+          "too large to convert", "contiguous", "max_egress_mbps must be finite",
+          "no billing rate", "invalid payg rate", "invalid pfdt rate", "self-loop",
+          "is not a node id", "invalid rtt", "duplicate directed link", "disagree on rtt"]
+
+
+def _load(load, doc, mode):
+    """The loaded topology, or the type and message of the error raised instead."""
+    try:
+        return load(doc, mode)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _reference_result(doc, mode):
+    """The reference loader's result, with the two messages this loader words differently."""
+    result = _load(reference_topology_from_dict, doc, mode)
+    if not isinstance(result, tuple):
+        return result
+    error, message = result
+    ids = re.fullmatch(r"node ids must be unique and contiguous from 0, got (.*)", message)
+    if ids:
+        ids = ast.literal_eval(ids.group(1))
+        index = next(i for i, node_id in enumerate(ids) if node_id != i)
+        message = ("node ids must be unique and contiguous from 0, "
+                   f"but node entry {index} has id {ids[index]!r}")
+    egress = re.fullmatch(r"(node (\d+) .*): max_egress_mbps must be > 0", message)
+    if egress:
+        value = float(doc["nodes"][int(egress.group(2))]["max_egress_mbps"])
+        message = f"{egress.group(1)}: max_egress_mbps must be finite and > 0, got {value}"
+    return error, message
+
+
+class TestMatchesReferenceLoader:
+    def test_valid_and_faulty_documents(self):
+        rng = random.Random(2026)
+        valid = 0
+        reached = {error: 0 for error in ERRORS}
+        for _ in range(1200):
+            doc = random_document(rng)
+            if rng.random() < 0.7:
+                for fault in rng.sample(FAULTS, rng.randint(1, 3)):
+                    fault(rng, doc)
+            mode = rng.choice(["directed", "undirected"])
+            expected = _reference_result(doc, mode)
+            assert _load(topology_from_dict, doc, mode) == expected, (doc, mode)
+            if isinstance(expected, Topology):
+                valid += 1
+            for error in ERRORS:
+                reached[error] += isinstance(expected, tuple) and error in expected[1]
+        assert valid >= 300
+        assert all(reached.values()), reached
+
+    @pytest.mark.parametrize("mode", ["directed", "undirected"])
+    @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda path: path.name)
+    def test_fixtures(self, fixture, mode):
+        doc = json.loads(fixture.read_text())
+        assert topology_from_dict(doc, mode) == reference_topology_from_dict(doc, mode)
+
+    def test_reverse_links_follow_their_originals(self):
+        doc = two_node_doc()
+        doc["nodes"].append({**doc["nodes"][0], "id": 2})
+        doc["links"] = [{"src": 2, "dst": 0, "rtt_ms": 3.0}, {"src": 0, "dst": 1, "rtt_ms": 10.0},
+                        {"src": 1, "dst": 0, "rtt_ms": 10.0}, {"src": 1, "dst": 2, "rtt_ms": 4.0}]
+        links = topology_from_dict(doc).links
+        assert [(l.src, l.dst, l.rtt_s * 1000.0) for l in links] == [
+            (2, 0, 3.0), (0, 1, 10.0), (1, 0, 10.0), (1, 2, 4.0), (0, 2, 3.0), (2, 1, 4.0)]
+
+    def test_undirected_load_builds_one_topology(self, monkeypatch):
+        built = []
+        init = Topology.__init__
+
+        def counting_init(self, nodes, links):
+            built.append(len(links))
+            init(self, nodes, links)
+
+        monkeypatch.setattr(Topology, "__init__", counting_init)
+        topology = load_topology(FIXTURES / "testbed6.json")
+        assert built == [len(topology.links)] == [18]
