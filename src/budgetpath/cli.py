@@ -100,18 +100,36 @@ def _cmd_plan(args) -> int:
 
 
 def _load_keys(path: str) -> dict:
-    """The node id -> base64 private key object of a `--keys` file."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """The node id -> key pair map of a `--keys` file.
+
+    A file that is not UTF-8 JSON, or an entry that is not a node id and a
+    base64 private key, is reported with the file's path.
+    """
+    from budgetpath.tunnels import keypair_from_private_b64
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, nested too deeply, or holding a number too long to read
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or not all(isinstance(private, str) for private in doc.values()):
         raise ValueError(f"keys file {path}: expected an object of node id -> base64 private key")
-    return doc
+    keys = {}
+    for node_id, private in doc.items():
+        try:
+            keys[int(node_id)] = keypair_from_private_b64(private)
+        except ValueError as exc:
+            raise ValueError(f"{path}: entry {node_id!r}: {exc}") from exc
+    return keys
 
 
 def _cmd_render_wg(args) -> int:
     import random
 
-    from budgetpath.tunnels import build_tunnels, keypair_from_private_b64, write_tunnel_files
+    from budgetpath.tunnels import build_tunnels, write_tunnel_files
 
     topology = load_topology(_resolve(args.topology), args.mode)
     plan = load_plan(args.plan, len(topology))
@@ -119,12 +137,7 @@ def _cmd_render_wg(args) -> int:
     if args.seed is not None:
         rng = random.Random(args.seed)
         entropy_source = lambda: rng.randbytes(32)
-    identity_keys = None
-    if args.keys:
-        identity_keys = {
-            int(node_id): keypair_from_private_b64(private)
-            for node_id, private in _load_keys(args.keys).items()
-        }
+    identity_keys = _load_keys(args.keys) if args.keys else None
     specs = build_tunnels(plan, topology, args.subnet, args.port, entropy_source, identity_keys)
     manifest = write_tunnel_files(specs, topology, args.out_dir)
     print(

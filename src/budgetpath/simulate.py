@@ -65,12 +65,10 @@ def naive_baseline(
     """
     src, dst = request.source, request.destination
 
-    # BFS levels, then one pass over the level DAG in level order.
+    # BFS hop counts; `dist` fills in level order.
     dist = {src: 0}
     frontier = [src]
-    levels = []
     while frontier:
-        levels.append(frontier)
         nxt_frontier = []
         for u in frontier:
             for v in topology.neighbors(u):
@@ -80,30 +78,40 @@ def naive_baseline(
         frontier = nxt_frontier
     if dst not in dist:
         raise SimulationError(f"no path from {src} to {dst}")
+    hops = dist[dst]
+    # The minimum-hop level DAG, with each edge's rtt read once.
+    dag = {
+        u: [(v, topology.rtt(u, v)) for v in topology.neighbors(u) if dist[v] == d + 1]
+        for u, d in dist.items()
+        if d < hops
+    }
 
-    # Each node keeps the (rtt_sum, path) labels that no other label there
-    # beats on both. All paths to a node have the same length, and float
-    # addition is monotone, so every extension of a beaten label is beaten
-    # by the same extension of the label that beats it.
-    labels = {src: [(0.0, (src,))]}
-    for level in levels[: dist[dst]]:
-        reached: dict[int, list[tuple[float, tuple[int, ...]]]] = {}
-        for u in level:
-            here = labels.pop(u)
-            for v in topology.neighbors(u):
-                if dist[v] == dist[u] + 1:
-                    rtt = topology.rtt(u, v)
-                    reached.setdefault(v, []).extend(
-                        (rtt_sum + rtt, path + (v,)) for rtt_sum, path in here
-                    )
-        for v, found in reached.items():
-            found.sort()
-            kept = [found[0]]
-            for label in found:
-                if label[1] < kept[-1][1]:
-                    kept.append(label)
-            labels[v] = kept
-    _, path = labels[dst][0]
+    def least(u: int, rtt_sum: float) -> float | None:
+        """Least rtt sum at `dst`, added left to right from `rtt_sum` at `u`.
+
+        None if no DAG path leads from `u` to `dst`. Keeping one least sum
+        per node is exact because float `+` is monotone.
+        """
+        sums = {u: rtt_sum}
+        for _ in range(dist[u], hops):
+            reached: dict[int, float] = {}
+            for w, s in sums.items():
+                for v, rtt in dag[w]:
+                    t = s + rtt
+                    if v not in reached or t < reached[v]:
+                        reached[v] = t
+            sums = reached
+        return sums.get(dst)
+
+    # Walk to the smallest-id successor from which `best` is still reached.
+    # All paths have `hops` edges, so this is the lexicographically smallest
+    # fastest path, even where a slower prefix rounds to the same sum. At
+    # most hops x out-degree x DAG edges additions.
+    best = least(src, 0.0)
+    path, rtt_sum = (src,), 0.0
+    while path[-1] != dst:
+        v, rtt = min((v, rtt) for v, rtt in dag[path[-1]] if least(v, rtt_sum + rtt) == best)
+        path, rtt_sum = path + (v,), rtt_sum + rtt
 
     configs = {}
     for node_id in path[:-1]:

@@ -188,18 +188,6 @@ def _with_reverses(links: Sequence[LinkSpec]) -> tuple[list[LinkSpec], TopologyE
     return expanded, conflict
 
 
-def expand_undirected(topology: Topology) -> Topology:
-    """Add the reverse of every link with the same rtt. Idempotent.
-
-    A pre-existing reverse link with a different rtt is a conflict, not a
-    silent overwrite.
-    """
-    links, conflict = _with_reverses(topology.links)
-    if conflict is not None:
-        raise conflict
-    return Topology(topology.nodes, tuple(links))
-
-
 def _array(doc: dict, key: str) -> list:
     entries = doc.get(key, [])
     if not isinstance(entries, list):

@@ -270,7 +270,23 @@ def parse_conf(text: str) -> TunnelSpec:
 
 
 def write_tunnel_files(specs: list[TunnelSpec], topology: Topology, out_dir) -> dict:
-    """Write one conf per node plus a manifest mapping names to keys/files."""
+    """Write one conf per node plus a manifest mapping names to keys/files.
+
+    Each node's name must be a distinct plain file name, checked before
+    anything is written, so no conf lands outside `out_dir` or replaces
+    another's.
+    """
+    seen: dict[str, int] = {}
+    for spec in specs:
+        node = topology.node(spec.node_id)
+        if node.name in ("", ".", "..") or any(c in node.name for c in "/\\\0"):
+            raise TunnelError(f"node {node.id} ({node.name!r}): name is not a plain file name")
+        if node.name in seen:
+            raise TunnelError(
+                f"nodes {seen[node.name]} and {node.id} are both named {node.name!r}; "
+                "each path node needs its own conf file"
+            )
+        seen[node.name] = node.id
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {}

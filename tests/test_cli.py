@@ -258,6 +258,23 @@ class TestKeysFileValidation:
         assert "keys file" in assert_one_error_line(capsys, code)
         assert not (tmp_path / "wg").exists()
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"", "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+        (b'{"x": "AAMDAwMDAwMDAwMDAwMDAwMDAwMDAwMDAwMDAwMDA0M="}',
+         "entry 'x': invalid literal for int() with base 10: 'x'"),
+        (b'{"0": "abc"}', "entry '0': Incorrect padding"),
+    ], ids=["empty", "not-utf-8", "bad-node-id", "bad-key"])
+    def test_render_wg_keys_error_names_the_file(self, tmp_path, capsys, content, reason):
+        plan_file = _plan_file(tmp_path)
+        keys_file = tmp_path / "keys.json"
+        keys_file.write_bytes(content)
+        capsys.readouterr()
+        code = run(["render-wg", "--topology", TESTBED, "--plan", str(plan_file),
+                    "--seed", "1", "--keys", str(keys_file), "--out-dir", str(tmp_path / "wg")])
+        assert assert_one_error_line(capsys, code).startswith(f"error: {keys_file}: {reason}")
+        assert not (tmp_path / "wg").exists()
+
 
 class TestErrorsEndInOneLine:
     """Each module's ValueError subclass reaches `run` and ends as exit 1 with one `error:` line."""
@@ -364,6 +381,24 @@ class TestErrorsEndInOneLine:
         code = run(["render-wg", "--topology", TESTBED, "--plan", str(plan_file),
                     "--subnet", "10.0.0.0/31", "--seed", "1", "--out-dir", str(tmp_path / "wg")])
         assert "fewer than 3 usable hosts" in assert_one_error_line(capsys, code)
+
+    @pytest.mark.parametrize("names, message", [
+        ({2: "../escaped"}, "node 2 ('../escaped'): name is not a plain file name"),
+        ({0: "virginia"}, "nodes 0 and 5 are both named 'virginia'"),
+    ], ids=["escapes-out-dir", "shared-name"])
+    def test_tunnel_file_names(self, tmp_path, capsys, names, message):
+        plan_file = _plan_file(tmp_path)
+        assert json.loads(plan_file.read_text())["path"] == [0, 2, 5]
+        doc = json.loads(Path(TESTBED).read_text())
+        for node_id, name in names.items():
+            doc["nodes"][node_id]["name"] = name
+        topology = tmp_path / "renamed.json"
+        topology.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["render-wg", "--topology", str(topology), "--plan", str(plan_file),
+                    "--seed", "1", "--out-dir", str(tmp_path / "out" / "x")])
+        assert message in assert_one_error_line(capsys, code)
+        assert not (tmp_path / "out").exists()
 
 
 class TestFixtureDirOverride:

@@ -144,6 +144,23 @@ class TestNaiveBaseline:
         path, _ = naive_baseline(topo, TransferRequest(0, 4, 1.0, 0.0, 1))
         assert path == (0, 1, 3, 4) == naive_path_by_enumeration(topo, 0, 4)
 
+    def test_diamond_chain_returns_fast_relays(self):
+        # hub 3i links to relays 3i+1 and 3i+2, both link on to hub 3i+3; the
+        # lower-id relay is slower by 2**-(i+1), more than all later diamonds
+        # together, so every lexicographically smaller path is slower and no
+        # two of the 2**k paths beat one another on both rtt sum and order
+        k = 40
+        nodes = tuple(NodeSpec(i, f"n{i}", "x", 100.0, 0.021, 0.081) for i in range(3 * k + 1))
+        links = []
+        for i in range(k):
+            hub = 3 * i
+            for u, v, rtt in ((hub, hub + 1, 1.0 + 2.0 ** -(i + 1)), (hub, hub + 2, 1.0),
+                              (hub + 1, hub + 3, 1.0), (hub + 2, hub + 3, 1.0)):
+                links += [LinkSpec(u, v, rtt), LinkSpec(v, u, rtt)]
+        topo = Topology(nodes, tuple(links))
+        path, _ = naive_baseline(topo, TransferRequest(0, 3 * k, 1.0, 0.0, 1))
+        assert path == tuple(node for i in range(k) for node in (3 * i, 3 * i + 2)) + (3 * k,)
+
     def test_grid_15x15_makes_polynomially_many_calls(self, monkeypatch):
         # corner to corner there are C(28, 14) = 40116600 minimum-hop paths
         width = 15

@@ -14,7 +14,6 @@ from budgetpath.topology import (
     NodeSpec,
     Topology,
     TopologyError,
-    expand_undirected,
     load_topology,
     probe_rtts,
     save_topology,
@@ -261,16 +260,16 @@ class TestRoundTripAndExpansion:
         save_topology(topo, path)
         assert load_topology(path, "directed") == topo
 
-    def test_expansion_idempotent(self, tmp_path):
-        topo = load_topology(write_doc(tmp_path, two_node_doc()), "undirected")
-        assert expand_undirected(topo) == topo
+    def test_expansion_idempotent(self):
+        both = two_node_doc()
+        both["links"].append({"src": 1, "dst": 0, "rtt_ms": 10.0})
+        assert topology_from_dict(both) == topology_from_dict(two_node_doc())
 
     def test_asymmetric_rtt_conflict(self):
-        nodes = (NodeSpec(0, "a", "x", 100.0, 0.01, 0.01),
-                 NodeSpec(1, "b", "y", 100.0, 0.01, 0.01))
-        topo = Topology(nodes, (LinkSpec(0, 1, 0.01), LinkSpec(1, 0, 0.05)))
-        with pytest.raises(TopologyError, match="disagree"):
-            expand_undirected(topo)
+        doc = two_node_doc()
+        doc["links"].append({"src": 1, "dst": 0, "rtt_ms": 50.0})
+        with pytest.raises(TopologyError, match="disagree on rtt"):
+            topology_from_dict(doc)
 
 
 class TestProbe:

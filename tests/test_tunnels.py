@@ -210,3 +210,24 @@ class TestManifest:
             assert (tmp_path / f"node{i}.conf").exists()
             assert manifest[f"node{i}"]["conf_file"] == f"node{i}.conf"
         assert (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
+    def test_name_must_be_a_plain_file_name(self, tmp_path, name):
+        topo = make_topology(3)
+        nodes = list(topo.nodes)
+        nodes[1] = NodeSpec(1, name, "198.51.100.2", 100.0, 0.021, 0.081)
+        topo = Topology(tuple(nodes), topo.links)
+        specs = build_tunnels(make_plan([0, 1, 2]), topo, entropy_source=seeded_entropy(11))
+        with pytest.raises(TunnelError, match=r"node 1 \(.*\): name is not a plain file name"):
+            write_tunnel_files(specs, topo, tmp_path / "wg")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_path_nodes_need_distinct_names(self, tmp_path):
+        topo = make_topology(3)
+        nodes = list(topo.nodes)
+        nodes[2] = NodeSpec(2, "node0", "198.51.100.3", 100.0, 0.021, 0.081)
+        topo = Topology(tuple(nodes), topo.links)
+        specs = build_tunnels(make_plan([0, 1, 2]), topo, entropy_source=seeded_entropy(11))
+        with pytest.raises(TunnelError, match="nodes 0 and 2 are both named 'node0'"):
+            write_tunnel_files(specs, topo, tmp_path / "wg")
+        assert list(tmp_path.iterdir()) == []
