@@ -24,9 +24,17 @@ _EXPORTS = {
         "select_billing",
     ),
     "planner": ("Plan", "build_weights", "plan_transfer"),
-    "search": ("EdgeList", "EdgeWeights", "PathResult", "enumerate_best_path", "search_min_latency"),
+    "search": ("EdgeWeights", "PathResult", "enumerate_best_path", "search_min_latency"),
     "simulate": ("SimulationReport", "compare", "naive_baseline", "simulate_transfer"),
-    "topology": ("LinkSpec", "NodeSpec", "Topology", "TopologyError", "load_topology", "probe_rtts"),
+    "topology": (
+        "EdgeList",
+        "LinkSpec",
+        "NodeSpec",
+        "Topology",
+        "TopologyError",
+        "load_topology",
+        "probe_rtts",
+    ),
     "tunnels": (
         "KeyPair",
         "PeerEntry",

@@ -99,11 +99,13 @@ def _cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _load_keys(path: str) -> dict:
-    """The node id -> key pair map of a `--keys` file.
+def _load_keys(path: str, n_nodes: int) -> dict:
+    """The node id -> key pair map of a `--keys` file for a topology of `n_nodes` nodes.
 
     A file that is not UTF-8 JSON, or an entry that is not a node id and a
-    base64 private key, is reported with the file's path.
+    base64 private key, is reported with the file's path. A node id is
+    written as plan `per_node` keys are, `str(i)` for a node i of the
+    topology; entries for nodes off the path are allowed.
     """
     from budgetpath.tunnels import keypair_from_private_b64
 
@@ -120,7 +122,10 @@ def _load_keys(path: str) -> dict:
     keys = {}
     for node_id, private in doc.items():
         try:
-            keys[int(node_id)] = keypair_from_private_b64(private)
+            node = int(node_id)
+            if node_id != str(node) or node not in range(n_nodes):
+                raise ValueError(f"not a node id of the topology, which has {n_nodes} nodes")
+            keys[node] = keypair_from_private_b64(private)
         except ValueError as exc:
             raise ValueError(f"{path}: entry {node_id!r}: {exc}") from exc
     return keys
@@ -137,7 +142,7 @@ def _cmd_render_wg(args) -> int:
     if args.seed is not None:
         rng = random.Random(args.seed)
         entropy_source = lambda: rng.randbytes(32)
-    identity_keys = _load_keys(args.keys) if args.keys else None
+    identity_keys = _load_keys(args.keys, len(topology)) if args.keys else None
     specs = build_tunnels(plan, topology, args.subnet, args.port, entropy_source, identity_keys)
     manifest = write_tunnel_files(specs, topology, args.out_dir)
     print(

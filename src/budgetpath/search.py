@@ -9,19 +9,19 @@ it can discard a feasible label whose higher latency would have been the
 only way to stay under the cap further on. `enumerate_best_path` is the
 exact (exponential) reference used to quantify that gap on small graphs.
 
-Both walk an `EdgeList` in compressed sparse row form, which carries each
-edge's propagation delay and is checked once when it is built. Cost is
-billed per sending node, so a set of weights adds only one cost and one
-transmission time per node: leaving node u by edge e costs a[u] and takes
-delay[e] + b[u].
+Both walk a topology's `EdgeList`, its links in compressed sparse row form
+with each edge's propagation delay. The edge list is built once per
+topology from links that `Topology` has checked, and is not checked again.
+Cost is billed per sending node, so a set of weights adds only one cost and
+one transmission time per node: leaving node u by edge e costs a[u] and
+takes delay[e] + b[u].
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from budgetpath.records import Record, set_field
 
@@ -34,102 +34,17 @@ class SearchError(ValueError):
     """Invalid search inputs."""
 
 
-class EdgeList(Record):
-    """Directed edges in compressed sparse row form, sorted by (src, dst).
-
-    The edges leaving node u are offsets[u] <= e < offsets[u + 1], in
-    increasing dst order, so there are no duplicate edges; edge e runs to
-    dst[e] and delays the data by delay[e] seconds of propagation.
-    Self-loops, endpoints outside the node range and delays that are
-    negative or not finite are rejected as well.
-    """
-
-    __slots__ = _fields = ("offsets", "dst", "delay")
-
-    def __init__(
-        self, offsets: tuple[int, ...], dst: tuple[int, ...], delay: tuple[float, ...]
-    ) -> None:
-        n = len(offsets) - 1
-        m = len(dst)
-        if n < 0 or offsets[0] != 0 or offsets[-1] != m or len(delay) != m:
-            raise SearchError("edge list offsets do not match its edges")
-        for u in range(n):
-            if offsets[u + 1] < offsets[u]:
-                raise SearchError(f"edge list offsets decrease at node {u}")
-            previous = -1
-            for e in range(offsets[u], offsets[u + 1]):
-                v = dst[e]
-                if v == u:
-                    raise SearchError(f"edge ({u}, {v}): self-loops are not allowed")
-                if not 0 <= v < n:
-                    raise SearchError(f"edge ({u}, {v}): endpoint {v} is not a node id")
-                if v <= previous:
-                    raise SearchError(f"edges of node {u} are duplicated or not sorted at ({u}, {v})")
-                if not 0.0 <= delay[e] < math.inf:
-                    raise SearchError(f"edge ({u}, {v}): delay {delay[e]} is not finite and >= 0")
-                previous = v
-        set_field(self, "offsets", offsets)
-        set_field(self, "dst", dst)
-        set_field(self, "delay", delay)
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int, float]]) -> EdgeList:
-        """Edge list over nodes 0..n-1 from (src, dst, delay) triples in any order."""
-        ordered = sorted(edges)
-        offsets = [0] * (n + 1)
-        for u, _, _ in ordered:
-            if not 0 <= u < n:
-                raise SearchError(f"edge source {u} is not a node id")
-            offsets[u + 1] += 1
-        for u in range(n):
-            offsets[u + 1] += offsets[u]
-        return cls(
-            tuple(offsets),
-            tuple(v for _, v, _ in ordered),
-            tuple(delay for _, _, delay in ordered),
-        )
-
-    @property
-    def n(self) -> int:
-        return len(self.offsets) - 1
-
-    def successors(self, node: int) -> tuple[int, ...]:
-        return self.dst[self.offsets[node] : self.offsets[node + 1]]
-
-    def index(self, src: int, dst: int) -> int:
-        """Index of edge (src, dst); KeyError if the graph has no such edge."""
-        lo, hi = self.offsets[src], self.offsets[src + 1]
-        e = bisect_left(self.dst, dst, lo, hi)
-        if e == hi or self.dst[e] != dst:
-            raise KeyError(f"no edge ({src}, {dst})")
-        return e
-
-    def has_path(self, source: int, destination: int) -> bool:
-        """Whether any directed path leads from source to destination."""
-        _check_node(self.n, source, "source")
-        _check_node(self.n, destination, "destination")
-        seen = [False] * self.n
-        seen[source] = True
-        stack = [source]
-        while stack:
-            u = stack.pop()
-            for v in self.successors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return seen[destination]
-
-
 class EdgeWeights(Record):
     """Per-node cost (a, USD) and transmission time (b, seconds) over an edge list.
 
-    Node u pays a[u] to send the data once and spends b[u] seconds sending
-    it, whichever of its edges it takes; edge e adds its own delay[e].
+    `edges` is a topology's `EdgeList`. Node u pays a[u] to send the data
+    once and spends b[u] seconds sending it, whichever of its edges it
+    takes; edge e adds its own delay[e].
     """
 
     __slots__ = _fields = ("edges", "a", "b")
 
-    def __init__(self, edges: EdgeList, a: Sequence[float], b: Sequence[float]) -> None:
+    def __init__(self, edges, a: Sequence[float], b: Sequence[float]) -> None:
         if len(a) != edges.n or len(b) != edges.n:
             raise SearchError(f"need exactly one a and one b value per node, for {edges.n} nodes")
         for name, values in (("a", a), ("b", b)):

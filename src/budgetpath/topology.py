@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 
 from budgetpath.records import Record, set_field
@@ -79,6 +80,57 @@ class LinkSpec(Record):
         set_field(self, "rtt_s", rtt_s)
 
 
+class EdgeList(Record):
+    """A topology's links as directed edges in compressed sparse row form.
+
+    The edges leaving node u are offsets[u] <= e < offsets[u + 1], in
+    increasing dst order; edge e runs to dst[e] and delays the data by
+    delay[e] seconds of propagation. Only `Topology.edges` builds one, from
+    links that `Topology` has checked, so no edge is a self-loop or a
+    duplicate, every dst is a node id and every delay is finite and >= 0.
+    """
+
+    __slots__ = _fields = ("offsets", "dst", "delay")
+
+    def __init__(
+        self, offsets: tuple[int, ...], dst: tuple[int, ...], delay: tuple[float, ...]
+    ) -> None:
+        set_field(self, "offsets", offsets)
+        set_field(self, "dst", dst)
+        set_field(self, "delay", delay)
+
+    @property
+    def n(self) -> int:
+        return len(self.offsets) - 1
+
+    def successors(self, node: int) -> tuple[int, ...]:
+        return self.dst[self.offsets[node] : self.offsets[node + 1]]
+
+    def index(self, src: int, dst: int) -> int:
+        """Index of edge (src, dst); KeyError if the graph has no such edge."""
+        lo, hi = self.offsets[src], self.offsets[src + 1]
+        e = bisect_left(self.dst, dst, lo, hi)
+        if e == hi or self.dst[e] != dst:
+            raise KeyError(f"no edge ({src}, {dst})")
+        return e
+
+    def has_path(self, source: int, destination: int) -> bool:
+        """Whether any directed path leads from source to destination."""
+        for label, node in (("source", source), ("destination", destination)):
+            if not 0 <= node < self.n:
+                raise TopologyError(f"{label} {node} is not a valid node id")
+        seen = [False] * self.n
+        seen[source] = True
+        stack = [source]
+        while stack:
+            u = stack.pop()
+            for v in self.successors(u):
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        return seen[destination]
+
+
 class Topology(Record):
     """Validated nodes and directed links; the edge list is built on first use."""
 
@@ -137,15 +189,23 @@ class Topology(Record):
         link, share one delay float.
         """
         if self._edges is None:
-            # imported here so that loading a topology skips the search module
-            from budgetpath.search import EdgeList
-
             halves: dict[float, float] = {}
-            edges = (
+            ordered = sorted(
                 (link.src, link.dst, halves.setdefault(link.rtt_s, link.rtt_s / 2.0))
                 for link in self.links
             )
-            set_field(self, "_edges", EdgeList.from_edges(len(self.nodes), edges))
+            n = len(self.nodes)
+            offsets = [0] * (n + 1)
+            for u, _, _ in ordered:
+                offsets[u + 1] += 1
+            for u in range(n):
+                offsets[u + 1] += offsets[u]
+            edges = EdgeList(
+                tuple(offsets),
+                tuple(v for _, v, _ in ordered),
+                tuple(delay for _, _, delay in ordered),
+            )
+            set_field(self, "_edges", edges)
         return self._edges
 
 

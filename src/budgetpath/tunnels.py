@@ -67,7 +67,8 @@ def generate_keypair(entropy: bytes) -> KeyPair:
 
 
 def keypair_from_private_b64(text: str) -> KeyPair:
-    raw = base64.b64decode(text)
+    """The key pair of a base64 private key; any character outside the alphabet is an error."""
+    raw = base64.b64decode(text, validate=True)
     if raw != clamp_scalar(raw):
         raise TunnelError("private key is not clamped")
     return generate_keypair(raw)
@@ -134,11 +135,17 @@ def build_tunnels(
     upstream one, so transit traffic is routed onward at each relay.
     Distinct hosts share `base_port`; when two path nodes share a public
     address (loopback test setups) each node gets base_port + path index.
-    Every node's port must be in 1..65535.
+    Every node's port must be in 1..65535, and every hop a link of the
+    topology.
     """
     path = plan.path
     if len(path) < 2:
         raise TunnelError(f"path must have at least 2 nodes, got {len(path)}")
+    edges = topology.edges
+    for u, v in zip(path, path[1:]):
+        # u is range-checked first: a negative id would read another node's row
+        if not 0 <= u < edges.n or v not in edges.successors(u):
+            raise TunnelError(f"plan hop ({u}, {v}) is not a link of the topology")
     if entropy_source is None:
         import secrets
 

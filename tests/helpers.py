@@ -12,11 +12,21 @@ import random
 from collections.abc import Callable
 
 from budgetpath import planner
-from budgetpath.search import EdgeList, EdgeWeights, PathResult
-from budgetpath.topology import LinkSpec, NodeSpec, Topology, TopologyError
+from budgetpath.search import EdgeWeights, PathResult
+from budgetpath.topology import EdgeList, LinkSpec, NodeSpec, Topology, TopologyError
 from budgetpath.tunnels import TunnelSpec, clamp_scalar
 
 # --- random instances -------------------------------------------------
+
+def edge_list(n: int, triples) -> EdgeList:
+    """The edge list of a topology of n placeholder nodes with (src, dst, delay) links.
+
+    Each link's rtt is 2 * delay, so each edge's delay is the one given,
+    and the links pass `Topology`'s checks like those of any other graph.
+    """
+    nodes = tuple(NodeSpec(i, f"n{i}", "192.0.2.1", 1.0, 0.0, None) for i in range(n))
+    return Topology(nodes, tuple(LinkSpec(u, v, 2.0 * delay) for u, v, delay in triples)).edges
+
 
 def random_weights(rng: random.Random, n: int, edge_prob: float = 0.45) -> EdgeWeights:
     """Node-billed weights: a cost and a transmission time per node, a delay per edge."""
@@ -28,7 +38,7 @@ def random_weights(rng: random.Random, n: int, edge_prob: float = 0.45) -> EdgeW
     ]
     a = tuple(rng.uniform(0.0, 1.0) for _ in range(n))
     b = tuple(rng.uniform(0.01, 0.5) for _ in range(n))
-    return EdgeWeights(EdgeList.from_edges(n, edges), a, b)
+    return EdgeWeights(edge_list(n, edges), a, b)
 
 
 def edge_triples(edges: EdgeList) -> list[tuple[int, int, float]]:

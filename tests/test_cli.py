@@ -167,6 +167,11 @@ def _fraction_is_zero(doc):
     doc["fraction_k"] = 0.0
 
 
+def _hop_is_not_a_link(doc):
+    doc["path"] = [0, 5]  # testbed6 has no 0-5 link
+    doc["per_node"] = {"0": doc["per_node"]["0"]}
+
+
 class TestPlanFileValidation:
     @pytest.mark.parametrize("corrupt", [
         _name_absent_node, _drop_per_node, _bill_off_path_node, _per_node_entry_is_string,
@@ -174,7 +179,7 @@ class TestPlanFileValidation:
         _per_node_key_is_padded, _bandwidth_is_bool, _iterations_are_fractional,
         _iterations_are_negative, _bandwidth_is_negative, _bandwidth_is_zero,
         _bandwidth_is_infinite, _cost_is_nan, _cost_is_negative, _latency_is_infinite,
-        _latency_is_nan, _fraction_is_above_one, _fraction_is_zero,
+        _latency_is_nan, _fraction_is_above_one, _fraction_is_zero, _hop_is_not_a_link,
     ])
     def test_render_wg_rejects_plan_that_does_not_fit_topology(self, tmp_path, capsys, corrupt):
         plan_file = tmp_path / "plan.json"
@@ -246,6 +251,10 @@ def assert_one_error_line(capsys, code: int) -> str:
     return err[0]
 
 
+# ids that int() reads but that name no node of testbed6 as str(i) does
+NOT_NODE_IDS = ["99", "6", "-1", "05", " 5", "+5", "0_5"]
+
+
 class TestKeysFileValidation:
     @pytest.mark.parametrize("keys", [["AAAA"], {"0": 5}])
     def test_render_wg_rejects_keys_file_of_wrong_shape(self, tmp_path, capsys, keys):
@@ -264,7 +273,13 @@ class TestKeysFileValidation:
         (b'{"x": "AAMDAwMDAwMDAwMDAwMDAwMDAwMDAwMDAwMDAwMDA0M="}',
          "entry 'x': invalid literal for int() with base 10: 'x'"),
         (b'{"0": "abc"}', "entry '0': Incorrect padding"),
-    ], ids=["empty", "not-utf-8", "bad-node-id", "bad-key"])
+        (b'{"0": "AAMD!!AwMDAwMDAwMDAwMDAwMDAwMDAwMDAwMDAwMDA0M="}',
+         "entry '0': Only base64 data is allowed"),
+        *[(json.dumps({node_id: "AAMDAwMDAwMDAwMDAwMDAwMDAwMDAwMDAwMDAwMDA0M="}).encode(),
+           f"entry {node_id!r}: not a node id of the topology, which has 6 nodes")
+          for node_id in NOT_NODE_IDS],
+    ], ids=["empty", "not-utf-8", "bad-node-id", "bad-key", "key-outside-alphabet",
+            *(f"node-id-{node_id!r}" for node_id in NOT_NODE_IDS)])
     def test_render_wg_keys_error_names_the_file(self, tmp_path, capsys, content, reason):
         plan_file = _plan_file(tmp_path)
         keys_file = tmp_path / "keys.json"
@@ -274,6 +289,23 @@ class TestKeysFileValidation:
                     "--seed", "1", "--keys", str(keys_file), "--out-dir", str(tmp_path / "wg")])
         assert assert_one_error_line(capsys, code).startswith(f"error: {keys_file}: {reason}")
         assert not (tmp_path / "wg").exists()
+
+    def test_render_wg_accepts_keys_for_nodes_off_the_path(self, tmp_path, capsys):
+        from budgetpath.tunnels import generate_keypair
+
+        plan_file = _plan_file(tmp_path)
+        fleet = {str(i): generate_keypair(bytes([i + 1] * 32)) for i in range(6)}
+        keys_file = tmp_path / "keys.json"
+        keys_file.write_text(json.dumps({i: pair.private_b64 for i, pair in fleet.items()}))
+        out_dir = tmp_path / "wg"
+        assert run(["render-wg", "--topology", TESTBED, "--plan", str(plan_file),
+                    "--seed", "1", "--keys", str(keys_file), "--out-dir", str(out_dir)]) == 0
+        path = json.loads(plan_file.read_text())["path"]
+        assert len(path) < len(fleet)
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert {entry["public_key"] for entry in manifest.values()} == {
+            fleet[str(i)].public_b64 for i in path
+        }
 
 
 class TestErrorsEndInOneLine:
@@ -325,9 +357,12 @@ class TestErrorsEndInOneLine:
         assert not (tmp_path / "wg").exists()
 
     def test_search_error(self, capsys):
-        code = run(["plan", "--topology", TESTBED, "--src", "9", "--dst", "5",
-                    "--data-gb", "1", "--budget-usd", "1"])
-        assert "source 9 is not a valid node id" in assert_one_error_line(capsys, code)
+        # plan stops at the topology's reachability check (TopologyError),
+        # oracle at the search's own check (SearchError)
+        for command in ("plan", "oracle"):
+            code = run([command, "--topology", TESTBED, "--src", "9", "--dst", "5",
+                        "--data-gb", "1", "--budget-usd", "1"])
+            assert "source 9 is not a valid node id" in assert_one_error_line(capsys, code)
 
     def test_simulation_error(self, monkeypatch, capsys):
         import budgetpath.simulate

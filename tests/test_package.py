@@ -55,6 +55,8 @@ def step():
     loaded.append(sorted(m for m in sys.modules if m.startswith("budgetpath")))
 import budgetpath
 step()
+budgetpath.EdgeList
+step()
 budgetpath.load_topology
 step()
 budgetpath.simulate
@@ -65,6 +67,7 @@ print(json.dumps(loaded))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [
         ["budgetpath"],
+        ["budgetpath", "budgetpath.records", "budgetpath.topology"],
         ["budgetpath", "budgetpath.records", "budgetpath.topology"],
         ["budgetpath", "budgetpath.billing", "budgetpath.planner", "budgetpath.records",
          "budgetpath.search", "budgetpath.simulate", "budgetpath.topology"],

@@ -10,9 +10,9 @@ import pytest
 
 from budgetpath.billing import BillingMethod, NodeBillingConfig, TransferRequest
 from budgetpath.planner import Plan
-from budgetpath.search import EdgeList, EdgeWeights, PathResult
+from budgetpath.search import EdgeWeights, PathResult
 from budgetpath.simulate import ReportRow, SimulationReport
-from budgetpath.topology import LinkSpec, NodeSpec, Topology
+from budgetpath.topology import EdgeList, LinkSpec, NodeSpec, Topology
 from budgetpath.tunnels import KeyPair, PeerEntry, TunnelSpec
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -251,6 +251,9 @@ class TestEdgeList:
         assert topo.edges.has_path(0, 1)
         assert not topo.edges.has_path(1, 0)
         assert topo.edges.has_path(1, 1)
+        for source, destination, label in ((9, 0, "source 9"), (0, -1, "destination -1")):
+            with pytest.raises(TopologyError, match=f"^{label} is not a valid node id$"):
+                topo.edges.has_path(source, destination)
 
 
 class TestRoundTripAndExpansion:

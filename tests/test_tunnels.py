@@ -144,6 +144,17 @@ class TestBuildTunnels:
         assert specs[0].peers[0].public_key_b64 == stable.public_b64
         assert specs[2].peers[0].public_key_b64 == stable.public_b64
 
+    @pytest.mark.parametrize("path, hop", [
+        ([0, 2], (0, 2)), ([0, 1, 3], (1, 3)), ([-2, 1], (-2, 1)), ([0, 1, 1], (1, 1)),
+    ])
+    def test_every_hop_must_be_a_link(self, path, hop):
+        # (-2, 1): offsets[-2] starts node 2's row, and node 2 links to 1
+        topo = make_topology(3)
+        drawn = []
+        with pytest.raises(TunnelError, match=rf"plan hop \({hop[0]}, {hop[1]}\) is not a link"):
+            build_tunnels(make_plan(path), topo, entropy_source=lambda: drawn.append(1))
+        assert drawn == []  # rejected before any key is generated
+
     def test_key_uniqueness(self):
         topo = make_topology(6)
         specs = build_tunnels(make_plan(list(range(6))), topo,
@@ -190,6 +201,14 @@ class TestRenderParse:
         specs = build_tunnels(make_plan([0, 1, 2]), topo, entropy_source=seeded_entropy(9))
         assert "ip_forward" in render_conf(specs[1])
         assert "ip_forward" not in render_conf(specs[0])
+
+    def test_parse_rejects_private_key_outside_the_alphabet(self):
+        spec = build_tunnels(make_plan([0, 1]), make_topology(2),
+                             entropy_source=seeded_entropy(11))[0]
+        private = spec.keypair.private_b64
+        text = render_conf(spec).replace(private, private[:10] + "*" + private[10:])
+        with pytest.raises(ValueError, match="Only base64 data is allowed"):
+            parse_conf(text)
 
     def test_private_key_never_in_peer_sections(self):
         topo = make_topology(4)
