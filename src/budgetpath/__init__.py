@@ -24,6 +24,7 @@ _EXPORTS = {
         "select_billing",
     ),
     "planner": ("Plan", "build_weights", "plan_transfer"),
+    "probe": ("probe_rtts",),
     "search": ("EdgeWeights", "PathResult", "enumerate_best_path", "search_min_latency"),
     "simulate": ("SimulationReport", "compare", "naive_baseline", "simulate_transfer"),
     "topology": (
@@ -33,7 +34,6 @@ _EXPORTS = {
         "Topology",
         "TopologyError",
         "load_topology",
-        "probe_rtts",
     ),
     "tunnels": (
         "KeyPair",

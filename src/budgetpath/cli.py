@@ -197,7 +197,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    from budgetpath.topology import probe_rtts, save_topology
+    from budgetpath.probe import probe_rtts
+    from budgetpath.topology import save_topology
 
     topology = load_topology(_resolve(args.topology), args.mode)
     probed = probe_rtts(topology, args.attempts)

@@ -1,4 +1,4 @@
-"""Data-plane graph model: cloud instances, links, and RTT probing.
+"""Data-plane graph model: cloud instances and links.
 
 Topology files are JSON documents with top-level `nodes` and `links`
 arrays. RTTs are milliseconds at the file boundary and seconds internally.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Sequence
 
 from budgetpath.records import Record, set_field
 
@@ -103,11 +102,18 @@ class EdgeList(Record):
     def n(self) -> int:
         return len(self.offsets) - 1
 
+    def _check(self, **nodes: int) -> None:
+        for label, node in nodes.items():
+            if not 0 <= node < self.n:
+                raise TopologyError(f"{label} {node} is not a valid node id")
+
     def successors(self, node: int) -> tuple[int, ...]:
+        self._check(node=node)
         return self.dst[self.offsets[node] : self.offsets[node + 1]]
 
     def index(self, src: int, dst: int) -> int:
         """Index of edge (src, dst); KeyError if the graph has no such edge."""
+        self._check(source=src, destination=dst)
         lo, hi = self.offsets[src], self.offsets[src + 1]
         e = bisect_left(self.dst, dst, lo, hi)
         if e == hi or self.dst[e] != dst:
@@ -116,9 +122,7 @@ class EdgeList(Record):
 
     def has_path(self, source: int, destination: int) -> bool:
         """Whether any directed path leads from source to destination."""
-        for label, node in (("source", source), ("destination", destination)):
-            if not 0 <= node < self.n:
-                raise TopologyError(f"{label} {node} is not a valid node id")
+        self._check(source=source, destination=destination)
         seen = [False] * self.n
         seen[source] = True
         stack = [source]
@@ -132,12 +136,21 @@ class EdgeList(Record):
 
 
 class Topology(Record):
-    """Validated nodes and directed links; the edge list is built on first use."""
+    """Validated nodes and directed links, kept as three checked columns in link order.
+
+    `links`, the same links as `LinkSpec` records, and `edges` are built on first use.
+    """
 
     _fields = ("nodes", "links")
-    __slots__ = (*_fields, "_edges")
+    __slots__ = ("nodes", "_src", "_dst", "_rtt", "_links", "_edges")
 
-    def __init__(self, nodes: tuple[NodeSpec, ...], links: tuple[LinkSpec, ...]) -> None:
+    def __new__(cls, nodes: tuple[NodeSpec, ...], links: tuple[LinkSpec, ...]) -> Topology:
+        src, dst, rtt = ([getattr(link, name) for link in links] for name in LinkSpec._fields)
+        return cls._from_columns(nodes, src, dst, rtt, links)
+
+    @classmethod
+    def _from_columns(cls, nodes, src, dst, rtt, links=None) -> Topology:
+        """Check the nodes and the links given as columns; `links`, if given, is kept as is."""
         n = len(nodes)
         ids = [node.id for node in nodes]
         if ids != list(range(n)):
@@ -148,28 +161,36 @@ class Topology(Record):
             )
         for node in nodes:
             node.validate()
-        # the one loop over every link: the checks share one condition, and
-        # _link_error works out which one failed
-        pairs: set[tuple[int, int]] = set()
+        # the one loop over every link: the checks share one condition, and _link_error
+        # works out which one failed; u * n + v names a pair once both ends are in range
+        pairs: set[int] = set()
         add_pair = pairs.add
         inf = math.inf
-        for link in links:
-            src, dst = pair = link.src, link.dst
-            if src != dst and 0 <= src < n and 0 <= dst < n and 0 <= link.rtt_s < inf and (
-                pair not in pairs
+        for u, v, rtt_s in zip(src, dst, rtt):
+            if u != v and 0 <= u < n and 0 <= v < n and 0 <= rtt_s < inf and (
+                (pair := u * n + v) not in pairs
             ):
                 add_pair(pair)
             else:
-                raise _link_error(link, n)
-        set_field(self, "nodes", nodes)
-        set_field(self, "links", links)
-        set_field(self, "_edges", None)
+                raise _link_error(u, v, rtt_s, n)
+        topology = object.__new__(cls)
+        values = (nodes, tuple(src), tuple(dst), tuple(rtt), links, None)
+        for name, value in zip(cls.__slots__, values):
+            set_field(topology, name, value)
+        return topology
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def node(self, node_id: int) -> NodeSpec:
         return self.nodes[node_id]
+
+    @property
+    def links(self) -> tuple[LinkSpec, ...]:
+        """The links as `LinkSpec` records in link order, built once per topology."""
+        if self._links is None:
+            set_field(self, "_links", tuple(map(LinkSpec, self._src, self._dst, self._rtt)))
+        return self._links
 
     def rtt(self, src: int, dst: int) -> float:
         for link in self.links:
@@ -191,8 +212,8 @@ class Topology(Record):
         if self._edges is None:
             halves: dict[float, float] = {}
             ordered = sorted(
-                (link.src, link.dst, halves.setdefault(link.rtt_s, link.rtt_s / 2.0))
-                for link in self.links
+                (u, v, halves.setdefault(rtt_s, rtt_s / 2.0))
+                for u, v, rtt_s in zip(self._src, self._dst, self._rtt)
             )
             n = len(self.nodes)
             offsets = [0] * (n + 1)
@@ -209,43 +230,16 @@ class Topology(Record):
         return self._edges
 
 
-def _link_error(link: LinkSpec, n_nodes: int) -> TopologyError:
-    """Why `Topology` rejects `link`: the first check it fails.
-
-    The checks run in the order `Topology` reports them: self-loop, each
-    endpoint, rtt, and last a pair listed before.
-    """
-    src, dst = link.src, link.dst
+def _link_error(src, dst, rtt_s, n_nodes: int) -> TopologyError:
+    """Why `Topology` rejects the link (src, dst, rtt_s): the first of its checks it fails."""
     if src == dst:
         return TopologyError(f"link ({src}, {dst}): self-loop")
     for end in (src, dst):
         if not 0 <= end < n_nodes:
             return TopologyError(f"link ({src}, {dst}): endpoint {end} is not a node id")
-    if not 0 <= link.rtt_s < math.inf:
-        return TopologyError(f"link ({src}, {dst}): invalid rtt {link.rtt_s}")
+    if not 0 <= rtt_s < math.inf:
+        return TopologyError(f"link ({src}, {dst}): invalid rtt {rtt_s}")
     return TopologyError(f"duplicate directed link ({src}, {dst})")
-
-
-def _with_reverses(links: Sequence[LinkSpec]) -> tuple[list[LinkSpec], TopologyError | None]:
-    """`links`, then the reverse of each link that has none, in the order of the originals.
-
-    A reverse has its original's rtt. Also returns the error for the first
-    link whose reverse is listed with another rtt, or None: the caller
-    raises it once the links pass `Topology`'s checks, which come first.
-    """
-    rtts = {(link.src, link.dst): link.rtt_s for link in links}
-    expanded = list(links)
-    conflict = None
-    for link in links:
-        src, dst, rtt = link.src, link.dst, link.rtt_s
-        reverse = rtts.get((dst, src))
-        if reverse is None:
-            expanded.append(LinkSpec(dst, src, rtt))
-        elif reverse != rtt and conflict is None:
-            conflict = TopologyError(
-                f"links ({src}, {dst}) and ({dst}, {src}) disagree on rtt in undirected mode"
-            )
-    return expanded, conflict
 
 
 def _array(doc: dict, key: str) -> list:
@@ -317,8 +311,8 @@ def _entry_error(where: str, entry, keys: set[str], fields: tuple, floats: tuple
 def topology_from_dict(doc: dict, mode: str = "undirected") -> Topology:
     """Check and build a topology; undirected mode adds each link's reverse first.
 
-    The reverse links follow the document's links, in the order of their
-    originals, and the whole list is checked once.
+    A reverse has its original's rtt and follows the document's links in the order
+    of the originals; the list is checked once, then two rtts for a pair are an error.
     """
     if mode not in ("directed", "undirected"):
         raise TopologyError(f"unknown mode {mode!r}")
@@ -344,29 +338,25 @@ def topology_from_dict(doc: dict, mode: str = "undirected") -> Topology:
                     and (payg is None or type(payg) in _NUMBER)
                     and (pfdt is None or type(pfdt) in _NUMBER)
                 ):
-                    nodes.append(
-                        NodeSpec(
-                            node_id,
-                            name,
-                            address,
-                            float(egress),
-                            None if payg is None else float(payg),
-                            None if pfdt is None else float(pfdt),
-                        )
-                    )
+                    payg = None if payg is None else float(payg)
+                    pfdt = None if pfdt is None else float(pfdt)
+                    nodes.append(NodeSpec(node_id, name, address, float(egress), payg, pfdt))
                     continue
         except _ENTRY_ERRORS:
             pass
         raise _entry_error(f"node entry {index}", entry, _NODE_KEYS, _NODE_FIELDS, _NODE_FLOATS)
 
-    links = []
-    add_link = links.append
+    src, dst, rtt = [], [], []
+    add_src, add_dst, add_rtt = src.append, dst.append, rtt.append
     for index, entry in enumerate(_array(doc, "links")):
         try:
-            if entry.keys() <= _LINK_KEYS:
-                src, dst, rtt_ms = entry["src"], entry["dst"], entry["rtt_ms"]
-                if type(src) is int and type(dst) is int and type(rtt_ms) in _NUMBER:
-                    add_link(LinkSpec(src, dst, rtt_ms / 1000.0))
+            # three items that include the three keys are exactly those keys
+            if len(entry) == 3:
+                u, v, rtt_ms = entry["src"], entry["dst"], entry["rtt_ms"]
+                if type(u) is int and type(v) is int and type(rtt_ms) in _NUMBER:
+                    add_src(u)
+                    add_dst(v)
+                    add_rtt(rtt_ms / 1000.0)
                     continue
         except _ENTRY_ERRORS:
             pass
@@ -374,8 +364,18 @@ def topology_from_dict(doc: dict, mode: str = "undirected") -> Topology:
 
     conflict = None
     if mode == "undirected":
-        links, conflict = _with_reverses(links)
-    topology = Topology(tuple(nodes), tuple(links))
+        rtts = dict(zip(zip(src, dst), rtt))
+        for (u, v), rtt_s in rtts.items():
+            reverse = rtts.get((v, u))
+            if reverse is None:
+                add_src(v)
+                add_dst(u)
+                add_rtt(rtt_s)
+            elif reverse != rtt_s and conflict is None:
+                conflict = TopologyError(
+                    f"links ({u}, {v}) and ({v}, {u}) disagree on rtt in undirected mode"
+                )
+    topology = Topology._from_columns(tuple(nodes), src, dst, rtt)
     if conflict is not None:
         raise conflict
     return topology
@@ -420,62 +420,3 @@ def save_topology(topology: Topology, path) -> None:
         json.dump(topology_to_dict(topology), fh, indent=2)
         fh.write("\n")
 
-
-def _ping_once(address: str, timeout_s: float = 2.0) -> float | None:
-    """Single ICMP echo via the system ping; returns RTT in seconds or None."""
-    import subprocess
-
-    cmd = ["ping", "-c", "1", "-W", str(int(math.ceil(timeout_s))), address]
-    try:
-        out = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout_s + 2)
-    except subprocess.TimeoutExpired:
-        return None
-    if out.returncode != 0:
-        return None
-    for token in out.stdout.split():
-        if token.startswith("time="):
-            try:
-                return float(token[len("time=") :]) / 1000.0
-            except ValueError:
-                return None
-    return None
-
-
-def probe_rtts(
-    topology: Topology,
-    attempts: int,
-    prober: Callable[[str], float | None] | None = None,
-) -> Topology:
-    """Re-measure every link's rtt as the median of `attempts` probes.
-
-    Links whose probes all fail keep their original rtt and are logged as
-    warnings. Only the availability of a probing mechanism is fatal.
-    """
-    # probing is the only user of these modules, so loading a topology skips them
-    import logging
-    import shutil
-    import statistics
-
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    if prober is None:
-        if shutil.which("ping") is None:
-            raise RuntimeError("no ping executable available for probing")
-        prober = _ping_once
-
-    links = []
-    for link in topology.links:
-        address = topology.node(link.dst).public_address
-        samples = [s for s in (prober(address) for _ in range(attempts)) if s is not None]
-        if samples:
-            links.append(LinkSpec(link.src, link.dst, statistics.median(samples)))
-        else:
-            logging.getLogger(__name__).warning(
-                "link (%d, %d): no probe succeeded for %s; keeping rtt %.3f ms",
-                link.src,
-                link.dst,
-                address,
-                link.rtt_s * 1000.0,
-            )
-            links.append(link)
-    return Topology(topology.nodes, tuple(links))

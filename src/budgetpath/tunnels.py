@@ -259,6 +259,13 @@ def parse_conf(text: str) -> TunnelSpec:
             current[key.strip()] = value.strip()
     if node_id is None or "PrivateKey" not in interface:
         raise TunnelError("missing node comment or [Interface] section")
+    peer_keys = ("PublicKey", "Endpoint", "AllowedIPs")
+    sections = [("[Interface]", interface, ("Address", "ListenPort"))]
+    sections += [(f"[Peer] {i}", peer, peer_keys) for i, peer in enumerate(peers, 1)]
+    for name, section, keys in sections:
+        for key in keys:
+            if key not in section:
+                raise TunnelError(f"{name} has no {key} line")
     return TunnelSpec(
         node_id=node_id,
         overlay_address=interface["Address"],

@@ -2,6 +2,7 @@ import ast
 import json
 import logging
 import math
+import pickle
 import random
 import re
 from pathlib import Path
@@ -9,13 +10,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from budgetpath.billing import TransferRequest
+from budgetpath.planner import plan_transfer
+from budgetpath.probe import probe_rtts
 from budgetpath.topology import (
     LinkSpec,
     NodeSpec,
     Topology,
     TopologyError,
     load_topology,
-    probe_rtts,
     save_topology,
     topology_from_dict,
 )
@@ -245,6 +248,16 @@ class TestEdgeList:
         assert len(delays) > 2
         assert all(delay is delays[v, u] for (u, v), delay in delays.items())
 
+    @pytest.mark.parametrize("node", [-1, 2])
+    def test_node_ids_outside_the_graph_are_rejected(self, node):
+        edges = topology_from_dict(two_node_doc()).edges
+        with pytest.raises(TopologyError, match=f"^node {node} is not a valid node id$"):
+            edges.successors(node)
+        with pytest.raises(TopologyError, match=f"^source {node} is not a valid node id$"):
+            edges.index(node, 1)
+        with pytest.raises(TopologyError, match=f"^destination {node} is not a valid node id$"):
+            edges.index(0, node)
+
     def test_has_path(self):
         topo = Topology(topology_from_dict(two_node_doc(), mode="directed").nodes,
                         (LinkSpec(0, 1, 0.01),))
@@ -298,7 +311,7 @@ class TestProbe:
         import shutil
         if shutil.which("ping") is None:
             pytest.skip("no ping executable")
-        from budgetpath.topology import _ping_once
+        from budgetpath.probe import _ping_once
         rtt = _ping_once("127.0.0.1")
         if rtt is None:
             pytest.skip("ICMP not permitted in this environment")
@@ -542,13 +555,39 @@ class TestMatchesReferenceLoader:
             (2, 0, 3.0), (0, 1, 10.0), (1, 0, 10.0), (1, 2, 4.0), (0, 2, 3.0), (2, 1, 4.0)]
 
     def test_undirected_load_builds_one_topology(self, monkeypatch):
+        # every Topology, loaded or constructed, is checked and built by _from_columns
         built = []
-        init = Topology.__init__
+        from_columns = Topology._from_columns.__func__
 
-        def counting_init(self, nodes, links):
-            built.append(len(links))
-            init(self, nodes, links)
+        def counting_from_columns(cls, nodes, src, dst, rtt, links=None):
+            built.append(len(src))
+            return from_columns(cls, nodes, src, dst, rtt, links)
 
-        monkeypatch.setattr(Topology, "__init__", counting_init)
+        monkeypatch.setattr(Topology, "_from_columns", classmethod(counting_from_columns))
         topology = load_topology(FIXTURES / "testbed6.json")
         assert built == [len(topology.links)] == [18]
+
+    def test_links_are_built_on_first_use(self, monkeypatch):
+        built = []
+        init = LinkSpec.__init__
+
+        def counting_init(self, src, dst, rtt_s):
+            built.append((src, dst, rtt_s))
+            init(self, src, dst, rtt_s)
+
+        monkeypatch.setattr(LinkSpec, "__init__", counting_init)
+        topology = load_topology(FIXTURES / "testbed6.json")
+        assert topology.edges.n == 6
+        assert plan_transfer(topology, TransferRequest(0, 5, 1.0, 10.0, 5)) is not None
+        assert built == []
+        links = topology.links
+        assert len(built) == 18
+        assert topology.links is links and len(built) == 18
+        doc = json.loads((FIXTURES / "testbed6.json").read_text())
+        assert links == reference_topology_from_dict(doc).links
+        monkeypatch.undo()
+
+        for other in (Topology(topology.nodes, links), pickle.loads(pickle.dumps(topology))):
+            assert other == topology and other.links == links
+            assert hash(other) == hash(topology)
+            assert repr(other) == repr(topology)

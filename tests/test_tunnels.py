@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -208,6 +209,20 @@ class TestRenderParse:
         private = spec.keypair.private_b64
         text = render_conf(spec).replace(private, private[:10] + "*" + private[10:])
         with pytest.raises(ValueError, match="Only base64 data is allowed"):
+            parse_conf(text)
+
+    @pytest.mark.parametrize("key, section", [
+        ("Address", "[Interface]"), ("ListenPort", "[Interface]"), ("PublicKey", "[Peer] 2"),
+        ("Endpoint", "[Peer] 2"), ("AllowedIPs", "[Peer] 2"),
+    ])
+    def test_parse_names_a_missing_line(self, key, section):
+        spec = build_tunnels(make_plan([0, 1, 2]), make_topology(3),
+                             entropy_source=seeded_entropy(12))[1]
+        text = render_conf(spec)
+        # drop the key's last line, which is in the relay's second peer for a peer key
+        start = text.rindex(f"{key} = ")
+        text = text[:start] + text[text.index("\n", start) + 1:]
+        with pytest.raises(TunnelError, match=f"^{re.escape(section)} has no {key} line$"):
             parse_conf(text)
 
     def test_private_key_never_in_peer_sections(self):
