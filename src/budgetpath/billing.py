@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from enum import IntEnum
 
-from budgetpath.records import Record, set_field
+from budgetpath.records import Record
 from budgetpath.topology import NodeSpec
 
 BITS_PER_GB = 8e9
@@ -43,10 +43,6 @@ class NodeBillingConfig(Record):
     """
 
     __slots__ = _fields = ("method", "bandwidth_mbps")
-
-    def __init__(self, method: BillingMethod, bandwidth_mbps: float) -> None:
-        set_field(self, "method", method)
-        set_field(self, "bandwidth_mbps", bandwidth_mbps)
 
 
 # what `price` returns for one node: (method, bandwidth_mbps, cost_usd, seconds)
@@ -84,11 +80,7 @@ class TransferRequest(Record):
             raise ValueError(f"budget_usd must be >= 0, got {budget_usd}")
         if max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-        set_field(self, "source", source)
-        set_field(self, "destination", destination)
-        set_field(self, "data_size_gb", data_size_gb)
-        set_field(self, "budget_usd", budget_usd)
-        set_field(self, "max_iterations", max_iterations)
+        super().__init__(source, destination, data_size_gb, budget_usd, max_iterations)
 
 
 def transfer_seconds(data_size_gb: float, bandwidth_mbps: float) -> float:

@@ -16,7 +16,7 @@ from budgetpath.billing import (
     check_rule,
     price,
 )
-from budgetpath.records import Record, set_field
+from budgetpath.records import Record
 from budgetpath.search import EdgeWeights, PathResult, SearchError, search_min_latency
 from budgetpath.topology import Topology
 
@@ -33,22 +33,6 @@ class Plan(Record):
         "path", "configs", "predicted_cost_usd", "predicted_latency_s", "fraction_k",
         "iterations_used",
     )
-
-    def __init__(
-        self,
-        path: tuple[int, ...],
-        configs: dict[int, NodeBillingConfig],
-        predicted_cost_usd: float,
-        predicted_latency_s: float,
-        fraction_k: float,
-        iterations_used: int,
-    ) -> None:
-        set_field(self, "path", path)
-        set_field(self, "configs", configs)
-        set_field(self, "predicted_cost_usd", predicted_cost_usd)
-        set_field(self, "predicted_latency_s", predicted_latency_s)
-        set_field(self, "fraction_k", fraction_k)
-        set_field(self, "iterations_used", iterations_used)
 
 
 def build_weights(

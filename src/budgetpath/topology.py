@@ -39,6 +39,7 @@ class NodeSpec(Record):
         "id", "name", "public_address", "max_egress_mbps", "payg_rate", "pfdt_rate"
     )
 
+    # written out, not Record's: the loader builds one per node entry, and this is faster
     def __init__(
         self,
         id: int,
@@ -73,11 +74,6 @@ class LinkSpec(Record):
 
     __slots__ = _fields = ("src", "dst", "rtt_s")
 
-    def __init__(self, src: int, dst: int, rtt_s: float) -> None:
-        set_field(self, "src", src)
-        set_field(self, "dst", dst)
-        set_field(self, "rtt_s", rtt_s)
-
 
 class EdgeList(Record):
     """A topology's links as directed edges in compressed sparse row form.
@@ -90,13 +86,6 @@ class EdgeList(Record):
     """
 
     __slots__ = _fields = ("offsets", "dst", "delay")
-
-    def __init__(
-        self, offsets: tuple[int, ...], dst: tuple[int, ...], delay: tuple[float, ...]
-    ) -> None:
-        set_field(self, "offsets", offsets)
-        set_field(self, "dst", dst)
-        set_field(self, "delay", delay)
 
     @property
     def n(self) -> int:
@@ -143,6 +132,8 @@ class Topology(Record):
 
     _fields = ("nodes", "links")
     __slots__ = ("nodes", "_src", "_dst", "_rtt", "_links", "_edges")
+    # `__new__` builds a topology; Record's constructor would try to assign `links`
+    __init__ = object.__init__
 
     def __new__(cls, nodes: tuple[NodeSpec, ...], links: tuple[LinkSpec, ...]) -> Topology:
         src, dst, rtt = ([getattr(link, name) for link in links] for name in LinkSpec._fields)

@@ -16,7 +16,7 @@ from collections.abc import Callable
 from pathlib import Path
 
 from budgetpath.planner import Plan
-from budgetpath.records import Record, set_field
+from budgetpath.records import Record
 from budgetpath.topology import Topology
 
 DEFAULT_KEEPALIVE_S = 25
@@ -42,10 +42,6 @@ class KeyPair(Record):
     """A clamped 32-byte Curve25519 private scalar and its public point."""
 
     __slots__ = _fields = ("private", "public")
-
-    def __init__(self, private: bytes, public: bytes) -> None:
-        set_field(self, "private", private)
-        set_field(self, "public", public)
 
     @property
     def private_b64(self) -> str:
@@ -86,30 +82,13 @@ class PeerEntry(Record):
         allowed_ips: tuple[str, ...],
         keepalive_s: int | None = DEFAULT_KEEPALIVE_S,
     ) -> None:
-        set_field(self, "public_key_b64", public_key_b64)
-        set_field(self, "endpoint", endpoint)
-        set_field(self, "allowed_ips", allowed_ips)
-        set_field(self, "keepalive_s", keepalive_s)
+        super().__init__(public_key_b64, endpoint, allowed_ips, keepalive_s)
 
 
 class TunnelSpec(Record):
     """One node's tunnel; `overlay_address` carries its prefix length, e.g. 10.44.0.1/24."""
 
     __slots__ = _fields = ("node_id", "overlay_address", "listen_port", "keypair", "peers")
-
-    def __init__(
-        self,
-        node_id: int,
-        overlay_address: str,
-        listen_port: int,
-        keypair: KeyPair,
-        peers: tuple[PeerEntry, ...],
-    ) -> None:
-        set_field(self, "node_id", node_id)
-        set_field(self, "overlay_address", overlay_address)
-        set_field(self, "listen_port", listen_port)
-        set_field(self, "keypair", keypair)
-        set_field(self, "peers", peers)
 
     @property
     def is_relay(self) -> bool:

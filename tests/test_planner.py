@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from budgetpath.billing import (
+    RULES,
     BillingMethod,
     NodeBillingConfig,
     TransferRequest,
@@ -24,8 +25,9 @@ from budgetpath.planner import (
     plan_to_dict,
     plan_transfer,
     save_plan,
+    sender_configs,
 )
-from budgetpath.search import PathResult
+from budgetpath.search import PathResult, enumerate_best_path
 from budgetpath.simulate import simulate_transfer
 from budgetpath.topology import LinkSpec, NodeSpec, Topology, load_topology
 from helpers import bisection_bracket, random_topology, record_rounds
@@ -59,6 +61,19 @@ def edge_case_topology():
     n = len(EDGE_CASE_NODES)
     links = tuple(LinkSpec(u, v, 0.001 * (u + 2 * v + 1)) for u in range(n) for v in range(n) if u != v)
     return Topology(EDGE_CASE_NODES, links)
+
+
+def planned_instances(rng, rule):
+    """(topology, request, plan) of the random instances, n <= 7, that the planner solves."""
+    for _ in range(100):
+        topo = random_topology(rng)
+        n = len(topo)
+        request = TransferRequest(
+            rng.randrange(n), rng.randrange(n),
+            rng.uniform(0.1, 40.0), rng.uniform(0.0, 3.0), rng.randint(1, 8))
+        plan = plan_transfer(topo, request, rule)
+        if plan is not None:
+            yield topo, request, plan
 
 
 class TestBuildWeights:
@@ -278,24 +293,32 @@ class TestPlanTransfer:
         with pytest.raises(Exception):
             plan_transfer(topo, TransferRequest(0, 9, 1.0, 1.0, 5))
 
-    def test_budget_safety_random_instances(self):
-        rng = random.Random(5)
+    @pytest.mark.parametrize("rule", RULES)
+    def test_budget_safety_random_instances(self, rule):
         planned = 0
-        for _ in range(100):
-            topo = random_topology(rng)
-            n = len(topo)
-            request = TransferRequest(
-                rng.randrange(n), rng.randrange(n),
-                rng.uniform(0.1, 40.0), rng.uniform(0.0, 3.0), rng.randint(1, 8))
-            plan = plan_transfer(topo, request)
-            if plan is None:
-                continue
+        for topo, request, plan in planned_instances(random.Random(5), rule):
             planned += 1
             latency, cost = simulate_transfer(topo, plan.path, plan.configs, request.data_size_gb)
             assert cost <= request.budget_usd
             assert cost == plan.predicted_cost_usd
             assert latency == plan.predicted_latency_s
         assert planned > 20
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_oracle_totals_match_an_independent_repricing(self, rule):
+        # the oracle's own sums, which `simulate.compare` reports, against
+        # `simulate_transfer`'s pricing of the same path at the plan's k
+        checked = 0
+        for topo, request, plan in planned_instances(random.Random(11), rule):
+            weights, prices = build_weights(topo, request, plan.fraction_k, rule)
+            best = enumerate_best_path(
+                weights, request.source, request.destination, request.budget_usd)
+            assert best is not None  # the plan's own path is within the budget
+            checked += 1
+            configs = sender_configs(best.path, prices)
+            assert simulate_transfer(topo, best.path, configs, request.data_size_gb) == (
+                best.total_b, best.total_a)
+        assert checked > 20
 
     def test_latency_increases_with_data_on_pfdt_only_path(self):
         topo = make_topology(3, payg=None)

@@ -139,6 +139,22 @@ def test_pickle_round_trip(cls):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
+@by_name
+def test_constructor_rejects_what_a_signature_would(cls):
+    fields = FIELDS[cls]()
+    values = list(fields.values())
+    after_first = dict(list(fields.items())[1:])
+    assert cls(values[0], **after_first) == cls(**fields)
+    with pytest.raises(TypeError):
+        cls(**after_first)  # missing the first field, which no record defaults
+    with pytest.raises(TypeError):
+        cls(**fields, unknown=None)
+    with pytest.raises(TypeError):
+        cls(values[0], **fields)  # the first field both by position and by keyword
+    with pytest.raises(TypeError):
+        cls(*values, None)
+
+
 def test_defaults():
     assert PeerEntry("AAAA", "203.0.113.2:51820", ("10.44.0.2/32",)).keepalive_s == 25
 
