@@ -8,7 +8,6 @@ key generation byte-reproducible.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 from budgetpath.billing import RULES, TransferRequest
 from budgetpath.planner import build_weights, load_plan, plan_to_dict, plan_transfer
 from budgetpath.search import ORACLE_MAX_NODES, enumerate_best_path
-from budgetpath.topology import load_topology
+from budgetpath.topology import json_text, load_topology, read_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -89,8 +88,7 @@ def _cmd_plan(args) -> int:
     if plan is None:
         print("insufficient budget: no feasible path found", file=sys.stderr)
         return EXIT_INFEASIBLE
-    text = json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n"
-    _emit(text, args.out)
+    _emit(json_text(plan_to_dict(plan)), args.out)
     print(
         f"path {'->'.join(map(str, plan.path))}  cost ${plan.predicted_cost_usd:.4f}  "
         f"latency {plan.predicted_latency_s:.2f}s  k={plan.fraction_k}",
@@ -109,14 +107,7 @@ def _load_keys(path: str, n_nodes: int) -> dict:
     """
     from budgetpath.tunnels import keypair_from_private_b64
 
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: malformed JSON: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # not UTF-8, nested too deeply, or holding a number too long to read
-        raise ValueError(f"{path}: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or not all(isinstance(private, str) for private in doc.values()):
         raise ValueError(f"keys file {path}: expected an object of node id -> base64 private key")
     keys = {}
@@ -180,19 +171,12 @@ def _cmd_oracle(args) -> int:
     if result is None:
         print("no feasible path", file=sys.stderr)
         return EXIT_INFEASIBLE
-    _emit(
-        json.dumps(
-            {
-                "path": list(result.path),
-                "total_cost_usd": result.total_a,
-                "total_latency_s": result.total_b,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        args.out,
-    )
+    doc = {
+        "path": list(result.path),
+        "total_cost_usd": result.total_a,
+        "total_latency_s": result.total_b,
+    }
+    _emit(json_text(doc), args.out)
     return EXIT_OK
 
 

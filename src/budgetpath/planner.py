@@ -4,7 +4,6 @@ binary search that shrinks PAYG rates until a budget-feasible path exists.
 
 from __future__ import annotations
 
-import json
 import math
 from operator import itemgetter
 
@@ -17,8 +16,8 @@ from budgetpath.billing import (
     price,
 )
 from budgetpath.records import Record
-from budgetpath.search import EdgeWeights, PathResult, SearchError, search_min_latency
-from budgetpath.topology import Topology
+from budgetpath.search import EdgeWeights, PathResult, search_min_latency
+from budgetpath.topology import Topology, json_text, read_json
 
 
 class Plan(Record):
@@ -100,11 +99,6 @@ def plan_transfer(
     k, its bracket and its plan. None means no round ever produced a
     feasible path: the budget is insufficient.
     """
-    if not 0 <= request.source < len(topology):
-        raise SearchError(f"source {request.source} is not a valid node id")
-    if not 0 <= request.destination < len(topology):
-        raise SearchError(f"destination {request.destination} is not a valid node id")
-
     source, destination, budget = request.source, request.destination, request.budget_usd
     weights, prices = build_weights(topology, request, 1.0, rule)
     result = search_min_latency(weights, source, destination, budget)
@@ -240,21 +234,12 @@ def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
 
 def save_plan(plan: Plan, path) -> None:
     with open(path, "w") as fh:
-        json.dump(plan_to_dict(plan), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(plan_to_dict(plan)))
 
 
 def load_plan(path, n_nodes: int) -> Plan:
     """Read a plan file and check it against a topology of `n_nodes` nodes.
 
-    A file that is not UTF-8 JSON is reported with its path.
+    An error in reading the file names it.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: malformed JSON: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # not UTF-8, nested too deeply, or holding a number too long to read
-        raise ValueError(f"{path}: {exc}") from exc
-    return plan_from_dict(doc, n_nodes)
+    return plan_from_dict(read_json(path), n_nodes)

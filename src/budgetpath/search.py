@@ -64,9 +64,13 @@ class PathResult(Record):
     __slots__ = _fields = ("path", "total_a", "total_b")
 
 
-def _check_node(n: int, node: int, label: str) -> None:
-    if not 0 <= node < n:
-        raise SearchError(f"{label} {node} is not a valid node id")
+def _check_query(n: int, source: int, destination: int, cost_cap: float) -> None:
+    """SearchError unless both ends are node ids of an n-node graph and the cap is >= 0."""
+    for label, node in (("source", source), ("destination", destination)):
+        if not 0 <= node < n:
+            raise SearchError(f"{label} {node} is not a valid node id")
+    if not cost_cap >= 0:  # also rejects NaN
+        raise SearchError(f"cost_cap must be >= 0, got {cost_cap}")
 
 
 def search_min_latency(
@@ -86,10 +90,7 @@ def search_min_latency(
     too expensive.
     """
     n = weights.n
-    _check_node(n, source, "source")
-    _check_node(n, destination, "destination")
-    if not cost_cap >= 0:  # also rejects NaN
-        raise SearchError(f"cost_cap must be >= 0, got {cost_cap}")
+    _check_query(n, source, destination, cost_cap)
 
     edges = weights.edges
     offsets, dst, delay = edges.offsets, edges.dst, edges.delay
@@ -137,16 +138,13 @@ def enumerate_best_path(
     cost, then lexicographic path. Exponential, so refused on graphs of
     more than `max_nodes` nodes.
     """
-    _check_node(weights.n, source, "source")
-    _check_node(weights.n, destination, "destination")
+    _check_query(weights.n, source, destination, cost_cap)
     if weights.n > max_nodes:
         raise SearchError(f"oracle enumeration refused for n={weights.n} > {max_nodes}")
 
     edges = weights.edges
     offsets, dst, delay = edges.offsets, edges.dst, edges.delay
     a, b = weights.a, weights.b
-    if 0.0 > cost_cap:
-        return None
     best: tuple[float, float, tuple[int, ...]] | None = None
     stack = [(source, 0.0, 0.0, (source,))]
     while stack:

@@ -8,7 +8,6 @@ per-volume billing, budget ignored.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 
 from budgetpath.billing import (
@@ -21,7 +20,7 @@ from budgetpath.billing import (
 from budgetpath.planner import build_weights, plan_transfer
 from budgetpath.records import Record
 from budgetpath.search import ORACLE_MAX_NODES, enumerate_best_path
-from budgetpath.topology import Topology
+from budgetpath.topology import Topology, json_text
 
 NAIVE_DEFINITION = (
     "naive baseline: minimum-hop path (ties by summed rtt, then lexicographic), "
@@ -149,7 +148,7 @@ class SimulationReport(Record):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict())
 
     def to_table(self) -> str:
         header = ["label", "path", "latency_s", "cost_usd", "feasible"]

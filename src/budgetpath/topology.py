@@ -390,23 +390,33 @@ def topology_to_dict(topology: Topology) -> dict:
     }
 
 
+def read_json(path, error: type[ValueError] = ValueError):
+    """The document in a UTF-8 JSON file; `error`, naming the file, if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: malformed JSON: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        # unreadable, not UTF-8, nested too deeply, or holding a number too long to read
+        raise error(f"{path}: {exc}") from exc
+
+
+def json_text(doc) -> str:
+    """A document as the package writes plans, reports and manifests: indented, keys sorted."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def load_topology(path, mode: str = "undirected") -> Topology:
     """Load and validate a topology file; undirected mode symmetrizes the link set.
 
     Errors in reading the file name it.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise TopologyError(f"{path}: malformed JSON: {exc}") from exc
-    except (OSError, ValueError, RecursionError) as exc:
-        # unreadable, not UTF-8, nested too deeply, or holding a number too long to read
-        raise TopologyError(f"{path}: {exc}") from exc
-    return topology_from_dict(doc, mode=mode)
+    return topology_from_dict(read_json(path, TopologyError), mode=mode)
 
 
 def save_topology(topology: Topology, path) -> None:
+    # keys unsorted, unlike json_text, so a probed topology keeps its file's layout
     with open(path, "w") as fh:
         json.dump(topology_to_dict(topology), fh, indent=2)
         fh.write("\n")

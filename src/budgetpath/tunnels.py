@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import base64
 import ipaddress
-import json
+import itertools
+import os
 from collections.abc import Callable
 from pathlib import Path
 
 from budgetpath.planner import Plan
 from budgetpath.records import Record
-from budgetpath.topology import Topology
+from budgetpath.topology import Topology, json_text
 
 DEFAULT_KEEPALIVE_S = 25
 DEFAULT_LISTEN_PORT = 51820
@@ -126,16 +127,10 @@ def build_tunnels(
         if not 0 <= u < edges.n or v not in edges.successors(u):
             raise TunnelError(f"plan hop ({u}, {v}) is not a link of the topology")
     if entropy_source is None:
-        import secrets
-
-        entropy_source = lambda: secrets.token_bytes(32)
+        entropy_source = lambda: os.urandom(32)
 
     network = ipaddress.ip_network(overlay_subnet, strict=True)
-    hosts = []
-    for host in network.hosts():
-        hosts.append(host)
-        if len(hosts) == len(path):
-            break
+    hosts = list(itertools.islice(network.hosts(), len(path)))
     if len(hosts) < len(path):
         raise TunnelError(
             f"overlay subnet {overlay_subnet} has fewer than {len(path)} usable hosts"
@@ -152,30 +147,22 @@ def build_tunnels(
         identity_keys[node_id] if node_id in identity_keys else generate_keypair(entropy_source())
         for node_id in path
     ]
-    host_bits = network.max_prefixlen
 
-    def host_prefix(index: int) -> str:
-        return f"{hosts[index]}/{host_bits}"
+    def peer(j: int, hosts_behind: range) -> PeerEntry:
+        """Path node j as a peer that routes the overlay addresses of the path indices given."""
+        return PeerEntry(
+            public_key_b64=keypairs[j].public_b64,
+            endpoint=f"{public_addresses[j]}:{ports[j]}",
+            allowed_ips=tuple(f"{hosts[h]}/{network.max_prefixlen}" for h in hosts_behind),
+        )
 
     specs = []
     for i, node_id in enumerate(path):
         peers = []
         if i > 0:
-            peers.append(
-                PeerEntry(
-                    public_key_b64=keypairs[i - 1].public_b64,
-                    endpoint=f"{public_addresses[i - 1]}:{ports[i - 1]}",
-                    allowed_ips=tuple(host_prefix(j) for j in range(i)),
-                )
-            )
+            peers.append(peer(i - 1, range(i)))
         if i < len(path) - 1:
-            peers.append(
-                PeerEntry(
-                    public_key_b64=keypairs[i + 1].public_b64,
-                    endpoint=f"{public_addresses[i + 1]}:{ports[i + 1]}",
-                    allowed_ips=tuple(host_prefix(j) for j in range(i + 1, len(path))),
-                )
-            )
+            peers.append(peer(i + 1, range(i + 1, len(path))))
         specs.append(
             TunnelSpec(
                 node_id=node_id,
@@ -267,7 +254,9 @@ def write_tunnel_files(specs: list[TunnelSpec], topology: Topology, out_dir) -> 
 
     Each node's name must be a distinct plain file name, checked before
     anything is written, so no conf lands outside `out_dir` or replaces
-    another's.
+    another's. A conf holds its node's private key, so it is written
+    owner-only (0600), also over an existing file; the manifest holds
+    only public keys.
     """
     seen: dict[str, int] = {}
     for spec in specs:
@@ -286,13 +275,15 @@ def write_tunnel_files(specs: list[TunnelSpec], topology: Topology, out_dir) -> 
     for spec in specs:
         node = topology.node(spec.node_id)
         conf_name = f"{node.name}.conf"
-        (out / conf_name).write_text(render_conf(spec))
+        fd = os.open(out / conf_name, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+        with open(fd, "w") as fh:
+            # O_CREAT applies the mode only to a new file
+            os.fchmod(fd, 0o600)
+            fh.write(render_conf(spec))
         manifest[node.name] = {
             "public_address": node.public_address,
             "conf_file": conf_name,
             "public_key": spec.keypair.public_b64,
         }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out / "manifest.json").write_text(json_text(manifest))
     return manifest

@@ -176,6 +176,7 @@ class TestTransferRequest:
         ((0.0, 5, 10.0, 1.5, 10), "source must be an integer, got 0.0"),
         ((0, False, 10.0, 1.5, 10), "destination must be an integer, got False"),
         ((0, "5", 10.0, 1.5, 10), "destination must be an integer, got '5'"),
+        ((0, 5, 10.0, 1.5, 0), "max_iterations must be >= 1, got 0"),
     ])
     def test_rejects_endpoints_and_iteration_caps_that_are_not_integers(self, fields, message):
         with pytest.raises(ValueError, match=message):
@@ -183,6 +184,17 @@ class TestTransferRequest:
 
     def test_infinite_budget_is_valid(self):
         assert TransferRequest(0, 1, 1.0, math.inf, 5).budget_usd == math.inf
+
+
+@pytest.mark.parametrize("function, args, message", [
+    (pfdt_cost, (-K2, 1.0), "pfdt_cost inputs must be non-negative"),
+    (pfdt_cost, (K2, -1.0), "pfdt_cost inputs must be non-negative"),
+    (payg_cost, (-K1, 100.0, 1.0), "payg_rate must be >= 0, got -0.021"),
+    (edge_latency, (-0.01, 1.0, 100.0), "rtt must be >= 0, got -0.01"),
+], ids=["pfdt-rate", "pfdt-data", "payg-rate", "rtt"])
+def test_rejects_negative_inputs(function, args, message):
+    with pytest.raises(ValueError, match=message):
+        function(*args)
 
 
 def test_billed_hours_rejects_a_transfer_too_long_to_count():

@@ -356,6 +356,20 @@ class TestErrorsEndInOneLine:
         assert assert_one_error_line(capsys, code).startswith(f"error: {plan_file}: {reason}")
         assert not (tmp_path / "wg").exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("option", ["--topology", "--plan", "--keys"])
+    def test_render_wg_unreadable_input_names_the_file(self, tmp_path, capsys, option, kind):
+        inputs = {"--topology": TESTBED, "--plan": str(_plan_file(tmp_path))}
+        unreadable = tmp_path / "unreadable.json"
+        if kind == "directory":
+            unreadable.mkdir()
+        inputs[option] = str(unreadable)
+        capsys.readouterr()
+        code = run(["render-wg", *(item for pair in inputs.items() for item in pair),
+                    "--seed", "1", "--out-dir", str(tmp_path / "wg")])
+        assert assert_one_error_line(capsys, code).startswith(f"error: {unreadable}: ")
+        assert not (tmp_path / "wg").exists()
+
     def test_search_error(self, capsys):
         # plan stops at the topology's reachability check (TopologyError),
         # oracle at the search's own check (SearchError)

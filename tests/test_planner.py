@@ -27,7 +27,7 @@ from budgetpath.planner import (
     save_plan,
     sender_configs,
 )
-from budgetpath.search import PathResult, enumerate_best_path
+from budgetpath.search import PathResult, SearchError, enumerate_best_path
 from budgetpath.simulate import simulate_transfer
 from budgetpath.topology import LinkSpec, NodeSpec, Topology, load_topology
 from helpers import bisection_bracket, random_topology, record_rounds
@@ -290,8 +290,10 @@ class TestPlanTransfer:
 
     def test_invalid_endpoints(self):
         topo = make_topology(2)
-        with pytest.raises(Exception):
+        with pytest.raises(SearchError, match="^destination 9 is not a valid node id$"):
             plan_transfer(topo, TransferRequest(0, 9, 1.0, 1.0, 5))
+        with pytest.raises(SearchError, match="^source -1 is not a valid node id$"):
+            plan_transfer(topo, TransferRequest(-1, 1, 1.0, 1.0, 5))
 
     @pytest.mark.parametrize("rule", RULES)
     def test_budget_safety_random_instances(self, rule):
@@ -343,6 +345,11 @@ class TestPlanSerialization:
         topo = make_topology(4)
         plan = plan_transfer(topo, TransferRequest(0, 3, 30.0, 10.0, 6))
         assert plan_from_dict(plan_to_dict(plan), len(topo)) == plan
+
+    @pytest.mark.parametrize("doc", [[], "plan", None])
+    def test_rejects_a_document_that_is_not_an_object(self, doc):
+        with pytest.raises(ValueError, match="^plan must be an object, got "):
+            plan_from_dict(doc, 4)
 
 
 # records kept per node, per link and per plan carry no per-instance __dict__

@@ -130,6 +130,8 @@ def test_fields_cannot_be_assigned(cls):
     for name, value in fields.items():
         with pytest.raises(AttributeError):
             setattr(record, name, value)
+        with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
+            delattr(record, name)
     assert record == cls(**FIELDS[cls]())
 
 

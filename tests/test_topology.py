@@ -96,6 +96,14 @@ class TestLoad:
         with pytest.raises(TopologyError):
             load_topology(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("doc, mode, message", [
+        ([], "undirected", "^topology document must be an object$"),
+        (two_node_doc(), "both", "^unknown mode 'both'$"),
+    ], ids=["not-an-object", "unknown-mode"])
+    def test_rejects_a_non_object_document_or_an_unknown_mode(self, doc, mode, message):
+        with pytest.raises(TopologyError, match=message):
+            topology_from_dict(doc, mode)
+
 
 def _drop_node_name(doc):
     del doc["nodes"][1]["name"]
@@ -241,6 +249,8 @@ class TestEdgeList:
             assert list(edges.successors(u)) == topo.neighbors(u)
         for u, v, delay in triples:
             assert delay == topo.rtt(u, v) / 2.0
+        with pytest.raises(KeyError, match=r"no link \(0, 0\)"):
+            topo.rtt(0, 0)
 
     def test_directions_of_a_link_share_one_delay(self):
         edges = load_topology(FIXTURES / "testbed6.json").edges

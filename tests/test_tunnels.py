@@ -1,5 +1,7 @@
+import os
 import random
 import re
+import stat
 
 import pytest
 
@@ -22,6 +24,10 @@ RFC7748_SCALAR = bytes.fromhex(
     "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a")
 RFC7748_PUBLIC = bytes.fromhex(
     "8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a")
+
+
+# 32 bytes of 0xff, which clamping would change
+UNCLAMPED_B64 = "/" * 43 + "="
 
 
 def make_topology(n, shared_address=False):
@@ -211,6 +217,20 @@ class TestRenderParse:
         with pytest.raises(ValueError, match="Only base64 data is allowed"):
             parse_conf(text)
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda text: text.replace("ListenPort = ", "ListenPort "),
+         r"^unparseable line: 'ListenPort 51820'$"),
+        (lambda text: text.replace("# Node: 0\n", ""),
+         r"^missing node comment or \[Interface\] section$"),
+        (lambda text: re.sub("PrivateKey = .*", f"PrivateKey = {UNCLAMPED_B64}", text),
+         r"^private key is not clamped$"),
+    ], ids=["unparseable-line", "no-node-comment", "unclamped-key"])
+    def test_parse_rejects_malformed_text(self, corrupt, message):
+        spec = build_tunnels(make_plan([0, 1]), make_topology(2),
+                             entropy_source=seeded_entropy(11))[0]
+        with pytest.raises(TunnelError, match=message):
+            parse_conf(corrupt(render_conf(spec)))
+
     @pytest.mark.parametrize("key, section", [
         ("Address", "[Interface]"), ("ListenPort", "[Interface]"), ("PublicKey", "[Peer] 2"),
         ("Endpoint", "[Peer] 2"), ("AllowedIPs", "[Peer] 2"),
@@ -244,6 +264,23 @@ class TestManifest:
             assert (tmp_path / f"node{i}.conf").exists()
             assert manifest[f"node{i}"]["conf_file"] == f"node{i}.conf"
         assert (tmp_path / "manifest.json").exists()
+
+    def test_confs_are_owner_only_and_the_manifest_is_not(self, tmp_path):
+        topo = make_topology(3)
+        specs = build_tunnels(make_plan([0, 1, 2]), topo, entropy_source=seeded_entropy(11))
+        # a conf left by an earlier run keeps its mode under O_CREAT alone
+        stale = tmp_path / "node1.conf"
+        stale.write_text("stale\n")
+        stale.chmod(0o644)
+        umask = os.umask(0o022)
+        try:
+            write_tunnel_files(specs, topo, tmp_path)
+        finally:
+            os.umask(umask)
+        for i in range(3):
+            assert stat.S_IMODE((tmp_path / f"node{i}.conf").stat().st_mode) == 0o600
+        assert stale.read_text() == render_conf(specs[1])
+        assert stat.S_IMODE((tmp_path / "manifest.json").stat().st_mode) == 0o644
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
     def test_name_must_be_a_plain_file_name(self, tmp_path, name):
