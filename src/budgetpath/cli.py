@@ -8,7 +8,6 @@ key generation byte-reproducible.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -23,8 +22,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
-FIXTURE_DIR_ENV = "BUDGETPATH_FIXTURE_DIR"
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; our contract reserves 2
@@ -33,17 +30,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_ERROR)
-
-
-def _resolve(path: str) -> str:
-    if os.path.exists(path):
-        return path
-    fixture_dir = os.environ.get(FIXTURE_DIR_ENV)
-    if fixture_dir:
-        candidate = os.path.join(fixture_dir, path)
-        if os.path.exists(candidate):
-            return candidate
-    return path
 
 
 def _add_topology_args(parser) -> None:
@@ -79,8 +65,7 @@ def _no_path(topology, request: TransferRequest) -> bool:
     return True
 
 
-def _cmd_plan(args) -> int:
-    topology = load_topology(_resolve(args.topology), args.mode)
+def _cmd_plan(args, topology) -> int:
     request = _request(args)
     if _no_path(topology, request):
         return EXIT_INFEASIBLE
@@ -122,12 +107,11 @@ def _load_keys(path: str, n_nodes: int) -> dict:
     return keys
 
 
-def _cmd_render_wg(args) -> int:
+def _cmd_render_wg(args, topology) -> int:
     import random
 
     from budgetpath.tunnels import build_tunnels, write_tunnel_files
 
-    topology = load_topology(_resolve(args.topology), args.mode)
     plan = load_plan(args.plan, len(topology))
     entropy_source = None
     if args.seed is not None:
@@ -146,10 +130,9 @@ def _cmd_render_wg(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, topology) -> int:
     from budgetpath.simulate import compare
 
-    topology = load_topology(_resolve(args.topology), args.mode)
     request = _request(args)
     if _no_path(topology, request):
         return EXIT_INFEASIBLE
@@ -160,8 +143,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    topology = load_topology(_resolve(args.topology), args.mode)
+def _cmd_oracle(args, topology) -> int:
     request = _request(args)
     weights, _ = build_weights(topology, request, args.fraction, args.rule)
     result = enumerate_best_path(
@@ -180,11 +162,10 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(args, topology) -> int:
     from budgetpath.probe import probe_rtts
     from budgetpath.topology import save_topology
 
-    topology = load_topology(_resolve(args.topology), args.mode)
     probed = probe_rtts(topology, args.attempts)
     save_topology(probed, args.out)
     print(f"probed {len(probed.links)} links, wrote {args.out}", file=sys.stderr)
@@ -239,7 +220,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, load_topology(args.topology, args.mode))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     # TopologyError, SearchError, SimulationError and TunnelError are all

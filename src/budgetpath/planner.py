@@ -17,7 +17,7 @@ from budgetpath.billing import (
 )
 from budgetpath.records import Record
 from budgetpath.search import EdgeWeights, PathResult, search_min_latency
-from budgetpath.topology import Topology, json_text, read_json
+from budgetpath.topology import Topology, read_json
 
 
 class Plan(Record):
@@ -119,10 +119,9 @@ def plan_transfer(
         if result is not None:
             plan = _finalize(result, prices, k, request.max_iterations)
             k_lower = k
-            next_k = (k + k_upper) / 2.0
         else:
             k_upper = k
-            next_k = (k + k_lower) / 2.0
+        next_k = (k_lower + k_upper) / 2.0
         # the midpoint rounds to k once the bracket is as narrow as floats allow,
         # and halving the smallest positive float gives 0.0, which is no
         # bandwidth: either way every later round would repeat this one
@@ -230,11 +229,6 @@ def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
         fraction_k=_plan_number(doc, "fraction_k", _FRACTION),
         iterations_used=iterations_used,
     )
-
-
-def save_plan(plan: Plan, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(json_text(plan_to_dict(plan)))
 
 
 def load_plan(path, n_nodes: int) -> Plan:

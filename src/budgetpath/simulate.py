@@ -61,8 +61,12 @@ def naive_baseline(
 
     Hop-count ties are broken by summed rtt, then lexicographic path.
     Nodes without a per-volume rate fall back to PAYG at full bandwidth.
+    SimulationError if an endpoint is not a node id or no path joins them.
     """
     src, dst = request.source, request.destination
+    for label, node in (("source", src), ("destination", dst)):
+        if not 0 <= node < len(topology):
+            raise SimulationError(f"{label} {node} is not a valid node id")
 
     # BFS hop counts; `dist` fills in level order.
     dist = {src: 0}

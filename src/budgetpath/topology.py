@@ -127,7 +127,9 @@ class EdgeList(Record):
 class Topology(Record):
     """Validated nodes and directed links, kept as three checked columns in link order.
 
-    `links`, the same links as `LinkSpec` records, and `edges` are built on first use.
+    A topology keeps a tuple of the nodes and copies of the link fields it was
+    given, never the caller's lists; `links`, the same links as `LinkSpec`
+    records, and `edges` are built from the checked columns on first use.
     """
 
     _fields = ("nodes", "links")
@@ -136,12 +138,14 @@ class Topology(Record):
     __init__ = object.__init__
 
     def __new__(cls, nodes: tuple[NodeSpec, ...], links: tuple[LinkSpec, ...]) -> Topology:
+        links = tuple(links)  # read three times below, so an iterator is read once first
         src, dst, rtt = ([getattr(link, name) for link in links] for name in LinkSpec._fields)
-        return cls._from_columns(nodes, src, dst, rtt, links)
+        return cls._from_columns(nodes, src, dst, rtt)
 
     @classmethod
-    def _from_columns(cls, nodes, src, dst, rtt, links=None) -> Topology:
-        """Check the nodes and the links given as columns; `links`, if given, is kept as is."""
+    def _from_columns(cls, nodes, src, dst, rtt) -> Topology:
+        """Check the nodes and the links given as columns, and keep tuples of them."""
+        nodes = tuple(nodes)
         n = len(nodes)
         ids = [node.id for node in nodes]
         if ids != list(range(n)):
@@ -165,7 +169,7 @@ class Topology(Record):
             else:
                 raise _link_error(u, v, rtt_s, n)
         topology = object.__new__(cls)
-        values = (nodes, tuple(src), tuple(dst), tuple(rtt), links, None)
+        values = (nodes, tuple(src), tuple(dst), tuple(rtt), None, None)
         for name, value in zip(cls.__slots__, values):
             set_field(topology, name, value)
         return topology

@@ -12,6 +12,7 @@ import random
 from collections.abc import Callable
 
 from budgetpath import planner
+from budgetpath.billing import BillingMethod
 from budgetpath.search import EdgeWeights, PathResult
 from budgetpath.topology import EdgeList, LinkSpec, NodeSpec, Topology, TopologyError
 from budgetpath.tunnels import TunnelSpec, clamp_scalar
@@ -57,6 +58,29 @@ def path_sums(weights: EdgeWeights, path: tuple[int, ...]) -> tuple[float, float
         total_a += weights.a[u]
         total_b += weights.edges.delay[weights.edges.index(u, v)] + weights.b[u]
     return total_a, total_b
+
+
+def reprice(topology: Topology, path, configs: dict, data_gb: float) -> tuple[float, float]:
+    """(latency_s, cost_usd) of sending `data_gb` GB along `path` under `configs`.
+
+    The billing arithmetic is written out here, in `simulate_transfer`'s
+    float order: per-hop latencies, then per-sender costs, each added left to
+    right from 0.0. A hop's latency is half its rtt plus the time the data
+    takes at its sender's bandwidth; a PFDT sender pays its rate per GB, a
+    PAYG sender its rate per Mbps per started hour, at least one hour.
+    """
+    rtts = {(link.src, link.dst): link.rtt_s for link in topology.links}
+    latency = cost = 0.0
+    for u, v in zip(path, path[1:]):
+        latency += rtts[u, v] / 2.0 + data_gb * 8e9 / (configs[u].bandwidth_mbps * 1e6)
+    for u in path[:-1]:
+        node, config = topology.nodes[u], configs[u]
+        if config.method is BillingMethod.PFDT:
+            cost += node.pfdt_rate * data_gb
+        else:
+            seconds = data_gb * 8e9 / (config.bandwidth_mbps * 1e6)
+            cost += node.payg_rate * config.bandwidth_mbps * max(1, math.ceil(seconds / 3600.0))
+    return latency, cost
 
 
 def random_topology(rng: random.Random, n_min: int = 2, n_max: int = 7) -> Topology:

@@ -57,6 +57,17 @@ class TestExitCodes:
                     "--data-gb", "1", "--budget-usd", "1"])
         assert code == 1
 
+    def test_relative_topology_path_is_read_from_the_working_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # no environment variable turns a path that names no file into another file
+        monkeypatch.setenv("BUDGETPATH_FIXTURE_DIR", str(FIXTURES))
+        monkeypatch.chdir(tmp_path)
+        code = run(["plan", "--topology", "testbed6.json", "--src", "0", "--dst", "5",
+                    "--data-gb", "1", "--budget-usd", "0.5"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: testbed6.json: ")
+
     def test_oracle_subcommand(self, capsys):
         code = run(["oracle", "--topology", TESTBED, "--src", "0", "--dst", "5",
                     "--data-gb", "1", "--budget-usd", "0.5"])
@@ -450,12 +461,27 @@ class TestErrorsEndInOneLine:
         assert not (tmp_path / "out").exists()
 
 
-class TestFixtureDirOverride:
-    def test_env_var_resolves_relative_fixture(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BUDGETPATH_FIXTURE_DIR", str(FIXTURES))
-        code = run(["plan", "--topology", "testbed6.json", "--src", "0", "--dst", "5",
-                    "--data-gb", "1", "--budget-usd", "0.5"])
-        assert code == 0
+def test_each_command_reads_its_topology_once(tmp_path, monkeypatch, capsys):
+    import budgetpath.cli
+    import budgetpath.probe
+
+    plan_file = _plan_file(tmp_path)
+    loads = []
+    load = budgetpath.cli.load_topology
+    monkeypatch.setattr(budgetpath.cli, "load_topology",
+                        lambda path, mode: loads.append((path, mode)) or load(path, mode))
+    monkeypatch.setattr(budgetpath.probe, "probe_rtts", lambda topology, attempts: topology)
+    request = ["--src", "0", "--dst", "5", "--data-gb", "1", "--budget-usd", "0.5"]
+    for argv in (
+        ["plan", *request],
+        ["render-wg", "--plan", str(plan_file), "--seed", "1", "--out-dir", str(tmp_path / "wg")],
+        ["simulate", *request],
+        ["oracle", *request],
+        ["probe", "--out", str(tmp_path / "probed.json")],
+    ):
+        loads.clear()
+        assert run([*argv, "--topology", TESTBED, "--mode", "directed"]) == 0, argv
+        assert loads == [(TESTBED, "directed")], argv
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

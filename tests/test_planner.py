@@ -24,12 +24,11 @@ from budgetpath.planner import (
     plan_from_dict,
     plan_to_dict,
     plan_transfer,
-    save_plan,
     sender_configs,
 )
 from budgetpath.search import PathResult, SearchError, enumerate_best_path
 from budgetpath.simulate import simulate_transfer
-from budgetpath.topology import LinkSpec, NodeSpec, Topology, load_topology
+from budgetpath.topology import LinkSpec, NodeSpec, Topology, json_text, load_topology
 from helpers import bisection_bracket, random_topology, record_rounds
 
 TESTBED = Path(__file__).resolve().parent.parent / "fixtures" / "testbed6.json"
@@ -338,7 +337,7 @@ class TestPlanSerialization:
         topo = make_topology(3)
         plan = plan_transfer(topo, TransferRequest(0, 2, 1.0, 5.0, 5))
         path = tmp_path / "plan.json"
-        save_plan(plan, path)
+        path.write_text(json_text(plan_to_dict(plan)))  # as `plan --out` writes it
         assert load_plan(path, len(topo)) == plan
 
     def test_dict_round_trip(self):

@@ -1,18 +1,23 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from budgetpath.billing import BillingMethod, NodeBillingConfig, TransferRequest
-from budgetpath.planner import plan_transfer
+from budgetpath.billing import RULES, BillingMethod, NodeBillingConfig, TransferRequest
+from budgetpath.planner import build_weights, plan_transfer, sender_configs
 from budgetpath.simulate import (
     SimulationError,
     compare,
     naive_baseline,
     simulate_transfer,
 )
-from budgetpath.topology import LinkSpec, NodeSpec, Topology
-from helpers import cyclic_garbage, grid_topology, naive_path_by_enumeration, random_topology
+from budgetpath.topology import LinkSpec, NodeSpec, Topology, load_topology
+from helpers import (
+    cyclic_garbage, grid_topology, naive_path_by_enumeration, random_topology, reprice,
+)
+
+TESTBED = Path(__file__).resolve().parent.parent / "fixtures" / "testbed6.json"
 
 
 def line_topology(n, cap=100.0, rtt=0.0):
@@ -63,6 +68,17 @@ class TestSimulateTransfer:
 
 
 class TestNaiveBaseline:
+    @pytest.mark.parametrize("src, dst, message", [
+        (99, 99, "source 99 is not a valid node id"),
+        (-1, 3, "source -1 is not a valid node id"),
+        (0, 6, "destination 6 is not a valid node id"),
+    ])
+    def test_rejects_endpoints_that_are_not_node_ids(self, src, dst, message):
+        topo = load_topology(TESTBED)
+        assert len(topo) == 6
+        with pytest.raises(SimulationError, match=f"^{message}$"):
+            naive_baseline(topo, TransferRequest(src, dst, 1.0, 0.5, 5))
+
     def test_direct_edge_wins(self):
         topo = line_topology(3)
         extra = Topology(topo.nodes, topo.links + (LinkSpec(0, 2, 0.5), LinkSpec(2, 0, 0.5)))
@@ -271,6 +287,38 @@ class TestCompare:
         r2 = compare(topo, request)
         assert r1.to_json() == r2.to_json()
         assert r1.to_table() == r2.to_table()
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_every_report_row_equals_an_independent_repricing(rule):
+    rng = random.Random(13)
+    rows = {"planner": 0, "naive": 0, "oracle": 0}
+    for i in range(120):
+        if i % 3:
+            topo = random_topology(rng, 2, 9)
+        else:
+            topo = grid_topology(rng, rng.randint(2, 3), rng.randint(2, 4), [0.01, 0.02, 0.05])
+        n = len(topo)
+        request = TransferRequest(rng.randrange(n), rng.randrange(n), rng.uniform(0.1, 40.0),
+                                  rng.uniform(0.0, 3.0), rng.randint(1, 8))
+        if not topo.edges.has_path(request.source, request.destination):
+            continue
+        report = compare(topo, request, rule)
+        plan = plan_transfer(topo, request, rule)
+        configs = {"naive": naive_baseline(topo, request)[1]}
+        if plan is not None:
+            configs["planner"] = plan.configs
+            # the oracle searches the weights at the plan's k
+            prices = build_weights(topo, request, plan.fraction_k, rule)[1]
+        for row in report.rows:
+            if row.path is None:
+                continue
+            if row.label == "oracle":
+                configs["oracle"] = sender_configs(row.path, prices)
+            latency, cost = reprice(topo, row.path, configs[row.label], request.data_size_gb)
+            assert (row.latency_s, row.cost_usd) == (latency, cost), (i, row)
+            rows[row.label] += 1
+    assert min(rows.values()) > 40, rows
 
 
 @pytest.mark.parametrize("call", [naive_baseline, compare], ids=["naive_baseline", "compare"])

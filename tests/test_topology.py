@@ -236,6 +236,22 @@ class TestValidation:
         topo = random_topology(random.Random(seed))
         assert len(topo.nodes) >= 2
 
+    def test_owns_what_it_was_given(self):
+        nodes = tuple(NodeSpec(i, f"n{i}", "192.0.2.1", 100.0, 0.021, 0.081) for i in range(3))
+        links = (LinkSpec(0, 1, 0.010), LinkSpec(1, 2, 0.020), LinkSpec(2, 0, 0.030))
+        node_list, link_list = list(nodes), list(links)
+        topology = Topology(node_list, link_list)
+        link_list[0] = LinkSpec(0, 0, -5.0)
+        node_list.append(NodeSpec(3, "n3", "192.0.2.1", 100.0, 0.021, 0.081))
+        assert topology.links == links and topology.nodes == nodes
+        assert topology.rtt(0, 1) == 0.010
+        with pytest.raises(KeyError):
+            topology.rtt(0, 0)
+        assert len(topology) == topology.edges.n == 3
+        expected = Topology(nodes, links)
+        assert topology == expected and hash(topology) == hash(expected)
+        assert Topology(iter(nodes), iter(links)) == expected
+
 
 class TestEdgeList:
     @pytest.mark.parametrize("seed", range(20))
@@ -569,9 +585,9 @@ class TestMatchesReferenceLoader:
         built = []
         from_columns = Topology._from_columns.__func__
 
-        def counting_from_columns(cls, nodes, src, dst, rtt, links=None):
+        def counting_from_columns(cls, nodes, src, dst, rtt):
             built.append(len(src))
-            return from_columns(cls, nodes, src, dst, rtt, links)
+            return from_columns(cls, nodes, src, dst, rtt)
 
         monkeypatch.setattr(Topology, "_from_columns", classmethod(counting_from_columns))
         topology = load_topology(FIXTURES / "testbed6.json")
