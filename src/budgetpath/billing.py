@@ -53,8 +53,9 @@ class TransferRequest(Record):
     """One bulk transfer to plan: endpoints, size, budget, iteration cap.
 
     The endpoints and the iteration cap must be integers (a bool is not one),
-    the data size finite and the budget a number; an infinite budget is valid
-    and never binds.
+    the endpoints two different nodes, the data size finite and the budget a
+    number; an infinite budget is valid and never binds. Whether the
+    endpoints are node ids depends on the topology, which the planner checks.
     """
 
     __slots__ = _fields = ("source", "destination", "data_size_gb", "budget_usd", "max_iterations")
@@ -72,6 +73,8 @@ class TransferRequest(Record):
         ):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if source == destination:
+            raise ValueError(f"source and destination are the same node ({source})")
         if not data_size_gb > 0:
             raise ValueError(f"data_size_gb must be > 0, got {data_size_gb}")
         if data_size_gb == math.inf:

@@ -145,6 +145,8 @@ def _cmd_simulate(args, topology) -> int:
 
 def _cmd_oracle(args, topology) -> int:
     request = _request(args)
+    if _no_path(topology, request):
+        return EXIT_INFEASIBLE
     weights, _ = build_weights(topology, request, args.fraction, args.rule)
     result = enumerate_best_path(
         weights, request.source, request.destination, request.budget_usd,

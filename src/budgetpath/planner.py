@@ -23,15 +23,35 @@ from budgetpath.topology import Topology, read_json
 class Plan(Record):
     """A chosen path with per-node billing and its predicted cost/latency.
 
-    `configs` holds exactly the billed senders, `path[:-1]`: the final hop
-    has no billed egress, so the destination and off-path nodes have no
-    entry. The dict makes a plan unhashable.
+    The path is one the pipeline can render as a tunnel chain: at least two
+    nodes, none visited twice; ValueError otherwise. `configs` holds exactly
+    the billed senders, `path[:-1]`: the final hop has no billed egress, so
+    the destination and off-path nodes have no entry. The dict makes a plan
+    unhashable.
     """
 
     __slots__ = _fields = (
         "path", "configs", "predicted_cost_usd", "predicted_latency_s", "fraction_k",
         "iterations_used",
     )
+
+    def __init__(
+        self,
+        path: tuple[int, ...],
+        configs: dict[int, NodeBillingConfig],
+        predicted_cost_usd: float,
+        predicted_latency_s: float,
+        fraction_k: float,
+        iterations_used: int,
+    ) -> None:
+        if len(path) < 2:
+            raise ValueError(f"plan path must have at least 2 nodes, got {len(path)}")
+        if len(set(path)) < len(path):
+            node = next(node for i, node in enumerate(path) if node in path[:i])
+            raise ValueError(f"plan path visits node {node} twice")
+        super().__init__(
+            path, configs, predicted_cost_usd, predicted_latency_s, fraction_k, iterations_used
+        )
 
 
 def build_weights(
@@ -175,7 +195,8 @@ def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
     """Plan from its JSON form, checked against a topology of `n_nodes` nodes.
 
     ValueError unless the document is an object with every key present, the
-    path is a list naming only nodes of the topology, `per_node` is an object
+    path is a list naming only nodes of the topology and one `Plan` accepts
+    (at least two nodes, none twice), `per_node` is an object
     keyed by exactly the path's senders as decimal strings, each an object
     with a known method and a finite bandwidth > 0, the predicted totals are
     finite and >= 0, `fraction_k` is in (0, 1] and `iterations_used` is an

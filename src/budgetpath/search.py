@@ -24,6 +24,7 @@ import math
 from collections.abc import Sequence
 
 from budgetpath.records import Record
+from budgetpath.topology import check_node_ids
 
 
 # the most nodes `enumerate_best_path` enumerates by default: its time is exponential
@@ -65,10 +66,8 @@ class PathResult(Record):
 
 
 def _check_query(n: int, source: int, destination: int, cost_cap: float) -> None:
-    """SearchError unless both ends are node ids of an n-node graph and the cap is >= 0."""
-    for label, node in (("source", source), ("destination", destination)):
-        if not 0 <= node < n:
-            raise SearchError(f"{label} {node} is not a valid node id")
+    """TopologyError for an end that is not a node id, SearchError for a cap that is not >= 0."""
+    check_node_ids(n, source=source, destination=destination)
     if not cost_cap >= 0:  # also rejects NaN
         raise SearchError(f"cost_cap must be >= 0, got {cost_cap}")
 

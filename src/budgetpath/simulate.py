@@ -20,7 +20,7 @@ from budgetpath.billing import (
 from budgetpath.planner import build_weights, plan_transfer
 from budgetpath.records import Record
 from budgetpath.search import ORACLE_MAX_NODES, enumerate_best_path
-from budgetpath.topology import Topology, json_text
+from budgetpath.topology import Topology, check_node_ids, json_text
 
 NAIVE_DEFINITION = (
     "naive baseline: minimum-hop path (ties by summed rtt, then lexicographic), "
@@ -61,12 +61,11 @@ def naive_baseline(
 
     Hop-count ties are broken by summed rtt, then lexicographic path.
     Nodes without a per-volume rate fall back to PAYG at full bandwidth.
-    SimulationError if an endpoint is not a node id or no path joins them.
+    TopologyError if an endpoint is not a node id, SimulationError if no
+    path joins them.
     """
     src, dst = request.source, request.destination
-    for label, node in (("source", src), ("destination", dst)):
-        if not 0 <= node < len(topology):
-            raise SimulationError(f"{label} {node} is not a valid node id")
+    check_node_ids(len(topology), source=src, destination=dst)
 
     # BFS hop counts; `dist` fills in level order.
     dist = {src: 0}

@@ -27,6 +27,18 @@ class TopologyError(ValueError):
     """Raised for malformed or invalid topology documents."""
 
 
+def check_node_ids(n: int, **nodes: int) -> None:
+    """TopologyError unless every value given is a node id of an n-node graph.
+
+    Each keyword names its node in the error, e.g. `source=9` gives
+    "source 9 is not a valid node id". A negative id is refused too: as an
+    index it would read another node's entry.
+    """
+    for label, node in nodes.items():
+        if not 0 <= node < n:
+            raise TopologyError(f"{label} {node} is not a valid node id")
+
+
 class NodeSpec(Record):
     """One cloud instance / edge router.
 
@@ -91,18 +103,13 @@ class EdgeList(Record):
     def n(self) -> int:
         return len(self.offsets) - 1
 
-    def _check(self, **nodes: int) -> None:
-        for label, node in nodes.items():
-            if not 0 <= node < self.n:
-                raise TopologyError(f"{label} {node} is not a valid node id")
-
     def successors(self, node: int) -> tuple[int, ...]:
-        self._check(node=node)
+        check_node_ids(self.n, node=node)
         return self.dst[self.offsets[node] : self.offsets[node + 1]]
 
     def index(self, src: int, dst: int) -> int:
         """Index of edge (src, dst); KeyError if the graph has no such edge."""
-        self._check(source=src, destination=dst)
+        check_node_ids(self.n, source=src, destination=dst)
         lo, hi = self.offsets[src], self.offsets[src + 1]
         e = bisect_left(self.dst, dst, lo, hi)
         if e == hi or self.dst[e] != dst:
@@ -111,13 +118,15 @@ class EdgeList(Record):
 
     def has_path(self, source: int, destination: int) -> bool:
         """Whether any directed path leads from source to destination."""
-        self._check(source=source, destination=destination)
-        seen = [False] * self.n
+        n = self.n
+        check_node_ids(n, source=source, destination=destination)
+        offsets, dst = self.offsets, self.dst
+        seen = [False] * n
         seen[source] = True
         stack = [source]
         while stack:
             u = stack.pop()
-            for v in self.successors(u):
+            for v in dst[offsets[u] : offsets[u + 1]]:
                 if not seen[v]:
                     seen[v] = True
                     stack.append(v)

@@ -119,8 +119,6 @@ def build_tunnels(
     topology.
     """
     path = plan.path
-    if len(path) < 2:
-        raise TunnelError(f"path must have at least 2 nodes, got {len(path)}")
     edges = topology.edges
     for u, v in zip(path, path[1:]):
         # u is range-checked first: a negative id would read another node's row

@@ -11,8 +11,10 @@ import math
 import random
 from collections.abc import Callable
 
+import pytest
+
 from budgetpath import planner
-from budgetpath.billing import BillingMethod
+from budgetpath.billing import BillingMethod, TransferRequest
 from budgetpath.search import EdgeWeights, PathResult
 from budgetpath.topology import EdgeList, LinkSpec, NodeSpec, Topology, TopologyError
 from budgetpath.tunnels import TunnelSpec, clamp_scalar
@@ -81,6 +83,22 @@ def reprice(topology: Topology, path, configs: dict, data_gb: float) -> tuple[fl
             seconds = data_gb * 8e9 / (config.bandwidth_mbps * 1e6)
             cost += node.payg_rate * config.bandwidth_mbps * max(1, math.ceil(seconds / 3600.0))
     return latency, cost
+
+
+def request_or_refusal(*fields) -> TransferRequest | None:
+    """`TransferRequest(*fields)`, or None once it has refused the fields' equal endpoints.
+
+    A seeded test draws every field before this call, so an instance whose
+    endpoints are equal leaves every later draw, and so every other
+    instance, as it was.
+    """
+    source, destination = fields[:2]
+    if source != destination:
+        return TransferRequest(*fields)
+    refusal = rf"^source and destination are the same node \({source}\)$"
+    with pytest.raises(ValueError, match=refusal):
+        TransferRequest(*fields)
+    return None
 
 
 def random_topology(rng: random.Random, n_min: int = 2, n_max: int = 7) -> Topology:

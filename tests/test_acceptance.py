@@ -18,8 +18,8 @@ from budgetpath.simulate import compare, naive_baseline, simulate_transfer
 from budgetpath.topology import LinkSpec, NodeSpec, Topology
 from budgetpath.tunnels import build_tunnels, generate_keypair, parse_conf, render_conf
 from helpers import (
-    bisection_bracket, path_sums, random_topology, random_weights, record_rounds, route_packet,
-    x25519_reference,
+    bisection_bracket, path_sums, random_topology, random_weights, record_rounds,
+    request_or_refusal, route_packet, x25519_reference,
 )
 from test_cli import TESTBED, run_pipeline
 from test_simulate import full_pfdt_configs, line_topology
@@ -100,9 +100,11 @@ def test_criterion_3_planner_budget_safety_and_bracket_contraction(monkeypatch):
         instances += 1
         topo = random_topology(rng)
         n = len(topo)
-        request = TransferRequest(
+        request = request_or_refusal(
             rng.randrange(n), rng.randrange(n),
             rng.uniform(0.1, 40.0), rng.uniform(0.0, 2.5), rng.randint(1, 10))
+        if request is None:
+            continue
         rounds.clear()
         plan = plan_transfer(topo, request)
         assert rounds[0][0] == 1.0

@@ -177,6 +177,7 @@ class TestTransferRequest:
         ((0, False, 10.0, 1.5, 10), "destination must be an integer, got False"),
         ((0, "5", 10.0, 1.5, 10), "destination must be an integer, got '5'"),
         ((0, 5, 10.0, 1.5, 0), "max_iterations must be >= 1, got 0"),
+        ((2, 2, 10.0, 1.5, 10), r"^source and destination are the same node \(2\)$"),
     ])
     def test_rejects_endpoints_and_iteration_caps_that_are_not_integers(self, fields, message):
         with pytest.raises(ValueError, match=message):

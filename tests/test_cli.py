@@ -1,13 +1,20 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from budgetpath.billing import RULES
 from budgetpath.cli import run
+from budgetpath.planner import load_plan
+from budgetpath.topology import load_topology, save_topology
+from budgetpath.tunnels import build_tunnels
+from helpers import grid_topology, random_topology, route_packet
+from test_tunnels import seeded_entropy
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TESTBED = str(FIXTURES / "testbed6.json")
@@ -85,8 +92,9 @@ class TestExitCodes:
         assert run(["plan", *base]) == 2
         err = capsys.readouterr().err
         assert "no path from 0 to 6" in err and "insufficient" not in err
-        assert run(["simulate", *base]) == 2
-        assert "no path from 0 to 6" in capsys.readouterr().err
+        for command in ("simulate", "oracle"):
+            assert run([command, *base]) == 2
+            assert capsys.readouterr().err == "no path from 0 to 6\n"
 
     def test_oracle_infeasible(self, capsys):
         code = run(["oracle", "--topology", TESTBED, "--src", "0", "--dst", "5",
@@ -178,6 +186,15 @@ def _fraction_is_zero(doc):
     doc["fraction_k"] = 0.0
 
 
+def _path_is_one_node(doc):
+    doc["path"] = [5]
+    doc["per_node"] = {}
+
+
+def _path_revisits_a_node(doc):
+    doc["path"] = [0, 2, 0]  # per_node still bills exactly the senders, 0 and 2
+
+
 def _hop_is_not_a_link(doc):
     doc["path"] = [0, 5]  # testbed6 has no 0-5 link
     doc["per_node"] = {"0": doc["per_node"]["0"]}
@@ -191,6 +208,7 @@ class TestPlanFileValidation:
         _iterations_are_negative, _bandwidth_is_negative, _bandwidth_is_zero,
         _bandwidth_is_infinite, _cost_is_nan, _cost_is_negative, _latency_is_infinite,
         _latency_is_nan, _fraction_is_above_one, _fraction_is_zero, _hop_is_not_a_link,
+        _path_is_one_node, _path_revisits_a_node,
     ])
     def test_render_wg_rejects_plan_that_does_not_fit_topology(self, tmp_path, capsys, corrupt):
         plan_file = tmp_path / "plan.json"
@@ -229,6 +247,57 @@ class TestDeterminism:
                         "--seed", seed, "--out-dir", str(out_dir)]) == 0
             confs.append((out_dir / "beijing.conf").read_bytes())
         assert confs[0] != confs[1]
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_pipeline_renders_every_plan_and_refuses_alike(tmp_path, capsys, rule):
+    # endpoints come from range(n + 1), so equal ids and ids outside the graph occur
+    rng = random.Random(2021)
+    topology_file, plan_file = tmp_path / "topology.json", tmp_path / "plan.json"
+    outcomes = {"planned": 0, "insufficient": 0, "refused": 0}
+    for i in range(90):
+        if i % 3:
+            generated = random_topology(rng)
+        else:
+            generated = grid_topology(rng, rng.randint(1, 3), rng.randint(1, 4), [0.01, 0.02, 0.05])
+        save_topology(generated, topology_file)
+        topology = load_topology(topology_file, "directed")
+        n = len(topology)
+        src, dst = rng.randrange(n + 1), rng.randrange(n + 1)
+        args = ["--topology", str(topology_file), "--mode", "directed",
+                "--src", str(src), "--dst", str(dst),
+                "--data-gb", repr(rng.uniform(0.1, 40.0)),
+                "--budget-usd", repr(rng.uniform(0.0, 3.0)),
+                "--iterations", str(rng.randint(1, 8)), "--rule", rule]
+        code = run(["plan", *args, "--out", str(plan_file)])
+        err = capsys.readouterr().err
+        if code == 0:
+            plan = load_plan(plan_file, n)
+            specs = build_tunnels(plan, topology, entropy_source=seeded_entropy(i))
+            first, last = (spec.overlay_address.split("/")[0] for spec in (specs[0], specs[-1]))
+            assert route_packet(specs, specs[0], last) == list(plan.path)
+            assert route_packet(specs, specs[-1], first) == list(reversed(plan.path))
+            expected_row = {"label": "planner", "path": list(plan.path), "feasible": True,
+                            "latency_s": plan.predicted_latency_s,
+                            "cost_usd": plan.predicted_cost_usd}
+            outcomes["planned"] += 1
+        elif err == "insufficient budget: no feasible path found\n":
+            expected_row = {"label": "planner (insufficient budget)", "path": None,
+                            "feasible": False, "latency_s": None, "cost_usd": None}
+            outcomes["insufficient"] += 1
+        else:
+            # exit 1 for a request that is not one, exit 2 for an unreachable destination
+            no_path = f"no path from {src} to {dst}\n"
+            refusal = (1, err) if err.startswith("error: ") else (2, no_path)
+            assert (code, err) == refusal and err.count("\n") == 1, (code, err)
+            for command in ("simulate", "oracle"):
+                assert run([command, *args]) == code, command
+                assert capsys.readouterr().err == err, command
+            outcomes["refused"] += 1
+            continue
+        assert run(["simulate", *args, "--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0] == expected_row
+    assert min(outcomes.values()) >= 15, outcomes
 
 
 class TestIdentityKeys:
@@ -381,13 +450,22 @@ class TestErrorsEndInOneLine:
         assert assert_one_error_line(capsys, code).startswith(f"error: {unreadable}: ")
         assert not (tmp_path / "wg").exists()
 
+    @pytest.mark.parametrize("command", ["plan", "simulate", "oracle"])
+    @pytest.mark.parametrize("src, dst, message", [
+        ("9", "5", "source 9 is not a valid node id"),
+        ("0", "-1", "destination -1 is not a valid node id"),
+        ("2", "2", "source and destination are the same node (2)"),
+    ])
+    def test_request_error(self, capsys, command, src, dst, message):
+        # every command that takes a request refuses it with the same line
+        code = run([command, "--topology", TESTBED, "--src", src, "--dst", dst,
+                    "--data-gb", "1", "--budget-usd", "1"])
+        assert assert_one_error_line(capsys, code) == f"error: {message}"
+
     def test_search_error(self, capsys):
-        # plan stops at the topology's reachability check (TopologyError),
-        # oracle at the search's own check (SearchError)
-        for command in ("plan", "oracle"):
-            code = run([command, "--topology", TESTBED, "--src", "9", "--dst", "5",
-                        "--data-gb", "1", "--budget-usd", "1"])
-            assert "source 9 is not a valid node id" in assert_one_error_line(capsys, code)
+        code = run(["oracle", "--topology", TESTBED, "--src", "0", "--dst", "5",
+                    "--data-gb", "1", "--budget-usd", "1", "--max-nodes", "5"])
+        assert "oracle enumeration refused for n=6 > 5" in assert_one_error_line(capsys, code)
 
     def test_simulation_error(self, monkeypatch, capsys):
         import budgetpath.simulate

@@ -5,6 +5,9 @@ tie-breaking changes answers without breaking any invariant the other
 tests check. This test compares plans, comparison reports and oracle
 results with the recorded ones exactly, as JSON text, so a number that
 changes type (0 for 0.0) fails it too; floats round-trip through JSON.
+A request that `TransferRequest` refuses is recorded as "ValueError:
+<message>", as a comparison that fails is recorded as "SimulationError:
+<message>".
 The `searches` answers were recorded with a per-edge search run on each
 node-billed instance's per-edge expansion, a[e] = a[src[e]] and
 b[e] = delay[e] + b[src[e]], so they also pin that the node-billed search
@@ -120,8 +123,13 @@ def answers(sparse: list[dict]) -> dict:
     for i in range(120):
         topology = random_topology(rng)
         n = len(topology)
-        request = TransferRequest(rng.randrange(n), rng.randrange(n), rng.uniform(0.1, 40.0),
-                                  rng.uniform(0.0, 3.0), rng.randint(1, 10))
+        try:
+            # every field is drawn before a refusal, so the later instances stay the same
+            request = TransferRequest(rng.randrange(n), rng.randrange(n), rng.uniform(0.1, 40.0),
+                                      rng.uniform(0.0, 3.0), rng.randint(1, 10))
+        except ValueError as exc:
+            plans.append(f"ValueError: {exc}")
+            continue
         plans.append(_plan(topology, request, "exact-cost" if i % 4 == 3 else "threshold"))
 
     reports = []
@@ -175,10 +183,12 @@ def test_answers_match_golden():
 
 def test_golden_covers_every_planner_outcome():
     golden = json.loads(GOLDEN.read_text())
-    outcomes = {"k1": 0, "shrunk": 0, "insufficient": 0}
+    outcomes = {"k1": 0, "shrunk": 0, "insufficient": 0, "refused": 0}
     for plan in golden["sparse_plans"] + golden["plans"]:
         if plan is None:
             outcomes["insufficient"] += 1
+        elif isinstance(plan, str):
+            outcomes["refused"] += 1
         else:
             outcomes["k1" if plan["fraction_k"] == 1.0 else "shrunk"] += 1
     assert all(count >= 2 for count in outcomes.values()), outcomes

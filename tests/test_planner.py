@@ -26,10 +26,12 @@ from budgetpath.planner import (
     plan_transfer,
     sender_configs,
 )
-from budgetpath.search import PathResult, SearchError, enumerate_best_path
+from budgetpath.search import PathResult, enumerate_best_path
 from budgetpath.simulate import simulate_transfer
-from budgetpath.topology import LinkSpec, NodeSpec, Topology, json_text, load_topology
-from helpers import bisection_bracket, random_topology, record_rounds
+from budgetpath.topology import (
+    LinkSpec, NodeSpec, Topology, TopologyError, json_text, load_topology,
+)
+from helpers import bisection_bracket, random_topology, record_rounds, request_or_refusal
 
 TESTBED = Path(__file__).resolve().parent.parent / "fixtures" / "testbed6.json"
 
@@ -67,9 +69,11 @@ def planned_instances(rng, rule):
     for _ in range(100):
         topo = random_topology(rng)
         n = len(topo)
-        request = TransferRequest(
+        request = request_or_refusal(
             rng.randrange(n), rng.randrange(n),
             rng.uniform(0.1, 40.0), rng.uniform(0.0, 3.0), rng.randint(1, 8))
+        if request is None:
+            continue
         plan = plan_transfer(topo, request, rule)
         if plan is not None:
             yield topo, request, plan
@@ -199,14 +203,10 @@ class TestPlanTransfer:
         assert not any(isinstance(outcome, PathResult) for _, outcome in rounds)
         bisection_bracket(rounds[1:])
 
-    def test_source_equals_destination_empty_plan(self):
-        topo = make_topology(2)
-        plan = plan_transfer(topo, TransferRequest(0, 0, 1.0, 0.0, 5))
-        assert plan.path == (0,)
-        # the search's empty sums: floats, as on every other path
-        assert (plan.predicted_cost_usd, plan.predicted_latency_s) == (0.0, 0.0)
-        assert type(plan.predicted_cost_usd) is type(plan.predicted_latency_s) is float
-        assert plan.configs == {}
+    def test_source_equals_destination_is_refused(self):
+        # no path joins a node to itself, so no such request reaches the planner
+        with pytest.raises(ValueError, match=r"^source and destination are the same node \(0\)$"):
+            plan_transfer(make_topology(2), TransferRequest(0, 0, 1.0, 0.0, 5))
 
     def test_destination_and_off_path_unbilled(self):
         topo = make_topology(4)
@@ -289,9 +289,9 @@ class TestPlanTransfer:
 
     def test_invalid_endpoints(self):
         topo = make_topology(2)
-        with pytest.raises(SearchError, match="^destination 9 is not a valid node id$"):
+        with pytest.raises(TopologyError, match="^destination 9 is not a valid node id$"):
             plan_transfer(topo, TransferRequest(0, 9, 1.0, 1.0, 5))
-        with pytest.raises(SearchError, match="^source -1 is not a valid node id$"):
+        with pytest.raises(TopologyError, match="^source -1 is not a valid node id$"):
             plan_transfer(topo, TransferRequest(-1, 1, 1.0, 1.0, 5))
 
     @pytest.mark.parametrize("rule", RULES)

@@ -55,9 +55,9 @@ class TestSearch:
         assert result.total_b == pytest.approx(20.0)
 
     def test_invalid_node_ids(self):
-        with pytest.raises(SearchError):
+        with pytest.raises(TopologyError, match="^destination 9 is not a valid node id$"):
             search_min_latency(DIAMOND, 0, 9, 1.0)
-        with pytest.raises(SearchError):
+        with pytest.raises(TopologyError, match="^source -1 is not a valid node id$"):
             search_min_latency(DIAMOND, -1, 3, 1.0)
 
     def test_later_label_does_not_reroute_earlier_one(self):

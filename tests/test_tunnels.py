@@ -110,10 +110,15 @@ class TestBuildTunnels:
             build_tunnels(make_plan([0, 1, 2, 3]), topo, overlay_subnet="10.44.0.0/30",
                           entropy_source=seeded_entropy(3))
 
-    def test_path_too_short(self):
-        topo = make_topology(2)
-        with pytest.raises(TunnelError, match="at least 2"):
-            build_tunnels(make_plan([0]), topo)
+    @pytest.mark.parametrize("path, message", [
+        ([0], "plan path must have at least 2 nodes, got 1"),
+        ([0, 1, 1], "plan path visits node 1 twice"),
+        ([0, 1, 0], "plan path visits node 0 twice"),
+    ])
+    def test_plan_refuses_a_path_no_tunnel_chain_can_follow(self, path, message):
+        # such a plan never reaches build_tunnels: no Plan holds its path
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_plan(path)
 
     def test_shared_address_gets_distinct_ports(self):
         topo = make_topology(3, shared_address=True)
@@ -152,7 +157,7 @@ class TestBuildTunnels:
         assert specs[2].peers[0].public_key_b64 == stable.public_b64
 
     @pytest.mark.parametrize("path, hop", [
-        ([0, 2], (0, 2)), ([0, 1, 3], (1, 3)), ([-2, 1], (-2, 1)), ([0, 1, 1], (1, 1)),
+        ([0, 2], (0, 2)), ([0, 1, 3], (1, 3)), ([-2, 1], (-2, 1)),
     ])
     def test_every_hop_must_be_a_link(self, path, hop):
         # (-2, 1): offsets[-2] starts node 2's row, and node 2 links to 1
