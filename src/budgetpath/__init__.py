@@ -30,6 +30,7 @@ _EXPORTS = {
     "topology": (
         "EdgeList",
         "LinkSpec",
+        "NoPathError",
         "NodeSpec",
         "Topology",
         "TopologyError",

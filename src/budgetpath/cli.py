@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 infeasible (insufficient budget / no path),
-1 usage or input error. Only `probe` touches the network; `--seed` makes
-key generation byte-reproducible.
+Exit codes: 0 success, 2 infeasible (an insufficient budget, or NoPathError
+for an unreachable destination), 1 usage or input error. Only `probe` touches
+the network; `--seed` makes key generation byte-reproducible.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from pathlib import Path
 from budgetpath.billing import RULES, TransferRequest
 from budgetpath.planner import build_weights, load_plan, plan_to_dict, plan_transfer
 from budgetpath.search import ORACLE_MAX_NODES, enumerate_best_path
-from budgetpath.topology import json_text, load_topology, read_json
+from budgetpath.topology import NoPathError, json_text, load_topology, read_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
+INSUFFICIENT_BUDGET = "insufficient budget: no feasible path found"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,21 +58,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _no_path(topology, request: TransferRequest) -> bool:
-    """Report an unreachable destination, which no budget can fix."""
-    if topology.edges.has_path(request.source, request.destination):
-        return False
-    print(f"no path from {request.source} to {request.destination}", file=sys.stderr)
-    return True
-
-
 def _cmd_plan(args, topology) -> int:
-    request = _request(args)
-    if _no_path(topology, request):
-        return EXIT_INFEASIBLE
-    plan = plan_transfer(topology, request, args.rule)
+    plan = plan_transfer(topology, _request(args), args.rule)
     if plan is None:
-        print("insufficient budget: no feasible path found", file=sys.stderr)
+        print(INSUFFICIENT_BUDGET, file=sys.stderr)
         return EXIT_INFEASIBLE
     _emit(json_text(plan_to_dict(plan)), args.out)
     print(
@@ -133,27 +123,24 @@ def _cmd_render_wg(args, topology) -> int:
 def _cmd_simulate(args, topology) -> int:
     from budgetpath.simulate import compare
 
-    request = _request(args)
-    if _no_path(topology, request):
-        return EXIT_INFEASIBLE
-    report = compare(topology, request, args.rule)
-    text = report.to_table() if args.format == "table" else report.to_json()
-    _emit(text, args.out)
+    report = compare(topology, _request(args), args.rule)
+    _emit(report.to_table() if args.format == "table" else report.to_json(), args.out)
     print("simulation complete", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_oracle(args, topology) -> int:
     request = _request(args)
-    if _no_path(topology, request):
-        return EXIT_INFEASIBLE
+    # checked before enumerating, so it comes ahead of a --max-nodes refusal
+    if not topology.edges.has_path(request.source, request.destination):
+        raise NoPathError(request.source, request.destination)
     weights, _ = build_weights(topology, request, args.fraction, args.rule)
     result = enumerate_best_path(
         weights, request.source, request.destination, request.budget_usd,
         max_nodes=args.max_nodes,
     )
     if result is None:
-        print("no feasible path", file=sys.stderr)
+        print(INSUFFICIENT_BUDGET, file=sys.stderr)
         return EXIT_INFEASIBLE
     doc = {
         "path": list(result.path),
@@ -225,6 +212,9 @@ def run(argv=None) -> int:
         return args.func(args, load_topology(args.topology, args.mode))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
+    except NoPathError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INFEASIBLE
     # TopologyError, SearchError, SimulationError and TunnelError are all
     # ValueErrors; naming them here would import their modules.
     except (ValueError, RuntimeError, OSError) as exc:

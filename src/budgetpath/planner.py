@@ -17,7 +17,7 @@ from budgetpath.billing import (
 )
 from budgetpath.records import Record
 from budgetpath.search import EdgeWeights, PathResult, search_min_latency
-from budgetpath.topology import Topology, read_json
+from budgetpath.topology import NoPathError, Topology, read_json
 
 
 class Plan(Record):
@@ -110,20 +110,22 @@ def plan_transfer(
 ) -> Plan | None:
     """Plan a transfer: full bandwidth first, then a binary search over one fraction k.
 
-    Step 1 tries every node at full bandwidth (k = 1); on success the plan
-    is returned with zero binary iterations. Otherwise a uniform bandwidth
-    fraction k is binary searched in the bracket [k_lower, k_upper] for at
-    most `max_iterations` rounds, keeping the most recent feasible plan, and
-    the plan reports `max_iterations` as its iterations. A round that
-    leaves k unchanged ends the search: every later round would repeat its
-    k, its bracket and its plan. None means no round ever produced a
-    feasible path: the budget is insufficient.
+    Step 1 tries every node at full bandwidth (k = 1): it returns the plan
+    with zero binary iterations, or NoPathError if no path reaches the
+    destination. Otherwise a uniform bandwidth fraction k is binary searched
+    in the bracket [k_lower, k_upper] for at most `max_iterations` rounds,
+    keeping the most recent feasible plan, and the plan reports
+    `max_iterations` as its iterations. A round that leaves k unchanged ends
+    the search: every later round would repeat its k, its bracket and its
+    plan. None means no round was feasible: the budget is insufficient.
     """
     source, destination, budget = request.source, request.destination, request.budget_usd
     weights, prices = build_weights(topology, request, 1.0, rule)
     result = search_min_latency(weights, source, destination, budget)
     if result is not None:
         return _finalize(result, prices, 1.0, 0)
+    if not topology.edges.has_path(source, destination):
+        raise NoPathError(source, destination)
 
     plan = None
     k, k_lower, k_upper = 0.5, 0.0, 1.0

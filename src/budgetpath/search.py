@@ -85,8 +85,8 @@ def search_min_latency(
     first destination pop, with that label's own chain and sums. A label is
     only pushed when its cost respects the cap and its latency strictly
     improves the node's best, so its chain never revisits a node. None
-    means no label ever reached the destination, i.e. the configuration is
-    too expensive.
+    means no label reached the destination within the cap: the weights are
+    too expensive, or no edge path leads there.
     """
     n = weights.n
     _check_query(n, source, destination, cost_cap)

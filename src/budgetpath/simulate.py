@@ -20,7 +20,7 @@ from budgetpath.billing import (
 from budgetpath.planner import build_weights, plan_transfer
 from budgetpath.records import Record
 from budgetpath.search import ORACLE_MAX_NODES, enumerate_best_path
-from budgetpath.topology import Topology, check_node_ids, json_text
+from budgetpath.topology import NoPathError, Topology, check_node_ids, json_text
 
 NAIVE_DEFINITION = (
     "naive baseline: minimum-hop path (ties by summed rtt, then lexicographic), "
@@ -61,8 +61,8 @@ def naive_baseline(
 
     Hop-count ties are broken by summed rtt, then lexicographic path.
     Nodes without a per-volume rate fall back to PAYG at full bandwidth.
-    TopologyError if an endpoint is not a node id, SimulationError if no
-    path joins them.
+    TopologyError if an endpoint is not a node id, NoPathError if no path
+    joins them.
     """
     src, dst = request.source, request.destination
     check_node_ids(len(topology), source=src, destination=dst)
@@ -79,7 +79,7 @@ def naive_baseline(
                     nxt_frontier.append(v)
         frontier = nxt_frontier
     if dst not in dist:
-        raise SimulationError(f"no path from {src} to {dst}")
+        raise NoPathError(src, dst)
     hops = dist[dst]
     # The minimum-hop level DAG, with each edge's rtt read once.
     dag = {

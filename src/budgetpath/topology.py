@@ -39,6 +39,13 @@ def check_node_ids(n: int, **nodes: int) -> None:
             raise TopologyError(f"{label} {node} is not a valid node id")
 
 
+class NoPathError(ValueError):
+    """Raised when the source cannot reach the destination, which no budget can fix."""
+
+    def __init__(self, source: int, destination: int) -> None:
+        super().__init__(f"no path from {source} to {destination}")
+
+
 class NodeSpec(Record):
     """One cloud instance / edge router.
 

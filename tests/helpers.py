@@ -141,6 +141,23 @@ def random_topology(rng: random.Random, n_min: int = 2, n_max: int = 7) -> Topol
     return Topology(tuple(nodes), tuple(link_specs))
 
 
+def cut_off_one_node(topology: Topology, rng: random.Random, share: float = 0.3) -> Topology:
+    """`topology`, or in about `share` of the calls a copy with one node cut off.
+
+    `random_topology` and `grid_topology` always return strongly connected
+    graphs; this one makes some pairs unreachable. The cut node loses every
+    link into it and out of it, so pairs that only met through it are cut
+    apart too. Give it a `random.Random` of its own, so the stream that
+    draws the topologies and the requests, and so every other instance,
+    stays as it was.
+    """
+    if rng.random() >= share:
+        return topology
+    cut = rng.randrange(len(topology))
+    links = tuple(link for link in topology.links if cut not in (link.src, link.dst))
+    return Topology(topology.nodes, links)
+
+
 def grid_topology(rng: random.Random, width: int, height: int, rtts: list[float]) -> Topology:
     """A width x height grid, node r * width + c at row r and column c.
 

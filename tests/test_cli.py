@@ -13,11 +13,20 @@ from budgetpath.cli import run
 from budgetpath.planner import load_plan
 from budgetpath.topology import load_topology, save_topology
 from budgetpath.tunnels import build_tunnels
-from helpers import grid_topology, random_topology, route_packet
+from helpers import cut_off_one_node, grid_topology, random_topology, route_packet
 from test_tunnels import seeded_entropy
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TESTBED = str(FIXTURES / "testbed6.json")
+
+
+def isolated_testbed(tmp_path) -> str:
+    """testbed6 plus a node 6 with no links, written to a file in `tmp_path`."""
+    doc = json.loads(Path(TESTBED).read_text())
+    doc["nodes"].append({**doc["nodes"][0], "id": 6, "name": "isolated"})
+    topology = tmp_path / "isolated.json"
+    topology.write_text(json.dumps(doc))
+    return str(topology)
 
 
 def run_pipeline(workdir) -> dict[str, bytes]:
@@ -82,24 +91,21 @@ class TestExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert doc["total_cost_usd"] <= 0.5
 
-    def test_unreachable_destination_is_no_path(self, tmp_path, capsys):
-        doc = json.loads(Path(TESTBED).read_text())
-        doc["nodes"].append({**doc["nodes"][0], "id": 6, "name": "isolated"})
-        topology = tmp_path / "isolated.json"
-        topology.write_text(json.dumps(doc))
-        base = ["--topology", str(topology), "--src", "0", "--dst", "6",
-                "--data-gb", "1", "--budget-usd", "100"]
-        assert run(["plan", *base]) == 2
-        err = capsys.readouterr().err
-        assert "no path from 0 to 6" in err and "insufficient" not in err
-        for command in ("simulate", "oracle"):
-            assert run([command, *base]) == 2
-            assert capsys.readouterr().err == "no path from 0 to 6\n"
+    @pytest.mark.parametrize("budget", ["0", "100"])
+    def test_unreachable_destination_is_no_path(self, tmp_path, capsys, budget):
+        # whatever the budget, and ahead of the oracle's refusal of a 7-node graph
+        base = ["--topology", isolated_testbed(tmp_path), "--src", "0", "--dst", "6",
+                "--data-gb", "1", "--budget-usd", budget]
+        for command in (["plan"], ["simulate"], ["oracle"], ["oracle", "--max-nodes", "5"]):
+            assert run([*command, *base]) == 2, command
+            assert capsys.readouterr().err == "no path from 0 to 6\n", command
 
     def test_oracle_infeasible(self, capsys):
         code = run(["oracle", "--topology", TESTBED, "--src", "0", "--dst", "5",
                     "--data-gb", "1", "--budget-usd", "0"])
         assert code == 2
+        # the line `plan` prints for a budget too small
+        assert capsys.readouterr().err == "insufficient budget: no feasible path found\n"
 
 
 def _drop_per_node(doc):
@@ -251,16 +257,17 @@ class TestDeterminism:
 
 @pytest.mark.parametrize("rule", RULES)
 def test_pipeline_renders_every_plan_and_refuses_alike(tmp_path, capsys, rule):
-    # endpoints come from range(n + 1), so equal ids and ids outside the graph occur
-    rng = random.Random(2021)
+    # endpoints come from range(n + 1), so equal ids and ids outside the graph occur,
+    # and some graphs have a node cut off, so some destinations are unreachable
+    rng, cut_rng = random.Random(2021), random.Random(2022)
     topology_file, plan_file = tmp_path / "topology.json", tmp_path / "plan.json"
-    outcomes = {"planned": 0, "insufficient": 0, "refused": 0}
-    for i in range(90):
+    outcomes = {"planned": 0, "insufficient": 0, "no_path": 0, "refused": 0}
+    for i in range(120):
         if i % 3:
             generated = random_topology(rng)
         else:
             generated = grid_topology(rng, rng.randint(1, 3), rng.randint(1, 4), [0.01, 0.02, 0.05])
-        save_topology(generated, topology_file)
+        save_topology(cut_off_one_node(generated, cut_rng), topology_file)
         topology = load_topology(topology_file, "directed")
         n = len(topology)
         src, dst = rng.randrange(n + 1), rng.randrange(n + 1)
@@ -282,22 +289,26 @@ def test_pipeline_renders_every_plan_and_refuses_alike(tmp_path, capsys, rule):
                             "cost_usd": plan.predicted_cost_usd}
             outcomes["planned"] += 1
         elif err == "insufficient budget: no feasible path found\n":
+            assert code == 2 and topology.edges.has_path(src, dst)  # the budget alone is short
             expected_row = {"label": "planner (insufficient budget)", "path": None,
                             "feasible": False, "latency_s": None, "cost_usd": None}
             outcomes["insufficient"] += 1
         else:
-            # exit 1 for a request that is not one, exit 2 for an unreachable destination
-            no_path = f"no path from {src} to {dst}\n"
-            refusal = (1, err) if err.startswith("error: ") else (2, no_path)
-            assert (code, err) == refusal and err.count("\n") == 1, (code, err)
+            # exit 2 for an unreachable destination, exit 1 for a request that is not one
+            if err == f"no path from {src} to {dst}\n":
+                assert code == 2 and not topology.edges.has_path(src, dst)
+                outcomes["no_path"] += 1
+            else:
+                assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+                outcomes["refused"] += 1
             for command in ("simulate", "oracle"):
                 assert run([command, *args]) == code, command
                 assert capsys.readouterr().err == err, command
-            outcomes["refused"] += 1
             continue
         assert run(["simulate", *args, "--format", "structured"]) == 0
         assert json.loads(capsys.readouterr().out)["rows"][0] == expected_row
-    assert min(outcomes.values()) >= 15, outcomes
+    floors = {"planned": 15, "insufficient": 15, "no_path": 10, "refused": 15}
+    assert all(outcomes[name] >= floor for name, floor in floors.items()), outcomes
 
 
 class TestIdentityKeys:
@@ -467,17 +478,22 @@ class TestErrorsEndInOneLine:
                     "--data-gb", "1", "--budget-usd", "1", "--max-nodes", "5"])
         assert "oracle enumeration refused for n=6 > 5" in assert_one_error_line(capsys, code)
 
-    def test_simulation_error(self, monkeypatch, capsys):
+    def test_simulation_error(self, tmp_path, monkeypatch, capsys):
         import budgetpath.simulate
 
-        def fail(topology, request):
-            raise budgetpath.simulate.SimulationError(f"no path from {request.source} to {request.destination}")
+        # an unreachable pair reaches the library, which raises NoPathError: exit 2
+        code = run(["simulate", "--topology", isolated_testbed(tmp_path), "--src", "0",
+                    "--dst", "6", "--data-gb", "1", "--budget-usd", "1"])
+        assert (code, capsys.readouterr().err) == (2, "no path from 0 to 6\n")
 
-        # unreachable pairs stop at the CLI's own check, so make the baseline fail instead
-        monkeypatch.setattr(budgetpath.simulate, "naive_baseline", fail)
+        # any other SimulationError is an input error: a baseline that bills no sender
+        # makes `simulate_transfer` refuse its path
+        naive_baseline = budgetpath.simulate.naive_baseline
+        monkeypatch.setattr(budgetpath.simulate, "naive_baseline",
+                            lambda topology, request: (naive_baseline(topology, request)[0], {}))
         code = run(["simulate", "--topology", TESTBED, "--src", "0", "--dst", "5",
                     "--data-gb", "1", "--budget-usd", "1"])
-        assert "no path from 0 to 5" in assert_one_error_line(capsys, code)
+        assert assert_one_error_line(capsys, code) == "error: path node 0 has no billing config"
 
     @pytest.mark.parametrize("option, value, message", [
         ("--budget-usd", "nan", "budget_usd must be >= 0, got nan"),

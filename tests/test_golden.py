@@ -6,8 +6,9 @@ tests check. This test compares plans, comparison reports and oracle
 results with the recorded ones exactly, as JSON text, so a number that
 changes type (0 for 0.0) fails it too; floats round-trip through JSON.
 A request that `TransferRequest` refuses is recorded as "ValueError:
-<message>", as a comparison that fails is recorded as "SimulationError:
-<message>".
+<message>", as a comparison between endpoints that no path joins would be
+recorded as "NoPathError: <message>"; the instances' graphs are strongly
+connected, so none is.
 The `searches` answers were recorded with a per-edge search run on each
 node-billed instance's per-edge expansion, a[e] = a[src[e]] and
 b[e] = delay[e] + b[src[e]], so they also pin that the node-billed search
@@ -30,8 +31,8 @@ from pathlib import Path
 from budgetpath.billing import TransferRequest, node_cost, select_billing
 from budgetpath.planner import build_weights, plan_to_dict, plan_transfer
 from budgetpath.search import enumerate_best_path, search_min_latency
-from budgetpath.simulate import SimulationError, compare
-from budgetpath.topology import LinkSpec, NodeSpec, Topology
+from budgetpath.simulate import compare
+from budgetpath.topology import LinkSpec, NodeSpec, NoPathError, Topology
 from helpers import random_topology, random_weights
 
 GOLDEN = Path(__file__).resolve().parent / "golden_answers.json"
@@ -139,8 +140,8 @@ def answers(sparse: list[dict]) -> dict:
         request = TransferRequest(0, n - 1, rng.uniform(0.1, 40.0), rng.uniform(0.0, 3.0), 8)
         try:
             reports.append(compare(topology, request).to_dict())
-        except SimulationError as exc:
-            reports.append(f"SimulationError: {exc}")
+        except NoPathError as exc:
+            reports.append(f"NoPathError: {exc}")
 
     searches = []
     for _ in range(200):

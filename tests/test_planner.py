@@ -27,9 +27,9 @@ from budgetpath.planner import (
     sender_configs,
 )
 from budgetpath.search import PathResult, enumerate_best_path
-from budgetpath.simulate import simulate_transfer
+from budgetpath.simulate import compare, simulate_transfer
 from budgetpath.topology import (
-    LinkSpec, NodeSpec, Topology, TopologyError, json_text, load_topology,
+    LinkSpec, NodeSpec, NoPathError, Topology, TopologyError, json_text, load_topology,
 )
 from helpers import bisection_bracket, random_topology, record_rounds, request_or_refusal
 
@@ -286,6 +286,40 @@ class TestPlanTransfer:
             for field in Plan._fields:
                 if field != "iterations_used":
                     assert getattr(plan, field) == getattr(reference, field), field
+
+    @pytest.mark.parametrize("budget", [0.0, 100.0, math.inf])
+    def test_unreachable_destination_stops_after_one_round(self, monkeypatch, budget):
+        # node 2 has no link: no budget reaches it, so no binary search starts
+        topo = Topology(make_topology(3).nodes, make_topology(2).links)
+        request = TransferRequest(0, 2, 1.0, budget, 30)
+        rounds = record_rounds(monkeypatch)
+        with pytest.raises(NoPathError, match=r"^no path from 0 to 2$"):
+            plan_transfer(topo, request)
+        assert rounds == [(1.0, None)]
+        rounds.clear()
+        # compare stops at the planner's first round, before the naive baseline
+        with pytest.raises(NoPathError, match=r"^no path from 0 to 2$"):
+            compare(topo, request)
+        assert rounds == [(1.0, None)]
+
+    # brackets as the planner found them before it told an unreachable
+    # destination from an insufficient budget
+    @pytest.mark.parametrize("budget, bracket", [
+        (0.0, (0.0, 0.000244140625)),
+        (1.50, (0.089111328125, 0.08935546875)),
+        (1.90, (0.4521484375, 0.452392578125)),
+    ])
+    def test_over_budget_reachable_request_keeps_its_rounds(self, monkeypatch, budget, bracket):
+        # k = 1 is over budget, so 12 binary-search rounds follow it, the same
+        # whether or not the graph also has a node that nothing reaches (node 2)
+        rounds = record_rounds(monkeypatch)
+        plans = []
+        for topo in (make_topology(2), Topology(make_topology(3).nodes, make_topology(2).links)):
+            rounds.clear()
+            plans.append(plan_transfer(topo, TransferRequest(0, 1, 30.0, budget, 12)))
+            assert rounds[0] == (1.0, None) and len(rounds) == 13
+            assert bisection_bracket(rounds[1:]) == bracket
+        assert plans[0] == plans[1] and (plans[0] is None) == (budget == 0.0)
 
     def test_invalid_endpoints(self):
         topo = make_topology(2)

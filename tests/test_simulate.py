@@ -12,10 +12,12 @@ from budgetpath.simulate import (
     naive_baseline,
     simulate_transfer,
 )
-from budgetpath.topology import LinkSpec, NodeSpec, Topology, TopologyError, load_topology
+from budgetpath.topology import (
+    LinkSpec, NodeSpec, NoPathError, Topology, TopologyError, load_topology,
+)
 from helpers import (
-    cyclic_garbage, grid_topology, naive_path_by_enumeration, random_topology, reprice,
-    request_or_refusal,
+    cut_off_one_node, cyclic_garbage, grid_topology, naive_path_by_enumeration, random_topology,
+    reprice, request_or_refusal,
 )
 
 TESTBED = Path(__file__).resolve().parent.parent / "fixtures" / "testbed6.json"
@@ -96,7 +98,7 @@ class TestNaiveBaseline:
     def test_disconnected(self):
         nodes = tuple(NodeSpec(i, f"n{i}", "x", 100.0, 0.021, 0.081) for i in range(2))
         topo = Topology(nodes, ())
-        with pytest.raises(SimulationError, match="no path"):
+        with pytest.raises(NoPathError, match=r"^no path from 0 to 1$"):
             naive_baseline(topo, TransferRequest(0, 1, 1.0, 0.0, 1))
 
     def test_minimum_hop_property(self):
@@ -107,7 +109,7 @@ class TestNaiveBaseline:
             src, dst = 0, n - 1
             try:
                 path, _ = naive_baseline(topo, TransferRequest(src, dst, 1.0, 0.0, 1))
-            except SimulationError:
+            except NoPathError:
                 continue
             hops = len(path) - 1
             # no simple path may beat the baseline's hop count
@@ -139,7 +141,7 @@ class TestNaiveBaseline:
                 continue
             expected = naive_path_by_enumeration(topo, src, dst)
             if expected is None:
-                with pytest.raises(SimulationError, match="no path"):
+                with pytest.raises(NoPathError, match=rf"^no path from {src} to {dst}$"):
                     naive_baseline(topo, request)
                 continue
             path, _ = naive_baseline(topo, request)
@@ -292,17 +294,27 @@ class TestCompare:
 
 @pytest.mark.parametrize("rule", RULES)
 def test_every_report_row_equals_an_independent_repricing(rule):
-    rng = random.Random(13)
+    rng, cut_rng = random.Random(13), random.Random(14)
     rows = {"planner": 0, "naive": 0, "oracle": 0}
-    for i in range(120):
+    no_path = 0
+    for i in range(180):
         if i % 3:
             topo = random_topology(rng, 2, 9)
         else:
             topo = grid_topology(rng, rng.randint(2, 3), rng.randint(2, 4), [0.01, 0.02, 0.05])
+        topo = cut_off_one_node(topo, cut_rng)
         n = len(topo)
         request = request_or_refusal(rng.randrange(n), rng.randrange(n), rng.uniform(0.1, 40.0),
                                      rng.uniform(0.0, 3.0), rng.randint(1, 8))
-        if request is None or not topo.edges.has_path(request.source, request.destination):
+        if request is None:
+            continue
+        if not topo.edges.has_path(request.source, request.destination):
+            # no row to reprice: each of the three refuses the request alike
+            message = rf"^no path from {request.source} to {request.destination}$"
+            for call in (compare, plan_transfer, naive_baseline):
+                with pytest.raises(NoPathError, match=message):
+                    call(topo, request)
+            no_path += 1
             continue
         report = compare(topo, request, rule)
         plan = plan_transfer(topo, request, rule)
@@ -319,7 +331,7 @@ def test_every_report_row_equals_an_independent_repricing(rule):
             latency, cost = reprice(topo, row.path, configs[row.label], request.data_size_gb)
             assert (row.latency_s, row.cost_usd) == (latency, cost), (i, row)
             rows[row.label] += 1
-    assert min(rows.values()) > 40, rows
+    assert min(rows.values()) > 40 and no_path >= 10, (rows, no_path)
 
 
 @pytest.mark.parametrize("call", [naive_baseline, compare], ids=["naive_baseline", "compare"])
@@ -330,6 +342,6 @@ def test_leaves_no_cyclic_garbage(call):
         request = TransferRequest(0, len(topo) - 1, rng.uniform(0.1, 40.0), rng.uniform(0.0, 3.0), 8)
         try:
             garbage = cyclic_garbage(lambda: call(topo, request))
-        except SimulationError:  # the destination is unreachable
+        except NoPathError:  # the destination is unreachable
             continue
         assert garbage == 0
