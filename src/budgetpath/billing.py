@@ -10,7 +10,9 @@ Two billing methods are modeled:
 `price` is the one place where a node's method is chosen: it returns the
 method, bandwidth, cost and transmission time as plain values, so a round of
 the planner prices every node without building objects. `select_billing`
-wraps it for callers that want a `NodeBillingConfig`.
+wraps it for callers that want a `NodeBillingConfig`, and `cost_floor` bounds
+it from below over every bandwidth fraction, which lets the planner prove a
+budget insufficient without a round.
 
 Units are fixed package-wide: bandwidth in Mbps (10^6 bit/s), data size in
 GB (10^9 bytes), latency in seconds, money in USD.
@@ -187,6 +189,28 @@ def price(
         method, bandwidth = BillingMethod.PAYG, bandwidth_candidate_mbps
         cost = payg_cost(payg_rate, bandwidth, data_size_gb)
     return method, bandwidth, cost, transfer_seconds(data_size_gb, bandwidth)
+
+
+def cost_floor(node: NodeSpec, data_size_gb: float, rule: str) -> float:
+    """The least cost `price` can bill the node at any bandwidth fraction k in (0, 1].
+
+    PAYG never costs less than the bandwidth-hours the payload needs, since
+    bw * ceil(T / bw) >= T. PFDT costs its rate times the size, and counts
+    only where some k picks it: always for a node without PAYG and under
+    `exact-cost`; under `threshold` only below the threshold at full rate,
+    which is the highest threshold any k gives.
+    """
+    payg_rate, pfdt_rate = node.payg_rate, node.pfdt_rate
+    options = []
+    if payg_rate is not None:
+        options.append(payg_rate * data_size_gb * BITS_PER_GB / BITS_PER_MBPS / SECONDS_PER_HOUR)
+    if pfdt_rate is not None and (
+        payg_rate is None
+        or rule == "exact-cost"
+        or data_size_gb < data_threshold(payg_rate, pfdt_rate, node.max_egress_mbps)
+    ):
+        options.append(pfdt_cost(pfdt_rate, data_size_gb))
+    return min(options)
 
 
 def select_billing(

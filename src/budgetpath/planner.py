@@ -5,6 +5,7 @@ binary search that shrinks PAYG rates until a budget-feasible path exists.
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from operator import itemgetter
 
 from budgetpath.billing import (
@@ -13,6 +14,7 @@ from budgetpath.billing import (
     NodePrice,
     TransferRequest,
     check_rule,
+    cost_floor,
     price,
 )
 from budgetpath.records import Record
@@ -103,6 +105,46 @@ def _finalize(
     )
 
 
+# relative slack on the budget, far above the float rounding in a path's summed floors
+# or summed costs, so the certificate never refuses a budget some round could meet
+_FLOOR_MARGIN = 1e-9
+
+
+def _budget_below_floor(topology: Topology, request: TransferRequest, rule: str) -> bool:
+    """Whether every path's summed cost floors exceed the budget: no k can afford one.
+
+    A Dijkstra from the source, each sender adding its `billing.cost_floor`,
+    worked out only when the node is popped. Like `search_min_latency`, it
+    skips all of a node's edges once that sum passes the bound, so a small
+    budget settles after a few nodes. Every round bills each node at least
+    its floor and that search prunes at the budget, so a certified request
+    has no path at any k. The one exception is a PAYG cost that underflows
+    at a bandwidth near the smallest float, which only a payload under
+    about 1e-10 GB reaches.
+    """
+    source, destination, data_size_gb = request.source, request.destination, request.data_size_gb
+    bound = request.budget_usd * (1.0 + _FLOOR_MARGIN)
+    nodes, edges = topology.nodes, topology.edges
+    offsets, dst = edges.offsets, edges.dst
+    dist = [math.inf] * edges.n
+    dist[source] = 0.0
+    frontier = [(0.0, source)]
+    while frontier:
+        d, u = heappop(frontier)
+        if u == destination:
+            return False
+        if d > dist[u]:
+            continue
+        new_d = d + cost_floor(nodes[u], data_size_gb, rule)
+        if new_d > bound:
+            continue
+        for v in dst[offsets[u] : offsets[u + 1]]:
+            if new_d < dist[v]:
+                dist[v] = new_d
+                heappush(frontier, (new_d, v))
+    return True
+
+
 def plan_transfer(
     topology: Topology,
     request: TransferRequest,
@@ -117,7 +159,9 @@ def plan_transfer(
     keeping the most recent feasible plan, and the plan reports
     `max_iterations` as its iterations. A round that leaves k unchanged ends
     the search: every later round would repeat its k, its bracket and its
-    plan. None means no round was feasible: the budget is insufficient.
+    plan. Before the binary search, a budget that no k can meet, by the
+    per-node cost floors, returns None without a round. None means the
+    budget is insufficient: proved by the floors, or no round was feasible.
     """
     source, destination, budget = request.source, request.destination, request.budget_usd
     weights, prices = build_weights(topology, request, 1.0, rule)
@@ -126,6 +170,8 @@ def plan_transfer(
         return _finalize(result, prices, 1.0, 0)
     if not topology.edges.has_path(source, destination):
         raise NoPathError(source, destination)
+    if _budget_below_floor(topology, request, rule):
+        return None
 
     plan = None
     k, k_lower, k_upper = 0.5, 0.0, 1.0

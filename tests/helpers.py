@@ -14,7 +14,7 @@ from collections.abc import Callable
 import pytest
 
 from budgetpath import planner
-from budgetpath.billing import BillingMethod, TransferRequest
+from budgetpath.billing import BillingMethod, TransferRequest, billed_hours, cost_floor
 from budgetpath.search import EdgeWeights, PathResult
 from budgetpath.topology import EdgeList, LinkSpec, NodeSpec, Topology, TopologyError
 from budgetpath.tunnels import TunnelSpec, clamp_scalar
@@ -396,6 +396,40 @@ def record_rounds(monkeypatch) -> list[tuple[float, object]]:
     monkeypatch.setattr(planner, "build_weights", recording_build_weights)
     monkeypatch.setattr(planner, "search_min_latency", recording_search)
     return rounds
+
+
+def hour_aligned_fractions(node, data_gb, count=60):
+    """The k at which the node's PAYG transfer takes exactly h hours, for `count` h from k <= 1.
+
+    Each k is the least float whose bandwidth `k * max_egress_mbps` bills h
+    hours, not h + 1 from rounding up a time a few ulps above h hours.
+    """
+    fractions = []
+    first = billed_hours(data_gb, node.max_egress_mbps)
+    for h in range(first, first + count):
+        k = data_gb * 8000.0 / (h * 3600.0) / node.max_egress_mbps
+        while 0 < k <= 1 and billed_hours(data_gb, k * node.max_egress_mbps) > h:
+            k = math.nextafter(k, math.inf)
+        if 0 < k <= 1:
+            fractions.append(k)
+    return fractions
+
+
+def floor_distance(
+    topology: Topology, source: int, destination: int, data_gb: float, rule: str
+) -> float:
+    """The least sum of `cost_floor` over the senders of any path, or inf if none leads there.
+
+    Bellman-Ford over the topology's links, apart from the planner's own search.
+    """
+    floors = [cost_floor(node, data_gb, rule) for node in topology.nodes]
+    dist = [math.inf] * len(topology)
+    dist[source] = 0.0
+    for _ in range(len(topology)):
+        for link in topology.links:
+            if dist[link.src] + floors[link.src] < dist[link.dst]:
+                dist[link.dst] = dist[link.src] + floors[link.src]
+    return dist[destination]
 
 
 def bisection_bracket(rounds: list[tuple[float, object]]) -> tuple[float, float]:

@@ -1,19 +1,24 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from budgetpath.billing import (
+    RULES,
     BillingMethod,
     TransferRequest,
     billed_hours,
+    cost_floor,
     data_threshold,
     edge_latency,
     payg_cost,
     pfdt_cost,
+    price,
     select_billing,
 )
 from budgetpath.topology import NodeSpec
+from helpers import hour_aligned_fractions
 
 # Alibaba Singapore rates: PAYG $0.021/Mbps/h, PFDT $0.081/GB
 K1 = 0.021
@@ -154,6 +159,83 @@ class TestSelectBilling:
             select_billing(make_node(), 150.0, 1.0)
         with pytest.raises(ValueError):
             select_billing(make_node(), 0.0, 1.0)
+
+
+class TestCostFloor:
+    # nodes of each kind: both methods, PAYG only, PFDT only, free PFDT
+    KINDS = ("both", "payg-only", "pfdt-only", "free-pfdt")
+
+    @staticmethod
+    def random_node(rng, kind):
+        payg = None if kind == "pfdt-only" else round(rng.uniform(0.001, 0.1), 4)
+        pfdt = {"payg-only": None, "free-pfdt": 0.0}.get(kind, round(rng.uniform(0.005, 0.3), 4))
+        return make_node(payg, pfdt, rng.choice([1.0, 10.0, 50.0, 100.0, 200.0, 1000.0]))
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_no_fraction_bills_below_the_floor(self, rule):
+        rng = random.Random(41)
+        checked = tiny = 0
+        for _ in range(400):
+            node = self.random_node(rng, rng.choice(self.KINDS))
+            data_gb = rng.choice([rng.uniform(0.001, 1.0), rng.uniform(1.0, 100.0), 1e4])
+            floor = cost_floor(node, data_gb, rule)
+            fractions = (
+                [1.0, 0.5, 2.0 ** -7, 2.0 ** -30]
+                + [rng.uniform(0.0, 1.0) or 1.0 for _ in range(30)]
+                + hour_aligned_fractions(node, data_gb)
+                # near the edge where the transfer takes too long to bill
+                + [2.0 ** -900, 1e-300, 1e-305, 5e-324]
+            )
+            for k in fractions:
+                try:
+                    cost = price(node, k * node.max_egress_mbps, data_gb, rule)[2]
+                except ValueError:
+                    continue  # no bandwidth too small to bill has a cost
+                assert floor <= cost * (1 + 1e-12), (node, data_gb, k)
+                checked += 1
+                tiny += k < 1e-250
+        assert checked > 10_000 and tiny > 100
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_the_floor_is_billed_at_an_hour_aligned_fraction(self, rule):
+        # the bound is tight: k = 1 or a k at which PAYG fills whole hours bills
+        # the floor itself, up to rounding. Under `threshold` a node with both
+        # methods can be kept off its PAYG floor by the rule picking a dearer
+        # PFDT, so only `exact-cost` draws those.
+        kinds = self.KINDS if rule == "exact-cost" else self.KINDS[1:]
+        rng = random.Random(43)
+        on_payg = 0
+        for _ in range(300):
+            node = self.random_node(rng, rng.choice(kinds))
+            data_gb = rng.choice([rng.uniform(0.001, 1.0), rng.uniform(1.0, 100.0)])
+            floor = cost_floor(node, data_gb, rule)
+            aligned = hour_aligned_fractions(node, data_gb)
+            costs = [
+                price(node, k * node.max_egress_mbps, data_gb, rule)[2] for k in [1.0] + aligned
+            ]
+            assert min(costs) == pytest.approx(floor, rel=1e-12, abs=0.0), (node, data_gb)
+            on_payg += min(costs[1:], default=math.inf) < costs[0]
+        assert on_payg > 50
+
+    def test_single_method_and_free_nodes(self):
+        for rule in RULES:
+            assert cost_floor(make_node(pfdt=None), 36.0, rule) == pytest.approx(K1 * 80.0)
+            assert cost_floor(make_node(payg=None), 36.0, rule) == K2 * 36.0
+            assert cost_floor(make_node(pfdt=0.0), 36.0, rule) == 0.0
+            assert cost_floor(make_node(payg=0.0), 36.0, rule) == 0.0
+
+    def test_threshold_counts_pfdt_only_below_the_full_rate_threshold(self):
+        # 1 GB: PFDT ($0.081) is picked at k = 1 and undercuts nothing, the PAYG
+        # floor 0.021 * 1 * 8000 / 3600 = $0.0467 is lower under both rules
+        assert cost_floor(make_node(), 1.0, "threshold") == pytest.approx(0.021 * 8000 / 3600)
+        # a PFDT rate of 0.001 makes it the cheaper option, but at 30 GB the
+        # threshold 0.021 * 100 / 0.001 = 2100 GB is not passed, so threshold counts it too
+        node = make_node(pfdt=0.001)
+        assert cost_floor(node, 30.0, "threshold") == cost_floor(node, 30.0, "exact-cost") == 0.03
+        # above the full-rate threshold no k picks PFDT under `threshold`
+        node = make_node(pfdt=0.001, cap=1.0)  # threshold 21 GB
+        assert cost_floor(node, 30.0, "exact-cost") == 0.03
+        assert cost_floor(node, 30.0, "threshold") == pytest.approx(0.021 * 30 * 8000 / 3600)
 
 
 class TestTransferRequest:

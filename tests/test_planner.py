@@ -9,6 +9,7 @@ from budgetpath.billing import (
     BillingMethod,
     NodeBillingConfig,
     TransferRequest,
+    cost_floor,
     edge_latency,
     node_cost,
     payg_cost,
@@ -26,16 +27,22 @@ from budgetpath.planner import (
     plan_transfer,
     sender_configs,
 )
-from budgetpath.search import PathResult, enumerate_best_path
+from budgetpath.search import PathResult, enumerate_best_path, search_min_latency
 from budgetpath.simulate import compare, simulate_transfer
 from budgetpath.topology import (
     LinkSpec, NodeSpec, NoPathError, Topology, TopologyError, json_text, load_topology,
 )
-from helpers import bisection_bracket, random_topology, record_rounds, request_or_refusal
+from helpers import (
+    bisection_bracket, floor_distance, grid_topology, hour_aligned_fractions, random_topology,
+    record_rounds, request_or_refusal,
+)
 
 TESTBED = Path(__file__).resolve().parent.parent / "fixtures" / "testbed6.json"
 
 K1, K2 = 0.021, 0.081
+# the least any k bills node 0 of `make_topology` for 30 GB: PAYG needs
+# 0.021 * 30 * 8000 / 3600 bandwidth-hours, and PFDT is above its threshold
+FLOOR_30GB = 1.40
 
 
 def make_topology(n=2, cap=100.0, payg=K1, pfdt=K2, rtt=0.0):
@@ -193,10 +200,19 @@ class TestPlanTransfer:
         assert plan.iterations_used == 0
         assert plan.predicted_cost_usd == pytest.approx(0.081)
 
-    def test_zero_budget_exhausts_iterations(self, monkeypatch):
+    def test_zero_budget_is_proved_insufficient_after_one_round(self, monkeypatch):
         topo = make_topology(2)
         rounds = record_rounds(monkeypatch)
-        plan = plan_transfer(topo, TransferRequest(0, 1, 1.0, 0.0, 10))
+        assert plan_transfer(topo, TransferRequest(0, 1, 1.0, 0.0, 10)) is None
+        assert rounds == [(1.0, None)]
+
+    def test_budget_at_the_floor_exhausts_iterations(self, monkeypatch):
+        # the floor is only billed at a k that fills whole hours, 1 / (45 h) here,
+        # and no binary-search k is one: every round runs and none is feasible
+        topo = make_topology(2)
+        floor = cost_floor(topo.node(0), 1.0, "threshold")
+        rounds = record_rounds(monkeypatch)
+        plan = plan_transfer(topo, TransferRequest(0, 1, 1.0, floor, 10))
         assert plan is None
         assert rounds[0] == (1.0, None)
         assert len(rounds[1:]) == 10
@@ -214,16 +230,20 @@ class TestPlanTransfer:
         assert plan.path == (0, 1, 2)
         assert set(plan.configs) == set(plan.path[:-1])
 
-    @pytest.mark.parametrize("budget", [1.20, 1.50, 1.60, 1.90, 2.05])
+    @pytest.mark.parametrize("budget", [1.20, FLOOR_30GB, 1.50, 1.60, 1.90, 2.05])
     def test_binary_search_replay(self, monkeypatch, budget):
         # 2-node link, 30 GB, budget below the full-bandwidth PAYG cost of
         # $2.10: replay the bracket loop against the cost formula directly.
-        # PAYG cost here never drops under 0.021 * (30*8000/3600) = $1.40,
-        # so the smallest budgets stay infeasible through all iterations.
+        # PAYG cost here never drops under the $1.40 floor, so a budget below
+        # it is proved insufficient after k = 1, and a budget at it runs every
+        # iteration without a feasible one (the floor needs k = 2 / (3 h)).
         topo = make_topology(2)
         request = TransferRequest(0, 1, 30.0, budget, 12)
         rounds = record_rounds(monkeypatch)
         plan = plan_transfer(topo, request)
+        if budget < FLOOR_30GB:
+            assert rounds == [(1.0, None)] and plan is None
+            return
 
         def cost_at(k):
             bw = k * 100.0
@@ -260,24 +280,32 @@ class TestPlanTransfer:
     def test_bracket_contraction(self, monkeypatch):
         topo = make_topology(2)
         rounds = record_rounds(monkeypatch)
-        plan_transfer(topo, TransferRequest(0, 1, 30.0, 1.20, 12))
+        plan_transfer(topo, TransferRequest(0, 1, 30.0, FLOOR_30GB, 12))
         assert len(rounds[1:]) == 12
         k_lower, k_upper = bisection_bracket(rounds[1:])
         assert k_upper - k_lower <= 2.0 ** -12 + 1e-15
 
-    @pytest.mark.parametrize("budget", [0.0, 1.0, 1.5])
+    @pytest.mark.parametrize("budget", ["under-floor", "floor", 1.0, 1.5])
     def test_search_stops_once_k_is_unchanged(self, monkeypatch, budget):
         # a round that leaves k unchanged would be repeated by every later
         # one, so an iteration cap of 10**7 costs no more rounds than the
-        # bisection takes to reach that point
+        # bisection takes to reach that point. A budget a hair under the
+        # cheapest path's floor, inside the certificate's margin, is not
+        # proved insufficient and meets no round's cost, so the bisection
+        # runs all the way down to the smallest k. At the floor itself a k
+        # near 1e-16 bills whole hours to within rounding and is feasible.
         topo = load_topology(TESTBED)
+        under_floor = budget == "under-floor"
+        if budget in ("under-floor", "floor"):
+            budget = floor_distance(topo, 0, 5, 10.0, "threshold") * (1 - 1e-12 * under_floor)
         rounds = record_rounds(monkeypatch)
         plan = plan_transfer(topo, TransferRequest(0, 5, 10.0, budget, 10**7))
         assert rounds[0][0] == 1.0 and not isinstance(rounds[0][1], PathResult)
         assert len(rounds) <= 1100
+        assert len(rounds) > 1000 or not under_floor
         bisection_bracket(rounds[1:])
         reference = plan_transfer(topo, TransferRequest(0, 5, 10.0, budget, 1100))
-        assert (reference is None) == (budget == 0.0)
+        assert (reference is None) == under_floor
         if reference is None:
             assert plan is None
         else:
@@ -287,15 +315,24 @@ class TestPlanTransfer:
                 if field != "iterations_used":
                     assert getattr(plan, field) == getattr(reference, field), field
 
-    @pytest.mark.parametrize("budget", [0.0, 100.0, math.inf])
+    @pytest.mark.parametrize("budget", [0.0, 0.04, 100.0, math.inf])
     def test_unreachable_destination_stops_after_one_round(self, monkeypatch, budget):
-        # node 2 has no link: no budget reaches it, so no binary search starts
+        # node 2 has no link: no budget reaches it, so no binary search starts.
+        # Budgets 0 and 0.04 are below the $0.0467 floor, but no path at all is
+        # the answer that holds at any budget, so no floor is worked out.
+        floors = []
+
+        def counting_cost_floor(node, *args):
+            floors.append(node.id)
+            return cost_floor(node, *args)
+
+        monkeypatch.setattr(planner, "cost_floor", counting_cost_floor)
         topo = Topology(make_topology(3).nodes, make_topology(2).links)
         request = TransferRequest(0, 2, 1.0, budget, 30)
         rounds = record_rounds(monkeypatch)
         with pytest.raises(NoPathError, match=r"^no path from 0 to 2$"):
             plan_transfer(topo, request)
-        assert rounds == [(1.0, None)]
+        assert rounds == [(1.0, None)] and floors == []
         rounds.clear()
         # compare stops at the planner's first round, before the naive baseline
         with pytest.raises(NoPathError, match=r"^no path from 0 to 2$"):
@@ -303,9 +340,10 @@ class TestPlanTransfer:
         assert rounds == [(1.0, None)]
 
     # brackets as the planner found them before it told an unreachable
-    # destination from an insufficient budget
+    # destination from an insufficient budget; a budget at the floor keeps
+    # every round, where one below it is proved insufficient after k = 1
     @pytest.mark.parametrize("budget, bracket", [
-        (0.0, (0.0, 0.000244140625)),
+        (FLOOR_30GB, (0.0, 0.000244140625)),
         (1.50, (0.089111328125, 0.08935546875)),
         (1.90, (0.4521484375, 0.452392578125)),
     ])
@@ -319,7 +357,7 @@ class TestPlanTransfer:
             plans.append(plan_transfer(topo, TransferRequest(0, 1, 30.0, budget, 12)))
             assert rounds[0] == (1.0, None) and len(rounds) == 13
             assert bisection_bracket(rounds[1:]) == bracket
-        assert plans[0] == plans[1] and (plans[0] is None) == (budget == 0.0)
+        assert plans[0] == plans[1] and (plans[0] is None) == (budget == FLOOR_30GB)
 
     def test_invalid_endpoints(self):
         topo = make_topology(2)
@@ -364,6 +402,58 @@ class TestPlanTransfer:
             latencies.append(plan.predicted_latency_s)
         assert latencies == sorted(latencies)
         assert latencies[0] < latencies[1] < latencies[2]
+
+
+class TestFloorCertificate:
+    # the k the binary search visits when every round is infeasible
+    BISECTION_KS = [2.0 ** -i for i in range(1, 31)]
+
+    @staticmethod
+    def instances(rng, rule):
+        """(topology, request, floor distance) of seeded instances, budgets around the floor."""
+        for i in range(150):
+            if i % 3:
+                topo = random_topology(rng, 2, 9)
+            else:
+                width, height = rng.choice([(2, 3), (3, 3), (4, 4)])
+                topo = grid_topology(rng, width, height, [0.01, 0.02, 0.05])
+            source, destination = rng.sample(range(len(topo)), 2)
+            data_gb = rng.choice([rng.uniform(0.01, 1.0), rng.uniform(1.0, 60.0)])
+            floor = floor_distance(topo, source, destination, data_gb, rule)
+            # either side of the certificate's 1e-9 margin, at the floor and above it
+            budget = floor * rng.choice(
+                [0.0, rng.uniform(0.3, 1.0), 1 - 1e-6, 1 - 1e-12, 1.0, rng.uniform(1.0, 1.5)])
+            yield topo, TransferRequest(source, destination, data_gb, budget, 30), floor
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_a_certified_request_has_no_path_at_any_k(self, monkeypatch, rule):
+        rounds = record_rounds(monkeypatch)
+        certified = at_floor = 0
+        for topo, request, floor in self.instances(random.Random(29), rule):
+            source, destination, budget = request.source, request.destination, request.budget_usd
+            rounds.clear()
+            plan = plan_transfer(topo, request, rule)
+            proved = plan is None and rounds == [(1.0, None)]
+            assert proved == (floor > budget * (1 + 1e-9))
+            if budget == floor:
+                at_floor += 1
+                assert not proved
+            if not proved:
+                continue
+            certified += 1
+            aligned = [
+                k for node in topo.nodes
+                for k in hour_aligned_fractions(node, request.data_size_gb, 3)
+            ]
+            for k in self.BISECTION_KS + aligned:
+                try:
+                    weights, _ = build_weights(topo, request, k, rule)
+                except ValueError:
+                    continue  # a node's bandwidth is too small to bill: no round at this k
+                assert search_min_latency(weights, source, destination, budget) is None, k
+                if len(topo) <= 9:
+                    assert enumerate_best_path(weights, source, destination, budget) is None, k
+        assert certified > 60 and at_floor > 15
 
 
 class TestPlanSerialization:
