@@ -11,8 +11,8 @@ Two billing methods are modeled:
 method, bandwidth, cost and transmission time as plain values, so a round of
 the planner prices every node without building objects. `select_billing`
 wraps it for callers that want a `NodeBillingConfig`, and `cost_floor` bounds
-it from below over every bandwidth fraction, which lets the planner prove a
-budget insufficient without a round.
+it from below over every bandwidth fraction from its price at full rate,
+which lets the planner prove a budget insufficient without a round.
 
 Units are fixed package-wide: bandwidth in Mbps (10^6 bit/s), data size in
 GB (10^9 bytes), latency in seconds, money in USD.
@@ -45,10 +45,6 @@ class NodeBillingConfig(Record):
     """
 
     __slots__ = _fields = ("method", "bandwidth_mbps")
-
-
-# what `price` returns for one node: (method, bandwidth_mbps, cost_usd, seconds)
-NodePrice = tuple[BillingMethod, float, float, float]
 
 
 class TransferRequest(Record):
@@ -161,7 +157,7 @@ def price(
     bandwidth_candidate_mbps: float,
     data_size_gb: float,
     rule: str,
-) -> NodePrice:
+) -> tuple[BillingMethod, float, float, float]:
     """(method, bandwidth_mbps, cost_usd, seconds) of one node at a candidate PAYG bandwidth.
 
     `threshold` rule: strict D < D_thresh selects PFDT (at the node's full
@@ -194,23 +190,20 @@ def price(
 def cost_floor(node: NodeSpec, data_size_gb: float, rule: str) -> float:
     """The least cost `price` can bill the node at any bandwidth fraction k in (0, 1].
 
-    PAYG never costs less than the bandwidth-hours the payload needs, since
-    bw * ceil(T / bw) >= T. PFDT costs its rate times the size, and counts
-    only where some k picks it: always for a node without PAYG and under
-    `exact-cost`; under `threshold` only below the threshold at full rate,
-    which is the highest threshold any k gives.
+    The lesser of the node's cost at full rate and, if it offers PAYG, the
+    bandwidth-hours the payload needs. Every k bills PAYG at least those,
+    since bw * ceil(T / bw) >= T, or PFDT, whose cost is the same at every k
+    and never below the full-rate cost where some k picks it: under
+    `threshold` the cutoff `payg * k * bw / pfdt` only falls as k shrinks, so
+    k = 1 picks PFDT too, and under `exact-cost` k = 1 bills the cheaper
+    method. ValueError for an unknown rule.
     """
-    payg_rate, pfdt_rate = node.payg_rate, node.pfdt_rate
-    options = []
-    if payg_rate is not None:
-        options.append(payg_rate * data_size_gb * BITS_PER_GB / BITS_PER_MBPS / SECONDS_PER_HOUR)
-    if pfdt_rate is not None and (
-        payg_rate is None
-        or rule == "exact-cost"
-        or data_size_gb < data_threshold(payg_rate, pfdt_rate, node.max_egress_mbps)
-    ):
-        options.append(pfdt_cost(pfdt_rate, data_size_gb))
-    return min(options)
+    check_rule(rule)
+    full_rate_cost = price(node, node.max_egress_mbps, data_size_gb, rule)[2]
+    if node.payg_rate is None:
+        return full_rate_cost
+    bandwidth_hours = node.payg_rate * data_size_gb * BITS_PER_GB / BITS_PER_MBPS / SECONDS_PER_HOUR
+    return min(full_rate_cost, bandwidth_hours)
 
 
 def select_billing(

@@ -134,7 +134,7 @@ def _cmd_oracle(args, topology) -> int:
     # checked before enumerating, so it comes ahead of a --max-nodes refusal
     if not topology.edges.has_path(request.source, request.destination):
         raise NoPathError(request.source, request.destination)
-    weights, _ = build_weights(topology, request, args.fraction, args.rule)
+    weights = build_weights(topology, request, args.fraction, args.rule)
     result = enumerate_best_path(
         weights, request.source, request.destination, request.budget_usd,
         max_nodes=args.max_nodes,

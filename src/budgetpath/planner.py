@@ -6,12 +6,10 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-from operator import itemgetter
 
 from budgetpath.billing import (
     BillingMethod,
     NodeBillingConfig,
-    NodePrice,
     TransferRequest,
     check_rule,
     cost_floor,
@@ -61,47 +59,43 @@ def build_weights(
     request: TransferRequest,
     fraction_k: float,
     rule: str = "threshold",
-) -> tuple[EdgeWeights, list[NodePrice]]:
+) -> EdgeWeights:
     """Weights for one candidate configuration at bandwidth fraction `fraction_k`.
 
     Every node's PAYG candidate bandwidth is fraction_k times its cap; the
     billing rule then picks the method (PFDT restores the full rate). Billing
     is per sending node, so each node is priced once (`billing.price`): its
     egress cost is its `a` and its transmission time at the configured
-    bandwidth its `b`, whichever edge it sends on. The per-node prices,
-    (method, bandwidth_mbps, cost_usd, seconds) indexed by node id, are
-    returned alongside the weights. ValueError when a node's bandwidth is
-    too small to bill.
+    bandwidth its `b`, whichever edge it sends on. ValueError when a node's
+    bandwidth is too small to bill.
     """
     if not 0 < fraction_k <= 1:
         raise ValueError(f"fraction_k must be in (0, 1], got {fraction_k}")
     check_rule(rule)
     data_size_gb = request.data_size_gb
-    prices = [
-        price(node, fraction_k * node.max_egress_mbps, data_size_gb, rule)
-        for node in topology.nodes
-    ]
-    cost = tuple(map(itemgetter(2), prices))
-    seconds = tuple(map(itemgetter(3), prices))
-    return EdgeWeights(topology.edges, cost, seconds), prices
-
-
-def sender_configs(path: tuple[int, ...], prices: list[NodePrice]) -> dict[int, NodeBillingConfig]:
-    """Billing configs of the path's senders, `path[:-1]`, from `build_weights`'s prices."""
-    return {i: NodeBillingConfig(prices[i][0], prices[i][1]) for i in path[:-1]}
+    a, b = [], []
+    for node in topology.nodes:
+        _, _, cost, seconds = price(node, fraction_k * node.max_egress_mbps, data_size_gb, rule)
+        a.append(cost)
+        b.append(seconds)
+    return EdgeWeights(topology.edges, tuple(a), tuple(b))
 
 
 def _finalize(
-    result: PathResult, prices: list[NodePrice], fraction_k: float, iterations_used: int
+    topology: Topology, request: TransferRequest, rule: str, result: PathResult,
+    fraction_k: float, iterations_used: int,
 ) -> Plan:
-    """The plan of one round's path: its senders' configs and the search's own totals."""
+    """The plan of one round's path: its senders priced as `build_weights` priced
+    them at `fraction_k`, and the search's own totals."""
+    nodes, data_size_gb = topology.nodes, request.data_size_gb
+    configs = {
+        i: NodeBillingConfig(
+            *price(nodes[i], fraction_k * nodes[i].max_egress_mbps, data_size_gb, rule)[:2]
+        )
+        for i in result.path[:-1]
+    }
     return Plan(
-        result.path,
-        sender_configs(result.path, prices),
-        result.total_a,
-        result.total_b,
-        fraction_k,
-        iterations_used,
+        result.path, configs, result.total_a, result.total_b, fraction_k, iterations_used
     )
 
 
@@ -164,10 +158,10 @@ def plan_transfer(
     budget is insufficient: proved by the floors, or no round was feasible.
     """
     source, destination, budget = request.source, request.destination, request.budget_usd
-    weights, prices = build_weights(topology, request, 1.0, rule)
+    weights = build_weights(topology, request, 1.0, rule)
     result = search_min_latency(weights, source, destination, budget)
     if result is not None:
-        return _finalize(result, prices, 1.0, 0)
+        return _finalize(topology, request, rule, result, 1.0, 0)
     if not topology.edges.has_path(source, destination):
         raise NoPathError(source, destination)
     if _budget_below_floor(topology, request, rule):
@@ -177,7 +171,7 @@ def plan_transfer(
     k, k_lower, k_upper = 0.5, 0.0, 1.0
     for _ in range(request.max_iterations):
         try:
-            weights, prices = build_weights(topology, request, k, rule)
+            weights = build_weights(topology, request, k, rule)
         except ValueError:
             # k is in (0, 1] and the rule passed at k = 1, so a node's bandwidth
             # is too small to bill: no path is affordable at this k
@@ -185,7 +179,7 @@ def plan_transfer(
         else:
             result = search_min_latency(weights, source, destination, budget)
         if result is not None:
-            plan = _finalize(result, prices, k, request.max_iterations)
+            plan = _finalize(topology, request, rule, result, k, request.max_iterations)
             k_lower = k
         else:
             k_upper = k

@@ -201,7 +201,7 @@ def compare(
     )
 
     if plan is not None and len(topology) <= ORACLE_MAX_NODES:
-        weights, _ = build_weights(topology, request, plan.fraction_k, rule)
+        weights = build_weights(topology, request, plan.fraction_k, rule)
         best = enumerate_best_path(weights, request.source, request.destination, request.budget_usd)
         if best is not None:
             rows.append(ReportRow("oracle", best.path, best.total_b, best.total_a, True))

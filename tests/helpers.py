@@ -1,7 +1,7 @@
 """Shared test machinery: random instance generators, a reference topology
-loader, a recorder of the planner's rounds, the naive baseline's path by
-enumeration, an independent X25519 reference implementation, and a
-cryptokey-routing walker.
+loader, a recorder of the planner's rounds, reference cost floors and
+sender configs, the naive baseline's path by enumeration, an independent
+X25519 reference implementation, and a cryptokey-routing walker.
 """
 
 from __future__ import annotations
@@ -14,7 +14,19 @@ from collections.abc import Callable
 import pytest
 
 from budgetpath import planner
-from budgetpath.billing import BillingMethod, TransferRequest, billed_hours, cost_floor
+from budgetpath.billing import (
+    BITS_PER_GB,
+    BITS_PER_MBPS,
+    SECONDS_PER_HOUR,
+    BillingMethod,
+    NodeBillingConfig,
+    TransferRequest,
+    billed_hours,
+    cost_floor,
+    data_threshold,
+    pfdt_cost,
+    select_billing,
+)
 from budgetpath.search import EdgeWeights, PathResult
 from budgetpath.topology import EdgeList, LinkSpec, NodeSpec, Topology, TopologyError
 from budgetpath.tunnels import TunnelSpec, clamp_scalar
@@ -413,6 +425,39 @@ def hour_aligned_fractions(node, data_gb, count=60):
         if 0 < k <= 1:
             fractions.append(k)
     return fractions
+
+
+def cost_floor_by_rule(node: NodeSpec, data_gb: float, rule: str) -> float:
+    """The per-rule floor that `billing.cost_floor` is checked against.
+
+    PAYG never costs less than the bandwidth-hours the payload needs. PFDT
+    counts only where some k picks it: for a node without PAYG and under
+    `exact-cost` always, under `threshold` only below the threshold at full
+    rate, which is the highest threshold any k gives.
+    """
+    payg_rate, pfdt_rate = node.payg_rate, node.pfdt_rate
+    options = []
+    if payg_rate is not None:
+        options.append(payg_rate * data_gb * BITS_PER_GB / BITS_PER_MBPS / SECONDS_PER_HOUR)
+    if pfdt_rate is not None and (
+        payg_rate is None
+        or rule == "exact-cost"
+        or data_gb < data_threshold(payg_rate, pfdt_rate, node.max_egress_mbps)
+    ):
+        options.append(pfdt_cost(pfdt_rate, data_gb))
+    return min(options)
+
+
+def sender_configs_at(
+    topology: Topology, path, fraction_k: float, data_gb: float, rule: str
+) -> dict[int, NodeBillingConfig]:
+    """`select_billing`'s config for each sender of `path` at bandwidth fraction `fraction_k`."""
+    return {
+        u: select_billing(
+            topology.node(u), fraction_k * topology.node(u).max_egress_mbps, data_gb, rule
+        )
+        for u in path[:-1]
+    }
 
 
 def floor_distance(

@@ -1,11 +1,15 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from budgetpath.billing import (
+    BITS_PER_GB,
+    BITS_PER_MBPS,
     RULES,
+    SECONDS_PER_HOUR,
     BillingMethod,
     TransferRequest,
     billed_hours,
@@ -18,7 +22,7 @@ from budgetpath.billing import (
     select_billing,
 )
 from budgetpath.topology import NodeSpec
-from helpers import hour_aligned_fractions
+from helpers import cost_floor_by_rule, hour_aligned_fractions
 
 # Alibaba Singapore rates: PAYG $0.021/Mbps/h, PFDT $0.081/GB
 K1 = 0.021
@@ -167,9 +171,40 @@ class TestCostFloor:
 
     @staticmethod
     def random_node(rng, kind):
-        payg = None if kind == "pfdt-only" else round(rng.uniform(0.001, 0.1), 4)
+        payg = {"pfdt-only": None, "free-payg": 0.0}.get(kind, round(rng.uniform(0.001, 0.1), 4))
         pfdt = {"payg-only": None, "free-pfdt": 0.0}.get(kind, round(rng.uniform(0.005, 0.3), 4))
         return make_node(payg, pfdt, rng.choice([1.0, 10.0, 50.0, 100.0, 200.0, 1000.0]))
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_matches_the_per_rule_floor(self, rule):
+        # `cost_floor` takes the method from `price` at full rate; the reference
+        # decides it per rule. They are equal at the threshold itself and over
+        # sizes from 1e-12 to 1e8 GB. A payload of whole hours at full rate can
+        # have its PAYG bill round below the bandwidth-hours: there the floor is
+        # that bill, which k = 1 really charges.
+        rng = random.Random(47)
+        drawn, rounded = Counter(), 0
+        for _ in range(4000):
+            node = self.random_node(rng, rng.choice(self.KINDS + ("free-payg",)))
+            payg, pfdt, cap = node.payg_rate, node.pfdt_rate, node.max_egress_mbps
+            draw = rng.random()
+            if draw < 0.3 and payg and pfdt:
+                kind, data_gb = "threshold", payg * cap / pfdt
+            elif draw < 0.6:
+                seconds = rng.randint(1, 10_000) * SECONDS_PER_HOUR
+                kind, data_gb = "hours", seconds * cap * BITS_PER_MBPS / BITS_PER_GB
+            else:
+                kind, data_gb = "sizes", 10.0 ** rng.uniform(-12.0, 8.0)
+            drawn[kind] += 1
+            floor = cost_floor(node, data_gb, rule)
+            reference = cost_floor_by_rule(node, data_gb, rule)
+            if kind != "hours":
+                assert floor == reference, (node, data_gb)
+                continue
+            assert floor == min(reference, price(node, cap, data_gb, rule)[2]), (node, data_gb)
+            assert reference - floor <= 1e-15 * reference, (node, data_gb)
+            rounded += floor != reference
+        assert min(drawn.values()) > 200 and rounded > 50, (drawn, rounded)
 
     @pytest.mark.parametrize("rule", RULES)
     def test_no_fraction_bills_below_the_floor(self, rule):
@@ -223,6 +258,10 @@ class TestCostFloor:
             assert cost_floor(make_node(payg=None), 36.0, rule) == K2 * 36.0
             assert cost_floor(make_node(pfdt=0.0), 36.0, rule) == 0.0
             assert cost_floor(make_node(payg=0.0), 36.0, rule) == 0.0
+
+    def test_rejects_unknown_rule(self):
+        with pytest.raises(ValueError, match="unknown billing rule 'cheapest'"):
+            cost_floor(make_node(), 1.0, "cheapest")
 
     def test_threshold_counts_pfdt_only_below_the_full_rate_threshold(self):
         # 1 GB: PFDT ($0.081) is picked at k = 1 and undercuts nothing, the PAYG

@@ -156,7 +156,7 @@ def answers(sparse: list[dict]) -> dict:
         topology = random_topology(rng, 3, 8)
         n = len(topology)
         request = TransferRequest(0, n - 1, rng.uniform(0.1, 40.0), rng.uniform(0.0, 3.0), 1)
-        weights, _ = build_weights(topology, request, rng.choice([1.0, 0.5, 0.3]))
+        weights = build_weights(topology, request, rng.choice([1.0, 0.5, 0.3]))
         searches.append({
             "search": _path_result(search_min_latency(weights, 0, n - 1, request.budget_usd)),
             "oracle": _path_result(enumerate_best_path(weights, 0, n - 1, request.budget_usd)),

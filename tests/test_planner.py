@@ -25,7 +25,6 @@ from budgetpath.planner import (
     plan_from_dict,
     plan_to_dict,
     plan_transfer,
-    sender_configs,
 )
 from budgetpath.search import PathResult, enumerate_best_path, search_min_latency
 from budgetpath.simulate import compare, simulate_transfer
@@ -34,7 +33,7 @@ from budgetpath.topology import (
 )
 from helpers import (
     bisection_bracket, floor_distance, grid_topology, hour_aligned_fractions, random_topology,
-    record_rounds, request_or_refusal,
+    record_rounds, request_or_refusal, sender_configs_at,
 )
 
 TESTBED = Path(__file__).resolve().parent.parent / "fixtures" / "testbed6.json"
@@ -90,8 +89,9 @@ class TestBuildWeights:
     def test_small_data_all_pfdt(self):
         topo = make_topology(3, rtt=0.040)
         request = TransferRequest(0, 2, 1.0, 10.0, 5)
-        weights, prices = build_weights(topo, request, 1.0)
-        assert all(method is BillingMethod.PFDT for method, _, _, _ in prices)
+        weights = build_weights(topo, request, 1.0)
+        for node in topo.nodes:
+            assert select_billing(node, 100.0, 1.0).method is BillingMethod.PFDT
         e = weights.edges.index(0, 1)
         assert weights.a[0] == pytest.approx(0.081)
         assert weights.edges.delay[e] + weights.b[0] == pytest.approx(0.020 + 80.0)
@@ -99,17 +99,16 @@ class TestBuildWeights:
     def test_large_data_all_payg(self):
         topo = make_topology(2)
         request = TransferRequest(0, 1, 30.0, 10.0, 5)
-        weights, prices = build_weights(topo, request, 1.0)
-        assert prices[0][0] is BillingMethod.PAYG
+        weights = build_weights(topo, request, 1.0)
+        assert select_billing(topo.node(0), 100.0, 30.0).method is BillingMethod.PAYG
         # 30 GB at 100 Mbps = 2400 s -> 1 billed hour
         assert weights.a[0] == pytest.approx(0.021 * 100 * 1)
 
     def test_half_fraction_hour_ceiling_interaction(self):
         topo = make_topology(2)
         request = TransferRequest(0, 1, 30.0, 10.0, 5)
-        weights, prices = build_weights(topo, request, 0.5)
-        assert prices[0][0] is BillingMethod.PAYG
-        assert prices[0][1] == 50.0
+        weights = build_weights(topo, request, 0.5)
+        assert price(topo.node(0), 50.0, 30.0, "threshold")[:2] == (BillingMethod.PAYG, 50.0)
         # 30 GB at 50 Mbps = 4800 s -> 2 billed hours, cost back to 2.10
         assert weights.a[0] == pytest.approx(0.021 * 50 * 2)
 
@@ -124,16 +123,14 @@ class TestBuildWeights:
         for topo, data_gb in cases:
             request = TransferRequest(0, len(topo) - 1, data_gb, 1.0, 5)
             for k in (1.0, 0.5, 0.3, 2.0 ** -7, 2.0 ** -30):
-                weights, prices = build_weights(topo, request, k, rule)
+                weights = build_weights(topo, request, k, rule)
                 assert len(weights.a) == len(weights.b) == len(topo)
                 configs = [
                     select_billing(node, k * node.max_egress_mbps, data_gb, rule)
                     for node in topo.nodes
                 ]
-                for node, config, price in zip(topo.nodes, configs, prices, strict=True):
-                    assert price == (
-                        config.method,
-                        config.bandwidth_mbps,
+                for node, config in zip(topo.nodes, configs, strict=True):
+                    assert (weights.a[node.id], weights.b[node.id]) == (
                         node_cost(node, config, data_gb),
                         transfer_seconds(data_gb, config.bandwidth_mbps),
                     )
@@ -151,15 +148,19 @@ class TestBuildWeights:
         for data_gb in (0.001, TIE_DATA_GB, 30.0):
             request = TransferRequest(0, 1, data_gb, 1.0, 5)
             for k in (1.0, 2.0 ** -30):
-                _, prices = build_weights(topo, request, k, rule)
+                weights = build_weights(topo, request, k, rule)
+                prices = [
+                    price(node, k * node.max_egress_mbps, data_gb, rule) for node in topo.nodes
+                ]
+                assert [p[2:] for p in prices] == list(zip(weights.a, weights.b))
                 free_pfdt, payg_only, pfdt_only, _ = prices
                 assert free_pfdt[:3] == (BillingMethod.PFDT, 100.0, 0.0)
                 assert payg_only[:2] == (BillingMethod.PAYG, k * 50.0)
                 assert pfdt_only[:2] == (BillingMethod.PFDT, 200.0)
         # at the tie exact-cost picks PFDT; the threshold rule's strict D < D* picks PAYG
-        _, prices = build_weights(topo, TransferRequest(0, 1, TIE_DATA_GB, 1.0, 5), 1.0, rule)
-        method, bandwidth, cost, _ = prices[3]
-        assert cost == 1.0 and bandwidth == 100.0
+        weights = build_weights(topo, TransferRequest(0, 1, TIE_DATA_GB, 1.0, 5), 1.0, rule)
+        method, bandwidth, cost, _ = price(topo.node(3), 100.0, TIE_DATA_GB, rule)
+        assert cost == weights.a[3] == 1.0 and bandwidth == 100.0
         expected = BillingMethod.PFDT if rule == "exact-cost" else BillingMethod.PAYG
         assert method is expected
 
@@ -172,9 +173,9 @@ class TestBuildWeights:
 
         monkeypatch.setattr(planner, "price", counting_price)
         topo = random_topology(random.Random(31), 5, 7)
-        weights, prices = build_weights(topo, TransferRequest(0, 1, 30.0, 1.0, 5), 0.5)
+        weights = build_weights(topo, TransferRequest(0, 1, 30.0, 1.0, 5), 0.5)
         assert calls == list(range(len(topo)))
-        assert len(weights.a) == len(weights.b) == len(prices) == len(topo) < len(topo.links)
+        assert len(weights.a) == len(weights.b) == len(topo) < len(topo.links)
         assert weights.edges is topo.edges
 
     def test_rejects_unknown_rule(self):
@@ -378,17 +379,49 @@ class TestPlanTransfer:
         assert planned > 20
 
     @pytest.mark.parametrize("rule", RULES)
+    def test_configs_are_the_senders_priced_at_the_plans_k(self, rule):
+        # a plan's configs are `price`'s method and bandwidth at the plan's own
+        # k for exactly its senders, in path order: no destination, no off-path node
+        rng = random.Random(13)
+        at_full_rate = shrunk = 0
+        for i in range(400):
+            if i % 3:
+                topo = random_topology(rng, 2, 9)
+            else:
+                topo = grid_topology(rng, rng.randint(2, 4), rng.randint(2, 4), [0.01, 0.02, 0.05])
+            n = len(topo)
+            request = request_or_refusal(rng.randrange(n), rng.randrange(n), rng.uniform(0.1, 40.0),
+                                         rng.uniform(0.0, 3.0), rng.randint(1, 8))
+            if request is None or not topo.edges.has_path(request.source, request.destination):
+                continue
+            plan = plan_transfer(topo, request, rule)
+            if plan is None:
+                continue
+            k, data_gb = plan.fraction_k, request.data_size_gb
+            expected = {
+                u: NodeBillingConfig(
+                    *price(topo.node(u), k * topo.node(u).max_egress_mbps, data_gb, rule)[:2]
+                )
+                for u in plan.path[:-1]
+            }
+            assert list(plan.configs.items()) == list(expected.items()), (i, plan)
+            at_full_rate += k == 1.0
+            shrunk += k < 1.0
+        assert at_full_rate > 90 and shrunk > 30, (at_full_rate, shrunk)
+
+    @pytest.mark.parametrize("rule", RULES)
     def test_oracle_totals_match_an_independent_repricing(self, rule):
         # the oracle's own sums, which `simulate.compare` reports, against
         # `simulate_transfer`'s pricing of the same path at the plan's k
         checked = 0
         for topo, request, plan in planned_instances(random.Random(11), rule):
-            weights, prices = build_weights(topo, request, plan.fraction_k, rule)
+            weights = build_weights(topo, request, plan.fraction_k, rule)
             best = enumerate_best_path(
                 weights, request.source, request.destination, request.budget_usd)
             assert best is not None  # the plan's own path is within the budget
             checked += 1
-            configs = sender_configs(best.path, prices)
+            configs = sender_configs_at(
+                topo, best.path, plan.fraction_k, request.data_size_gb, rule)
             assert simulate_transfer(topo, best.path, configs, request.data_size_gb) == (
                 best.total_b, best.total_a)
         assert checked > 20
@@ -447,7 +480,7 @@ class TestFloorCertificate:
             ]
             for k in self.BISECTION_KS + aligned:
                 try:
-                    weights, _ = build_weights(topo, request, k, rule)
+                    weights = build_weights(topo, request, k, rule)
                 except ValueError:
                     continue  # a node's bandwidth is too small to bill: no round at this k
                 assert search_min_latency(weights, source, destination, budget) is None, k

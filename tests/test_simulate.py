@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from budgetpath.billing import RULES, BillingMethod, NodeBillingConfig, TransferRequest
-from budgetpath.planner import build_weights, plan_transfer, sender_configs
+from budgetpath.planner import plan_transfer
 from budgetpath.simulate import (
     SimulationError,
     compare,
@@ -17,7 +17,7 @@ from budgetpath.topology import (
 )
 from helpers import (
     cut_off_one_node, cyclic_garbage, grid_topology, naive_path_by_enumeration, random_topology,
-    reprice, request_or_refusal,
+    reprice, request_or_refusal, sender_configs_at,
 )
 
 TESTBED = Path(__file__).resolve().parent.parent / "fixtures" / "testbed6.json"
@@ -321,13 +321,13 @@ def test_every_report_row_equals_an_independent_repricing(rule):
         configs = {"naive": naive_baseline(topo, request)[1]}
         if plan is not None:
             configs["planner"] = plan.configs
-            # the oracle searches the weights at the plan's k
-            prices = build_weights(topo, request, plan.fraction_k, rule)[1]
         for row in report.rows:
             if row.path is None:
                 continue
             if row.label == "oracle":
-                configs["oracle"] = sender_configs(row.path, prices)
+                # the oracle searches the weights at the plan's k
+                configs["oracle"] = sender_configs_at(
+                    topo, row.path, plan.fraction_k, request.data_size_gb, rule)
             latency, cost = reprice(topo, row.path, configs[row.label], request.data_size_gb)
             assert (row.latency_s, row.cost_usd) == (latency, cost), (i, row)
             rows[row.label] += 1
