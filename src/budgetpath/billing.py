@@ -7,12 +7,15 @@ Two billing methods are modeled:
 * PFDT (pay-for-data-transfer): billed per GB sent, independent of
   bandwidth; the node transmits at its full egress rate.
 
-`price` is the one place where a node's method is chosen: it returns the
-method, bandwidth, cost and transmission time as plain values, so a round of
-the planner prices every node without building objects. `select_billing`
-wraps it for callers that want a `NodeBillingConfig`, and `cost_floor` bounds
-it from below over every bandwidth fraction from its price at full rate,
-which lets the planner prove a budget insufficient without a round.
+`price` is the one definition of how a node's method is chosen: it returns
+the method, bandwidth, cost and transmission time as plain values.
+`price_round` prices every node of a planner round in one pass, with
+`price`'s float operations written out in the same order; it must stay
+equal to `price` node by node, which a seeded test checks bit for bit.
+`select_billing` wraps `price` for callers that want a `NodeBillingConfig`,
+and `cost_floor` bounds it from below over every bandwidth fraction from its
+price at full rate, which lets the planner prove a budget insufficient
+without a round.
 
 Units are fixed package-wide: bandwidth in Mbps (10^6 bit/s), data size in
 GB (10^9 bytes), latency in seconds, money in USD.
@@ -21,6 +24,7 @@ GB (10^9 bytes), latency in seconds, money in USD.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from enum import IntEnum
 
 from budgetpath.records import Record
@@ -185,6 +189,53 @@ def price(
         method, bandwidth = BillingMethod.PAYG, bandwidth_candidate_mbps
         cost = payg_cost(payg_rate, bandwidth, data_size_gb)
     return method, bandwidth, cost, transfer_seconds(data_size_gb, bandwidth)
+
+
+def price_round(
+    nodes: Iterable[NodeSpec], fraction_k: float, data_size_gb: float, rule: str
+) -> tuple[list[float], list[float]]:
+    """(costs, seconds) of every node at PAYG candidate `fraction_k * max_egress_mbps`.
+
+    The planner's per-round pricing: node i's entries are exactly
+    `price(node, fraction_k * node.max_egress_mbps, data_size_gb, rule)[2:]`,
+    with `price`'s float operations written out in the same order, so the
+    method choice still has one definition. It raises the same ValueError
+    for a bandwidth that is 0 or too small to bill. The nodes are a
+    topology's checked nodes; the rule is not checked here.
+    """
+    bits = data_size_gb * BITS_PER_GB
+    threshold = rule == "threshold"
+    costs, seconds = [], []
+    for node in nodes:
+        payg, pfdt, cap = node.payg_rate, node.pfdt_rate, node.max_egress_mbps
+        bandwidth = fraction_k * cap
+        if pfdt is None:
+            pick_pfdt = False
+        elif payg is None:
+            pick_pfdt = True
+        elif threshold:
+            pick_pfdt = pfdt == 0 or data_size_gb < payg * bandwidth / pfdt
+        else:
+            pick_pfdt = None  # `exact-cost`: decided by the two bills below
+        if not pick_pfdt:
+            if bandwidth <= 0:
+                raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
+            payg_seconds = bits / (bandwidth * BITS_PER_MBPS)
+            try:
+                hours = max(1, math.ceil(payg_seconds / SECONDS_PER_HOUR))
+            except OverflowError:
+                raise ValueError(
+                    f"sending {data_size_gb} GB at {bandwidth} Mbps takes too long to bill"
+                ) from None
+            payg_bill = payg * bandwidth * hours
+            # an `exact-cost` tie goes to PFDT, as in `price`
+            if pick_pfdt is False or payg_bill < pfdt * data_size_gb:
+                costs.append(payg_bill)
+                seconds.append(payg_seconds)
+                continue
+        costs.append(pfdt * data_size_gb)
+        seconds.append(bits / (cap * BITS_PER_MBPS))
+    return costs, seconds
 
 
 def cost_floor(node: NodeSpec, data_size_gb: float, rule: str) -> float:

@@ -14,6 +14,7 @@ from budgetpath.billing import (
     check_rule,
     cost_floor,
     price,
+    price_round,
 )
 from budgetpath.records import Record
 from budgetpath.search import EdgeWeights, PathResult, search_min_latency
@@ -64,20 +65,16 @@ def build_weights(
 
     Every node's PAYG candidate bandwidth is fraction_k times its cap; the
     billing rule then picks the method (PFDT restores the full rate). Billing
-    is per sending node, so each node is priced once (`billing.price`): its
-    egress cost is its `a` and its transmission time at the configured
-    bandwidth its `b`, whichever edge it sends on. ValueError when a node's
-    bandwidth is too small to bill.
+    is per sending node, so one pass over the nodes (`billing.price_round`,
+    which must stay equal to `billing.price` node by node) prices the round:
+    a node's egress cost is its `a` and its transmission time at the
+    configured bandwidth its `b`, whichever edge it sends on. ValueError
+    when a node's bandwidth is too small to bill.
     """
     if not 0 < fraction_k <= 1:
         raise ValueError(f"fraction_k must be in (0, 1], got {fraction_k}")
     check_rule(rule)
-    data_size_gb = request.data_size_gb
-    a, b = [], []
-    for node in topology.nodes:
-        _, _, cost, seconds = price(node, fraction_k * node.max_egress_mbps, data_size_gb, rule)
-        a.append(cost)
-        b.append(seconds)
+    a, b = price_round(topology.nodes, fraction_k, request.data_size_gb, rule)
     return EdgeWeights(topology.edges, tuple(a), tuple(b))
 
 
@@ -150,12 +147,13 @@ def plan_transfer(
     with zero binary iterations, or NoPathError if no path reaches the
     destination. Otherwise a uniform bandwidth fraction k is binary searched
     in the bracket [k_lower, k_upper] for at most `max_iterations` rounds,
-    keeping the most recent feasible plan, and the plan reports
-    `max_iterations` as its iterations. A round that leaves k unchanged ends
-    the search: every later round would repeat its k, its bracket and its
-    plan. Before the binary search, a budget that no k can meet, by the
-    per-node cost floors, returns None without a round. None means the
-    budget is insufficient: proved by the floors, or no round was feasible.
+    keeping the most recent feasible round; its plan is built once, after
+    the search, and reports `max_iterations` as its iterations. A round that
+    leaves k unchanged ends the search: every later round would repeat its
+    k, its bracket and its plan. Before the binary search, a budget that no
+    k can meet, by the per-node cost floors, returns None without a round.
+    None means the budget is insufficient: proved by the floors, or no
+    round was feasible.
     """
     source, destination, budget = request.source, request.destination, request.budget_usd
     weights = build_weights(topology, request, 1.0, rule)
@@ -167,7 +165,7 @@ def plan_transfer(
     if _budget_below_floor(topology, request, rule):
         return None
 
-    plan = None
+    feasible = None  # the last feasible round's (result, k)
     k, k_lower, k_upper = 0.5, 0.0, 1.0
     for _ in range(request.max_iterations):
         try:
@@ -179,7 +177,7 @@ def plan_transfer(
         else:
             result = search_min_latency(weights, source, destination, budget)
         if result is not None:
-            plan = _finalize(topology, request, rule, result, k, request.max_iterations)
+            feasible = result, k
             k_lower = k
         else:
             k_upper = k
@@ -190,7 +188,9 @@ def plan_transfer(
         if next_k == k or next_k == 0.0:
             break
         k = next_k
-    return plan
+    if feasible is None:
+        return None
+    return _finalize(topology, request, rule, *feasible, request.max_iterations)
 
 
 _METHOD_NAMES = {BillingMethod.PAYG: "payg", BillingMethod.PFDT: "pfdt"}

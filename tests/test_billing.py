@@ -19,6 +19,7 @@ from budgetpath.billing import (
     payg_cost,
     pfdt_cost,
     price,
+    price_round,
     select_billing,
 )
 from budgetpath.topology import NodeSpec
@@ -275,6 +276,61 @@ class TestCostFloor:
         node = make_node(pfdt=0.001, cap=1.0)  # threshold 21 GB
         assert cost_floor(node, 30.0, "exact-cost") == 0.03
         assert cost_floor(node, 30.0, "threshold") == pytest.approx(0.021 * 30 * 8000 / 3600)
+
+
+class TestPriceRound:
+    @staticmethod
+    def priced(call):
+        """The call's result, or ValueError if it raised one."""
+        try:
+            return call()
+        except ValueError:
+            return ValueError
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_equals_price_node_by_node(self, rule):
+        # the planner's one-pass round pricer is a transcription of `price`, and
+        # must stay equal to it bit for bit, a ValueError included: at every
+        # halving of k down to 0, hour-aligned k, threshold ties, exact-cost
+        # ties and sizes from 1e-12 to 1e8 GB, for nodes of every kind
+        rng = random.Random(53)
+        seen = Counter()
+        round_nodes = []
+        for i in range(1101):
+            node = TestCostFloor.random_node(rng, rng.choice(TestCostFloor.KINDS))
+            payg, pfdt, cap = node.payg_rate, node.pfdt_rate, node.max_egress_mbps
+            if i % 3 == 0 and payg and pfdt:
+                data_gb = payg * cap / pfdt
+            else:
+                data_gb = 10.0 ** rng.uniform(-12.0, 8.0)
+            round_nodes.append(node)
+            fractions = [1.0, 2.0 ** -i, rng.random() or 1.0, 5e-324]
+            fractions += hour_aligned_fractions(node, data_gb, 3)
+            for k in fractions:
+                expected = self.priced(lambda: price(node, k * cap, data_gb, rule)[2:])
+                got = self.priced(lambda: price_round((node,), k, data_gb, rule))
+                if expected is not ValueError:
+                    expected = ([expected[0]], [expected[1]])
+                assert got == expected, (node, data_gb, k)
+                seen["raised" if expected is ValueError else "priced"] += 1
+        # a tie at k = 0.5: 2 GB at 100 of 200 Mbps bills one hour, and
+        # 0.01 * 100 * 1 == 0.5 * 2.0. `exact-cost` gives it to PFDT, at the
+        # full 200 Mbps; `threshold`'s strict D < D* keeps PAYG at 100 Mbps
+        tie = make_node(0.01, 0.5, 200.0)
+        seconds = 80.0 if rule == "exact-cost" else 160.0
+        assert price_round((tie,), 0.5, 2.0, rule) == ([1.0], [seconds])
+        assert price(tie, 100.0, 2.0, rule)[2:] == (1.0, seconds)
+        # a whole round: the nodes in order, and a ValueError if any one raises
+        for k in (1.0, 0.5, 2.0 ** -40, 2.0 ** -1000):
+            for data_gb in (1e-6, 1.0, 1e4):
+                expected = self.priced(lambda: [
+                    price(node, k * node.max_egress_mbps, data_gb, rule)[2:] for node in round_nodes
+                ])
+                got = self.priced(lambda: price_round(round_nodes, k, data_gb, rule))
+                if expected is not ValueError:
+                    expected = tuple(map(list, zip(*expected)))
+                assert got == expected, (k, data_gb)
+        assert seen["raised"] > 500 and seen["priced"] > 5000, seen
 
 
 class TestTransferRequest:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -164,17 +165,15 @@ class TestBuildWeights:
         expected = BillingMethod.PFDT if rule == "exact-cost" else BillingMethod.PAYG
         assert method is expected
 
-    def test_one_round_prices_each_node_once(self, monkeypatch):
-        calls = []
+    def test_one_round_is_one_pass_without_price(self, monkeypatch):
+        # a round is priced by `billing.price_round` in one pass over the nodes;
+        # `price` is left to the floors and the plan's configs
+        def no_price(*args):
+            raise AssertionError("a round called price")
 
-        def counting_price(node, *args):
-            calls.append(node.id)
-            return price(node, *args)
-
-        monkeypatch.setattr(planner, "price", counting_price)
+        monkeypatch.setattr(planner, "price", no_price)
         topo = random_topology(random.Random(31), 5, 7)
         weights = build_weights(topo, TransferRequest(0, 1, 30.0, 1.0, 5), 0.5)
-        assert calls == list(range(len(topo)))
         assert len(weights.a) == len(weights.b) == len(topo) < len(topo.links)
         assert weights.edges is topo.edges
 
@@ -359,6 +358,57 @@ class TestPlanTransfer:
             assert rounds[0] == (1.0, None) and len(rounds) == 13
             assert bisection_bracket(rounds[1:]) == bracket
         assert plans[0] == plans[1] and (plans[0] is None) == (budget == FLOOR_30GB)
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_a_plan_is_finalized_once_at_the_last_feasible_round(self, monkeypatch, rule):
+        # one `_finalize` per returned plan and none for None, at the k and with
+        # the path of the last feasible round; the plan is the one its k builds
+        finalized = []
+        finalize = planner._finalize
+
+        def counting_finalize(*args):
+            finalized.append(args)
+            return finalize(*args)
+
+        monkeypatch.setattr(planner, "_finalize", counting_finalize)
+        rounds = record_rounds(monkeypatch)
+        rng = random.Random(17)
+        testbed = load_topology(TESTBED)
+        cases = [(testbed, TransferRequest(0, 5, 10.0, floor_distance(
+            testbed, 0, 5, 10.0, rule), 10**7))]
+        cases += [
+            (topo, TransferRequest(0, 1, 30.0, budget, 12))
+            for topo in (make_topology(2), Topology(make_topology(3).nodes, make_topology(2).links))
+            for budget in (FLOOR_30GB, 1.50, 1.90)
+        ]
+        for _ in range(300):
+            topo = random_topology(rng)
+            n = len(topo)
+            request = request_or_refusal(rng.randrange(n), rng.randrange(n),
+                                         rng.uniform(0.1, 40.0), rng.uniform(0.0, 3.0),
+                                         rng.randint(1, 8))
+            if request is not None and topo.edges.has_path(request.source, request.destination):
+                cases.append((topo, request))
+        outcomes = Counter()
+        for topo, request in cases:
+            finalized.clear()
+            rounds.clear()
+            plan = plan_transfer(topo, request, rule)
+            if plan is None:
+                assert finalized == []
+                outcomes["none"] += 1
+                continue
+            assert len(finalized) == 1
+            k, result = [(k, r) for k, r in rounds if isinstance(r, PathResult)][-1]
+            assert (plan.fraction_k, plan.path) == (k, result.path)
+            weights = build_weights(topo, request, k, rule)
+            at_k = search_min_latency(weights, request.source, request.destination,
+                                      request.budget_usd)
+            configs = sender_configs_at(topo, at_k.path, k, request.data_size_gb, rule)
+            iterations = 0 if k == 1.0 else request.max_iterations
+            assert plan == Plan(at_k.path, configs, at_k.total_a, at_k.total_b, k, iterations)
+            outcomes["k1" if k == 1.0 else "shrunk"] += 1
+        assert min(outcomes.values()) > 5, outcomes
 
     def test_invalid_endpoints(self):
         topo = make_topology(2)
