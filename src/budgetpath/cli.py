@@ -8,13 +8,16 @@ the network; `--seed` makes key generation byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 # Only what `plan` needs is imported here; the other subcommands import
 # their modules themselves, so no invocation pays for code it never runs.
 from budgetpath.billing import RULES, TransferRequest
-from budgetpath.planner import build_weights, load_plan, plan_to_dict, plan_transfer
+from budgetpath.planner import (
+    build_weights, cost_floor_distance, load_plan, plan_to_dict, plan_transfer,
+)
 from budgetpath.search import ORACLE_MAX_NODES, enumerate_best_path
 from budgetpath.topology import NoPathError, json_text, load_topology, read_json
 
@@ -132,7 +135,7 @@ def _cmd_simulate(args, topology) -> int:
 def _cmd_oracle(args, topology) -> int:
     request = _request(args)
     # checked before enumerating, so it comes ahead of a --max-nodes refusal
-    if not topology.edges.has_path(request.source, request.destination):
+    if cost_floor_distance(topology, request, args.rule) == math.inf:
         raise NoPathError(request.source, request.destination)
     weights = build_weights(topology, request, args.fraction, args.rule)
     result = enumerate_best_path(

@@ -5,6 +5,7 @@ binary search that shrinks PAYG rates until a budget-feasible path exists.
 from __future__ import annotations
 
 import math
+import sys
 from heapq import heappop, heappush
 
 from budgetpath.billing import (
@@ -18,7 +19,7 @@ from budgetpath.billing import (
 )
 from budgetpath.records import Record
 from budgetpath.search import EdgeWeights, PathResult, search_min_latency
-from budgetpath.topology import NoPathError, Topology, read_json
+from budgetpath.topology import NoPathError, Topology, check_node_ids, read_json
 
 
 class Plan(Record):
@@ -97,25 +98,25 @@ def _finalize(
 
 
 # relative slack on the budget, far above the float rounding in a path's summed floors
-# or summed costs, so the certificate never refuses a budget some round could meet
+# or summed costs, so a budget some round could meet is never refused by the floors
 _FLOOR_MARGIN = 1e-9
 
 
-def _budget_below_floor(topology: Topology, request: TransferRequest, rule: str) -> bool:
-    """Whether every path's summed cost floors exceed the budget: no k can afford one.
+def cost_floor_distance(topology: Topology, request: TransferRequest, rule: str) -> float:
+    """The least sum of `billing.cost_floor` over the senders of any path to the destination.
 
-    A Dijkstra from the source, each sender adding its `billing.cost_floor`,
-    worked out only when the node is popped. Like `search_min_latency`, it
-    skips all of a node's edges once that sum passes the bound, so a small
-    budget settles after a few nodes. Every round bills each node at least
-    its floor and that search prunes at the budget, so a certified request
-    has no path at any k. The one exception is a PAYG cost that underflows
-    at a bandwidth near the smallest float, which only a payload under
-    about 1e-10 GB reaches.
+    No round at any k bills a path below this sum, save for a PAYG cost
+    that underflows at a bandwidth near the smallest float, which only a
+    payload under about 1e-10 GB reaches; inf means that no path leads from
+    the source to the destination. A Dijkstra from the source, each sender
+    adding its floor, worked out only when the node is popped; it returns
+    when the destination is popped. A sum that overflows reads as the
+    largest float, so a reached destination never reads as an unreachable
+    one. TopologyError for an endpoint that is not a node id.
     """
     source, destination, data_size_gb = request.source, request.destination, request.data_size_gb
-    bound = request.budget_usd * (1.0 + _FLOOR_MARGIN)
     nodes, edges = topology.nodes, topology.edges
+    check_node_ids(edges.n, source=source, destination=destination)
     offsets, dst = edges.offsets, edges.dst
     dist = [math.inf] * edges.n
     dist[source] = 0.0
@@ -123,17 +124,15 @@ def _budget_below_floor(topology: Topology, request: TransferRequest, rule: str)
     while frontier:
         d, u = heappop(frontier)
         if u == destination:
-            return False
+            return d
         if d > dist[u]:
             continue
-        new_d = d + cost_floor(nodes[u], data_size_gb, rule)
-        if new_d > bound:
-            continue
+        new_d = min(d + cost_floor(nodes[u], data_size_gb, rule), sys.float_info.max)
         for v in dst[offsets[u] : offsets[u + 1]]:
             if new_d < dist[v]:
                 dist[v] = new_d
                 heappush(frontier, (new_d, v))
-    return True
+    return math.inf
 
 
 def plan_transfer(
@@ -143,26 +142,27 @@ def plan_transfer(
 ) -> Plan | None:
     """Plan a transfer: full bandwidth first, then a binary search over one fraction k.
 
-    Step 1 tries every node at full bandwidth (k = 1): it returns the plan
-    with zero binary iterations, or NoPathError if no path reaches the
-    destination. Otherwise a uniform bandwidth fraction k is binary searched
-    in the bracket [k_lower, k_upper] for at most `max_iterations` rounds,
-    keeping the most recent feasible round; its plan is built once, after
-    the search, and reports `max_iterations` as its iterations. A round that
-    leaves k unchanged ends the search: every later round would repeat its
-    k, its bracket and its plan. Before the binary search, a budget that no
-    k can meet, by the per-node cost floors, returns None without a round.
-    None means the budget is insufficient: proved by the floors, or no
-    round was feasible.
+    Step 1 tries every node at full bandwidth (k = 1) and returns the plan
+    with zero binary iterations if it fits the budget. Otherwise one
+    `cost_floor_distance` search follows: NoPathError if no path reaches the
+    destination, and None without a round if the least summed cost floor is
+    above the budget, which no k can meet. Then a uniform bandwidth fraction
+    k is binary searched in the bracket [k_lower, k_upper] for at most
+    `max_iterations` rounds, keeping the most recent feasible round; its
+    plan is built once, after the search, and reports `max_iterations` as
+    its iterations. A round that leaves k unchanged ends the search: every
+    later round would repeat its k, its bracket and its plan. None means the
+    budget is insufficient: proved by the floors, or no round was feasible.
     """
     source, destination, budget = request.source, request.destination, request.budget_usd
     weights = build_weights(topology, request, 1.0, rule)
     result = search_min_latency(weights, source, destination, budget)
     if result is not None:
         return _finalize(topology, request, rule, result, 1.0, 0)
-    if not topology.edges.has_path(source, destination):
+    floor = cost_floor_distance(topology, request, rule)
+    if floor == math.inf:
         raise NoPathError(source, destination)
-    if _budget_below_floor(topology, request, rule):
+    if floor > budget * (1.0 + _FLOOR_MARGIN):
         return None
 
     feasible = None  # the last feasible round's (result, k)

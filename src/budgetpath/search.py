@@ -86,7 +86,9 @@ def search_min_latency(
     only pushed when its cost respects the cap and its latency strictly
     improves the node's best, so its chain never revisits a node. None
     means no label reached the destination within the cap: the weights are
-    too expensive, or no edge path leads there.
+    too expensive, or no edge path leads there. The planner tells the two
+    apart after its k=1 round with `planner.cost_floor_distance`, before
+    any binary-search round.
     """
     n = weights.n
     _check_query(n, source, destination, cost_cap)

@@ -123,22 +123,6 @@ class EdgeList(Record):
             raise KeyError(f"no edge ({src}, {dst})")
         return e
 
-    def has_path(self, source: int, destination: int) -> bool:
-        """Whether any directed path leads from source to destination."""
-        n = self.n
-        check_node_ids(n, source=source, destination=destination)
-        offsets, dst = self.offsets, self.dst
-        seen = [False] * n
-        seen[source] = True
-        stack = [source]
-        while stack:
-            u = stack.pop()
-            for v in dst[offsets[u] : offsets[u + 1]]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return seen[destination]
-
 
 class Topology(Record):
     """Validated nodes and directed links, kept as three checked columns in link order.

@@ -567,12 +567,13 @@ def route_packet(specs: list[TunnelSpec], start: TunnelSpec, dst_ip: str) -> lis
     raise AssertionError(f"forwarding loop: {visited}")
 
 
-def is_connected(weights: EdgeWeights, source: int, destination: int) -> bool:
+def is_connected(edges: EdgeList, source: int, destination: int) -> bool:
+    """Whether any directed path of `edges` leads from source to destination."""
     seen = {source}
     stack = [source]
     while stack:
         u = stack.pop()
-        for v in weights.edges.successors(u):
+        for v in edges.successors(u):
             if v not in seen:
                 seen.add(v)
                 stack.append(v)

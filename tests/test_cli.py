@@ -13,7 +13,9 @@ from budgetpath.cli import run
 from budgetpath.planner import load_plan
 from budgetpath.topology import load_topology, save_topology
 from budgetpath.tunnels import build_tunnels
-from helpers import cut_off_one_node, grid_topology, random_topology, route_packet
+from helpers import (
+    cut_off_one_node, grid_topology, is_connected, random_topology, route_packet,
+)
 from test_tunnels import seeded_entropy
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -289,14 +291,14 @@ def test_pipeline_renders_every_plan_and_refuses_alike(tmp_path, capsys, rule):
                             "cost_usd": plan.predicted_cost_usd}
             outcomes["planned"] += 1
         elif err == "insufficient budget: no feasible path found\n":
-            assert code == 2 and topology.edges.has_path(src, dst)  # the budget alone is short
+            assert code == 2 and is_connected(topology.edges, src, dst)  # the budget alone is short
             expected_row = {"label": "planner (insufficient budget)", "path": None,
                             "feasible": False, "latency_s": None, "cost_usd": None}
             outcomes["insufficient"] += 1
         else:
             # exit 2 for an unreachable destination, exit 1 for a request that is not one
             if err == f"no path from {src} to {dst}\n":
-                assert code == 2 and not topology.edges.has_path(src, dst)
+                assert code == 2 and not is_connected(topology.edges, src, dst)
                 outcomes["no_path"] += 1
             else:
                 assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from budgetpath import planner
 from budgetpath.planner import (
     Plan,
     build_weights,
+    cost_floor_distance,
     load_plan,
     plan_from_dict,
     plan_to_dict,
@@ -33,8 +35,8 @@ from budgetpath.topology import (
     LinkSpec, NodeSpec, NoPathError, Topology, TopologyError, json_text, load_topology,
 )
 from helpers import (
-    bisection_bracket, floor_distance, grid_topology, hour_aligned_fractions, random_topology,
-    record_rounds, request_or_refusal, sender_configs_at,
+    bisection_bracket, cut_off_one_node, floor_distance, grid_topology, hour_aligned_fractions,
+    is_connected, random_topology, record_rounds, request_or_refusal, sender_configs_at,
 )
 
 TESTBED = Path(__file__).resolve().parent.parent / "fixtures" / "testbed6.json"
@@ -319,7 +321,9 @@ class TestPlanTransfer:
     def test_unreachable_destination_stops_after_one_round(self, monkeypatch, budget):
         # node 2 has no link: no budget reaches it, so no binary search starts.
         # Budgets 0 and 0.04 are below the $0.0467 floor, but no path at all is
-        # the answer that holds at any budget, so no floor is worked out.
+        # the answer that holds at any budget. The one floor-distance search
+        # that finds it works out the floor of each node the source reaches,
+        # once, and of no other node.
         floors = []
 
         def counting_cost_floor(node, *args):
@@ -332,7 +336,7 @@ class TestPlanTransfer:
         rounds = record_rounds(monkeypatch)
         with pytest.raises(NoPathError, match=r"^no path from 0 to 2$"):
             plan_transfer(topo, request)
-        assert rounds == [(1.0, None)] and floors == []
+        assert rounds == [(1.0, None)] and floors == [0, 1]
         rounds.clear()
         # compare stops at the planner's first round, before the naive baseline
         with pytest.raises(NoPathError, match=r"^no path from 0 to 2$"):
@@ -387,7 +391,8 @@ class TestPlanTransfer:
             request = request_or_refusal(rng.randrange(n), rng.randrange(n),
                                          rng.uniform(0.1, 40.0), rng.uniform(0.0, 3.0),
                                          rng.randint(1, 8))
-            if request is not None and topo.edges.has_path(request.source, request.destination):
+            if request is not None and is_connected(
+                    topo.edges, request.source, request.destination):
                 cases.append((topo, request))
         outcomes = Counter()
         for topo, request in cases:
@@ -442,7 +447,7 @@ class TestPlanTransfer:
             n = len(topo)
             request = request_or_refusal(rng.randrange(n), rng.randrange(n), rng.uniform(0.1, 40.0),
                                          rng.uniform(0.0, 3.0), rng.randint(1, 8))
-            if request is None or not topo.edges.has_path(request.source, request.destination):
+            if request is None or not is_connected(topo.edges, request.source, request.destination):
                 continue
             plan = plan_transfer(topo, request, rule)
             if plan is None:
@@ -537,6 +542,55 @@ class TestFloorCertificate:
                 if len(topo) <= 9:
                     assert enumerate_best_path(weights, source, destination, budget) is None, k
         assert certified > 60 and at_floor > 15
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_floor_distance_equals_bellman_ford(self, rule):
+        # the planner's Dijkstra against the helpers' Bellman-Ford, with some
+        # graphs cut so that some destinations are out of reach
+        rng, cut_rng = random.Random(31), random.Random(32)
+        reached = unreachable = 0
+        for i in range(300):
+            if i % 3:
+                topo = random_topology(rng, 2, 9)
+            else:
+                topo = grid_topology(rng, rng.randint(1, 4), rng.randint(2, 4), [0.01, 0.02, 0.05])
+            topo = cut_off_one_node(topo, cut_rng)
+            source, destination = rng.sample(range(len(topo)), 2)
+            data_gb = rng.choice([rng.uniform(0.01, 1.0), rng.uniform(1.0, 60.0)])
+            request = TransferRequest(source, destination, data_gb, 1.0, 30)
+            expected = floor_distance(topo, source, destination, data_gb, rule)
+            assert cost_floor_distance(topo, request, rule) == expected, i
+            assert (expected < math.inf) == is_connected(topo.edges, source, destination), i
+            reached += expected < math.inf
+            unreachable += expected == math.inf
+        assert reached > 150 and unreachable > 20, (reached, unreachable)
+
+    def test_floor_distance_reachability_and_node_ids(self):
+        # one directed link, 0 -> 1: the floor of node 0 one way, no path the other
+        topo = Topology(make_topology(2).nodes, (LinkSpec(0, 1, 0.01),))
+
+        def distance(source, destination):
+            return cost_floor_distance(
+                topo, TransferRequest(source, destination, 1.0, 1.0, 5), "threshold")
+
+        assert distance(0, 1) == cost_floor(topo.nodes[0], 1.0, "threshold")
+        assert distance(1, 0) == math.inf
+        for source, destination, label in ((9, 0, "source 9"), (0, -1, "destination -1")):
+            with pytest.raises(TopologyError, match=f"^{label} is not a valid node id$"):
+                distance(source, destination)
+
+    def test_floors_that_overflow_read_as_an_insufficient_budget(self, monkeypatch):
+        # each sender's floor is 1e300 * 1e8 = $1e308, and two of them sum past
+        # the largest float: the destination is reached, so the answer is an
+        # insufficient budget after the k=1 round, not "no path"
+        nodes = tuple(NodeSpec(i, f"n{i}", f"203.0.113.{i+1}", 100.0, None, 1e300)
+                      for i in range(3))
+        topo = Topology(nodes, (LinkSpec(0, 1, 0.01), LinkSpec(1, 2, 0.01)))
+        request = TransferRequest(0, 2, 1e8, 1.0, 30)
+        rounds = record_rounds(monkeypatch)
+        assert plan_transfer(topo, request) is None
+        assert rounds == [(1.0, None)]
+        assert cost_floor_distance(topo, request, "threshold") == sys.float_info.max
 
 
 class TestPlanSerialization:

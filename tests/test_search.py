@@ -142,7 +142,7 @@ class TestRandomInstances:
             exact = enumerate_best_path(w, 0, n - 1, math.inf)
             if exact is None:
                 assert mine is None
-                assert not is_connected(w, 0, n - 1)
+                assert not is_connected(w.edges, 0, n - 1)
             else:
                 assert mine is not None
                 assert math.isclose(mine.total_b, exact.total_b, rel_tol=1e-9, abs_tol=1e-12)

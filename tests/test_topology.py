@@ -284,16 +284,6 @@ class TestEdgeList:
         with pytest.raises(TopologyError, match=f"^destination {node} is not a valid node id$"):
             edges.index(0, node)
 
-    def test_has_path(self):
-        topo = Topology(topology_from_dict(two_node_doc(), mode="directed").nodes,
-                        (LinkSpec(0, 1, 0.01),))
-        assert topo.edges.has_path(0, 1)
-        assert not topo.edges.has_path(1, 0)
-        assert topo.edges.has_path(1, 1)
-        for source, destination, label in ((9, 0, "source 9"), (0, -1, "destination -1")):
-            with pytest.raises(TopologyError, match=f"^{label} is not a valid node id$"):
-                topo.edges.has_path(source, destination)
-
 
 class TestRoundTripAndExpansion:
     def test_serialize_round_trip(self, tmp_path):
