@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 infeasible (an insufficient budget, or NoPathError
-for an unreachable destination), 1 usage or input error. Only `probe` touches
+Exit codes: 0 success, 2 infeasible (an insufficient budget, a budget that
+no round of the heuristic search met, or NoPathError for an unreachable
+destination), 1 usage or input error. Only `probe` touches
 the network; `--seed` makes key generation byte-reproducible.
 """
 
@@ -16,7 +17,8 @@ from pathlib import Path
 # their modules themselves, so no invocation pays for code it never runs.
 from budgetpath.billing import RULES, TransferRequest
 from budgetpath.planner import (
-    build_weights, cost_floor_distance, load_plan, plan_to_dict, plan_transfer,
+    build_weights, cost_floor_distance, floor_proves_insufficient, load_plan, plan_to_dict,
+    plan_transfer,
 )
 from budgetpath.search import ORACLE_MAX_NODES, enumerate_best_path
 from budgetpath.topology import NoPathError, json_text, load_topology, read_json
@@ -25,6 +27,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 INSUFFICIENT_BUDGET = "insufficient budget: no feasible path found"
+# a `None` from the binary search at a budget that the cost floors do not refuse
+NO_ROUND_MET = (
+    "no plan found: no round of the heuristic search met the budget ${budget!r}, "
+    "but the cost floor ${floor!r} does not prove it too small"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,9 +69,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_plan(args, topology) -> int:
-    plan = plan_transfer(topology, _request(args), args.rule)
+    request = _request(args)
+    plan = plan_transfer(topology, request, args.rule)
     if plan is None:
-        print(INSUFFICIENT_BUDGET, file=sys.stderr)
+        floor = cost_floor_distance(topology, request, args.rule)
+        if floor_proves_insufficient(floor, request.budget_usd):
+            print(INSUFFICIENT_BUDGET, file=sys.stderr)
+        else:
+            print(NO_ROUND_MET.format(budget=request.budget_usd, floor=floor), file=sys.stderr)
         return EXIT_INFEASIBLE
     _emit(json_text(plan_to_dict(plan)), args.out)
     print(

@@ -18,18 +18,34 @@ from budgetpath.billing import (
     price_round,
 )
 from budgetpath.records import Record
-from budgetpath.search import EdgeWeights, PathResult, search_min_latency
+from budgetpath.search import EdgeWeights, PathResult, SearchError, search_min_latency
 from budgetpath.topology import NoPathError, Topology, check_node_ids, read_json
+
+
+# (test, what it asks for) of each kind of number a plan holds
+_POSITIVE = (lambda value: 0 < value < math.inf, "a finite number > 0")
+_NON_NEGATIVE = (lambda value: 0 <= value < math.inf, "a finite number >= 0")
+_FRACTION = (lambda value: 0 < value <= 1, "a number in (0, 1]")
+
+
+def _plan_number(key: str, value, kind: tuple, where: str = "plan") -> float:
+    """`value` as a float; ValueError unless it is a number (not a bool) of the given kind."""
+    valid, expected = kind
+    if type(value) not in (int, float) or not valid(value):
+        raise ValueError(f"{where} {key} must be {expected}, got {value!r}")
+    return float(value)
 
 
 class Plan(Record):
     """A chosen path with per-node billing and its predicted cost/latency.
 
     The path is one the pipeline can render as a tunnel chain: at least two
-    nodes, none visited twice; ValueError otherwise. `configs` holds exactly
-    the billed senders, `path[:-1]`: the final hop has no billed egress, so
-    the destination and off-path nodes have no entry. The dict makes a plan
-    unhashable.
+    nodes, none visited twice. The predicted totals must be numbers, finite
+    and >= 0, and are kept as floats, so no plan is made that its own file
+    would refuse. ValueError otherwise, with the message a plan file gets.
+    `configs` holds exactly the billed senders, `path[:-1]`: the final hop
+    has no billed egress, so the destination and off-path nodes have no
+    entry. The dict makes a plan unhashable.
     """
 
     __slots__ = _fields = (
@@ -51,6 +67,10 @@ class Plan(Record):
         if len(set(path)) < len(path):
             node = next(node for i, node in enumerate(path) if node in path[:i])
             raise ValueError(f"plan path visits node {node} twice")
+        predicted_cost_usd = _plan_number("predicted_cost_usd", predicted_cost_usd, _NON_NEGATIVE)
+        predicted_latency_s = _plan_number(
+            "predicted_latency_s", predicted_latency_s, _NON_NEGATIVE
+        )
         super().__init__(
             path, configs, predicted_cost_usd, predicted_latency_s, fraction_k, iterations_used
         )
@@ -70,13 +90,26 @@ def build_weights(
     which must stay equal to `billing.price` node by node) prices the round:
     a node's egress cost is its `a` and its transmission time at the
     configured bandwidth its `b`, whichever edge it sends on. ValueError
-    when a node's bandwidth is too small to bill.
+    when a node's bandwidth is too small to bill, and one that names the
+    first node whose cost or time is not a finite number.
     """
     if not 0 < fraction_k <= 1:
         raise ValueError(f"fraction_k must be in (0, 1], got {fraction_k}")
     check_rule(rule)
-    a, b = price_round(topology.nodes, fraction_k, request.data_size_gb, rule)
-    return EdgeWeights(topology.edges, tuple(a), tuple(b))
+    data_size_gb = request.data_size_gb
+    a, b = price_round(topology.nodes, fraction_k, data_size_gb, rule)
+    try:
+        return EdgeWeights(topology.edges, tuple(a), tuple(b))
+    except SearchError:
+        # pricing gives no negative value, so a value that overflowed is the cause
+        for node, cost, seconds in zip(topology.nodes, a, b):
+            if not (math.isfinite(cost) and math.isfinite(seconds)):
+                what = "time" if math.isfinite(cost) else "cost"
+                raise ValueError(
+                    f"node {node.id} ({node.name}): its {what} to send {data_size_gb!r} GB "
+                    "is not a finite number"
+                ) from None
+        raise
 
 
 def _finalize(
@@ -100,6 +133,11 @@ def _finalize(
 # relative slack on the budget, far above the float rounding in a path's summed floors
 # or summed costs, so a budget some round could meet is never refused by the floors
 _FLOOR_MARGIN = 1e-9
+
+
+def floor_proves_insufficient(floor: float, budget_usd: float) -> bool:
+    """Whether a `cost_floor_distance` of `floor` proves that no k can meet the budget."""
+    return floor > budget_usd * (1.0 + _FLOOR_MARGIN)
 
 
 def cost_floor_distance(topology: Topology, request: TransferRequest, rule: str) -> float:
@@ -162,7 +200,7 @@ def plan_transfer(
     floor = cost_floor_distance(topology, request, rule)
     if floor == math.inf:
         raise NoPathError(source, destination)
-    if floor > budget * (1.0 + _FLOOR_MARGIN):
+    if floor_proves_insufficient(floor, budget):
         return None
 
     feasible = None  # the last feasible round's (result, k)
@@ -218,32 +256,17 @@ def plan_to_dict(plan: Plan) -> dict:
     }
 
 
-# (test, what it asks for) of each kind of number a plan file holds
-_POSITIVE = (lambda value: 0 < value < math.inf, "a finite number > 0")
-_NON_NEGATIVE = (lambda value: 0 <= value < math.inf, "a finite number >= 0")
-_FRACTION = (lambda value: 0 < value <= 1, "a number in (0, 1]")
-
-
-def _plan_number(doc: dict, key: str, kind: tuple, where: str = "plan") -> float:
-    """doc[key] as a float; ValueError unless it is a number of the given kind."""
-    value = doc[key]
-    valid, expected = kind
-    if type(value) not in (int, float) or not valid(value):
-        raise ValueError(f"{where} {key} must be {expected}, got {value!r}")
-    return float(value)
-
-
 def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
     """Plan from its JSON form, checked against a topology of `n_nodes` nodes.
 
     ValueError unless the document is an object with every key present, the
     path is a list naming only nodes of the topology and one `Plan` accepts
-    (at least two nodes, none twice), `per_node` is an object
-    keyed by exactly the path's senders as decimal strings, each an object
-    with a known method and a finite bandwidth > 0, the predicted totals are
-    finite and >= 0, `fraction_k` is in (0, 1] and `iterations_used` is an
-    integer >= 0. Booleans are not numbers, and no value is converted from
-    another type.
+    (at least two nodes, none twice), `per_node` is an object keyed by
+    exactly the path's senders as decimal strings, each an object with a
+    known method and a finite bandwidth > 0, the predicted totals are ones
+    `Plan` accepts (finite and >= 0), `fraction_k` is in (0, 1] and
+    `iterations_used` is an integer >= 0. Booleans are not numbers, and no
+    value is converted from another type.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"plan must be an object, got {type(doc).__name__}")
@@ -279,7 +302,7 @@ def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
                 f"plan per_node entry {node_id} needs a method (payg or pfdt) and a bandwidth_mbps"
             )
         where = f"plan per_node entry {node_id}"
-        bandwidth = _plan_number(entry, "bandwidth_mbps", _POSITIVE, where)
+        bandwidth = _plan_number("bandwidth_mbps", entry["bandwidth_mbps"], _POSITIVE, where)
         configs[node_id] = NodeBillingConfig(_METHOD_VALUES[entry["method"]], bandwidth)
     iterations_used = doc["iterations_used"]
     if type(iterations_used) is not int or iterations_used < 0:
@@ -287,9 +310,9 @@ def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
     return Plan(
         path=path,
         configs=configs,
-        predicted_cost_usd=_plan_number(doc, "predicted_cost_usd", _NON_NEGATIVE),
-        predicted_latency_s=_plan_number(doc, "predicted_latency_s", _NON_NEGATIVE),
-        fraction_k=_plan_number(doc, "fraction_k", _FRACTION),
+        predicted_cost_usd=doc["predicted_cost_usd"],
+        predicted_latency_s=doc["predicted_latency_s"],
+        fraction_k=_plan_number("fraction_k", doc["fraction_k"], _FRACTION),
         iterations_used=iterations_used,
     )
 

@@ -2,12 +2,15 @@
 
 `search_min_latency` is a Dijkstra variant keeping a single best-latency
 label per node while discarding labels whose accumulated cost exceeds the
-cap. Every label records its node and its parent label, so the path
-returned is the chain of the destination label itself: simple and
-within the cap by construction. The single-label pruning is a heuristic:
-it can discard a feasible label whose higher latency would have been the
-only way to stay under the cap further on. `enumerate_best_path` is the
-exact (exponential) reference used to quantify that gap on small graphs.
+cap. A label is pushed only if it can pay its own node's cost within the
+cap, or if it reaches the destination, so no label but the source's is
+popped only to be dropped. Every label records its node and its parent
+label, so the path returned is the chain of the destination label itself:
+simple and within the cap by construction. The single-label pruning is a
+heuristic: it can discard a feasible label whose higher latency would have
+been the only way to stay under the cap further on. `enumerate_best_path`
+is the exact (exponential) reference used to quantify that gap on small
+graphs.
 
 Both walk a topology's `EdgeList`, its links in compressed sparse row form
 with each edge's propagation delay. The edge list is built once per
@@ -81,14 +84,16 @@ def search_min_latency(
     """Least-latency path whose summed cost stays within `cost_cap`.
 
     Pops the frontier label with minimum accumulated latency (ties broken
-    by accumulated cost, then node id, then push order) and returns on the
-    first destination pop, with that label's own chain and sums. A label is
-    only pushed when its cost respects the cap and its latency strictly
-    improves the node's best, so its chain never revisits a node. None
-    means no label reached the destination within the cap: the weights are
-    too expensive, or no edge path leads there. The planner tells the two
-    apart after its k=1 round with `planner.cost_floor_distance`, before
-    any binary-search round.
+    by accumulated cost, then node id) and returns on the first destination
+    pop, with that label's own chain and sums. A label's latency must
+    strictly improve its node's best, which it then becomes, so its chain
+    never revisits a node and two labels at one node never tie. It is pushed
+    only if it can pay its own node's cost within the cap, or if its node
+    is the destination: any other label would be popped only to be dropped.
+    None means no label reached the destination within the cap: the
+    weights are too expensive, or no edge path leads there. The planner
+    tells the two apart after its k=1 round with
+    `planner.cost_floor_distance`, before any binary-search round.
     """
     n = weights.n
     _check_query(n, source, destination, cost_cap)
@@ -121,8 +126,11 @@ def search_min_latency(
             new_b = curr_b + (delay[e] + b_node)
             if new_b < min_b[nxt]:
                 min_b[nxt] = new_b
-                heappush(frontier, (new_b, new_a, nxt, len(labels)))
-                labels.append((nxt, label))
+                # the pop's own test, a step early: a label that cannot pay its
+                # node's cost would be popped only to be dropped
+                if nxt == destination or new_a + a[nxt] <= cost_cap:
+                    heappush(frontier, (new_b, new_a, nxt, len(labels)))
+                    labels.append((nxt, label))
     return None
 
 

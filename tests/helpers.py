@@ -1,12 +1,14 @@
 """Shared test machinery: random instance generators, a reference topology
 loader, a recorder of the planner's rounds, reference cost floors and
-sender configs, the naive baseline's path by enumeration, an independent
+sender configs, the naive baseline's path by enumeration, the label search
+as it pruned before its push-time test, an independent
 X25519 reference implementation, and a cryptokey-routing walker.
 """
 
 from __future__ import annotations
 
 import gc
+import heapq
 import math
 import random
 from collections.abc import Callable
@@ -363,6 +365,47 @@ def naive_path_by_enumeration(topology: Topology, src: int, dst: int) -> tuple[i
 
     collect(src, [src], 0.0)
     return min(candidates)[1]
+
+
+# --- the label search, pruning at pop only ----------------------------
+
+def search_pruned_at_pop(
+    weights: EdgeWeights, source: int, destination: int, cost_cap: float
+) -> PathResult | None:
+    """`search.search_min_latency` as it was before it tested labels at push.
+
+    It pushes every label that improves its node's latency and drops a
+    label over the cap only when it pops it. `search_min_latency` must give
+    `==` results: the labels it does not push are the ones this loop drops.
+    """
+    edges = weights.edges
+    offsets, dst, delay = edges.offsets, edges.dst, edges.delay
+    a, b = weights.a, weights.b
+    min_b = [math.inf] * weights.n
+    min_b[source] = 0.0
+    labels = [(source, -1)]
+    frontier = [(0.0, 0.0, source, 0)]
+    while frontier:
+        curr_b, curr_a, node, label = heapq.heappop(frontier)
+        if node == destination:
+            path = []
+            while label >= 0:
+                node, label = labels[label]
+                path.append(node)
+            path.reverse()
+            return PathResult(tuple(path), curr_a, curr_b)
+        new_a = curr_a + a[node]
+        if new_a > cost_cap:
+            continue
+        b_node = b[node]
+        for e in range(offsets[node], offsets[node + 1]):
+            nxt = dst[e]
+            new_b = curr_b + (delay[e] + b_node)
+            if new_b < min_b[nxt]:
+                min_b[nxt] = new_b
+                heapq.heappush(frontier, (new_b, new_a, nxt, len(labels)))
+                labels.append((nxt, label))
+    return None
 
 
 def cyclic_garbage(call: Callable[[], object]) -> int:

@@ -14,7 +14,7 @@ from budgetpath.planner import load_plan
 from budgetpath.topology import load_topology, save_topology
 from budgetpath.tunnels import build_tunnels
 from helpers import (
-    cut_off_one_node, grid_topology, is_connected, random_topology, route_packet,
+    cut_off_one_node, floor_distance, grid_topology, is_connected, random_topology, route_packet,
 )
 from test_tunnels import seeded_entropy
 
@@ -108,6 +108,47 @@ class TestExitCodes:
         assert code == 2
         # the line `plan` prints for a budget too small
         assert capsys.readouterr().err == "insufficient budget: no feasible path found\n"
+
+
+class TestOutcomesThatNeedTheirOwnLine:
+    OVERFLOW = str(FIXTURES / "pfdt_overflow.json")
+
+    @pytest.mark.parametrize("command", ["plan", "simulate", "oracle"])
+    def test_a_node_cost_that_is_not_finite_names_the_node(self, capsys, command):
+        # node 0 bills $1e300/GB for 1e9 GB, which is above the largest float
+        code = run([command, "--topology", self.OVERFLOW, "--src", "0", "--dst", "2",
+                    "--data-gb", "1e9", "--budget-usd", "5"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: node 0 (alpha): its cost to send 1000000000.0 GB is not a finite number\n")
+
+    def test_a_plan_whose_cost_overflows_is_refused(self, tmp_path, capsys):
+        # each sender bills 1e308, and no budget refuses the sum, inf; a plan
+        # file would hold `Infinity`, which is not JSON and which render-wg refuses
+        plan_file = tmp_path / "plan.json"
+        args = ["--topology", self.OVERFLOW, "--src", "0", "--dst", "2",
+                "--data-gb", "1e8", "--budget-usd", "inf"]
+        refusal = "error: plan predicted_cost_usd must be a finite number >= 0, got inf\n"
+        assert run(["plan", *args, "--out", str(plan_file)]) == 1
+        assert capsys.readouterr().err == refusal
+        assert not plan_file.exists()
+        assert run(["simulate", *args]) == 1
+        assert capsys.readouterr() == ("", refusal)
+
+    def test_a_no_plan_that_the_floors_did_not_prove_says_so(self, capsys):
+        # a hair under the cheapest path's floor, inside the certificate's
+        # margin: not proved insufficient, and met by no round
+        floor = floor_distance(load_topology(TESTBED), 0, 5, 10.0, "threshold")
+        budget = floor * (1 - 1e-12)
+        assert (repr(budget), repr(floor)) == ("0.9333333333324001", "0.9333333333333335")
+        base = ["plan", "--topology", TESTBED, "--src", "0", "--dst", "5", "--data-gb", "10"]
+        assert run([*base, "--budget-usd", repr(budget)]) == 2
+        assert capsys.readouterr() == ("", (
+            "no plan found: no round of the heuristic search met the budget $0.9333333333324001, "
+            "but the cost floor $0.9333333333333335 does not prove it too small\n"))
+        # under the margin the floor proves it, and the line says so
+        assert run([*base, "--budget-usd", repr(floor * (1 - 1e-6))]) == 2
+        assert capsys.readouterr() == ("", "insufficient budget: no feasible path found\n")
 
 
 def _drop_per_node(doc):
@@ -263,7 +304,7 @@ def test_pipeline_renders_every_plan_and_refuses_alike(tmp_path, capsys, rule):
     # and some graphs have a node cut off, so some destinations are unreachable
     rng, cut_rng = random.Random(2021), random.Random(2022)
     topology_file, plan_file = tmp_path / "topology.json", tmp_path / "plan.json"
-    outcomes = {"planned": 0, "insufficient": 0, "no_path": 0, "refused": 0}
+    outcomes = {"planned": 0, "insufficient": 0, "unproved": 0, "no_path": 0, "refused": 0}
     for i in range(120):
         if i % 3:
             generated = random_topology(rng)
@@ -290,11 +331,13 @@ def test_pipeline_renders_every_plan_and_refuses_alike(tmp_path, capsys, rule):
                             "latency_s": plan.predicted_latency_s,
                             "cost_usd": plan.predicted_cost_usd}
             outcomes["planned"] += 1
-        elif err == "insufficient budget: no feasible path found\n":
-            assert code == 2 and is_connected(topology.edges, src, dst)  # the budget alone is short
+        elif err == "insufficient budget: no feasible path found\n" or err.startswith(
+                "no plan found: no round of the heuristic search met the budget $"):
+            # proved by the floors, or met by no round: the budget alone is short
+            assert code == 2 and is_connected(topology.edges, src, dst)
             expected_row = {"label": "planner (insufficient budget)", "path": None,
                             "feasible": False, "latency_s": None, "cost_usd": None}
-            outcomes["insufficient"] += 1
+            outcomes["insufficient" if err.startswith("insufficient") else "unproved"] += 1
         else:
             # exit 2 for an unreachable destination, exit 1 for a request that is not one
             if err == f"no path from {src} to {dst}\n":
@@ -309,7 +352,7 @@ def test_pipeline_renders_every_plan_and_refuses_alike(tmp_path, capsys, rule):
             continue
         assert run(["simulate", *args, "--format", "structured"]) == 0
         assert json.loads(capsys.readouterr().out)["rows"][0] == expected_row
-    floors = {"planned": 15, "insufficient": 15, "no_path": 10, "refused": 15}
+    floors = {"planned": 15, "insufficient": 15, "unproved": 1, "no_path": 10, "refused": 15}
     assert all(outcomes[name] >= floor for name, floor in floors.items()), outcomes
 
 

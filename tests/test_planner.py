@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -36,7 +37,8 @@ from budgetpath.topology import (
 )
 from helpers import (
     bisection_bracket, cut_off_one_node, floor_distance, grid_topology, hour_aligned_fractions,
-    is_connected, random_topology, record_rounds, request_or_refusal, sender_configs_at,
+    is_connected, random_topology, record_rounds, request_or_refusal, search_pruned_at_pop,
+    sender_configs_at,
 )
 
 TESTBED = Path(__file__).resolve().parent.parent / "fixtures" / "testbed6.json"
@@ -86,6 +88,28 @@ def planned_instances(rng, rule):
         plan = plan_transfer(topo, request, rule)
         if plan is not None:
             yield topo, request, plan
+
+
+def drawn_requests(rng, rule, count):
+    """(topology, request) of `count` seeded draws, budgets from under the floor to inf.
+
+    Two in three topologies are `random_topology` ones of 2 to 9 nodes, the
+    others grids; every request runs at most 30 rounds.
+    """
+    for i in range(count):
+        if i % 3:
+            topo = random_topology(rng, 2, 9)
+        else:
+            width, height = rng.choice([(2, 3), (3, 3), (4, 4)])
+            topo = grid_topology(rng, width, height, [0.01, 0.02, 0.05])
+        source, destination = rng.sample(range(len(topo)), 2)
+        data_gb = rng.choice([rng.uniform(0.01, 1.0), rng.uniform(1.0, 60.0)])
+        floor = floor_distance(topo, source, destination, data_gb, rule)
+        scale = rng.choice(
+            [0.5, 1 - 1e-12, 1.0, rng.uniform(1.0, 1.2), rng.uniform(1.2, 2.0), rng.uniform(2.0, 4.0),
+             None])
+        budget = math.inf if scale is None else floor * scale
+        yield topo, TransferRequest(source, destination, data_gb, budget, 30)
 
 
 class TestBuildWeights:
@@ -191,6 +215,25 @@ class TestBuildWeights:
         for k in (0.0, 1.5, -0.1):
             with pytest.raises(ValueError):
                 build_weights(topo, request, k)
+
+    # PFDT at $1e300/GB and PAYG at $1e300/Mbps/h bill 1e9 GB above the largest
+    # float; a payload of 1e300 GB takes more seconds than a float holds
+    @pytest.mark.parametrize("rates, data_gb, message", [
+        ((None, 1e300), 1e9, "node 1 (dear): its cost to send 1000000000.0 GB"),
+        ((1e300, None), 1e9, "node 1 (dear): its cost to send 1000000000.0 GB"),
+        ((None, 0.0), 1e300, "node 0 (first): its time to send 1e+300 GB"),
+    ])
+    def test_a_value_that_is_not_finite_names_the_first_such_node(self, rates, data_gb, message):
+        nodes = (NodeSpec(0, "first", "203.0.113.1", 100.0, None, K2),
+                 *(NodeSpec(i, "dear", f"203.0.113.{i + 1}", 100.0, *rates) for i in (1, 2)))
+        topo = Topology(nodes, (LinkSpec(0, 1, 0.01), LinkSpec(1, 2, 0.01)))
+        request = TransferRequest(0, 2, data_gb, math.inf, 5)
+        refusal = f"^{re.escape(message)} is not a finite number$"
+        for k in (1.0, 0.5):
+            with pytest.raises(ValueError, match=refusal):
+                build_weights(topo, request, k)
+        with pytest.raises(ValueError, match=refusal):
+            plan_transfer(topo, request)
 
 
 class TestPlanTransfer:
@@ -415,6 +458,18 @@ class TestPlanTransfer:
             outcomes["k1" if k == 1.0 else "shrunk"] += 1
         assert min(outcomes.values()) > 5, outcomes
 
+    @pytest.mark.parametrize("rule", RULES)
+    def test_same_plans_as_a_search_that_prunes_at_pop(self, monkeypatch, rule):
+        cases = list(drawn_requests(random.Random(41), rule, 300))
+        plans = [plan_transfer(topo, request, rule) for topo, request in cases]
+        monkeypatch.setattr(planner, "search_min_latency", search_pruned_at_pop)
+        assert [plan_transfer(topo, request, rule) for topo, request in cases] == plans
+        outcomes = Counter(
+            "none" if plan is None else "k1" if plan.iterations_used == 0 else "bsearch"
+            for plan in plans
+        )
+        assert min(outcomes["none"], outcomes["k1"], outcomes["bsearch"]) >= 30, outcomes
+
     def test_invalid_endpoints(self):
         topo = make_topology(2)
         with pytest.raises(TopologyError, match="^destination 9 is not a valid node id$"):
@@ -605,6 +660,37 @@ class TestPlanSerialization:
         topo = make_topology(4)
         plan = plan_transfer(topo, TransferRequest(0, 3, 30.0, 10.0, 6))
         assert plan_from_dict(plan_to_dict(plan), len(topo)) == plan
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_every_plan_round_trips(self, rule):
+        planned = 0
+        for topo, request in drawn_requests(random.Random(43), rule, 150):
+            plan = plan_transfer(topo, request, rule)
+            if plan is not None:
+                planned += 1
+                assert plan_from_dict(plan_to_dict(plan), len(topo)) == plan
+        assert planned >= 50
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, True, "1.0"])
+    @pytest.mark.parametrize("key", ["predicted_cost_usd", "predicted_latency_s"])
+    def test_a_plan_refuses_totals_that_its_file_refuses(self, key, value):
+        fields = {"path": (0, 1), "configs": {0: NodeBillingConfig(BillingMethod.PFDT, 100.0)},
+                  "predicted_cost_usd": 0.081, "predicted_latency_s": 80.0, "fraction_k": 1.0,
+                  "iterations_used": 0}
+        doc = plan_to_dict(Plan(**fields))
+        fields[key] = doc[key] = value
+        refusal = f"^{re.escape(f'plan {key} must be a finite number >= 0, got {value!r}')}$"
+        with pytest.raises(ValueError, match=refusal):
+            Plan(**fields)
+        with pytest.raises(ValueError, match=refusal):
+            plan_from_dict(doc, 2)
+
+    def test_a_plan_whose_cost_overflows_is_refused(self):
+        # each sender bills 1e308; two of them sum to inf, which no budget refuses
+        topo = load_topology(TESTBED.parent / "pfdt_overflow.json")
+        with pytest.raises(ValueError, match="^plan predicted_cost_usd must be a finite number "
+                                             ">= 0, got inf$"):
+            plan_transfer(topo, TransferRequest(0, 2, 1e8, math.inf, 30))
 
     @pytest.mark.parametrize("doc", [[], "plan", None])
     def test_rejects_a_document_that_is_not_an_object(self, doc):

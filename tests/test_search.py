@@ -1,9 +1,11 @@
 import heapq
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from budgetpath import search
 from budgetpath.search import (
     ORACLE_MAX_NODES,
     EdgeWeights,
@@ -13,8 +15,10 @@ from budgetpath.search import (
     search_min_latency,
 )
 from budgetpath.topology import EdgeList, TopologyError
+import helpers
 from helpers import (
-    cyclic_garbage, edge_list, edge_triples, is_connected, path_sums, random_weights
+    cyclic_garbage, edge_list, edge_triples, is_connected, path_sums, random_weights,
+    search_pruned_at_pop,
 )
 
 
@@ -248,6 +252,73 @@ class TestNodeBilling:
             w = random_weights(rng, n)
             cap = rng.uniform(0.0, 2.5)
             assert search_min_latency(w, 0, n - 1, cap) == per_edge_search(w, 0, n - 1, cap)
+
+
+class TestPushTimeCapTest:
+    """A label is pushed only if it can pay its own node's cost, or reaches the destination."""
+
+    def test_same_results_as_pruning_at_pop(self):
+        rng = random.Random(11)
+        for i in range(20_000):
+            n = rng.randint(2, 12)
+            w = random_weights(rng, n)
+            cap = (0.0, math.inf, rng.uniform(0.0, 1.0), rng.uniform(1.0, 4.0))[i % 4]
+            source, destination = rng.randrange(n), rng.randrange(n)
+            expected = search_pruned_at_pop(w, source, destination, cap)
+            assert search_min_latency(w, source, destination, cap) == expected, i
+
+    def test_every_pushed_label_can_pay_its_node(self, monkeypatch):
+        # pushes go through a stand-in heapq, in the search and in the loop
+        # that prunes at pop only, which pushes every label that improves its node
+        pushed = []
+
+        def recording_heappush(heap, entry):
+            pushed.append(entry)
+            heapq.heappush(heap, entry)
+
+        stand_in = SimpleNamespace(heappop=heapq.heappop, heappush=recording_heappush)
+        monkeypatch.setattr(search, "heapq", stand_in)
+        monkeypatch.setattr(helpers, "heapq", stand_in)
+        rng = random.Random(12)
+        skipped = over_cap_at_destination = 0
+        for _ in range(500):
+            n = rng.randint(2, 10)
+            w = random_weights(rng, n)
+            cap = rng.uniform(0.0, 2.0)
+            pushed.clear()
+            result = search_min_latency(w, 0, n - 1, cap)
+            for _, new_a, node, _ in pushed:
+                assert node == n - 1 or new_a + w.a[node] <= cap
+                over_cap_at_destination += new_a + w.a[node] > cap
+            ours = len(pushed)
+            pushed.clear()
+            assert result == search_pruned_at_pop(w, 0, n - 1, cap)
+            assert len(pushed) >= ours
+            skipped += len(pushed) - ours
+        assert skipped > 200 and over_cap_at_destination > 50
+
+    def test_a_label_that_pays_exactly_the_cap_is_pushed(self):
+        line = node_billed(3, {(0, 1): 1.0, (1, 2): 1.0}, a=(0.0, 0.5, 0.0), b=(0.0, 0.0, 0.0))
+        assert search_min_latency(line, 0, 2, 0.5) == PathResult((0, 1, 2), 0.5, 2.0)
+        assert search_min_latency(line, 0, 2, math.nextafter(0.5, 0.0)) is None
+
+    def test_a_destination_label_is_pushed_whatever_its_own_cost(self):
+        w = node_billed(2, {(0, 1): 1.0}, a=(0.5, 9.0), b=(0.0, 0.0))
+        assert search_min_latency(w, 0, 1, 0.5) == PathResult((0, 1), 0.5, 1.0)
+
+    def test_a_label_that_is_not_pushed_still_claims_its_node(self):
+        # 0 -> 1 -> 3 reaches node 3 first and faster, but cannot pay node 3's
+        # cost; it still claims node 3, so the slower, cheaper 0 -> 2 -> 3 is
+        # refused there, and the search finds no path where the oracle does
+        w = node_billed(
+            5,
+            {(0, 1): 1.0, (0, 2): 1.0, (1, 3): 0.0, (2, 3): 5.0, (3, 4): 0.0},
+            a=(0.0, 0.8, 0.0, 0.5, 0.0),
+            b=(0.0, 0.0, 0.0, 0.0, 0.0),
+        )
+        assert search_min_latency(w, 0, 4, 1.0) is None
+        assert search_pruned_at_pop(w, 0, 4, 1.0) is None
+        assert enumerate_best_path(w, 0, 4, 1.0) == PathResult((0, 2, 3, 4), 0.5, 6.0)
 
 
 def per_edge_search(w, source, destination, cap):
