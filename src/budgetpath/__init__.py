@@ -42,7 +42,6 @@ _EXPORTS = {
         "TunnelSpec",
         "build_tunnels",
         "generate_keypair",
-        "parse_conf",
         "render_conf",
     ),
 }

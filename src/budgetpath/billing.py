@@ -11,7 +11,8 @@ Two billing methods are modeled:
 the method, bandwidth, cost and transmission time as plain values.
 `price_round` prices every node of a planner round in one pass, with
 `price`'s float operations written out in the same order; it must stay
-equal to `price` node by node, which a seeded test checks bit for bit.
+equal to `price` node by node, a refusal's message included, which a
+seeded test checks bit for bit.
 `select_billing` wraps `price` for callers that want a `NodeBillingConfig`,
 and `cost_floor` bounds it from below over every bandwidth fraction from its
 price at full rate, which lets the planner prove a budget insufficient
@@ -24,6 +25,7 @@ GB (10^9 bytes), latency in seconds, money in USD.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 from enum import IntEnum
 
@@ -55,9 +57,11 @@ class TransferRequest(Record):
     """One bulk transfer to plan: endpoints, size, budget, iteration cap.
 
     The endpoints and the iteration cap must be integers (a bool is not one),
-    the endpoints two different nodes, the data size finite and the budget a
-    number; an infinite budget is valid and never binds. Whether the
-    endpoints are node ids depends on the topology, which the planner checks.
+    the endpoints two different nodes, the data size > 0 and small enough
+    (at most about 2.247e298 GB) that its size in bits is a finite number,
+    so no pricing makes a NaN, and the budget a number; an infinite budget
+    is valid and never binds. Whether the endpoints are node ids depends on
+    the topology, which the planner checks.
     """
 
     __slots__ = _fields = ("source", "destination", "data_size_gb", "budget_usd", "max_iterations")
@@ -79,8 +83,11 @@ class TransferRequest(Record):
             raise ValueError(f"source and destination are the same node ({source})")
         if not data_size_gb > 0:
             raise ValueError(f"data_size_gb must be > 0, got {data_size_gb}")
-        if data_size_gb == math.inf:
-            raise ValueError(f"data_size_gb must be finite, got {data_size_gb}")
+        if not data_size_gb * BITS_PER_GB < math.inf:
+            raise ValueError(
+                f"data_size_gb must be at most {sys.float_info.max / BITS_PER_GB!r}, so that "
+                f"its size in bits is a finite number, got {data_size_gb}"
+            )
         if not budget_usd >= 0:
             raise ValueError(f"budget_usd must be >= 0, got {budget_usd}")
         if max_iterations < 1:
@@ -150,6 +157,14 @@ def node_cost(node: NodeSpec, config: NodeBillingConfig, data_size_gb: float) ->
     return payg_cost(node.payg_rate, config.bandwidth_mbps, data_size_gb)
 
 
+def _not_finite(node: NodeSpec, what: str, data_size_gb: float) -> ValueError:
+    """The refusal of a node whose `what`, "time" or "cost", is not a finite number."""
+    return ValueError(
+        f"node {node.id} ({node.name}): its {what} to send {data_size_gb!r} GB "
+        "is not a finite number"
+    )
+
+
 def check_rule(rule: str) -> None:
     """ValueError unless `rule` is one of `RULES`."""
     if rule not in RULES:
@@ -169,7 +184,10 @@ def price(
     whichever method is strictly cheaper, ties going to PFDT since it is
     never slower. Nodes offering only one method always use it. Neither the
     rule nor the candidate's range is checked here; `check_rule` and
-    `select_billing` do that.
+    `select_billing` do that. ValueError for a bandwidth that is not > 0,
+    and one naming the node for a time, else a cost, that is not a finite
+    number; a PAYG time is refused before it is billed, even where
+    `exact-cost` would pick PFDT.
     """
     payg_rate, pfdt_rate = node.payg_rate, node.pfdt_rate
     if pfdt_rate is None:
@@ -179,16 +197,23 @@ def price(
     elif rule == "threshold":
         pfdt = data_size_gb < data_threshold(payg_rate, pfdt_rate, bandwidth_candidate_mbps)
     else:
-        pfdt = pfdt_cost(pfdt_rate, data_size_gb) <= payg_cost(
-            payg_rate, bandwidth_candidate_mbps, data_size_gb
-        )
+        pfdt = None  # `exact-cost`: decided by the two bills below
+    if not pfdt:
+        method, bandwidth = BillingMethod.PAYG, bandwidth_candidate_mbps
+        seconds = transfer_seconds(data_size_gb, bandwidth)
+        if not math.isfinite(seconds):
+            raise _not_finite(node, "time", data_size_gb)
+        cost = payg_cost(payg_rate, bandwidth, data_size_gb)
+        if pfdt is None and pfdt_cost(pfdt_rate, data_size_gb) <= cost:
+            pfdt = True
     if pfdt:
         method, bandwidth = BillingMethod.PFDT, node.max_egress_mbps
+        seconds = transfer_seconds(data_size_gb, bandwidth)
         cost = pfdt_cost(pfdt_rate, data_size_gb)
-    else:
-        method, bandwidth = BillingMethod.PAYG, bandwidth_candidate_mbps
-        cost = payg_cost(payg_rate, bandwidth, data_size_gb)
-    return method, bandwidth, cost, transfer_seconds(data_size_gb, bandwidth)
+    for what, value in (("time", seconds), ("cost", cost)):
+        if not math.isfinite(value):
+            raise _not_finite(node, what, data_size_gb)
+    return method, bandwidth, cost, seconds
 
 
 def price_round(
@@ -199,12 +224,14 @@ def price_round(
     The planner's per-round pricing: node i's entries are exactly
     `price(node, fraction_k * node.max_egress_mbps, data_size_gb, rule)[2:]`,
     with `price`'s float operations written out in the same order, so the
-    method choice still has one definition. It raises the same ValueError
-    for a bandwidth that is 0 or too small to bill. The nodes are a
-    topology's checked nodes; the rule is not checked here.
+    method choice still has one definition. It raises what `price` raises
+    for the first node that `price` refuses, testing each time and cost with
+    one comparison where it is made. The nodes are a topology's checked
+    nodes; the rule is not checked here.
     """
     bits = data_size_gb * BITS_PER_GB
     threshold = rule == "threshold"
+    inf, ceil = math.inf, math.ceil
     costs, seconds = [], []
     for node in nodes:
         payg, pfdt, cap = node.payg_rate, node.pfdt_rate, node.max_egress_mbps
@@ -221,20 +248,25 @@ def price_round(
             if bandwidth <= 0:
                 raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
             payg_seconds = bits / (bandwidth * BITS_PER_MBPS)
-            try:
-                hours = max(1, math.ceil(payg_seconds / SECONDS_PER_HOUR))
-            except OverflowError:
-                raise ValueError(
-                    f"sending {data_size_gb} GB at {bandwidth} Mbps takes too long to bill"
-                ) from None
-            payg_bill = payg * bandwidth * hours
+            if not payg_seconds < inf:
+                raise _not_finite(node, "time", data_size_gb)
+            # `or 1` is `billed_hours`' one-hour minimum, max(1, ...), without a call
+            payg_bill = payg * bandwidth * (ceil(payg_seconds / SECONDS_PER_HOUR) or 1)
             # an `exact-cost` tie goes to PFDT, as in `price`
             if pick_pfdt is False or payg_bill < pfdt * data_size_gb:
+                if not payg_bill < inf:
+                    raise _not_finite(node, "cost", data_size_gb)
                 costs.append(payg_bill)
                 seconds.append(payg_seconds)
                 continue
-        costs.append(pfdt * data_size_gb)
-        seconds.append(bits / (cap * BITS_PER_MBPS))
+        pfdt_seconds = bits / (cap * BITS_PER_MBPS)
+        if not pfdt_seconds < inf:
+            raise _not_finite(node, "time", data_size_gb)
+        pfdt_bill = pfdt * data_size_gb
+        if not pfdt_bill < inf:
+            raise _not_finite(node, "cost", data_size_gb)
+        costs.append(pfdt_bill)
+        seconds.append(pfdt_seconds)
     return costs, seconds
 
 
@@ -247,7 +279,8 @@ def cost_floor(node: NodeSpec, data_size_gb: float, rule: str) -> float:
     and never below the full-rate cost where some k picks it: under
     `threshold` the cutoff `payg * k * bw / pfdt` only falls as k shrinks, so
     k = 1 picks PFDT too, and under `exact-cost` k = 1 bills the cheaper
-    method. ValueError for an unknown rule.
+    method. ValueError for an unknown rule, and `price`'s for a node it
+    refuses at full rate.
     """
     check_rule(rule)
     full_rate_cost = price(node, node.max_egress_mbps, data_size_gb, rule)[2]

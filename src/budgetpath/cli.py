@@ -146,10 +146,14 @@ def _cmd_simulate(args, topology) -> int:
 
 def _cmd_oracle(args, topology) -> int:
     request = _request(args)
+    # priced first at k = 1, as `plan` prices, so a node that cannot be priced is
+    # the one `plan` names, and the floor distance, which prices at k = 1, refuses none
+    weights = build_weights(topology, request, 1.0, args.rule)
+    if args.fraction != 1.0:
+        weights = build_weights(topology, request, args.fraction, args.rule)
     # checked before enumerating, so it comes ahead of a --max-nodes refusal
     if cost_floor_distance(topology, request, args.rule) == math.inf:
         raise NoPathError(request.source, request.destination)
-    weights = build_weights(topology, request, args.fraction, args.rule)
     result = enumerate_best_path(
         weights, request.source, request.destination, request.budget_usd,
         max_nodes=args.max_nodes,

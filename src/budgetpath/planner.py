@@ -18,7 +18,7 @@ from budgetpath.billing import (
     price_round,
 )
 from budgetpath.records import Record
-from budgetpath.search import EdgeWeights, PathResult, SearchError, search_min_latency
+from budgetpath.search import EdgeWeights, PathResult, search_min_latency
 from budgetpath.topology import NoPathError, Topology, check_node_ids, read_json
 
 
@@ -90,26 +90,14 @@ def build_weights(
     which must stay equal to `billing.price` node by node) prices the round:
     a node's egress cost is its `a` and its transmission time at the
     configured bandwidth its `b`, whichever edge it sends on. ValueError
-    when a node's bandwidth is too small to bill, and one that names the
-    first node whose cost or time is not a finite number.
+    for a bandwidth of 0, and one that names the first node whose time or
+    cost is not a finite number, both from `price_round`.
     """
     if not 0 < fraction_k <= 1:
         raise ValueError(f"fraction_k must be in (0, 1], got {fraction_k}")
     check_rule(rule)
-    data_size_gb = request.data_size_gb
-    a, b = price_round(topology.nodes, fraction_k, data_size_gb, rule)
-    try:
-        return EdgeWeights(topology.edges, tuple(a), tuple(b))
-    except SearchError:
-        # pricing gives no negative value, so a value that overflowed is the cause
-        for node, cost, seconds in zip(topology.nodes, a, b):
-            if not (math.isfinite(cost) and math.isfinite(seconds)):
-                what = "time" if math.isfinite(cost) else "cost"
-                raise ValueError(
-                    f"node {node.id} ({node.name}): its {what} to send {data_size_gb!r} GB "
-                    "is not a finite number"
-                ) from None
-        raise
+    a, b = price_round(topology.nodes, fraction_k, request.data_size_gb, rule)
+    return EdgeWeights(topology.edges, tuple(a), tuple(b))
 
 
 def _finalize(
@@ -150,7 +138,9 @@ def cost_floor_distance(topology: Topology, request: TransferRequest, rule: str)
     adding its floor, worked out only when the node is popped; it returns
     when the destination is popped. A sum that overflows reads as the
     largest float, so a reached destination never reads as an unreachable
-    one. TopologyError for an endpoint that is not a node id.
+    one. TopologyError for an endpoint that is not a node id, and
+    `billing.price`'s ValueError for a node it refuses at full rate, which
+    a k = 1 round has named already.
     """
     source, destination, data_size_gb = request.source, request.destination, request.data_size_gb
     nodes, edges = topology.nodes, topology.edges
@@ -209,8 +199,9 @@ def plan_transfer(
         try:
             weights = build_weights(topology, request, k, rule)
         except ValueError:
-            # k is in (0, 1] and the rule passed at k = 1, so a node's bandwidth
-            # is too small to bill: no path is affordable at this k
+            # k is in (0, 1] and the rule passed at k = 1, so a node cannot be
+            # priced at this k: its bandwidth is 0, or its time or cost is not
+            # a finite number. No path is affordable at this k
             result = None
         else:
             result = search_min_latency(weights, source, destination, budget)

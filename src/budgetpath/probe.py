@@ -39,10 +39,15 @@ def probe_rtts(
     attempts: int,
     prober: Callable[[str], float | None] | None = None,
 ) -> Topology:
-    """Re-measure every link's rtt as the median of `attempts` probes.
+    """Re-measure every link's rtt from `attempts` probes of each endpoint address.
 
-    Links whose probes all fail keep their original rtt and are logged as
-    warnings. Only the availability of a probing mechanism is fatal.
+    Each distinct address of a link endpoint is probed `attempts` times, in
+    the order the links first name it. A link's rtt is the larger of its two
+    endpoints' median probe times, so both directions of a pair get one rtt
+    and a probed undirected topology loads again in undirected mode; an
+    endpoint none of whose probes succeeded is left out. A link with no
+    such endpoint keeps its rtt and is logged as a warning. Only the
+    availability of a probing mechanism is fatal.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
@@ -51,18 +56,23 @@ def probe_rtts(
             raise RuntimeError("no ping executable available for probing")
         prober = _ping_once
 
+    medians: dict[str, float | None] = {}
     links = []
     for link in topology.links:
-        address = topology.node(link.dst).public_address
-        samples = [s for s in (prober(address) for _ in range(attempts)) if s is not None]
-        if samples:
-            links.append(LinkSpec(link.src, link.dst, statistics.median(samples)))
+        ends = [topology.node(node_id).public_address for node_id in (link.src, link.dst)]
+        for address in ends:
+            if address not in medians:
+                samples = [s for s in (prober(address) for _ in range(attempts)) if s is not None]
+                medians[address] = statistics.median(samples) if samples else None
+        measured = [medians[address] for address in ends if medians[address] is not None]
+        if measured:
+            links.append(LinkSpec(link.src, link.dst, max(measured)))
         else:
             logging.getLogger(__name__).warning(
-                "link (%d, %d): no probe succeeded for %s; keeping rtt %.3f ms",
+                "link (%d, %d): no probe succeeded for %s or %s; keeping rtt %.3f ms",
                 link.src,
                 link.dst,
-                address,
+                *ends,
                 link.rtt_s * 1000.0,
             )
             links.append(link)

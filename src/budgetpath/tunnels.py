@@ -25,7 +25,7 @@ DEFAULT_LISTEN_PORT = 51820
 
 
 class TunnelError(ValueError):
-    """Invalid tunnel build or parse inputs."""
+    """Invalid tunnel build inputs."""
 
 
 def clamp_scalar(raw: bytes) -> bytes:
@@ -195,56 +195,6 @@ def render_conf(spec: TunnelSpec) -> str:
         if peer.keepalive_s is not None:
             lines.append(f"PersistentKeepalive = {peer.keepalive_s}")
     return "\n".join(lines) + "\n"
-
-
-def parse_conf(text: str) -> TunnelSpec:
-    """Inverse of render_conf; round-trips every spec this module emits."""
-    node_id: int | None = None
-    interface: dict[str, str] = {}
-    peers: list[dict[str, str]] = []
-    current: dict[str, str] | None = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("# Node:"):
-                node_id = int(line.split(":", 1)[1])
-            continue
-        if line == "[Interface]":
-            current = interface
-        elif line == "[Peer]":
-            current = {}
-            peers.append(current)
-        else:
-            if current is None or "=" not in line:
-                raise TunnelError(f"unparseable line: {line!r}")
-            key, value = line.split("=", 1)
-            current[key.strip()] = value.strip()
-    if node_id is None or "PrivateKey" not in interface:
-        raise TunnelError("missing node comment or [Interface] section")
-    peer_keys = ("PublicKey", "Endpoint", "AllowedIPs")
-    sections = [("[Interface]", interface, ("Address", "ListenPort"))]
-    sections += [(f"[Peer] {i}", peer, peer_keys) for i, peer in enumerate(peers, 1)]
-    for name, section, keys in sections:
-        for key in keys:
-            if key not in section:
-                raise TunnelError(f"{name} has no {key} line")
-    return TunnelSpec(
-        node_id=node_id,
-        overlay_address=interface["Address"],
-        listen_port=int(interface["ListenPort"]),
-        keypair=keypair_from_private_b64(interface["PrivateKey"]),
-        peers=tuple(
-            PeerEntry(
-                public_key_b64=p["PublicKey"],
-                endpoint=p["Endpoint"],
-                allowed_ips=tuple(s.strip() for s in p["AllowedIPs"].split(",")),
-                keepalive_s=int(p["PersistentKeepalive"]) if "PersistentKeepalive" in p else None,
-            )
-            for p in peers
-        ),
-    )
 
 
 def write_tunnel_files(specs: list[TunnelSpec], topology: Topology, out_dir) -> dict:

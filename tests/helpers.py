@@ -2,7 +2,8 @@
 loader, a recorder of the planner's rounds, reference cost floors and
 sender configs, the naive baseline's path by enumeration, the label search
 as it pruned before its push-time test, an independent
-X25519 reference implementation, and a cryptokey-routing walker.
+X25519 reference implementation, a cryptokey-routing walker, and the
+parser that reads a rendered tunnel conf back.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from budgetpath.billing import (
 )
 from budgetpath.search import EdgeWeights, PathResult
 from budgetpath.topology import EdgeList, LinkSpec, NodeSpec, Topology, TopologyError
-from budgetpath.tunnels import TunnelSpec, clamp_scalar
+from budgetpath.tunnels import (
+    PeerEntry, TunnelError, TunnelSpec, clamp_scalar, keypair_from_private_b64,
+)
 
 # --- random instances -------------------------------------------------
 
@@ -608,6 +611,62 @@ def route_packet(specs: list[TunnelSpec], start: TunnelSpec, dst_ip: str) -> lis
         current = by_pubkey[peer.public_key_b64]
         visited.append(current.node_id)
     raise AssertionError(f"forwarding loop: {visited}")
+
+
+# --- wg-quick text back to a spec ---------------------------------------
+
+def parse_conf(text: str) -> TunnelSpec:
+    """Inverse of `tunnels.render_conf`: the round-trip reference for every spec it emits.
+
+    TunnelError for a line that is not a section, comment or key = value,
+    and for a missing node comment, section or key line.
+    """
+    node_id: int | None = None
+    interface: dict[str, str] = {}
+    peers: list[dict[str, str]] = []
+    current: dict[str, str] | None = None
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line.startswith("# Node:"):
+                node_id = int(line.split(":", 1)[1])
+            continue
+        if line == "[Interface]":
+            current = interface
+        elif line == "[Peer]":
+            current = {}
+            peers.append(current)
+        else:
+            if current is None or "=" not in line:
+                raise TunnelError(f"unparseable line: {line!r}")
+            key, value = line.split("=", 1)
+            current[key.strip()] = value.strip()
+    if node_id is None or "PrivateKey" not in interface:
+        raise TunnelError("missing node comment or [Interface] section")
+    peer_keys = ("PublicKey", "Endpoint", "AllowedIPs")
+    sections = [("[Interface]", interface, ("Address", "ListenPort"))]
+    sections += [(f"[Peer] {i}", peer, peer_keys) for i, peer in enumerate(peers, 1)]
+    for name, section, keys in sections:
+        for key in keys:
+            if key not in section:
+                raise TunnelError(f"{name} has no {key} line")
+    return TunnelSpec(
+        node_id=node_id,
+        overlay_address=interface["Address"],
+        listen_port=int(interface["ListenPort"]),
+        keypair=keypair_from_private_b64(interface["PrivateKey"]),
+        peers=tuple(
+            PeerEntry(
+                public_key_b64=p["PublicKey"],
+                endpoint=p["Endpoint"],
+                allowed_ips=tuple(s.strip() for s in p["AllowedIPs"].split(",")),
+                keepalive_s=int(p["PersistentKeepalive"]) if "PersistentKeepalive" in p else None,
+            )
+            for p in peers
+        ),
+    )
 
 
 def is_connected(edges: EdgeList, source: int, destination: int) -> bool:

@@ -16,9 +16,9 @@ from budgetpath.search import PathResult
 from budgetpath.search import enumerate_best_path, search_min_latency
 from budgetpath.simulate import compare, naive_baseline, simulate_transfer
 from budgetpath.topology import LinkSpec, NodeSpec, Topology
-from budgetpath.tunnels import build_tunnels, generate_keypair, parse_conf, render_conf
+from budgetpath.tunnels import build_tunnels, generate_keypair, render_conf
 from helpers import (
-    bisection_bracket, path_sums, random_topology, random_weights, record_rounds,
+    bisection_bracket, parse_conf, path_sums, random_topology, random_weights, record_rounds,
     request_or_refusal, route_packet, x25519_reference,
 )
 from test_cli import TESTBED, run_pipeline

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import sys
 from collections import Counter
 
 import pytest
@@ -281,16 +283,16 @@ class TestCostFloor:
 class TestPriceRound:
     @staticmethod
     def priced(call):
-        """The call's result, or ValueError if it raised one."""
+        """The call's result, or the message of the ValueError it raised."""
         try:
             return call()
-        except ValueError:
-            return ValueError
+        except ValueError as exc:
+            return str(exc)
 
     @pytest.mark.parametrize("rule", RULES)
     def test_equals_price_node_by_node(self, rule):
         # the planner's one-pass round pricer is a transcription of `price`, and
-        # must stay equal to it bit for bit, a ValueError included: at every
+        # must stay equal to it bit for bit, a ValueError's message included: at every
         # halving of k down to 0, hour-aligned k, threshold ties, exact-cost
         # ties and sizes from 1e-12 to 1e8 GB, for nodes of every kind
         rng = random.Random(53)
@@ -309,10 +311,10 @@ class TestPriceRound:
             for k in fractions:
                 expected = self.priced(lambda: price(node, k * cap, data_gb, rule)[2:])
                 got = self.priced(lambda: price_round((node,), k, data_gb, rule))
-                if expected is not ValueError:
+                if not isinstance(expected, str):
                     expected = ([expected[0]], [expected[1]])
                 assert got == expected, (node, data_gb, k)
-                seen["raised" if expected is ValueError else "priced"] += 1
+                seen["raised" if isinstance(expected, str) else "priced"] += 1
         # a tie at k = 0.5: 2 GB at 100 of 200 Mbps bills one hour, and
         # 0.01 * 100 * 1 == 0.5 * 2.0. `exact-cost` gives it to PFDT, at the
         # full 200 Mbps; `threshold`'s strict D < D* keeps PAYG at 100 Mbps
@@ -327,16 +329,82 @@ class TestPriceRound:
                     price(node, k * node.max_egress_mbps, data_gb, rule)[2:] for node in round_nodes
                 ])
                 got = self.priced(lambda: price_round(round_nodes, k, data_gb, rule))
-                if expected is not ValueError:
+                if not isinstance(expected, str):
                     expected = tuple(map(list, zip(*expected)))
                 assert got == expected, (k, data_gb)
         assert seen["raised"] > 500 and seen["priced"] > 5000, seen
 
+    @pytest.mark.parametrize("rule", RULES)
+    def test_equals_price_where_values_overflow(self, rule):
+        # rates up to 1e308, caps near 1e-300 or near 1e303 and payloads up to the
+        # largest a request takes: both refuse the same node with the same message,
+        # its time if that is not finite, else its cost, and price nothing but
+        # finite numbers
+        rng = random.Random(59)
+        largest = sys.float_info.max / BITS_PER_GB
+        seen = Counter()
+        round_nodes = []
+        for i in range(1500):
+            kind = rng.choice(TestCostFloor.KINDS)
+            payg = {"pfdt-only": None}.get(kind, 10.0 ** rng.uniform(-3.0, 308.0))
+            pfdt = {"payg-only": None, "free-pfdt": 0.0}.get(kind, 10.0 ** rng.uniform(-3.0, 308.0))
+            cap = 10.0 ** rng.choice(
+                [rng.uniform(-310.0, -290.0), rng.uniform(-3.0, 4.0), rng.uniform(295.0, 308.0)]
+            )
+            node = NodeSpec(i, f"n{i}", "203.0.113.1", cap, payg, pfdt)
+            round_nodes.append(node)
+            data_gb = rng.choice([largest, largest * rng.random(), 10.0 ** rng.uniform(-12.0, 298.0)])
+            for k in (1.0, 0.5, rng.random() or 1.0, 2.0 ** -rng.randrange(1100), 5e-324):
+                expected = self.priced(lambda: price(node, k * cap, data_gb, rule)[2:])
+                got = self.priced(lambda: price_round((node,), k, data_gb, rule))
+                if isinstance(expected, str):
+                    seen[next(w for w in ("time", "cost", "bandwidth") if w in expected)] += 1
+                else:
+                    assert all(map(math.isfinite, expected)), (node, data_gb, k)
+                    expected = ([expected[0]], [expected[1]])
+                    seen["priced"] += 1
+                assert got == expected, (node, data_gb, k)
+        # whole rounds: the first node that `price` refuses is the one named
+        for k in (1.0, 0.5, 2.0 ** -40):
+            for data_gb in (1.0, 1e200, largest):
+                expected = self.priced(lambda: [
+                    price(node, k * node.max_egress_mbps, data_gb, rule)[2:] for node in round_nodes
+                ])
+                assert isinstance(expected, str)
+                assert self.priced(lambda: price_round(round_nodes, k, data_gb, rule)) == expected
+        assert min(seen[kind] for kind in ("time", "cost", "bandwidth")) > 100, seen
+        assert seen["priced"] > 1000, seen
+
+    def test_a_value_that_is_not_finite_names_the_node(self):
+        # the one line for a time or cost that overflows, from `price` and the round;
+        # a PAYG time that overflows is refused before it is billed in hours
+        largest = sys.float_info.max / BITS_PER_GB
+        for node, data_gb, what in (
+            (make_node(pfdt=None, cap=1e-300), 1e9, "time"),  # PAYG at 1e-300 Mbps
+            (make_node(payg=None, cap=1e-300), 1e9, "time"),  # PFDT at 1e-300 Mbps
+            (make_node(payg=None, pfdt=1e300), 1e9, "cost"),  # $1e300/GB for 1e9 GB
+            (make_node(payg=1e300, pfdt=None), 1e9, "cost"),  # $1e300/Mbps/h at 100 Mbps
+            # at 1e303 Mbps the time is 0.0 s, but one hour at $1e6/Mbps/h is 1e309
+            (make_node(payg=1e6, pfdt=None, cap=1e303), largest, "cost"),
+        ):
+            message = f"node 0 (n0): its {what} to send {data_gb!r} GB is not a finite number"
+            for rule in RULES:
+                for call in (lambda: price(node, node.max_egress_mbps, data_gb, rule),
+                             lambda: price_round([node], 1.0, data_gb, rule)):
+                    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                        call()
+
 
 class TestTransferRequest:
+    TOO_LARGE = (
+        "data_size_gb must be at most 2.2471164185778946e+298, so that its size in bits is a "
+        "finite number, got "
+    )
+
     @pytest.mark.parametrize("data_gb, budget, message", [
         (math.nan, 1.0, "data_size_gb must be > 0"),
-        (math.inf, 1.0, "data_size_gb must be finite"),
+        (math.inf, 1.0, f"^{re.escape(TOO_LARGE)}inf$"),
+        (1e300, 1.0, f"^{re.escape(TOO_LARGE)}1e\\+300$"),
         (0.0, 1.0, "data_size_gb must be > 0"),
         (1.0, math.nan, "budget_usd must be >= 0"),
         (1.0, -1.0, "budget_usd must be >= 0"),
@@ -359,6 +427,15 @@ class TestTransferRequest:
     def test_rejects_endpoints_and_iteration_caps_that_are_not_integers(self, fields, message):
         with pytest.raises(ValueError, match=message):
             TransferRequest(*fields)
+
+    def test_the_largest_data_size_is_the_largest_whose_bits_are_a_float(self):
+        largest = sys.float_info.max / BITS_PER_GB
+        assert repr(largest) == "2.2471164185778946e+298"
+        assert TransferRequest(0, 1, largest, 1.0, 5).data_size_gb * BITS_PER_GB < math.inf
+        above = math.nextafter(largest, math.inf)
+        refusal = f"^{re.escape(self.TOO_LARGE)}{re.escape(repr(above))}$"
+        with pytest.raises(ValueError, match=refusal):
+            TransferRequest(0, 1, above, 1.0, 5)
 
     def test_infinite_budget_is_valid(self):
         assert TransferRequest(0, 1, 1.0, math.inf, 5).budget_usd == math.inf

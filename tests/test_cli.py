@@ -113,14 +113,52 @@ class TestExitCodes:
 class TestOutcomesThatNeedTheirOwnLine:
     OVERFLOW = str(FIXTURES / "pfdt_overflow.json")
 
+    def overflow_variant(self, tmp_path, name, **rates) -> str:
+        """`OVERFLOW` with every node's cap and rates replaced, written to `tmp_path`."""
+        doc = json.loads(Path(self.OVERFLOW).read_text())
+        for node in doc["nodes"]:
+            node.update(rates)
+        topology = tmp_path / f"{name}.json"
+        topology.write_text(json.dumps(doc))
+        return str(topology)
+
     @pytest.mark.parametrize("command", ["plan", "simulate", "oracle"])
-    def test_a_node_cost_that_is_not_finite_names_the_node(self, capsys, command):
-        # node 0 bills $1e300/GB for 1e9 GB, which is above the largest float
-        code = run([command, "--topology", self.OVERFLOW, "--src", "0", "--dst", "2",
-                    "--data-gb", "1e9", "--budget-usd", "5"])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: node 0 (alpha): its cost to send 1000000000.0 GB is not a finite number\n")
+    def test_a_node_cost_that_is_not_finite_names_the_node(self, tmp_path, capsys, command):
+        # node 0 bills $1e300/GB for 1e9 GB, which is above the largest float; at
+        # 1e-300 Mbps, PFDT or PAYG, 1e9 GB takes more seconds than a float holds
+        tiny_cap = {"max_egress_mbps": 1e-300}
+        for topology, what in (
+            (self.OVERFLOW, "cost"),
+            (self.overflow_variant(tmp_path, "free-pfdt", **tiny_cap, pfdt_usd_per_gb=0.0), "time"),
+            (self.overflow_variant(tmp_path, "payg", **tiny_cap, pfdt_usd_per_gb=None,
+                                   payg_usd_per_mbps_hour=0.021), "time"),
+        ):
+            code = run([command, "--topology", topology, "--src", "0", "--dst", "2",
+                        "--data-gb", "1e9", "--budget-usd", "5"])
+            assert (code, capsys.readouterr()) == (1, ("", (
+                f"error: node 0 (alpha): its {what} to send 1000000000.0 GB is not a finite "
+                "number\n"))), topology
+
+    @pytest.mark.parametrize("options", [[], ["--fraction", "0.5"], ["--max-nodes", "2"]],
+                             ids=["default", "fraction", "max-nodes"])
+    def test_oracle_prices_before_it_looks_for_a_path(self, tmp_path, capsys, options):
+        # 2 -> 0 has no directed path, and every node's cost overflows: `oracle`
+        # prices first, as `plan` and `simulate` do, so it names node 0 as they do,
+        # ahead of the missing path and of a --max-nodes refusal
+        def assert_each_command_names_node_0(topology, data_gb):
+            base = ["--topology", topology, "--mode", "directed", "--src", "2", "--dst", "0",
+                    "--data-gb", data_gb, "--budget-usd", "5"]
+            line = (f"error: node 0 (alpha): its cost to send {float(data_gb)!r} GB "
+                    "is not a finite number\n")
+            for command in (["plan"], ["simulate"], ["oracle", *options]):
+                assert (run([*command, *base]), capsys.readouterr()) == (1, ("", line)), command
+
+        assert_each_command_names_node_0(self.OVERFLOW, "1e9")
+        # at $1e306/Mbps/h, one hour at 250 Mbps overflows but at 125 Mbps does not: the
+        # floor distance, which prices at k = 1 in its own order, would name node 2
+        assert_each_command_names_node_0(self.overflow_variant(
+            tmp_path, "payg", max_egress_mbps=250.0, payg_usd_per_mbps_hour=1e306,
+            pfdt_usd_per_gb=None), "1")
 
     def test_a_plan_whose_cost_overflows_is_refused(self, tmp_path, capsys):
         # each sender bills 1e308, and no budget refuses the sum, inf; a plan
@@ -540,17 +578,23 @@ class TestErrorsEndInOneLine:
                     "--data-gb", "1", "--budget-usd", "1"])
         assert assert_one_error_line(capsys, code) == "error: path node 0 has no billing config"
 
+    TOO_LARGE = (
+        "error: data_size_gb must be at most 2.2471164185778946e+298, so that its size in bits "
+        "is a finite number, got "
+    )
+
     @pytest.mark.parametrize("option, value, message", [
-        ("--budget-usd", "nan", "budget_usd must be >= 0, got nan"),
-        ("--data-gb", "nan", "data_size_gb must be > 0, got nan"),
-        ("--data-gb", "inf", "data_size_gb must be finite, got inf"),
-        ("--data-gb", "1e300", "takes too long to bill"),
+        ("--budget-usd", "nan", "error: budget_usd must be >= 0, got nan"),
+        ("--data-gb", "nan", "error: data_size_gb must be > 0, got nan"),
+        ("--data-gb", "inf", TOO_LARGE + "inf"),
+        ("--data-gb", "1e300", TOO_LARGE + "1e+300"),
     ])
     def test_request_number_out_of_range(self, capsys, option, value, message):
         numbers = {"--data-gb": "1", "--budget-usd": "1", option: value}
-        code = run(["plan", "--topology", TESTBED, "--src", "0", "--dst", "5",
-                    *(word for pair in numbers.items() for word in pair)])
-        assert message in assert_one_error_line(capsys, code)
+        for command in ("plan", "simulate", "oracle"):
+            code = run([command, "--topology", TESTBED, "--src", "0", "--dst", "5",
+                        *(word for pair in numbers.items() for word in pair)])
+            assert assert_one_error_line(capsys, code) == message, command
 
     @pytest.mark.parametrize("port, shared, message", [
         ("0", False, "listen port 0 is outside 1..65535"),

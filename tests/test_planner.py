@@ -217,17 +217,19 @@ class TestBuildWeights:
                 build_weights(topo, request, k)
 
     # PFDT at $1e300/GB and PAYG at $1e300/Mbps/h bill 1e9 GB above the largest
-    # float; a payload of 1e300 GB takes more seconds than a float holds
-    @pytest.mark.parametrize("rates, data_gb, message", [
-        ((None, 1e300), 1e9, "node 1 (dear): its cost to send 1000000000.0 GB"),
-        ((1e300, None), 1e9, "node 1 (dear): its cost to send 1000000000.0 GB"),
-        ((None, 0.0), 1e300, "node 0 (first): its time to send 1e+300 GB"),
+    # float, and at 1e-300 Mbps, PFDT or PAYG, 1e9 GB takes more seconds than a
+    # float holds
+    @pytest.mark.parametrize("rates, cap, message", [
+        ((None, 1e300), 100.0, "node 1 (dear): its cost to send 1000000000.0 GB"),
+        ((1e300, None), 100.0, "node 1 (dear): its cost to send 1000000000.0 GB"),
+        ((None, 0.0), 1e-300, "node 1 (dear): its time to send 1000000000.0 GB"),
+        ((K1, None), 1e-300, "node 1 (dear): its time to send 1000000000.0 GB"),
     ])
-    def test_a_value_that_is_not_finite_names_the_first_such_node(self, rates, data_gb, message):
+    def test_a_value_that_is_not_finite_names_the_first_such_node(self, rates, cap, message):
         nodes = (NodeSpec(0, "first", "203.0.113.1", 100.0, None, K2),
-                 *(NodeSpec(i, "dear", f"203.0.113.{i + 1}", 100.0, *rates) for i in (1, 2)))
+                 *(NodeSpec(i, "dear", f"203.0.113.{i + 1}", cap, *rates) for i in (1, 2)))
         topo = Topology(nodes, (LinkSpec(0, 1, 0.01), LinkSpec(1, 2, 0.01)))
-        request = TransferRequest(0, 2, data_gb, math.inf, 5)
+        request = TransferRequest(0, 2, 1e9, math.inf, 5)
         refusal = f"^{re.escape(message)} is not a finite number$"
         for k in (1.0, 0.5):
             with pytest.raises(ValueError, match=refusal):

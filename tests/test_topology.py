@@ -306,10 +306,40 @@ class TestRoundTripAndExpansion:
 
 class TestProbe:
     def test_median_of_attempts(self, tmp_path):
+        # the larger of the two endpoints' medians: 0.002 s and 0.012 s
         topo = load_topology(write_doc(tmp_path, two_node_doc()), "directed")
-        samples = iter([0.010, 0.012, 0.040])
-        probed = probe_rtts(topo, 3, prober=lambda addr: next(samples))
-        assert probed.links[0].rtt_s == pytest.approx(0.012)
+        samples = {"127.0.0.1": iter([0.030, 0.001, 0.002]),
+                   "127.0.0.2": iter([0.010, 0.012, 0.040])}
+        probed = probe_rtts(topo, 3, prober=lambda addr: next(samples[addr]))
+        assert probed.links[0].rtt_s == 0.012
+
+    @pytest.mark.parametrize("mode", ["undirected", "directed"])
+    def test_each_address_is_probed_attempts_times_and_the_file_reloads(self, tmp_path, mode):
+        # testbed6 with nodes 4 and 5 on one address: 5 addresses, so 15 probes at
+        # 3 attempts, not 3 per link; both directions of a pair get one rtt, and
+        # the written file loads in the mode the topology was probed in
+        doc = json.loads((FIXTURES / "testbed6.json").read_text())
+        doc["nodes"][5]["public_address"] = doc["nodes"][4]["public_address"]
+        topo = load_topology(write_doc(tmp_path, doc), mode)
+        rng = random.Random(61)
+        calls = []
+
+        def prober(address):
+            calls.append(address)
+            return rng.choice([None, rng.uniform(0.001, 0.2)])
+
+        probed = probe_rtts(topo, 3, prober=prober)
+        addresses = {node.public_address for node in topo.nodes}
+        assert len(addresses) == 5 and sorted(calls) == sorted([*addresses] * 3)
+        rtt = {(link.src, link.dst): link.rtt_s for link in probed.links}
+        assert [(u, v) for u, v in rtt] == [(l.src, l.dst) for l in topo.links]
+        assert all(rtt[u, v] == rtt[v, u] for u, v in rtt if (v, u) in rtt)
+        if mode == "undirected":
+            assert len(rtt) == 2 * len(doc["links"])
+        save_topology(probed, tmp_path / "probed.json")
+        reloaded = load_topology(tmp_path / "probed.json", mode)
+        assert [(l.src, l.dst) for l in reloaded.links] == list(rtt)
+        assert [l.rtt_s for l in reloaded.links] == pytest.approx(list(rtt.values()), rel=1e-12)
 
     def test_unreachable_keeps_original(self, tmp_path, caplog):
         topo = load_topology(write_doc(tmp_path, two_node_doc()), "directed")

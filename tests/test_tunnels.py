@@ -13,11 +13,10 @@ from budgetpath.tunnels import (
     build_tunnels,
     clamp_scalar,
     generate_keypair,
-    parse_conf,
     render_conf,
     write_tunnel_files,
 )
-from helpers import route_packet, x25519_reference
+from helpers import parse_conf, route_packet, x25519_reference
 
 # RFC 7748 section 6.1 Diffie-Hellman vector (Alice's key pair)
 RFC7748_SCALAR = bytes.fromhex(
