@@ -14,9 +14,9 @@ the method, bandwidth, cost and transmission time as plain values.
 equal to `price` node by node, a refusal's message included, which a
 seeded test checks bit for bit.
 `select_billing` wraps `price` for callers that want a `NodeBillingConfig`,
-and `cost_floor` bounds it from below over every bandwidth fraction from its
-price at full rate, which lets the planner prove a budget insufficient
-without a round.
+and `cost_floor` bounds it from below over every bandwidth fraction from the
+node's cost at full rate, as the k = 1 round priced it, which lets the
+planner prove a budget insufficient without a further round.
 
 Units are fixed package-wide: bandwidth in Mbps (10^6 bit/s), data size in
 GB (10^9 bytes), latency in seconds, money in USD.
@@ -270,20 +270,19 @@ def price_round(
     return costs, seconds
 
 
-def cost_floor(node: NodeSpec, data_size_gb: float, rule: str) -> float:
+def cost_floor(node: NodeSpec, full_rate_cost: float, data_size_gb: float) -> float:
     """The least cost `price` can bill the node at any bandwidth fraction k in (0, 1].
 
-    The lesser of the node's cost at full rate and, if it offers PAYG, the
-    bandwidth-hours the payload needs. Every k bills PAYG at least those,
-    since bw * ceil(T / bw) >= T, or PFDT, whose cost is the same at every k
-    and never below the full-rate cost where some k picks it: under
-    `threshold` the cutoff `payg * k * bw / pfdt` only falls as k shrinks, so
-    k = 1 picks PFDT too, and under `exact-cost` k = 1 bills the cheaper
-    method. ValueError for an unknown rule, and `price`'s for a node it
-    refuses at full rate.
+    `full_rate_cost` is the node's cost at k = 1 under the rule in force,
+    its entry in `price_round(nodes, 1.0, data_size_gb, rule)[0]`, which
+    equals `price` node by node. The floor is the lesser of that cost and,
+    if the node offers PAYG, the bandwidth-hours the payload needs. Every k
+    bills PAYG at least those, since bw * ceil(T / bw) >= T, or PFDT, whose
+    cost is the same at every k and never below the full-rate cost where
+    some k picks it: under `threshold` the cutoff `payg * k * bw / pfdt`
+    only falls as k shrinks, so k = 1 picks PFDT too, and under
+    `exact-cost` k = 1 bills the cheaper method.
     """
-    check_rule(rule)
-    full_rate_cost = price(node, node.max_egress_mbps, data_size_gb, rule)[2]
     if node.payg_rate is None:
         return full_rate_cost
     bandwidth_hours = node.payg_rate * data_size_gb * BITS_PER_GB / BITS_PER_MBPS / SECONDS_PER_HOUR

@@ -15,7 +15,7 @@ from pathlib import Path
 
 # Only what `plan` needs is imported here; the other subcommands import
 # their modules themselves, so no invocation pays for code it never runs.
-from budgetpath.billing import RULES, TransferRequest
+from budgetpath.billing import RULES, TransferRequest, price_round
 from budgetpath.planner import (
     build_weights, cost_floor_distance, floor_proves_insufficient, load_plan, plan_to_dict,
     plan_transfer,
@@ -72,15 +72,19 @@ def _cmd_plan(args, topology) -> int:
     request = _request(args)
     plan = plan_transfer(topology, request, args.rule)
     if plan is None:
-        floor = cost_floor_distance(topology, request, args.rule)
+        full_rate_costs, _ = price_round(topology.nodes, 1.0, request.data_size_gb, args.rule)
+        floor = cost_floor_distance(topology, request, full_rate_costs)
         if floor_proves_insufficient(floor, request.budget_usd):
             print(INSUFFICIENT_BUDGET, file=sys.stderr)
         else:
             print(NO_ROUND_MET.format(budget=request.budget_usd, floor=floor), file=sys.stderr)
         return EXIT_INFEASIBLE
     _emit(json_text(plan_to_dict(plan)), args.out)
+    cost = plan.predicted_cost_usd
+    # a cost of 1e9 or more in exponent form, not with every one of its digits
+    cost_text = f"{cost:.4f}" if cost < 1e9 else f"{cost:.4e}"
     print(
-        f"path {'->'.join(map(str, plan.path))}  cost ${plan.predicted_cost_usd:.4f}  "
+        f"path {'->'.join(map(str, plan.path))}  cost ${cost_text}  "
         f"latency {plan.predicted_latency_s:.2f}s  k={plan.fraction_k}",
         file=sys.stderr,
     )
@@ -147,12 +151,13 @@ def _cmd_simulate(args, topology) -> int:
 def _cmd_oracle(args, topology) -> int:
     request = _request(args)
     # priced first at k = 1, as `plan` prices, so a node that cannot be priced is
-    # the one `plan` names, and the floor distance, which prices at k = 1, refuses none
+    # the one `plan` names; the floor distance reads the k = 1 costs
     weights = build_weights(topology, request, 1.0, args.rule)
+    full_rate_costs = weights.a
     if args.fraction != 1.0:
         weights = build_weights(topology, request, args.fraction, args.rule)
     # checked before enumerating, so it comes ahead of a --max-nodes refusal
-    if cost_floor_distance(topology, request, args.rule) == math.inf:
+    if cost_floor_distance(topology, request, full_rate_costs) == math.inf:
         raise NoPathError(request.source, request.destination)
     result = enumerate_best_path(
         weights, request.source, request.destination, request.budget_usd,

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from heapq import heappop, heappush
 
 from budgetpath.billing import (
@@ -18,7 +19,7 @@ from budgetpath.billing import (
     price_round,
 )
 from budgetpath.records import Record
-from budgetpath.search import EdgeWeights, PathResult, search_min_latency
+from budgetpath.search import EdgeWeights, PathResult, search_core
 from budgetpath.topology import NoPathError, Topology, check_node_ids, read_json
 
 
@@ -84,14 +85,19 @@ def build_weights(
 ) -> EdgeWeights:
     """Weights for one candidate configuration at bandwidth fraction `fraction_k`.
 
-    Every node's PAYG candidate bandwidth is fraction_k times its cap; the
-    billing rule then picks the method (PFDT restores the full rate). Billing
-    is per sending node, so one pass over the nodes (`billing.price_round`,
-    which must stay equal to `billing.price` node by node) prices the round:
-    a node's egress cost is its `a` and its transmission time at the
-    configured bandwidth its `b`, whichever edge it sends on. ValueError
-    for a bandwidth of 0, and one that names the first node whose time or
-    cost is not a finite number, both from `price_round`.
+    The weights of one of `plan_transfer`'s rounds, for callers outside it:
+    the oracle and `simulate.compare`'s oracle row, the `oracle` command and
+    the tests. The planner itself passes `price_round`'s lists straight to
+    `search.search_core` and builds no `EdgeWeights`. Every node's PAYG
+    candidate bandwidth is fraction_k times its cap; the billing rule then
+    picks the method (PFDT restores the full rate). Billing is per sending
+    node, so one pass over the nodes (`billing.price_round`, which must stay
+    equal to `billing.price` node by node) prices the round: a node's egress
+    cost is its `a` and its transmission time at the configured bandwidth
+    its `b`, whichever edge it sends on. ValueError for a fraction outside
+    (0, 1] or an unknown rule, then for a bandwidth of 0, and one that names
+    the first node whose time or cost is not a finite number, both from
+    `price_round`.
     """
     if not 0 < fraction_k <= 1:
         raise ValueError(f"fraction_k must be in (0, 1], got {fraction_k}")
@@ -104,7 +110,7 @@ def _finalize(
     topology: Topology, request: TransferRequest, rule: str, result: PathResult,
     fraction_k: float, iterations_used: int,
 ) -> Plan:
-    """The plan of one round's path: its senders priced as `build_weights` priced
+    """The plan of one round's path: its senders priced as `price_round` priced
     them at `fraction_k`, and the search's own totals."""
     nodes, data_size_gb = topology.nodes, request.data_size_gb
     configs = {
@@ -128,23 +134,35 @@ def floor_proves_insufficient(floor: float, budget_usd: float) -> bool:
     return floor > budget_usd * (1.0 + _FLOOR_MARGIN)
 
 
-def cost_floor_distance(topology: Topology, request: TransferRequest, rule: str) -> float:
+def cost_floor_distance(
+    topology: Topology, request: TransferRequest, full_rate_costs: Sequence[float]
+) -> float:
     """The least sum of `billing.cost_floor` over the senders of any path to the destination.
 
-    No round at any k bills a path below this sum, save for a PAYG cost
-    that underflows at a bandwidth near the smallest float, which only a
-    payload under about 1e-10 GB reaches; inf means that no path leads from
-    the source to the destination. A Dijkstra from the source, each sender
-    adding its floor, worked out only when the node is popped; it returns
-    when the destination is popped. A sum that overflows reads as the
-    largest float, so a reached destination never reads as an unreachable
-    one. TopologyError for an endpoint that is not a node id, and
-    `billing.price`'s ValueError for a node it refuses at full rate, which
-    a k = 1 round has named already.
+    `full_rate_costs` holds each node's cost at k = 1, the costs of
+    `price_round(topology.nodes, 1.0, request.data_size_gb, rule)`. No round
+    at any k bills a path below this sum, save for a PAYG cost that
+    underflows at a bandwidth near the smallest float, which only a payload
+    under about 1e-10 GB reaches; inf means that no path leads from the
+    source to the destination. TopologyError for an endpoint that is not a
+    node id.
+    """
+    check_node_ids(topology.edges.n, source=request.source, destination=request.destination)
+    return _floor_distance(topology, request, full_rate_costs)
+
+
+def _floor_distance(
+    topology: Topology, request: TransferRequest, full_rate_costs: Sequence[float]
+) -> float:
+    """`cost_floor_distance` for endpoints that are node ids.
+
+    A Dijkstra from the source, each sender adding its floor, worked out
+    only when the node is popped; it returns when the destination is popped.
+    A sum that overflows reads as the largest float, so a reached
+    destination never reads as an unreachable one.
     """
     source, destination, data_size_gb = request.source, request.destination, request.data_size_gb
     nodes, edges = topology.nodes, topology.edges
-    check_node_ids(edges.n, source=source, destination=destination)
     offsets, dst = edges.offsets, edges.dst
     dist = [math.inf] * edges.n
     dist[source] = 0.0
@@ -155,7 +173,7 @@ def cost_floor_distance(topology: Topology, request: TransferRequest, rule: str)
             return d
         if d > dist[u]:
             continue
-        new_d = min(d + cost_floor(nodes[u], data_size_gb, rule), sys.float_info.max)
+        new_d = min(d + cost_floor(nodes[u], full_rate_costs[u], data_size_gb), sys.float_info.max)
         for v in dst[offsets[u] : offsets[u + 1]]:
             if new_d < dist[v]:
                 dist[v] = new_d
@@ -181,13 +199,24 @@ def plan_transfer(
     its iterations. A round that leaves k unchanged ends the search: every
     later round would repeat its k, its bracket and its plan. None means the
     budget is insufficient: proved by the floors, or no round was feasible.
+
+    A round is `billing.price_round` plus `search.search_core` on its two
+    lists. The request is checked once, in the order that `build_weights`
+    and `search_min_latency` would check it: ValueError for an unknown rule,
+    then `price_round`'s for a node it refuses at k = 1, then TopologyError
+    for an endpoint that is not a node id. The budget is >= 0, as every
+    `TransferRequest` holds, and the lists are finite and >= 0 where
+    `price_round` makes them, so no round checks them again.
     """
     source, destination, budget = request.source, request.destination, request.budget_usd
-    weights = build_weights(topology, request, 1.0, rule)
-    result = search_min_latency(weights, source, destination, budget)
+    nodes, edges, data_size_gb = topology.nodes, topology.edges, request.data_size_gb
+    check_rule(rule)
+    full_rate_costs, b = price_round(nodes, 1.0, data_size_gb, rule)
+    check_node_ids(edges.n, source=source, destination=destination)
+    result = search_core(edges, full_rate_costs, b, source, destination, budget)
     if result is not None:
         return _finalize(topology, request, rule, result, 1.0, 0)
-    floor = cost_floor_distance(topology, request, rule)
+    floor = _floor_distance(topology, request, full_rate_costs)
     if floor == math.inf:
         raise NoPathError(source, destination)
     if floor_proves_insufficient(floor, budget):
@@ -197,14 +226,14 @@ def plan_transfer(
     k, k_lower, k_upper = 0.5, 0.0, 1.0
     for _ in range(request.max_iterations):
         try:
-            weights = build_weights(topology, request, k, rule)
+            a, b = price_round(nodes, k, data_size_gb, rule)
         except ValueError:
             # k is in (0, 1] and the rule passed at k = 1, so a node cannot be
             # priced at this k: its bandwidth is 0, or its time or cost is not
             # a finite number. No path is affordable at this k
             result = None
         else:
-            result = search_min_latency(weights, source, destination, budget)
+            result = search_core(edges, a, b, source, destination, budget)
         if result is not None:
             feasible = result, k
             k_lower = k

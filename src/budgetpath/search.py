@@ -18,6 +18,12 @@ topology from links that `Topology` has checked, and is not checked again.
 Cost is billed per sending node, so a set of weights adds only one cost and
 one transmission time per node: leaving node u by edge e costs a[u] and
 takes delay[e] + b[u].
+
+`search_min_latency` is its argument check plus `search_core`, which takes
+the edge list and the two per-node lists as they are. `EdgeWeights` checks
+weights that a caller builds; the planner's rounds build none and pass
+`billing.price_round`'s lists, finite and >= 0 where they are made, straight
+to the core.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import math
 from collections.abc import Sequence
 
 from budgetpath.records import Record
-from budgetpath.topology import check_node_ids
+from budgetpath.topology import EdgeList, check_node_ids
 
 
 # the most nodes `enumerate_best_path` enumerates by default: its time is exponential
@@ -83,6 +89,29 @@ def search_min_latency(
 ) -> PathResult | None:
     """Least-latency path whose summed cost stays within `cost_cap`.
 
+    `search_core` over the weights, after checking the endpoints and the
+    cap: TopologyError for an end that is not a node id, SearchError for a
+    cap that is not >= 0.
+    """
+    _check_query(weights.n, source, destination, cost_cap)
+    return search_core(weights.edges, weights.a, weights.b, source, destination, cost_cap)
+
+
+def search_core(
+    edges: EdgeList,
+    a: Sequence[float],
+    b: Sequence[float],
+    source: int,
+    destination: int,
+    cost_cap: float,
+) -> PathResult | None:
+    """`search_min_latency` without its checks, over a cost and a time per node of `edges`.
+
+    The caller vouches for what `EdgeWeights` and `_check_query` would
+    check: one a and one b per node, each finite and >= 0, node ids for the
+    endpoints and a cap >= 0. The planner's rounds pass `billing.price_round`'s
+    lists, which hold such values by construction.
+
     Pops the frontier label with minimum accumulated latency (ties broken
     by accumulated cost, then node id) and returns on the first destination
     pop, with that label's own chain and sums. A label's latency must
@@ -95,13 +124,8 @@ def search_min_latency(
     tells the two apart after its k=1 round with
     `planner.cost_floor_distance`, before any binary-search round.
     """
-    n = weights.n
-    _check_query(n, source, destination, cost_cap)
-
-    edges = weights.edges
     offsets, dst, delay = edges.offsets, edges.dst, edges.delay
-    a, b = weights.a, weights.b
-    min_b = [math.inf] * n
+    min_b = [math.inf] * edges.n
     min_b[source] = 0.0
     labels = [(source, -1)]  # (node, parent label) of every pushed label; 0 is the source
     frontier: list[tuple[float, float, int, int]] = [(0.0, 0.0, source, 0)]

@@ -28,6 +28,7 @@ from budgetpath.billing import (
     cost_floor,
     data_threshold,
     pfdt_cost,
+    price_round,
     select_billing,
 )
 from budgetpath.search import EdgeWeights, PathResult
@@ -373,18 +374,16 @@ def naive_path_by_enumeration(topology: Topology, src: int, dst: int) -> tuple[i
 # --- the label search, pruning at pop only ----------------------------
 
 def search_pruned_at_pop(
-    weights: EdgeWeights, source: int, destination: int, cost_cap: float
+    edges: EdgeList, a, b, source: int, destination: int, cost_cap: float
 ) -> PathResult | None:
-    """`search.search_min_latency` as it was before it tested labels at push.
+    """`search.search_core` as it was before it tested labels at push.
 
     It pushes every label that improves its node's latency and drops a
-    label over the cap only when it pops it. `search_min_latency` must give
-    `==` results: the labels it does not push are the ones this loop drops.
+    label over the cap only when it pops it. `search_core` must give `==`
+    results: the labels it does not push are the ones this loop drops.
     """
-    edges = weights.edges
     offsets, dst, delay = edges.offsets, edges.dst, edges.delay
-    a, b = weights.a, weights.b
-    min_b = [math.inf] * weights.n
+    min_b = [math.inf] * edges.n
     min_b[source] = 0.0
     labels = [(source, -1)]
     frontier = [(0.0, 0.0, source, 0)]
@@ -434,25 +433,27 @@ def cyclic_garbage(call: Callable[[], object]) -> int:
 def record_rounds(monkeypatch) -> list[tuple[float, object]]:
     """A list that `plan_transfer` appends each of its rounds to, as (k, outcome).
 
-    The outcome is the search's PathResult when the round was feasible,
-    None when the search found no path within the budget, and ValueError
-    when `build_weights` could not price a node at k. Step 1 is the first
-    round, at k = 1.0.
+    A round is one `price_round` and, if it priced every node, one
+    `search_core` on its lists. The outcome is the search's PathResult when
+    the round was feasible, None when the search found no path within the
+    budget, and ValueError when `price_round` could not price a node at k
+    (or the endpoints, checked after the k = 1 pricing, were refused). Step 1
+    is the first round, at k = 1.0.
     """
     rounds = []
-    build_weights, search_min_latency = planner.build_weights, planner.search_min_latency
+    price_round, search_core = planner.price_round, planner.search_core
 
-    def recording_build_weights(topology, request, fraction_k, rule="threshold"):
+    def recording_price_round(nodes, fraction_k, data_size_gb, rule):
         rounds.append((fraction_k, ValueError))
-        return build_weights(topology, request, fraction_k, rule)
+        return price_round(nodes, fraction_k, data_size_gb, rule)
 
-    def recording_search(weights, source, destination, cost_cap):
-        result = search_min_latency(weights, source, destination, cost_cap)
+    def recording_search(edges, a, b, source, destination, cost_cap):
+        result = search_core(edges, a, b, source, destination, cost_cap)
         rounds[-1] = (rounds[-1][0], result)
         return result
 
-    monkeypatch.setattr(planner, "build_weights", recording_build_weights)
-    monkeypatch.setattr(planner, "search_min_latency", recording_search)
+    monkeypatch.setattr(planner, "price_round", recording_price_round)
+    monkeypatch.setattr(planner, "search_core", recording_search)
     return rounds
 
 
@@ -494,6 +495,12 @@ def cost_floor_by_rule(node: NodeSpec, data_gb: float, rule: str) -> float:
     return min(options)
 
 
+def full_rate_floor(node: NodeSpec, data_gb: float, rule: str) -> float:
+    """`billing.cost_floor` of one node, from its k = 1 cost as `price_round` bills it."""
+    (full_rate_cost,), _ = price_round((node,), 1.0, data_gb, rule)
+    return cost_floor(node, full_rate_cost, data_gb)
+
+
 def sender_configs_at(
     topology: Topology, path, fraction_k: float, data_gb: float, rule: str
 ) -> dict[int, NodeBillingConfig]:
@@ -513,7 +520,10 @@ def floor_distance(
 
     Bellman-Ford over the topology's links, apart from the planner's own search.
     """
-    floors = [cost_floor(node, data_gb, rule) for node in topology.nodes]
+    full_rate_costs, _ = price_round(topology.nodes, 1.0, data_gb, rule)
+    floors = [
+        cost_floor(node, cost, data_gb) for node, cost in zip(topology.nodes, full_rate_costs)
+    ]
     dist = [math.inf] * len(topology)
     dist[source] = 0.0
     for _ in range(len(topology)):

@@ -15,7 +15,6 @@ from budgetpath.billing import (
     BillingMethod,
     TransferRequest,
     billed_hours,
-    cost_floor,
     data_threshold,
     edge_latency,
     payg_cost,
@@ -25,7 +24,7 @@ from budgetpath.billing import (
     select_billing,
 )
 from budgetpath.topology import NodeSpec
-from helpers import cost_floor_by_rule, hour_aligned_fractions
+from helpers import cost_floor_by_rule, full_rate_floor, hour_aligned_fractions
 
 # Alibaba Singapore rates: PAYG $0.021/Mbps/h, PFDT $0.081/GB
 K1 = 0.021
@@ -180,8 +179,8 @@ class TestCostFloor:
 
     @pytest.mark.parametrize("rule", RULES)
     def test_matches_the_per_rule_floor(self, rule):
-        # `cost_floor` takes the method from `price` at full rate; the reference
-        # decides it per rule. They are equal at the threshold itself and over
+        # `cost_floor` takes the method from the k = 1 round's cost, `price`'s at full rate; the
+        # reference decides it per rule. They are equal at the threshold itself and over
         # sizes from 1e-12 to 1e8 GB. A payload of whole hours at full rate can
         # have its PAYG bill round below the bandwidth-hours: there the floor is
         # that bill, which k = 1 really charges.
@@ -199,7 +198,7 @@ class TestCostFloor:
             else:
                 kind, data_gb = "sizes", 10.0 ** rng.uniform(-12.0, 8.0)
             drawn[kind] += 1
-            floor = cost_floor(node, data_gb, rule)
+            floor = full_rate_floor(node, data_gb, rule)
             reference = cost_floor_by_rule(node, data_gb, rule)
             if kind != "hours":
                 assert floor == reference, (node, data_gb)
@@ -216,7 +215,7 @@ class TestCostFloor:
         for _ in range(400):
             node = self.random_node(rng, rng.choice(self.KINDS))
             data_gb = rng.choice([rng.uniform(0.001, 1.0), rng.uniform(1.0, 100.0), 1e4])
-            floor = cost_floor(node, data_gb, rule)
+            floor = full_rate_floor(node, data_gb, rule)
             fractions = (
                 [1.0, 0.5, 2.0 ** -7, 2.0 ** -30]
                 + [rng.uniform(0.0, 1.0) or 1.0 for _ in range(30)]
@@ -246,7 +245,7 @@ class TestCostFloor:
         for _ in range(300):
             node = self.random_node(rng, rng.choice(kinds))
             data_gb = rng.choice([rng.uniform(0.001, 1.0), rng.uniform(1.0, 100.0)])
-            floor = cost_floor(node, data_gb, rule)
+            floor = full_rate_floor(node, data_gb, rule)
             aligned = hour_aligned_fractions(node, data_gb)
             costs = [
                 price(node, k * node.max_egress_mbps, data_gb, rule)[2] for k in [1.0] + aligned
@@ -257,27 +256,24 @@ class TestCostFloor:
 
     def test_single_method_and_free_nodes(self):
         for rule in RULES:
-            assert cost_floor(make_node(pfdt=None), 36.0, rule) == pytest.approx(K1 * 80.0)
-            assert cost_floor(make_node(payg=None), 36.0, rule) == K2 * 36.0
-            assert cost_floor(make_node(pfdt=0.0), 36.0, rule) == 0.0
-            assert cost_floor(make_node(payg=0.0), 36.0, rule) == 0.0
-
-    def test_rejects_unknown_rule(self):
-        with pytest.raises(ValueError, match="unknown billing rule 'cheapest'"):
-            cost_floor(make_node(), 1.0, "cheapest")
+            assert full_rate_floor(make_node(pfdt=None), 36.0, rule) == pytest.approx(K1 * 80.0)
+            assert full_rate_floor(make_node(payg=None), 36.0, rule) == K2 * 36.0
+            assert full_rate_floor(make_node(pfdt=0.0), 36.0, rule) == 0.0
+            assert full_rate_floor(make_node(payg=0.0), 36.0, rule) == 0.0
 
     def test_threshold_counts_pfdt_only_below_the_full_rate_threshold(self):
         # 1 GB: PFDT ($0.081) is picked at k = 1 and undercuts nothing, the PAYG
         # floor 0.021 * 1 * 8000 / 3600 = $0.0467 is lower under both rules
-        assert cost_floor(make_node(), 1.0, "threshold") == pytest.approx(0.021 * 8000 / 3600)
+        assert full_rate_floor(make_node(), 1.0, "threshold") == pytest.approx(0.021 * 8000 / 3600)
         # a PFDT rate of 0.001 makes it the cheaper option, but at 30 GB the
         # threshold 0.021 * 100 / 0.001 = 2100 GB is not passed, so threshold counts it too
         node = make_node(pfdt=0.001)
-        assert cost_floor(node, 30.0, "threshold") == cost_floor(node, 30.0, "exact-cost") == 0.03
+        assert full_rate_floor(node, 30.0, "threshold") == 0.03
+        assert full_rate_floor(node, 30.0, "exact-cost") == 0.03
         # above the full-rate threshold no k picks PFDT under `threshold`
         node = make_node(pfdt=0.001, cap=1.0)  # threshold 21 GB
-        assert cost_floor(node, 30.0, "exact-cost") == 0.03
-        assert cost_floor(node, 30.0, "threshold") == pytest.approx(0.021 * 30 * 8000 / 3600)
+        assert full_rate_floor(node, 30.0, "exact-cost") == 0.03
+        assert full_rate_floor(node, 30.0, "threshold") == pytest.approx(0.021 * 30 * 8000 / 3600)
 
 
 class TestPriceRound:
@@ -374,6 +370,44 @@ class TestPriceRound:
                 assert self.priced(lambda: price_round(round_nodes, k, data_gb, rule)) == expected
         assert min(seen[kind] for kind in ("time", "cost", "bandwidth")) > 100, seen
         assert seen["priced"] > 1000, seen
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_a_round_is_refused_or_finite_and_non_negative(self, rule):
+        # what lets the planner pass a round's lists to the search unchecked: at
+        # rates from 0 to 1e300, caps from 1e-300 to 1e300, payloads up to the
+        # largest a request takes and k down to the smallest float, a round either
+        # raises its ValueError or prices every node finite and >= 0
+        rng = random.Random(61)
+        largest = sys.float_info.max / BITS_PER_GB
+
+        def rate():
+            return rng.choice([None, 0.0, 10.0 ** rng.uniform(-300.0, 300.0)])
+
+        seen = Counter()
+        for _ in range(4000):
+            nodes = []
+            for j in range(rng.randint(1, 3)):
+                payg, pfdt = rate(), rate()
+                if payg is None and pfdt is None:
+                    payg = 0.0
+                cap = 10.0 ** rng.uniform(-300.0, 300.0)
+                nodes.append(NodeSpec(j, f"n{j}", "203.0.113.1", cap, payg, pfdt))
+                nodes[-1].validate()
+            data_gb = rng.choice(
+                [largest, largest * rng.random() or largest, 10.0 ** rng.uniform(-12.0, 298.0)])
+            TransferRequest(0, 1, data_gb, 1.0, 1)  # a payload that a request takes
+            k = rng.choice([1.0, 0.5, rng.random() or 1.0, 2.0 ** -rng.randrange(1075),
+                            2.0 ** -rng.randrange(1000, 1075)])
+            tiny = " at k < 2**-1000" if k < 2.0 ** -1000 else ""
+            try:
+                costs, seconds = price_round(nodes, k, data_gb, rule)
+            except ValueError:
+                seen["refused" + tiny] += 1
+                continue
+            assert len(costs) == len(seconds) == len(nodes), (nodes, data_gb, k)
+            assert all(0.0 <= value < math.inf for value in costs + seconds), (nodes, data_gb, k)
+            seen["priced" + tiny] += 1
+        assert len(seen) == 4 and min(seen.values()) > 20, seen
 
     def test_a_value_that_is_not_finite_names_the_node(self):
         # the one line for a time or cost that overflows, from `price` and the round;

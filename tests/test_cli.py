@@ -173,6 +173,29 @@ class TestOutcomesThatNeedTheirOwnLine:
         assert run(["simulate", *args]) == 1
         assert capsys.readouterr() == ("", refusal)
 
+    @pytest.mark.parametrize("cap, dst, cost_text, cost", [
+        # three PAYG nodes at 1e303 Mbps: each sender bills 0.021 * 1e303 for one hour
+        (1e303, "2", "4.2000e+301", 0.021 * 1e303 + 0.021 * 1e303),
+        # one sender at $1/Mbps/h: just under $1e9 in fixed point, at $1e9 in exponent form
+        (999999999.0, "1", "999999999.0000", 999999999.0),
+        (1e9, "1", "1.0000e+09", 1e9),
+    ])
+    def test_a_large_cost_is_summed_up_in_exponent_form(
+        self, tmp_path, capsys, cap, dst, cost_text, cost
+    ):
+        # the summary line gives a cost of $1e9 or more in exponent form, not
+        # with its 300 digits; the plan file keeps the exact float
+        rate = 0.021 if cap == 1e303 else 1.0
+        topology = self.overflow_variant(tmp_path, "payg", max_egress_mbps=cap,
+                                         payg_usd_per_mbps_hour=rate, pfdt_usd_per_gb=None)
+        plan_file = tmp_path / "plan.json"
+        assert run(["plan", "--topology", topology, "--src", "0", "--dst", dst, "--data-gb",
+                    "2e298" if cap == 1e303 else "1", "--budget-usd", "inf",
+                    "--out", str(plan_file)]) == 0
+        err = capsys.readouterr().err
+        assert f"  cost ${cost_text}  latency " in err, err
+        assert json.loads(plan_file.read_text())["predicted_cost_usd"] == cost
+
     def test_a_no_plan_that_the_floors_did_not_prove_says_so(self, capsys):
         # a hair under the cheapest path's floor, inside the certificate's
         # margin: not proved insufficient, and met by no round

@@ -12,11 +12,11 @@ from budgetpath.billing import (
     BillingMethod,
     NodeBillingConfig,
     TransferRequest,
-    cost_floor,
     edge_latency,
     node_cost,
     payg_cost,
     price,
+    price_round,
     select_billing,
     transfer_seconds,
 )
@@ -30,15 +30,15 @@ from budgetpath.planner import (
     plan_to_dict,
     plan_transfer,
 )
-from budgetpath.search import PathResult, enumerate_best_path, search_min_latency
+from budgetpath.search import EdgeWeights, PathResult, enumerate_best_path, search_min_latency
 from budgetpath.simulate import compare, simulate_transfer
 from budgetpath.topology import (
     LinkSpec, NodeSpec, NoPathError, Topology, TopologyError, json_text, load_topology,
 )
 from helpers import (
-    bisection_bracket, cut_off_one_node, floor_distance, grid_topology, hour_aligned_fractions,
-    is_connected, random_topology, record_rounds, request_or_refusal, search_pruned_at_pop,
-    sender_configs_at,
+    bisection_bracket, cut_off_one_node, floor_distance, full_rate_floor, grid_topology,
+    hour_aligned_fractions, is_connected, random_topology, record_rounds, request_or_refusal,
+    search_pruned_at_pop, sender_configs_at,
 )
 
 TESTBED = Path(__file__).resolve().parent.parent / "fixtures" / "testbed6.json"
@@ -257,7 +257,7 @@ class TestPlanTransfer:
         # the floor is only billed at a k that fills whole hours, 1 / (45 h) here,
         # and no binary-search k is one: every round runs and none is feasible
         topo = make_topology(2)
-        floor = cost_floor(topo.node(0), 1.0, "threshold")
+        floor = full_rate_floor(topo.node(0), 1.0, "threshold")
         rounds = record_rounds(monkeypatch)
         plan = plan_transfer(topo, TransferRequest(0, 1, 1.0, floor, 10))
         assert plan is None
@@ -370,6 +370,7 @@ class TestPlanTransfer:
         # that finds it works out the floor of each node the source reaches,
         # once, and of no other node.
         floors = []
+        cost_floor = planner.cost_floor
 
         def counting_cost_floor(node, *args):
             floors.append(node.id)
@@ -464,13 +465,68 @@ class TestPlanTransfer:
     def test_same_plans_as_a_search_that_prunes_at_pop(self, monkeypatch, rule):
         cases = list(drawn_requests(random.Random(41), rule, 300))
         plans = [plan_transfer(topo, request, rule) for topo, request in cases]
-        monkeypatch.setattr(planner, "search_min_latency", search_pruned_at_pop)
-        assert [plan_transfer(topo, request, rule) for topo, request in cases] == plans
+        searches = []
+
+        def counting_search(*args):
+            searches.append(args)
+            return search_pruned_at_pop(*args)
+
+        monkeypatch.setattr(planner, "search_core", counting_search)
+        for (topo, request), plan in zip(cases, plans, strict=True):
+            searches.clear()
+            assert plan_transfer(topo, request, rule) == plan
+            # the stand-in ran in every request, for its k = 1 round at least
+            assert searches, (topo, request)
         outcomes = Counter(
             "none" if plan is None else "k1" if plan.iterations_used == 0 else "bsearch"
             for plan in plans
         )
         assert min(outcomes["none"], outcomes["k1"], outcomes["bsearch"]) >= 30, outcomes
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_a_request_builds_no_edge_weights(self, monkeypatch, rule):
+        # a round passes `price_round`'s lists straight to the search core:
+        # only weights that a caller builds go through `EdgeWeights`' check
+        def no_weights(*args):
+            raise AssertionError("plan_transfer built an EdgeWeights")
+
+        monkeypatch.setattr(EdgeWeights, "__init__", no_weights)
+        outcomes = Counter()
+        for topo, request in drawn_requests(random.Random(67), rule, 200):
+            plan = plan_transfer(topo, request, rule)
+            outcome = "none" if plan is None else "k1" if plan.iterations_used == 0 else "bsearch"
+            outcomes[outcome] += 1
+        assert min(outcomes["none"], outcomes["k1"], outcomes["bsearch"]) >= 20, outcomes
+
+    def test_a_request_is_checked_once_in_order(self, monkeypatch):
+        # an unknown rule first, then a node that cannot be priced at k = 1, then
+        # an endpoint that is not a node id, as `build_weights` and
+        # `search_min_latency` would refuse them; and once per request, not per round
+        nodes = (make_topology(2).nodes[0], NodeSpec(1, "dear", "203.0.113.2", 100.0, None, 1e300))
+        dear = Topology(nodes, make_topology(2).links)
+        request = TransferRequest(0, 9, 1e9, 1.0, 5)
+        with pytest.raises(ValueError, match="^unknown billing rule 'cheapest'$"):
+            plan_transfer(dear, request, "cheapest")
+        with pytest.raises(ValueError, match=r"^node 1 \(dear\): its cost to send 1000000000.0 GB"):
+            plan_transfer(dear, request)
+        with pytest.raises(TopologyError, match="^destination 9 is not a valid node id$"):
+            plan_transfer(make_topology(2), request)
+
+        checks = Counter()
+        for name in ("check_rule", "check_node_ids"):
+            def counting(*args, name=name, check=getattr(planner, name), **kwargs):
+                checks[name] += 1
+                return check(*args, **kwargs)
+
+            monkeypatch.setattr(planner, name, counting)
+        rounds = record_rounds(monkeypatch)
+        # 13 rounds; then one proved insufficient by the floors after its k = 1 round
+        for budget, count in ((1.50, 13), (1.0, 1)):
+            checks.clear()
+            rounds.clear()
+            plan_transfer(make_topology(2), TransferRequest(0, 1, 30.0, budget, 12))
+            assert len(rounds) == count
+            assert checks == {"check_rule": 1, "check_node_ids": 1}
 
     def test_invalid_endpoints(self):
         topo = make_topology(2)
@@ -616,7 +672,8 @@ class TestFloorCertificate:
             data_gb = rng.choice([rng.uniform(0.01, 1.0), rng.uniform(1.0, 60.0)])
             request = TransferRequest(source, destination, data_gb, 1.0, 30)
             expected = floor_distance(topo, source, destination, data_gb, rule)
-            assert cost_floor_distance(topo, request, rule) == expected, i
+            full_rate_costs, _ = price_round(topo.nodes, 1.0, data_gb, rule)
+            assert cost_floor_distance(topo, request, full_rate_costs) == expected, i
             assert (expected < math.inf) == is_connected(topo.edges, source, destination), i
             reached += expected < math.inf
             unreachable += expected == math.inf
@@ -626,11 +683,13 @@ class TestFloorCertificate:
         # one directed link, 0 -> 1: the floor of node 0 one way, no path the other
         topo = Topology(make_topology(2).nodes, (LinkSpec(0, 1, 0.01),))
 
+        full_rate_costs, _ = price_round(topo.nodes, 1.0, 1.0, "threshold")
+
         def distance(source, destination):
             return cost_floor_distance(
-                topo, TransferRequest(source, destination, 1.0, 1.0, 5), "threshold")
+                topo, TransferRequest(source, destination, 1.0, 1.0, 5), full_rate_costs)
 
-        assert distance(0, 1) == cost_floor(topo.nodes[0], 1.0, "threshold")
+        assert distance(0, 1) == full_rate_floor(topo.nodes[0], 1.0, "threshold")
         assert distance(1, 0) == math.inf
         for source, destination, label in ((9, 0, "source 9"), (0, -1, "destination -1")):
             with pytest.raises(TopologyError, match=f"^{label} is not a valid node id$"):
@@ -647,7 +706,8 @@ class TestFloorCertificate:
         rounds = record_rounds(monkeypatch)
         assert plan_transfer(topo, request) is None
         assert rounds == [(1.0, None)]
-        assert cost_floor_distance(topo, request, "threshold") == sys.float_info.max
+        full_rate_costs, _ = price_round(topo.nodes, 1.0, request.data_size_gb, "threshold")
+        assert cost_floor_distance(topo, request, full_rate_costs) == sys.float_info.max
 
 
 class TestPlanSerialization:

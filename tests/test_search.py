@@ -264,7 +264,7 @@ class TestPushTimeCapTest:
             w = random_weights(rng, n)
             cap = (0.0, math.inf, rng.uniform(0.0, 1.0), rng.uniform(1.0, 4.0))[i % 4]
             source, destination = rng.randrange(n), rng.randrange(n)
-            expected = search_pruned_at_pop(w, source, destination, cap)
+            expected = search_pruned_at_pop(w.edges, w.a, w.b, source, destination, cap)
             assert search_min_latency(w, source, destination, cap) == expected, i
 
     def test_every_pushed_label_can_pay_its_node(self, monkeypatch):
@@ -292,7 +292,7 @@ class TestPushTimeCapTest:
                 over_cap_at_destination += new_a + w.a[node] > cap
             ours = len(pushed)
             pushed.clear()
-            assert result == search_pruned_at_pop(w, 0, n - 1, cap)
+            assert result == search_pruned_at_pop(w.edges, w.a, w.b, 0, n - 1, cap)
             assert len(pushed) >= ours
             skipped += len(pushed) - ours
         assert skipped > 200 and over_cap_at_destination > 50
@@ -317,7 +317,7 @@ class TestPushTimeCapTest:
             b=(0.0, 0.0, 0.0, 0.0, 0.0),
         )
         assert search_min_latency(w, 0, 4, 1.0) is None
-        assert search_pruned_at_pop(w, 0, 4, 1.0) is None
+        assert search_pruned_at_pop(w.edges, w.a, w.b, 0, 4, 1.0) is None
         assert enumerate_best_path(w, 0, 4, 1.0) == PathResult((0, 2, 3, 4), 0.5, 6.0)
 
 
