@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 infeasible (an insufficient budget, a budget that
 no round of the heuristic search met, or NoPathError for an unreachable
-destination), 1 usage or input error. Only `probe` touches
+destination), 1 usage or input error. `plan` tells the first two apart by
+the planner's own `PlanOutcome`, with no second search. Only `probe` touches
 the network; `--seed` makes key generation byte-reproducible.
 """
 
@@ -15,13 +16,12 @@ from pathlib import Path
 
 # Only what `plan` needs is imported here; the other subcommands import
 # their modules themselves, so no invocation pays for code it never runs.
-from budgetpath.billing import RULES, TransferRequest, price_round
+from budgetpath.billing import RULES, TransferRequest
 from budgetpath.planner import (
-    build_weights, cost_floor_distance, floor_proves_insufficient, load_plan, plan_to_dict,
-    plan_transfer,
+    build_weights, cost_floor_distance, load_plan, plan_outcome, plan_to_dict,
 )
 from budgetpath.search import ORACLE_MAX_NODES, enumerate_best_path
-from budgetpath.topology import NoPathError, json_text, load_topology, read_json
+from budgetpath.topology import NoPathError, json_text, load_topology, number_text, read_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -70,22 +70,20 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_plan(args, topology) -> int:
     request = _request(args)
-    plan = plan_transfer(topology, request, args.rule)
+    outcome = plan_outcome(topology, request, args.rule)
+    plan = outcome.plan
     if plan is None:
-        full_rate_costs, _ = price_round(topology.nodes, 1.0, request.data_size_gb, args.rule)
-        floor = cost_floor_distance(topology, request, full_rate_costs)
-        if floor_proves_insufficient(floor, request.budget_usd):
+        if outcome.proved:
             print(INSUFFICIENT_BUDGET, file=sys.stderr)
         else:
-            print(NO_ROUND_MET.format(budget=request.budget_usd, floor=floor), file=sys.stderr)
+            print(NO_ROUND_MET.format(budget=request.budget_usd, floor=outcome.floor),
+                  file=sys.stderr)
         return EXIT_INFEASIBLE
     _emit(json_text(plan_to_dict(plan)), args.out)
-    cost = plan.predicted_cost_usd
-    # a cost of 1e9 or more in exponent form, not with every one of its digits
-    cost_text = f"{cost:.4f}" if cost < 1e9 else f"{cost:.4e}"
     print(
-        f"path {'->'.join(map(str, plan.path))}  cost ${cost_text}  "
-        f"latency {plan.predicted_latency_s:.2f}s  k={plan.fraction_k}",
+        f"path {'->'.join(map(str, plan.path))}  "
+        f"cost ${number_text(plan.predicted_cost_usd, 4)}  "
+        f"latency {number_text(plan.predicted_latency_s, 2)}s  k={plan.fraction_k}",
         file=sys.stderr,
     )
     return EXIT_OK

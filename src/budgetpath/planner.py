@@ -1,5 +1,8 @@
 """Transfer planning: billing-aware weight construction plus the bandwidth
 binary search that shrinks PAYG rates until a budget-feasible path exists.
+
+`plan_outcome` is the planner and says why a request ended; `plan_transfer`
+returns only its plan.
 """
 
 from __future__ import annotations
@@ -129,11 +132,6 @@ def _finalize(
 _FLOOR_MARGIN = 1e-9
 
 
-def floor_proves_insufficient(floor: float, budget_usd: float) -> bool:
-    """Whether a `cost_floor_distance` of `floor` proves that no k can meet the budget."""
-    return floor > budget_usd * (1.0 + _FLOOR_MARGIN)
-
-
 def cost_floor_distance(
     topology: Topology, request: TransferRequest, full_rate_costs: Sequence[float]
 ) -> float:
@@ -181,24 +179,41 @@ def _floor_distance(
     return math.inf
 
 
-def plan_transfer(
+class PlanOutcome(Record):
+    """What planning one request found, and why it ended where it did.
+
+    `plan` is the `Plan`, or None. `floor` is the request's
+    `cost_floor_distance`, worked out only once the k = 1 round missed the
+    budget, and None when that round met it. `proved` is whether the floor
+    is above the budget by more than the margin, so that no k can meet it:
+    a None plan that is not proved is one that no round of the heuristic
+    search met. `rounds` holds one (k, result) pair per round, step 1 first
+    at k = 1.0, where `result` is the round's `PathResult`, or None for a
+    round that found no path within the budget or could not price a node.
+    """
+
+    __slots__ = _fields = ("plan", "floor", "proved", "rounds")
+
+
+def plan_outcome(
     topology: Topology,
     request: TransferRequest,
     rule: str = "threshold",
-) -> Plan | None:
+) -> PlanOutcome:
     """Plan a transfer: full bandwidth first, then a binary search over one fraction k.
 
     Step 1 tries every node at full bandwidth (k = 1) and returns the plan
     with zero binary iterations if it fits the budget. Otherwise one
     `cost_floor_distance` search follows: NoPathError if no path reaches the
-    destination, and None without a round if the least summed cost floor is
-    above the budget, which no k can meet. Then a uniform bandwidth fraction
-    k is binary searched in the bracket [k_lower, k_upper] for at most
-    `max_iterations` rounds, keeping the most recent feasible round; its
-    plan is built once, after the search, and reports `max_iterations` as
-    its iterations. A round that leaves k unchanged ends the search: every
-    later round would repeat its k, its bracket and its plan. None means the
-    budget is insufficient: proved by the floors, or no round was feasible.
+    destination, and a proved None without a further round if the least
+    summed cost floor is above the budget, which no k can meet. Then a
+    uniform bandwidth fraction k is binary searched in the bracket
+    [k_lower, k_upper] for at most `max_iterations` rounds, keeping the most
+    recent feasible round; its plan is built once, after the search, and
+    reports `max_iterations` as its iterations. A round that leaves k
+    unchanged ends the search: every later round would repeat its k, its
+    bracket and its plan. A None plan after the search is not proved: no
+    round was feasible, though the floors do not rule every k out.
 
     A round is `billing.price_round` plus `search.search_core` on its two
     lists. The request is checked once, in the order that `build_weights`
@@ -214,13 +229,15 @@ def plan_transfer(
     full_rate_costs, b = price_round(nodes, 1.0, data_size_gb, rule)
     check_node_ids(edges.n, source=source, destination=destination)
     result = search_core(edges, full_rate_costs, b, source, destination, budget)
+    rounds = [(1.0, result)]
     if result is not None:
-        return _finalize(topology, request, rule, result, 1.0, 0)
+        plan = _finalize(topology, request, rule, result, 1.0, 0)
+        return PlanOutcome(plan, None, False, tuple(rounds))
     floor = _floor_distance(topology, request, full_rate_costs)
     if floor == math.inf:
         raise NoPathError(source, destination)
-    if floor_proves_insufficient(floor, budget):
-        return None
+    if floor > budget * (1.0 + _FLOOR_MARGIN):
+        return PlanOutcome(None, floor, True, tuple(rounds))
 
     feasible = None  # the last feasible round's (result, k)
     k, k_lower, k_upper = 0.5, 0.0, 1.0
@@ -234,6 +251,7 @@ def plan_transfer(
             result = None
         else:
             result = search_core(edges, a, b, source, destination, budget)
+        rounds.append((k, result))
         if result is not None:
             feasible = result, k
             k_lower = k
@@ -246,9 +264,20 @@ def plan_transfer(
         if next_k == k or next_k == 0.0:
             break
         k = next_k
-    if feasible is None:
-        return None
-    return _finalize(topology, request, rule, *feasible, request.max_iterations)
+    plan = None
+    if feasible is not None:
+        plan = _finalize(topology, request, rule, *feasible, request.max_iterations)
+    return PlanOutcome(plan, floor, False, tuple(rounds))
+
+
+def plan_transfer(
+    topology: Topology,
+    request: TransferRequest,
+    rule: str = "threshold",
+) -> Plan | None:
+    """`plan_outcome`'s plan: None for a budget that the floors proved too
+    small or that no round met, which the outcome tells apart."""
+    return plan_outcome(topology, request, rule).plan
 
 
 _METHOD_NAMES = {BillingMethod.PAYG: "payg", BillingMethod.PFDT: "pfdt"}

@@ -17,10 +17,10 @@ from budgetpath.billing import (
     edge_latency,
     node_cost,
 )
-from budgetpath.planner import build_weights, plan_transfer
+from budgetpath.planner import build_weights, plan_outcome
 from budgetpath.records import Record
 from budgetpath.search import ORACLE_MAX_NODES, enumerate_best_path
-from budgetpath.topology import NoPathError, Topology, check_node_ids, json_text
+from budgetpath.topology import NoPathError, Topology, check_node_ids, json_text, number_text
 
 NAIVE_DEFINITION = (
     "naive baseline: minimum-hop path (ties by summed rtt, then lexicographic), "
@@ -161,8 +161,8 @@ class SimulationReport(Record):
                 [
                     r.label,
                     "->".join(map(str, r.path)) if r.path is not None else "-",
-                    f"{r.latency_s:.3f}" if r.latency_s is not None else "-",
-                    f"{r.cost_usd:.4f}" if r.cost_usd is not None else "-",
+                    number_text(r.latency_s, 3) if r.latency_s is not None else "-",
+                    number_text(r.cost_usd, 4) if r.cost_usd is not None else "-",
                     "yes" if r.feasible else "no",
                 ]
             )
@@ -184,13 +184,16 @@ def compare(
     # the planner's and the oracle's totals are their searches' own, and both
     # searches prune every label over the budget, so their rows are feasible
     rows = []
-    plan = plan_transfer(topology, request, rule)
+    outcome = plan_outcome(topology, request, rule)
+    plan = outcome.plan
     if plan is not None:
         rows.append(
             ReportRow("planner", plan.path, plan.predicted_latency_s, plan.predicted_cost_usd, True)
         )
     else:
-        rows.append(ReportRow("planner (insufficient budget)", None, None, None, False))
+        # proved by the cost floors, or met by no round of the heuristic search
+        why = "insufficient budget" if outcome.proved else "no round met the budget"
+        rows.append(ReportRow(f"planner ({why})", None, None, None, False))
 
     naive_path, naive_configs = naive_baseline(topology, request)
     naive_latency, naive_cost = simulate_transfer(

@@ -411,6 +411,15 @@ def json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def number_text(value: float, places: int) -> str:
+    """A number as the package's summary lines and tables print it.
+
+    Fixed point with `places` decimals below 1e9, exponent form (`.4e`) from
+    1e9 up, so that a huge number is not written out with all of its digits.
+    """
+    return f"{value:.{places}f}" if value < 1e9 else f"{value:.4e}"
+
+
 def load_topology(path, mode: str = "undirected") -> Topology:
     """Load and validate a topology file; undirected mode symmetrizes the link set.
 

@@ -1,5 +1,5 @@
 """Shared test machinery: random instance generators, a reference topology
-loader, a recorder of the planner's rounds, reference cost floors and
+loader, the bracket that the planner's rounds imply, reference cost floors and
 sender configs, the naive baseline's path by enumeration, the label search
 as it pruned before its push-time test, an independent
 X25519 reference implementation, a cryptokey-routing walker, and the
@@ -12,11 +12,10 @@ import gc
 import heapq
 import math
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import pytest
 
-from budgetpath import planner
 from budgetpath.billing import (
     BITS_PER_GB,
     BITS_PER_MBPS,
@@ -430,33 +429,6 @@ def cyclic_garbage(call: Callable[[], object]) -> int:
 
 # --- the planner's rounds --------------------------------------------
 
-def record_rounds(monkeypatch) -> list[tuple[float, object]]:
-    """A list that `plan_transfer` appends each of its rounds to, as (k, outcome).
-
-    A round is one `price_round` and, if it priced every node, one
-    `search_core` on its lists. The outcome is the search's PathResult when
-    the round was feasible, None when the search found no path within the
-    budget, and ValueError when `price_round` could not price a node at k
-    (or the endpoints, checked after the k = 1 pricing, were refused). Step 1
-    is the first round, at k = 1.0.
-    """
-    rounds = []
-    price_round, search_core = planner.price_round, planner.search_core
-
-    def recording_price_round(nodes, fraction_k, data_size_gb, rule):
-        rounds.append((fraction_k, ValueError))
-        return price_round(nodes, fraction_k, data_size_gb, rule)
-
-    def recording_search(edges, a, b, source, destination, cost_cap):
-        result = search_core(edges, a, b, source, destination, cost_cap)
-        rounds[-1] = (rounds[-1][0], result)
-        return result
-
-    monkeypatch.setattr(planner, "price_round", recording_price_round)
-    monkeypatch.setattr(planner, "search_core", recording_search)
-    return rounds
-
-
 def hour_aligned_fractions(node, data_gb, count=60):
     """The k at which the node's PAYG transfer takes exactly h hours, for `count` h from k <= 1.
 
@@ -533,10 +505,11 @@ def floor_distance(
     return dist[destination]
 
 
-def bisection_bracket(rounds: list[tuple[float, object]]) -> tuple[float, float]:
+def bisection_bracket(rounds: Sequence[tuple[float, object]]) -> tuple[float, float]:
     """The final bracket (k_lower, k_upper) that the binary-search rounds imply.
 
-    `rounds` are the rounds after step 1. Each round's k must be the
+    `rounds` are the rounds after step 1, as `planner.plan_outcome` records
+    them: (k, the round's PathResult, or None). Each round's k must be the
     midpoint of the bracket that the earlier outcomes left: a feasible
     round raises k_lower to its k, any other lowers k_upper to it.
     """

@@ -11,14 +11,14 @@ import pytest
 
 from budgetpath.billing import TransferRequest, data_threshold, payg_cost, pfdt_cost
 from budgetpath.cli import run
-from budgetpath.planner import plan_transfer
+from budgetpath.planner import plan_outcome
 from budgetpath.search import PathResult
 from budgetpath.search import enumerate_best_path, search_min_latency
 from budgetpath.simulate import compare, naive_baseline, simulate_transfer
 from budgetpath.topology import LinkSpec, NodeSpec, Topology
 from budgetpath.tunnels import build_tunnels, generate_keypair, render_conf
 from helpers import (
-    bisection_bracket, parse_conf, path_sums, random_topology, random_weights, record_rounds,
+    bisection_bracket, parse_conf, path_sums, random_topology, random_weights,
     request_or_refusal, route_packet, x25519_reference,
 )
 from test_cli import TESTBED, run_pipeline
@@ -92,10 +92,9 @@ def test_criterion_2_search_soundness_suite():
     )
 
 
-def test_criterion_3_planner_budget_safety_and_bracket_contraction(monkeypatch):
+def test_criterion_3_planner_budget_safety_and_bracket_contraction():
     rng = random.Random(7261)
     instances = planned = brackets = 0
-    rounds = record_rounds(monkeypatch)
     while instances < 500:
         instances += 1
         topo = random_topology(rng)
@@ -105,8 +104,8 @@ def test_criterion_3_planner_budget_safety_and_bracket_contraction(monkeypatch):
             rng.uniform(0.1, 40.0), rng.uniform(0.0, 2.5), rng.randint(1, 10))
         if request is None:
             continue
-        rounds.clear()
-        plan = plan_transfer(topo, request)
+        outcome = plan_outcome(topo, request)
+        plan, rounds = outcome.plan, outcome.rounds
         assert rounds[0][0] == 1.0
         bisection = rounds[1:]
         if bisection:

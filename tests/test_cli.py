@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from budgetpath import planner
 from budgetpath.billing import RULES
 from budgetpath.cli import run
 from budgetpath.planner import load_plan
@@ -196,6 +197,31 @@ class TestOutcomesThatNeedTheirOwnLine:
         assert f"  cost ${cost_text}  latency " in err, err
         assert json.loads(plan_file.read_text())["predicted_cost_usd"] == cost
 
+    def test_a_huge_latency_is_summed_up_in_exponent_form(self, tmp_path, capsys):
+        # two PFDT senders at 1e-290 Mbps take 1.6e294 s for 1 GB: `plan`'s summary
+        # line and `simulate`'s table give it in exponent form, not with its 295
+        # digits, and the plan file and the structured report keep the exact float
+        topology = self.overflow_variant(tmp_path, "slow", max_egress_mbps=1e-290,
+                                         pfdt_usd_per_gb=0.081)
+        plan_file = tmp_path / "plan.json"
+        args = ["--topology", topology, "--src", "0", "--dst", "2", "--data-gb", "1",
+                "--budget-usd", "inf"]
+        assert run(["plan", *args, "--out", str(plan_file)]) == 0
+        assert capsys.readouterr().err == (
+            "path 0->1->2  cost $0.1620  latency 1.6000e+294s  k=1.0\n")
+        assert json.loads(plan_file.read_text())["predicted_latency_s"] == 1.6e294
+        assert run(["simulate", *args]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[1:5] == [
+            "label    path     latency_s    cost_usd  feasible",
+            "planner  0->1->2  1.6000e+294  0.1620    yes",
+            "naive    0->1->2  1.6000e+294  0.1620    yes",
+            "oracle   0->1->2  1.6000e+294  0.1620    yes",
+        ]
+        assert run(["simulate", *args, "--format", "structured"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["latency_s"] for row in rows] == [1.6e294] * 3
+
     def test_a_no_plan_that_the_floors_did_not_prove_says_so(self, capsys):
         # a hair under the cheapest path's floor, inside the certificate's
         # margin: not proved insufficient, and met by no round
@@ -210,6 +236,22 @@ class TestOutcomesThatNeedTheirOwnLine:
         # under the margin the floor proves it, and the line says so
         assert run([*base, "--budget-usd", repr(floor * (1 - 1e-6))]) == 2
         assert capsys.readouterr() == ("", "insufficient budget: no feasible path found\n")
+
+    @pytest.mark.parametrize("budget", ["0", "0.9333333333324001"], ids=["proved", "unproved"])
+    def test_a_no_plan_works_the_floor_distance_out_once(self, monkeypatch, capsys, budget):
+        # the line that `plan` prints reads the planner's own floor, with no second search
+        calls = []
+        floor_distance = planner._floor_distance
+
+        def counting_floor_distance(*args):
+            calls.append(args)
+            return floor_distance(*args)
+
+        monkeypatch.setattr(planner, "_floor_distance", counting_floor_distance)
+        assert run(["plan", "--topology", TESTBED, "--src", "0", "--dst", "5", "--data-gb", "10",
+                    "--budget-usd", budget]) == 2
+        assert capsys.readouterr().err.startswith(("insufficient budget", "no plan found"))
+        assert len(calls) == 1
 
 
 def _drop_per_node(doc):
@@ -394,11 +436,14 @@ def test_pipeline_renders_every_plan_and_refuses_alike(tmp_path, capsys, rule):
             outcomes["planned"] += 1
         elif err == "insufficient budget: no feasible path found\n" or err.startswith(
                 "no plan found: no round of the heuristic search met the budget $"):
-            # proved by the floors, or met by no round: the budget alone is short
+            # proved by the floors, or met by no round: the budget alone is short,
+            # and `simulate`'s planner row names which of the two
             assert code == 2 and is_connected(topology.edges, src, dst)
-            expected_row = {"label": "planner (insufficient budget)", "path": None,
+            proved = err.startswith("insufficient")
+            label = "insufficient budget" if proved else "no round met the budget"
+            expected_row = {"label": f"planner ({label})", "path": None,
                             "feasible": False, "latency_s": None, "cost_usd": None}
-            outcomes["insufficient" if err.startswith("insufficient") else "unproved"] += 1
+            outcomes["insufficient" if proved else "unproved"] += 1
         else:
             # exit 2 for an unreachable destination, exit 1 for a request that is not one
             if err == f"no path from {src} to {dst}\n":

@@ -20,13 +20,14 @@ from budgetpath.billing import (
     select_billing,
     transfer_seconds,
 )
-from budgetpath import planner
+from budgetpath import planner, simulate
 from budgetpath.planner import (
     Plan,
     build_weights,
     cost_floor_distance,
     load_plan,
     plan_from_dict,
+    plan_outcome,
     plan_to_dict,
     plan_transfer,
 )
@@ -37,7 +38,7 @@ from budgetpath.topology import (
 )
 from helpers import (
     bisection_bracket, cut_off_one_node, floor_distance, full_rate_floor, grid_topology,
-    hour_aligned_fractions, is_connected, random_topology, record_rounds, request_or_refusal,
+    hour_aligned_fractions, is_connected, random_topology, request_or_refusal,
     search_pruned_at_pop, sender_configs_at,
 )
 
@@ -247,20 +248,20 @@ class TestPlanTransfer:
         assert plan.iterations_used == 0
         assert plan.predicted_cost_usd == pytest.approx(0.081)
 
-    def test_zero_budget_is_proved_insufficient_after_one_round(self, monkeypatch):
+    def test_zero_budget_is_proved_insufficient_after_one_round(self):
         topo = make_topology(2)
-        rounds = record_rounds(monkeypatch)
-        assert plan_transfer(topo, TransferRequest(0, 1, 1.0, 0.0, 10)) is None
-        assert rounds == [(1.0, None)]
+        outcome = plan_outcome(topo, TransferRequest(0, 1, 1.0, 0.0, 10))
+        floor = full_rate_floor(topo.node(0), 1.0, "threshold")
+        assert outcome == planner.PlanOutcome(None, floor, True, ((1.0, None),))
 
-    def test_budget_at_the_floor_exhausts_iterations(self, monkeypatch):
+    def test_budget_at_the_floor_exhausts_iterations(self):
         # the floor is only billed at a k that fills whole hours, 1 / (45 h) here,
         # and no binary-search k is one: every round runs and none is feasible
         topo = make_topology(2)
         floor = full_rate_floor(topo.node(0), 1.0, "threshold")
-        rounds = record_rounds(monkeypatch)
-        plan = plan_transfer(topo, TransferRequest(0, 1, 1.0, floor, 10))
-        assert plan is None
+        outcome = plan_outcome(topo, TransferRequest(0, 1, 1.0, floor, 10))
+        rounds = outcome.rounds
+        assert (outcome.plan, outcome.floor, outcome.proved) == (None, floor, False)
         assert rounds[0] == (1.0, None)
         assert len(rounds[1:]) == 10
         assert not any(isinstance(outcome, PathResult) for _, outcome in rounds)
@@ -278,7 +279,7 @@ class TestPlanTransfer:
         assert set(plan.configs) == set(plan.path[:-1])
 
     @pytest.mark.parametrize("budget", [1.20, FLOOR_30GB, 1.50, 1.60, 1.90, 2.05])
-    def test_binary_search_replay(self, monkeypatch, budget):
+    def test_binary_search_replay(self, budget):
         # 2-node link, 30 GB, budget below the full-bandwidth PAYG cost of
         # $2.10: replay the bracket loop against the cost formula directly.
         # PAYG cost here never drops under the $1.40 floor, so a budget below
@@ -286,10 +287,11 @@ class TestPlanTransfer:
         # iteration without a feasible one (the floor needs k = 2 / (3 h)).
         topo = make_topology(2)
         request = TransferRequest(0, 1, 30.0, budget, 12)
-        rounds = record_rounds(monkeypatch)
-        plan = plan_transfer(topo, request)
+        outcome = plan_outcome(topo, request)
+        plan, rounds = outcome.plan, outcome.rounds
+        assert outcome.proved == (budget < FLOOR_30GB)
         if budget < FLOOR_30GB:
-            assert rounds == [(1.0, None)] and plan is None
+            assert rounds == ((1.0, None),) and plan is None
             return
 
         def cost_at(k):
@@ -324,16 +326,15 @@ class TestPlanTransfer:
             assert plan.iterations_used == 12
         assert bisection_bracket(rounds[1:]) == (lo, hi)
 
-    def test_bracket_contraction(self, monkeypatch):
+    def test_bracket_contraction(self):
         topo = make_topology(2)
-        rounds = record_rounds(monkeypatch)
-        plan_transfer(topo, TransferRequest(0, 1, 30.0, FLOOR_30GB, 12))
+        rounds = plan_outcome(topo, TransferRequest(0, 1, 30.0, FLOOR_30GB, 12)).rounds
         assert len(rounds[1:]) == 12
         k_lower, k_upper = bisection_bracket(rounds[1:])
         assert k_upper - k_lower <= 2.0 ** -12 + 1e-15
 
     @pytest.mark.parametrize("budget", ["under-floor", "floor", 1.0, 1.5])
-    def test_search_stops_once_k_is_unchanged(self, monkeypatch, budget):
+    def test_search_stops_once_k_is_unchanged(self, budget):
         # a round that leaves k unchanged would be repeated by every later
         # one, so an iteration cap of 10**7 costs no more rounds than the
         # bisection takes to reach that point. A budget a hair under the
@@ -345,8 +346,9 @@ class TestPlanTransfer:
         under_floor = budget == "under-floor"
         if budget in ("under-floor", "floor"):
             budget = floor_distance(topo, 0, 5, 10.0, "threshold") * (1 - 1e-12 * under_floor)
-        rounds = record_rounds(monkeypatch)
-        plan = plan_transfer(topo, TransferRequest(0, 5, 10.0, budget, 10**7))
+        outcome = plan_outcome(topo, TransferRequest(0, 5, 10.0, budget, 10**7))
+        plan, rounds = outcome.plan, outcome.rounds
+        assert not outcome.proved
         assert rounds[0][0] == 1.0 and not isinstance(rounds[0][1], PathResult)
         assert len(rounds) <= 1100
         assert len(rounds) > 1000 or not under_floor
@@ -368,7 +370,9 @@ class TestPlanTransfer:
         # Budgets 0 and 0.04 are below the $0.0467 floor, but no path at all is
         # the answer that holds at any budget. The one floor-distance search
         # that finds it works out the floor of each node the source reaches,
-        # once, and of no other node.
+        # once, and of no other node. That search follows only a k = 1 round
+        # that missed the budget, and its NoPathError ends the request, so the
+        # floors it worked out show that the k = 1 round was the only one.
         floors = []
         cost_floor = planner.cost_floor
 
@@ -379,15 +383,19 @@ class TestPlanTransfer:
         monkeypatch.setattr(planner, "cost_floor", counting_cost_floor)
         topo = Topology(make_topology(3).nodes, make_topology(2).links)
         request = TransferRequest(0, 2, 1.0, budget, 30)
-        rounds = record_rounds(monkeypatch)
         with pytest.raises(NoPathError, match=r"^no path from 0 to 2$"):
-            plan_transfer(topo, request)
-        assert rounds == [(1.0, None)] and floors == [0, 1]
-        rounds.clear()
+            plan_outcome(topo, request)
+        assert floors == [0, 1]
+        floors.clear()
+
+        def no_baseline(*args):
+            raise AssertionError("compare ran the naive baseline")
+
         # compare stops at the planner's first round, before the naive baseline
+        monkeypatch.setattr(simulate, "naive_baseline", no_baseline)
         with pytest.raises(NoPathError, match=r"^no path from 0 to 2$"):
             compare(topo, request)
-        assert rounds == [(1.0, None)]
+        assert floors == [0, 1]
 
     # brackets as the planner found them before it told an unreachable
     # destination from an insufficient budget; a budget at the floor keeps
@@ -397,14 +405,14 @@ class TestPlanTransfer:
         (1.50, (0.089111328125, 0.08935546875)),
         (1.90, (0.4521484375, 0.452392578125)),
     ])
-    def test_over_budget_reachable_request_keeps_its_rounds(self, monkeypatch, budget, bracket):
+    def test_over_budget_reachable_request_keeps_its_rounds(self, budget, bracket):
         # k = 1 is over budget, so 12 binary-search rounds follow it, the same
         # whether or not the graph also has a node that nothing reaches (node 2)
-        rounds = record_rounds(monkeypatch)
         plans = []
         for topo in (make_topology(2), Topology(make_topology(3).nodes, make_topology(2).links)):
-            rounds.clear()
-            plans.append(plan_transfer(topo, TransferRequest(0, 1, 30.0, budget, 12)))
+            outcome = plan_outcome(topo, TransferRequest(0, 1, 30.0, budget, 12))
+            plans.append(outcome.plan)
+            rounds = outcome.rounds
             assert rounds[0] == (1.0, None) and len(rounds) == 13
             assert bisection_bracket(rounds[1:]) == bracket
         assert plans[0] == plans[1] and (plans[0] is None) == (budget == FLOOR_30GB)
@@ -421,7 +429,6 @@ class TestPlanTransfer:
             return finalize(*args)
 
         monkeypatch.setattr(planner, "_finalize", counting_finalize)
-        rounds = record_rounds(monkeypatch)
         rng = random.Random(17)
         testbed = load_topology(TESTBED)
         cases = [(testbed, TransferRequest(0, 5, 10.0, floor_distance(
@@ -443,8 +450,8 @@ class TestPlanTransfer:
         outcomes = Counter()
         for topo, request in cases:
             finalized.clear()
-            rounds.clear()
-            plan = plan_transfer(topo, request, rule)
+            outcome = plan_outcome(topo, request, rule)
+            plan, rounds = outcome.plan, outcome.rounds
             if plan is None:
                 assert finalized == []
                 outcomes["none"] += 1
@@ -460,6 +467,37 @@ class TestPlanTransfer:
             assert plan == Plan(at_k.path, configs, at_k.total_a, at_k.total_b, k, iterations)
             outcomes["k1" if k == 1.0 else "shrunk"] += 1
         assert min(outcomes.values()) > 5, outcomes
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_the_outcome_says_why_a_request_ended(self, rule):
+        # the floor is worked out only after a k = 1 round that missed, and it
+        # proves a None only when no round follows it; the plan is
+        # `plan_transfer`'s and the path of the last feasible round
+        outcomes = Counter()
+        for topo, request in drawn_requests(random.Random(47), rule, 300):
+            outcome = plan_outcome(topo, request, rule)
+            plan, rounds = outcome.plan, outcome.rounds
+            assert plan_transfer(topo, request, rule) == plan
+            assert rounds[0][0] == 1.0 and (outcome.floor is None) == (rounds[0][1] is not None)
+            if outcome.floor is not None:
+                expected = floor_distance(topo, request.source, request.destination,
+                                          request.data_size_gb, rule)
+                assert outcome.floor == expected
+                assert outcome.proved == (expected > request.budget_usd * (1 + 1e-9))
+            if outcome.proved:
+                assert plan is None and len(rounds) == 1
+                outcomes["proved"] += 1
+                continue
+            bisection_bracket(rounds[1:])
+            feasible = [(k, r.path) for k, r in rounds if r is not None]
+            if plan is None:
+                assert feasible == []
+                outcomes["unproved"] += 1
+            else:
+                assert (plan.fraction_k, plan.path) == feasible[-1]
+                outcomes["k1" if len(rounds) == 1 else "bsearch"] += 1
+        assert min(outcomes[name] for name in ("proved", "unproved", "k1", "bsearch")) >= 20, (
+            outcomes)
 
     @pytest.mark.parametrize("rule", RULES)
     def test_same_plans_as_a_search_that_prunes_at_pop(self, monkeypatch, rule):
@@ -519,13 +557,11 @@ class TestPlanTransfer:
                 return check(*args, **kwargs)
 
             monkeypatch.setattr(planner, name, counting)
-        rounds = record_rounds(monkeypatch)
         # 13 rounds; then one proved insufficient by the floors after its k = 1 round
         for budget, count in ((1.50, 13), (1.0, 1)):
             checks.clear()
-            rounds.clear()
-            plan_transfer(make_topology(2), TransferRequest(0, 1, 30.0, budget, 12))
-            assert len(rounds) == count
+            outcome = plan_outcome(make_topology(2), TransferRequest(0, 1, 30.0, budget, 12))
+            assert len(outcome.rounds) == count
             assert checks == {"check_rule": 1, "check_node_ids": 1}
 
     def test_invalid_endpoints(self):
@@ -627,14 +663,13 @@ class TestFloorCertificate:
             yield topo, TransferRequest(source, destination, data_gb, budget, 30), floor
 
     @pytest.mark.parametrize("rule", RULES)
-    def test_a_certified_request_has_no_path_at_any_k(self, monkeypatch, rule):
-        rounds = record_rounds(monkeypatch)
+    def test_a_certified_request_has_no_path_at_any_k(self, rule):
         certified = at_floor = 0
         for topo, request, floor in self.instances(random.Random(29), rule):
             source, destination, budget = request.source, request.destination, request.budget_usd
-            rounds.clear()
-            plan = plan_transfer(topo, request, rule)
-            proved = plan is None and rounds == [(1.0, None)]
+            outcome = plan_outcome(topo, request, rule)
+            proved = outcome.proved
+            assert proved == (outcome.plan is None and outcome.rounds == ((1.0, None),))
             assert proved == (floor > budget * (1 + 1e-9))
             if budget == floor:
                 at_floor += 1
@@ -695,7 +730,7 @@ class TestFloorCertificate:
             with pytest.raises(TopologyError, match=f"^{label} is not a valid node id$"):
                 distance(source, destination)
 
-    def test_floors_that_overflow_read_as_an_insufficient_budget(self, monkeypatch):
+    def test_floors_that_overflow_read_as_an_insufficient_budget(self):
         # each sender's floor is 1e300 * 1e8 = $1e308, and two of them sum past
         # the largest float: the destination is reached, so the answer is an
         # insufficient budget after the k=1 round, not "no path"
@@ -703,9 +738,8 @@ class TestFloorCertificate:
                       for i in range(3))
         topo = Topology(nodes, (LinkSpec(0, 1, 0.01), LinkSpec(1, 2, 0.01)))
         request = TransferRequest(0, 2, 1e8, 1.0, 30)
-        rounds = record_rounds(monkeypatch)
-        assert plan_transfer(topo, request) is None
-        assert rounds == [(1.0, None)]
+        outcome = plan_outcome(topo, request)
+        assert outcome == planner.PlanOutcome(None, sys.float_info.max, True, ((1.0, None),))
         full_rate_costs, _ = price_round(topo.nodes, 1.0, request.data_size_gb, "threshold")
         assert cost_floor_distance(topo, request, full_rate_costs) == sys.float_info.max
 

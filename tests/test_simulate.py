@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from budgetpath.billing import RULES, BillingMethod, NodeBillingConfig, TransferRequest
-from budgetpath.planner import plan_transfer
+from budgetpath.planner import plan_outcome, plan_transfer
 from budgetpath.simulate import (
+    ReportRow,
     SimulationError,
     compare,
     naive_baseline,
@@ -275,6 +276,16 @@ class TestCompare:
         assert report.rows[1].latency_s == 80.0
         assert report.improvement is None
 
+    def test_a_none_that_no_floor_proves_has_its_own_row(self):
+        # a hair under the cheapest path's floor, inside the floors' margin:
+        # no round meets the budget, but the floors do not prove it too small
+        request = TransferRequest(0, 5, 10.0, 0.9333333333324001, 30)
+        report = compare(load_topology(TESTBED), request)
+        assert report.rows[0] == ReportRow(
+            "planner (no round met the budget)", None, None, None, False)
+        assert [row.label for row in report.rows[1:]] == ["naive"]
+        assert report.improvement is None
+
     def test_planner_row_matches_plan_prediction(self):
         topo = line_topology(3)
         request = TransferRequest(0, 2, 1.0, 5.0, 5)
@@ -334,7 +345,8 @@ def test_every_report_row_equals_an_independent_repricing(rule):
     assert min(rows.values()) > 40 and no_path >= 10, (rows, no_path)
 
 
-@pytest.mark.parametrize("call", [naive_baseline, compare], ids=["naive_baseline", "compare"])
+@pytest.mark.parametrize("call", [naive_baseline, compare, plan_outcome],
+                         ids=["naive_baseline", "compare", "plan_outcome"])
 def test_leaves_no_cyclic_garbage(call):
     rng = random.Random(9)
     for _ in range(20):
