@@ -23,7 +23,7 @@ _EXPORTS = {
         "pfdt_cost",
         "select_billing",
     ),
-    "planner": ("Plan", "build_weights", "plan_transfer"),
+    "planner": ("Plan", "PlanOutcome", "build_weights", "plan_outcome", "plan_transfer"),
     "probe": ("probe_rtts",),
     "search": ("EdgeWeights", "PathResult", "enumerate_best_path", "search_min_latency"),
     "simulate": ("SimulationReport", "compare", "naive_baseline", "simulate_transfer"),

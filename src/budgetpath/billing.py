@@ -12,7 +12,11 @@ the method, bandwidth, cost and transmission time as plain values.
 `price_round` prices every node of a planner round in one pass, with
 `price`'s float operations written out in the same order; it must stay
 equal to `price` node by node, a refusal's message included, which a
-seeded test checks bit for bit.
+seeded test checks bit for bit. `search.search_core` writes the same
+operations out once more, to price one node of a bisection round when its
+search first reads it; the same test checks that copy, and
+`refuses_no_node` bounds, in O(1), whether any node it did not read would
+be refused.
 `select_billing` wraps `price` for callers that want a `NodeBillingConfig`,
 and `cost_floor` bounds it from below over every bandwidth fraction from the
 node's cost at full rate, as the k = 1 round priced it, which lets the
@@ -268,6 +272,36 @@ def price_round(
         costs.append(pfdt_bill)
         seconds.append(pfdt_seconds)
     return costs, seconds
+
+
+def refuses_no_node(
+    extremes: tuple[float, float, float, float, float], fraction_k: float, data_size_gb: float
+) -> bool:
+    """Whether a bound proves that `price_round` at `fraction_k` refuses no node.
+
+    `extremes` are the nodes' `Topology.rate_extremes`. Each float operation
+    of `price_round` is monotone in a node's cap and rates, so under either
+    rule the least PAYG bandwidth bounds every PAYG time from above, that
+    time's billed hours and the largest PAYG rate and bandwidth bound every
+    PAYG bill, and the least PFDT cap and largest PFDT rate bound every PFDT
+    time and bill. True if all of those are finite and the least bandwidth is
+    above 0. False only says the bound cannot tell, as near k = 2**-1000 or
+    for caps and rates many orders of magnitude apart.
+    """
+    payg_cap_lo, payg_cap_hi, payg_rate_hi, pfdt_cap_lo, pfdt_rate_hi = extremes
+    bits = data_size_gb * BITS_PER_GB
+    bandwidth_lo = fraction_k * payg_cap_lo
+    if not bandwidth_lo > 0:
+        return False
+    seconds_hi = bits / (bandwidth_lo * BITS_PER_MBPS)
+    if not seconds_hi < math.inf:
+        return False
+    hours_hi = math.ceil(seconds_hi / SECONDS_PER_HOUR) or 1
+    return (
+        payg_rate_hi * (fraction_k * payg_cap_hi) * hours_hi < math.inf
+        and bits / (pfdt_cap_lo * BITS_PER_MBPS) < math.inf
+        and pfdt_rate_hi * data_size_gb < math.inf
+    )
 
 
 def cost_floor(node: NodeSpec, full_rate_cost: float, data_size_gb: float) -> float:

@@ -2,7 +2,10 @@
 binary search that shrinks PAYG rates until a budget-feasible path exists.
 
 `plan_outcome` is the planner and says why a request ended; `plan_transfer`
-returns only its plan.
+returns only its plan. Its k = 1 round prices every node, since the cost
+floors read those costs; each bisection round prices a node only when its
+search first reads the node's cost, and is still None if and only if some
+node cannot be priced at its k.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from budgetpath.billing import (
     cost_floor,
     price,
     price_round,
+    refuses_no_node,
 )
 from budgetpath.records import Record
 from budgetpath.search import EdgeWeights, PathResult, search_core
@@ -90,7 +94,7 @@ def build_weights(
 
     The weights of one of `plan_transfer`'s rounds, for callers outside it:
     the oracle and `simulate.compare`'s oracle row, the `oracle` command and
-    the tests. The planner itself passes `price_round`'s lists straight to
+    the tests. The planner itself passes each round's two lists straight to
     `search.search_core` and builds no `EdgeWeights`. Every node's PAYG
     candidate bandwidth is fraction_k times its cap; the billing rule then
     picks the method (PFDT restores the full rate). Billing is per sending
@@ -215,9 +219,19 @@ def plan_outcome(
     bracket and its plan. A None plan after the search is not proved: no
     round was feasible, though the floors do not rule every k out.
 
-    A round is `billing.price_round` plus `search.search_core` on its two
-    lists. The request is checked once, in the order that `build_weights`
-    and `search_min_latency` would check it: ValueError for an unknown rule,
+    The k = 1 round is `billing.price_round` plus `search.search_core` on
+    its two lists. A bisection round prices the source with `billing.price`
+    and leaves every other node to the search, which prices a node the first
+    time it reads its cost and ends the round with None at one it cannot
+    price. A round that finds a path reached only some nodes, so an O(1)
+    bound on the topology's `rate_extremes`, `billing.refuses_no_node`,
+    shows that none of the others would be refused; where it cannot,
+    `price_round` over every node confirms the round or makes it None. So
+    a round is None if and only if `price_round` refuses it or the search
+    on its lists finds no path.
+
+    The request is checked once, in the order that `build_weights` and
+    `search_min_latency` would check it: ValueError for an unknown rule,
     then `price_round`'s for a node it refuses at k = 1, then TopologyError
     for an endpoint that is not a node id. The budget is >= 0, as every
     `TransferRequest` holds, and the lists are finite and >= 0 where
@@ -240,17 +254,25 @@ def plan_outcome(
         return PlanOutcome(None, floor, True, tuple(rounds))
 
     feasible = None  # the last feasible round's (result, k)
+    extremes, source_node = topology.rate_extremes, nodes[source]
     k, k_lower, k_upper = 0.5, 0.0, 1.0
     for _ in range(request.max_iterations):
+        # every node but the source is priced when the search first reads its cost
+        a, b = [None] * edges.n, [None] * edges.n
         try:
-            a, b = price_round(nodes, k, data_size_gb, rule)
+            a[source], b[source] = price(
+                source_node, k * source_node.max_egress_mbps, data_size_gb, rule
+            )[2:]
+            result = search_core(
+                edges, a, b, source, destination, budget, (nodes, k, data_size_gb, rule)
+            )
+            if result is not None and not refuses_no_node(extremes, k, data_size_gb):
+                price_round(nodes, k, data_size_gb, rule)  # raises if a node it never read refuses
         except ValueError:
             # k is in (0, 1] and the rule passed at k = 1, so a node cannot be
             # priced at this k: its bandwidth is 0, or its time or cost is not
             # a finite number. No path is affordable at this k
             result = None
-        else:
-            result = search_core(edges, a, b, source, destination, budget)
         rounds.append((k, result))
         if result is not None:
             feasible = result, k

@@ -21,9 +21,14 @@ takes delay[e] + b[u].
 
 `search_min_latency` is its argument check plus `search_core`, which takes
 the edge list and the two per-node lists as they are. `EdgeWeights` checks
-weights that a caller builds; the planner's rounds build none and pass
-`billing.price_round`'s lists, finite and >= 0 where they are made, straight
-to the core.
+weights that a caller builds; the planner's rounds build none. Its k = 1
+round passes `billing.price_round`'s lists, finite and >= 0 where they are
+made, straight to the core. Its bisection rounds pass lists that hold None
+for every node but the source, and the round's pricing: the core prices a
+node at the push test that first reads its cost, with `price_round`'s float
+operations written out in its loop, and ends the round with None at a node
+that cannot be priced. Full lists never enter that fill, so one loop serves
+both.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ import heapq
 import math
 from collections.abc import Sequence
 
+from budgetpath.billing import BITS_PER_GB, BITS_PER_MBPS, SECONDS_PER_HOUR
 from budgetpath.records import Record
-from budgetpath.topology import EdgeList, check_node_ids
+from budgetpath.topology import EdgeList, NodeSpec, check_node_ids
 
 
 # the most nodes `enumerate_best_path` enumerates by default: its time is exponential
@@ -104,13 +110,22 @@ def search_core(
     source: int,
     destination: int,
     cost_cap: float,
+    pricing: tuple[Sequence[NodeSpec], float, float, str] | None = None,
 ) -> PathResult | None:
     """`search_min_latency` without its checks, over a cost and a time per node of `edges`.
 
     The caller vouches for what `EdgeWeights` and `_check_query` would
     check: one a and one b per node, each finite and >= 0, node ids for the
-    endpoints and a cap >= 0. The planner's rounds pass `billing.price_round`'s
-    lists, which hold such values by construction.
+    endpoints and a cap >= 0. The planner's k = 1 round passes
+    `billing.price_round`'s lists, which hold such values by construction.
+
+    With `pricing`, (nodes, fraction_k, data_size_gb, rule), an entry may
+    instead be None, both a[v] and b[v], save the source's: the push test
+    that first reads a[v] fills both in place with
+    `price_round([nodes[v]], fraction_k, data_size_gb, rule)`'s values, and
+    a node that `price_round` would refuse ends the search with None, as if
+    no path were found. Nodes the search never reaches stay None, so None
+    does not say that every node could be priced.
 
     Pops the frontier label with minimum accumulated latency (ties broken
     by accumulated cost, then node id) and returns on the first destination
@@ -125,7 +140,11 @@ def search_core(
     `planner.cost_floor_distance`, before any binary-search round.
     """
     offsets, dst, delay = edges.offsets, edges.dst, edges.delay
-    min_b = [math.inf] * edges.n
+    if pricing is not None:
+        nodes, fraction_k, data_size_gb, rule = pricing
+        bits, threshold = data_size_gb * BITS_PER_GB, rule == "threshold"
+    inf, ceil = math.inf, math.ceil
+    min_b = [inf] * edges.n
     min_b[source] = 0.0
     labels = [(source, -1)]  # (node, parent label) of every pushed label; 0 is the source
     frontier: list[tuple[float, float, int, int]] = [(0.0, 0.0, source, 0)]
@@ -152,9 +171,44 @@ def search_core(
                 min_b[nxt] = new_b
                 # the pop's own test, a step early: a label that cannot pay its
                 # node's cost would be popped only to be dropped
-                if nxt == destination or new_a + a[nxt] <= cost_cap:
-                    heappush(frontier, (new_b, new_a, nxt, len(labels)))
-                    labels.append((nxt, label))
+                if nxt != destination:
+                    a_nxt = a[nxt]
+                    if a_nxt is None:
+                        # `billing.price_round` for one node, its float operations
+                        # in the same order; a refusal ends the round. Written out
+                        # here, not called, because a call per node costs more than
+                        # the pricing it saves
+                        spec = nodes[nxt]
+                        payg, pfdt, cap = spec.payg_rate, spec.pfdt_rate, spec.max_egress_mbps
+                        bandwidth = fraction_k * cap
+                        if pfdt is None:
+                            pick_pfdt = False
+                        elif payg is None:
+                            pick_pfdt = True
+                        elif threshold:
+                            pick_pfdt = pfdt == 0 or data_size_gb < payg * bandwidth / pfdt
+                        else:
+                            pick_pfdt = None  # `exact-cost`: decided by the two bills below
+                        if not pick_pfdt:
+                            if not bandwidth > 0:
+                                return None
+                            b_nxt = bits / (bandwidth * BITS_PER_MBPS)
+                            if not b_nxt < inf:
+                                return None
+                            a_nxt = payg * bandwidth * (ceil(b_nxt / SECONDS_PER_HOUR) or 1)
+                            # an `exact-cost` tie goes to PFDT, as in `price`
+                            if pick_pfdt is None and not a_nxt < pfdt * data_size_gb:
+                                pick_pfdt = True
+                        if pick_pfdt:
+                            b_nxt = bits / (cap * BITS_PER_MBPS)
+                            a_nxt = pfdt * data_size_gb
+                        if not (a_nxt < inf and b_nxt < inf):
+                            return None
+                        a[nxt], b[nxt] = a_nxt, b_nxt
+                    if new_a + a_nxt > cost_cap:
+                        continue
+                heappush(frontier, (new_b, new_a, nxt, len(labels)))
+                labels.append((nxt, label))
     return None
 
 

@@ -129,11 +129,12 @@ class Topology(Record):
 
     A topology keeps a tuple of the nodes and copies of the link fields it was
     given, never the caller's lists; `links`, the same links as `LinkSpec`
-    records, and `edges` are built from the checked columns on first use.
+    records, and `edges` are built from the checked columns on first use, as
+    are the nodes' `rate_extremes`.
     """
 
     _fields = ("nodes", "links")
-    __slots__ = ("nodes", "_src", "_dst", "_rtt", "_links", "_edges")
+    __slots__ = ("nodes", "_src", "_dst", "_rtt", "_links", "_edges", "_extremes")
     # `__new__` builds a topology; Record's constructor would try to assign `links`
     __init__ = object.__init__
 
@@ -169,7 +170,7 @@ class Topology(Record):
             else:
                 raise _link_error(u, v, rtt_s, n)
         topology = object.__new__(cls)
-        values = (nodes, tuple(src), tuple(dst), tuple(rtt), None, None)
+        values = (nodes, tuple(src), tuple(dst), tuple(rtt), None, None, None)
         for name, value in zip(cls.__slots__, values):
             set_field(topology, name, value)
         return topology
@@ -223,6 +224,28 @@ class Topology(Record):
             )
             set_field(self, "_edges", edges)
         return self._edges
+
+    @property
+    def rate_extremes(self) -> tuple[float, float, float, float, float]:
+        """The nodes' extreme caps and rates, worked out once per topology.
+
+        (least cap, largest cap, largest rate) over the nodes that offer
+        PAYG, then (least cap, largest rate) over those that offer PFDT. A
+        least cap over no node is inf and a largest value 0.0, so that
+        `billing.refuses_no_node` needs no case for a method no node offers.
+        """
+        if self._extremes is None:
+            payg = [node for node in self.nodes if node.payg_rate is not None]
+            pfdt = [node for node in self.nodes if node.pfdt_rate is not None]
+            extremes = (
+                min((node.max_egress_mbps for node in payg), default=math.inf),
+                max((node.max_egress_mbps for node in payg), default=0.0),
+                max((node.payg_rate for node in payg), default=0.0),
+                min((node.max_egress_mbps for node in pfdt), default=math.inf),
+                max((node.pfdt_rate for node in pfdt), default=0.0),
+            )
+            set_field(self, "_extremes", extremes)
+        return self._extremes
 
 
 def _link_error(src, dst, rtt_s, n_nodes: int) -> TopologyError:

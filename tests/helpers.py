@@ -1,9 +1,10 @@
 """Shared test machinery: random instance generators, a reference topology
-loader, the bracket that the planner's rounds imply, reference cost floors and
-sender configs, the naive baseline's path by enumeration, the label search
-as it pruned before its push-time test, an independent
-X25519 reference implementation, a cryptokey-routing walker, and the
-parser that reads a rendered tunnel conf back.
+loader, the planner with every round priced in full, the bracket that the
+planner's rounds imply, reference cost floors and sender configs, the naive
+baseline's path by enumeration, the label search as it pruned before its
+push-time test, an independent X25519 reference implementation, a
+cryptokey-routing walker, and the parser that reads a rendered tunnel conf
+back.
 """
 
 from __future__ import annotations
@@ -24,14 +25,19 @@ from budgetpath.billing import (
     NodeBillingConfig,
     TransferRequest,
     billed_hours,
+    check_rule,
     cost_floor,
     data_threshold,
     pfdt_cost,
     price_round,
     select_billing,
 )
-from budgetpath.search import EdgeWeights, PathResult
-from budgetpath.topology import EdgeList, LinkSpec, NodeSpec, Topology, TopologyError
+from budgetpath import planner
+from budgetpath.planner import PlanOutcome
+from budgetpath.search import EdgeWeights, PathResult, search_core
+from budgetpath.topology import (
+    EdgeList, LinkSpec, NodeSpec, NoPathError, Topology, TopologyError, check_node_ids,
+)
 from budgetpath.tunnels import (
     PeerEntry, TunnelError, TunnelSpec, clamp_scalar, keypair_from_private_b64,
 )
@@ -156,6 +162,72 @@ def random_topology(rng: random.Random, n_min: int = 2, n_max: int = 7) -> Topol
             seen.add((v, u))
             link_specs.append(LinkSpec(v, u, rtt))
     return Topology(tuple(nodes), tuple(link_specs))
+
+
+def sparse_topology(rng: random.Random, n: int, mean_degree: float) -> Topology:
+    """A connected undirected graph of n nodes that offer both methods at
+    cloud-like rates: a random spanning tree plus random links up to the degree."""
+    nodes = tuple(
+        NodeSpec(i, f"r{i}", "192.0.2.1", rng.choice([50.0, 100.0, 200.0, 500.0]),
+                 rng.uniform(0.015, 0.03), rng.uniform(0.06, 0.12))
+        for i in range(n)
+    )
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = {tuple(sorted((order[i], order[rng.randrange(i)]))) for i in range(1, n)}
+    while len(pairs) < n * mean_degree / 2:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    links = []
+    for u, v in sorted(pairs):
+        rtt = rng.uniform(0.005, 0.2)
+        links += [LinkSpec(u, v, rtt), LinkSpec(v, u, rtt)]
+    return Topology(nodes, tuple(links))
+
+
+def extreme_topology(rng: random.Random) -> Topology:
+    """A graph of 3 to 9 nodes, some at the extremes a topology takes.
+
+    One node in ten has a cap from 1e-300 to 1e-250 Mbps and one in ten
+    from 1e250 to 1e300; one rate in twenty is from 1e100 to 1e300 and one
+    in twenty is 0.0, so rounds often price a node too slow or too dear only
+    at a small k. The links connect every node. Half the graphs have one
+    more node, with no link and PAYG only at a cap from 1e-300 to 1e-250:
+    no search reaches it, though a round that prices every node prices it.
+    """
+    n = rng.randint(3, 9)
+
+    def rate():
+        roll = rng.random()
+        if roll < 0.2:
+            return None
+        if roll < 0.25:
+            return 10.0 ** rng.uniform(100.0, 300.0)
+        return 0.0 if roll < 0.3 else 10.0 ** rng.uniform(-3.0, -1.0)
+
+    nodes = []
+    for i in range(n):
+        roll = rng.random()
+        exponent = (rng.uniform(-300.0, -250.0) if roll < 0.1
+                    else rng.uniform(250.0, 300.0) if roll < 0.2 else rng.uniform(0.0, 3.5))
+        payg, pfdt = rate(), rate()
+        nodes.append(NodeSpec(i, f"n{i}", "192.0.2.1", 10.0 ** exponent,
+                              0.02 if payg is None and pfdt is None else payg, pfdt))
+    if rng.random() < 0.5:
+        nodes.append(NodeSpec(n, "island", "192.0.2.1", 10.0 ** rng.uniform(-300.0, -250.0),
+                              10.0 ** rng.uniform(-3.0, -1.0), None))
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = set(zip(order, order[1:]))
+    for _ in range(n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((u, v))
+    links = {}
+    for u, v in sorted(pairs):
+        links[u, v] = links[v, u] = rng.uniform(0.001, 0.3)
+    return Topology(tuple(nodes), tuple(LinkSpec(u, v, rtt) for (u, v), rtt in links.items()))
 
 
 def cut_off_one_node(topology: Topology, rng: random.Random, share: float = 0.3) -> Topology:
@@ -373,14 +445,19 @@ def naive_path_by_enumeration(topology: Topology, src: int, dst: int) -> tuple[i
 # --- the label search, pruning at pop only ----------------------------
 
 def search_pruned_at_pop(
-    edges: EdgeList, a, b, source: int, destination: int, cost_cap: float
+    edges: EdgeList, a, b, source: int, destination: int, cost_cap: float, pricing=None
 ) -> PathResult | None:
-    """`search.search_core` as it was before it tested labels at push.
+    """`search.search_core` as it was before it tested labels at push and
+    priced nodes when it first read them.
 
     It pushes every label that improves its node's latency and drops a
     label over the cap only when it pops it. `search_core` must give `==`
     results: the labels it does not push are the ones this loop drops.
+    Given `pricing`, (nodes, k, data size, rule), it prices every node
+    first with `price_round`, and raises its ValueError.
     """
+    if pricing is not None:
+        a, b = price_round(*pricing)
     offsets, dst, delay = edges.offsets, edges.dst, edges.delay
     min_b = [math.inf] * edges.n
     min_b[source] = 0.0
@@ -503,6 +580,53 @@ def floor_distance(
             if dist[link.src] + floors[link.src] < dist[link.dst]:
                 dist[link.dst] = dist[link.src] + floors[link.src]
     return dist[destination]
+
+
+def plan_outcome_eager(topology: Topology, request: TransferRequest, rule: str) -> PlanOutcome:
+    """`planner.plan_outcome` as it was before its bisection rounds priced lazily.
+
+    Every round, k = 1 and the bisection's alike, is `price_round` over all
+    nodes and then `search_core` on its two lists; a round that `price_round`
+    refuses is None, save for the k = 1 round, whose refusal is raised. The
+    k = 1 plan, the floors and the plan's configs come from the planner.
+    """
+    source, destination, budget = request.source, request.destination, request.budget_usd
+    nodes, edges, data_gb = topology.nodes, topology.edges, request.data_size_gb
+    check_rule(rule)
+    full_rate_costs, b = price_round(nodes, 1.0, data_gb, rule)
+    check_node_ids(edges.n, source=source, destination=destination)
+    result = search_core(edges, full_rate_costs, b, source, destination, budget)
+    rounds = [(1.0, result)]
+    if result is not None:
+        plan = planner._finalize(topology, request, rule, result, 1.0, 0)
+        return PlanOutcome(plan, None, False, tuple(rounds))
+    floor = planner.cost_floor_distance(topology, request, full_rate_costs)
+    if floor == math.inf:
+        raise NoPathError(source, destination)
+    if floor > budget * (1.0 + planner._FLOOR_MARGIN):
+        return PlanOutcome(None, floor, True, tuple(rounds))
+    feasible = None
+    k, k_lower, k_upper = 0.5, 0.0, 1.0
+    for _ in range(request.max_iterations):
+        try:
+            a, b = price_round(nodes, k, data_gb, rule)
+        except ValueError:
+            result = None
+        else:
+            result = search_core(edges, a, b, source, destination, budget)
+        rounds.append((k, result))
+        if result is not None:
+            feasible, k_lower = (result, k), k
+        else:
+            k_upper = k
+        next_k = (k_lower + k_upper) / 2.0
+        if next_k == k or next_k == 0.0:
+            break
+        k = next_k
+    plan = None
+    if feasible is not None:
+        plan = planner._finalize(topology, request, rule, *feasible, request.max_iterations)
+    return PlanOutcome(plan, floor, False, tuple(rounds))
 
 
 def bisection_bracket(rounds: Sequence[tuple[float, object]]) -> tuple[float, float]:

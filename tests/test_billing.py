@@ -21,14 +21,20 @@ from budgetpath.billing import (
     pfdt_cost,
     price,
     price_round,
+    refuses_no_node,
     select_billing,
 )
-from budgetpath.topology import NodeSpec
-from helpers import cost_floor_by_rule, full_rate_floor, hour_aligned_fractions
+from budgetpath.search import search_core
+from budgetpath.topology import NodeSpec, Topology
+from helpers import cost_floor_by_rule, edge_list, full_rate_floor, hour_aligned_fractions
 
 # Alibaba Singapore rates: PAYG $0.021/Mbps/h, PFDT $0.081/GB
 K1 = 0.021
 K2 = 0.081
+
+
+# the edges 0 -> 1 -> 2, on which a search reaches node 1 and reads its cost once
+CHAIN = edge_list(3, [(0, 1, 0.0), (1, 2, 0.0)])
 
 
 def make_node(payg=K1, pfdt=K2, cap=100.0):
@@ -285,10 +291,29 @@ class TestPriceRound:
         except ValueError as exc:
             return str(exc)
 
+    @staticmethod
+    def lazily_priced(node, k, data_gb, rule):
+        """What a bisection round's lazy fill in `search_core` writes for `node`,
+        met as the middle of the chain 0 -> 1 -> 2, or None where it refuses
+        the node and ends the round with no path."""
+        a, b = [0.0, None, None], [0.0, None, None]
+        result = search_core(CHAIN, a, b, 0, 2, math.inf, ((None, node, None), k, data_gb, rule))
+        if result is None:
+            assert a[1] is None and b[1] is None
+            return None
+        assert result.path == (0, 1, 2) and (result.total_a, result.total_b) == (a[1], b[1])
+        return a[1], b[1]
+
+    def assert_lazily_priced(self, node, k, data_gb, rule, expected):
+        """The lazy fill writes `price`'s cost and time, or refuses where `price` raises."""
+        lazy = self.lazily_priced(node, k, data_gb, rule)
+        assert lazy == (None if isinstance(expected, str) else expected), (node, data_gb, k)
+
     @pytest.mark.parametrize("rule", RULES)
     def test_equals_price_node_by_node(self, rule):
         # the planner's one-pass round pricer is a transcription of `price`, and
-        # must stay equal to it bit for bit, a ValueError's message included: at every
+        # must stay equal to it bit for bit, a ValueError's message included, as
+        # must the search's lazy fill, which refuses where `price` raises: at every
         # halving of k down to 0, hour-aligned k, threshold ties, exact-cost
         # ties and sizes from 1e-12 to 1e8 GB, for nodes of every kind
         rng = random.Random(53)
@@ -306,6 +331,7 @@ class TestPriceRound:
             fractions += hour_aligned_fractions(node, data_gb, 3)
             for k in fractions:
                 expected = self.priced(lambda: price(node, k * cap, data_gb, rule)[2:])
+                self.assert_lazily_priced(node, k, data_gb, rule, expected)
                 got = self.priced(lambda: price_round((node,), k, data_gb, rule))
                 if not isinstance(expected, str):
                     expected = ([expected[0]], [expected[1]])
@@ -318,6 +344,7 @@ class TestPriceRound:
         seconds = 80.0 if rule == "exact-cost" else 160.0
         assert price_round((tie,), 0.5, 2.0, rule) == ([1.0], [seconds])
         assert price(tie, 100.0, 2.0, rule)[2:] == (1.0, seconds)
+        assert self.lazily_priced(tie, 0.5, 2.0, rule) == (1.0, seconds)
         # a whole round: the nodes in order, and a ValueError if any one raises
         for k in (1.0, 0.5, 2.0 ** -40, 2.0 ** -1000):
             for data_gb in (1e-6, 1.0, 1e4):
@@ -335,7 +362,7 @@ class TestPriceRound:
         # rates up to 1e308, caps near 1e-300 or near 1e303 and payloads up to the
         # largest a request takes: both refuse the same node with the same message,
         # its time if that is not finite, else its cost, and price nothing but
-        # finite numbers
+        # finite numbers; the search's lazy fill refuses that node too
         rng = random.Random(59)
         largest = sys.float_info.max / BITS_PER_GB
         seen = Counter()
@@ -352,6 +379,7 @@ class TestPriceRound:
             data_gb = rng.choice([largest, largest * rng.random(), 10.0 ** rng.uniform(-12.0, 298.0)])
             for k in (1.0, 0.5, rng.random() or 1.0, 2.0 ** -rng.randrange(1100), 5e-324):
                 expected = self.priced(lambda: price(node, k * cap, data_gb, rule)[2:])
+                self.assert_lazily_priced(node, k, data_gb, rule, expected)
                 got = self.priced(lambda: price_round((node,), k, data_gb, rule))
                 if isinstance(expected, str):
                     seen[next(w for w in ("time", "cost", "bandwidth") if w in expected)] += 1
@@ -376,7 +404,9 @@ class TestPriceRound:
         # what lets the planner pass a round's lists to the search unchecked: at
         # rates from 0 to 1e300, caps from 1e-300 to 1e300, payloads up to the
         # largest a request takes and k down to the smallest float, a round either
-        # raises its ValueError or prices every node finite and >= 0
+        # raises its ValueError or prices every node finite and >= 0; and what
+        # lets a lazy round skip the nodes its search never read: no round that
+        # `refuses_no_node` clears raises
         rng = random.Random(61)
         largest = sys.float_info.max / BITS_PER_GB
 
@@ -399,15 +429,18 @@ class TestPriceRound:
             k = rng.choice([1.0, 0.5, rng.random() or 1.0, 2.0 ** -rng.randrange(1075),
                             2.0 ** -rng.randrange(1000, 1075)])
             tiny = " at k < 2**-1000" if k < 2.0 ** -1000 else ""
+            cleared = refuses_no_node(Topology(nodes, ()).rate_extremes, k, data_gb)
             try:
                 costs, seconds = price_round(nodes, k, data_gb, rule)
             except ValueError:
+                assert not cleared, (nodes, data_gb, k)
                 seen["refused" + tiny] += 1
                 continue
+            seen["cleared" if cleared else "not cleared"] += 1
             assert len(costs) == len(seconds) == len(nodes), (nodes, data_gb, k)
             assert all(0.0 <= value < math.inf for value in costs + seconds), (nodes, data_gb, k)
             seen["priced" + tiny] += 1
-        assert len(seen) == 4 and min(seen.values()) > 20, seen
+        assert len(seen) == 6 and min(seen.values()) > 20, seen
 
     def test_a_value_that_is_not_finite_names_the_node(self):
         # the one line for a time or cost that overflows, from `price` and the round;

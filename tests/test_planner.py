@@ -31,15 +31,17 @@ from budgetpath.planner import (
     plan_to_dict,
     plan_transfer,
 )
-from budgetpath.search import EdgeWeights, PathResult, enumerate_best_path, search_min_latency
+from budgetpath.search import (
+    EdgeWeights, PathResult, enumerate_best_path, search_core, search_min_latency,
+)
 from budgetpath.simulate import compare, simulate_transfer
 from budgetpath.topology import (
     LinkSpec, NodeSpec, NoPathError, Topology, TopologyError, json_text, load_topology,
 )
 from helpers import (
-    bisection_bracket, cut_off_one_node, floor_distance, full_rate_floor, grid_topology,
-    hour_aligned_fractions, is_connected, random_topology, request_or_refusal,
-    search_pruned_at_pop, sender_configs_at,
+    bisection_bracket, cut_off_one_node, extreme_topology, floor_distance, full_rate_floor,
+    grid_topology, hour_aligned_fractions, is_connected, plan_outcome_eager, random_topology,
+    request_or_refusal, search_pruned_at_pop, sender_configs_at, sparse_topology,
 )
 
 TESTBED = Path(__file__).resolve().parent.parent / "fixtures" / "testbed6.json"
@@ -193,8 +195,8 @@ class TestBuildWeights:
         assert method is expected
 
     def test_one_round_is_one_pass_without_price(self, monkeypatch):
-        # a round is priced by `billing.price_round` in one pass over the nodes;
-        # `price` is left to the floors and the plan's configs
+        # `build_weights` prices a round with `billing.price_round` in one pass
+        # over the nodes, without `price`
         def no_price(*args):
             raise AssertionError("a round called price")
 
@@ -523,7 +525,7 @@ class TestPlanTransfer:
 
     @pytest.mark.parametrize("rule", RULES)
     def test_a_request_builds_no_edge_weights(self, monkeypatch, rule):
-        # a round passes `price_round`'s lists straight to the search core:
+        # a round passes its two lists straight to the search core:
         # only weights that a caller builds go through `EdgeWeights`' check
         def no_weights(*args):
             raise AssertionError("plan_transfer built an EdgeWeights")
@@ -639,6 +641,99 @@ class TestPlanTransfer:
             latencies.append(plan.predicted_latency_s)
         assert latencies == sorted(latencies)
         assert latencies[0] < latencies[1] < latencies[2]
+
+
+class TestLazyRounds:
+    """A bisection round prices a node when its search first reads the node's
+    cost, and answers as if it had priced every node first."""
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_same_outcomes_as_rounds_priced_in_full(self, monkeypatch, rule):
+        # caps from 1e-300 to 1e300, rates up to 1e300, payloads up to the largest
+        # a request takes and up to 1100 rounds: the whole outcome, each round's
+        # k and result included, or the refusal's message, is the eager planner's.
+        # Some payloads are what a node with no link can send in 1 to 256 times
+        # the longest time a float holds, so rounds that find a path refuse it
+        seen, confirms_refused = Counter(), Counter()
+        refuses_no_node, price_round = planner.refuses_no_node, planner.price_round
+
+        def counting_guard(*args):
+            proved = refuses_no_node(*args)
+            seen[f"guard {proved}"] += 1
+            return proved
+
+        def counting_confirm(nodes, k, data_gb, rule):
+            if k == 1.0:
+                return price_round(nodes, k, data_gb, rule)
+            try:
+                priced = price_round(nodes, k, data_gb, rule)
+            except ValueError:
+                seen["confirm refused"] += 1
+                confirms_refused[request] += 1
+                raise
+            seen["confirm priced"] += 1
+            return priced
+
+        monkeypatch.setattr(planner, "refuses_no_node", counting_guard)
+        monkeypatch.setattr(planner, "price_round", counting_confirm)
+        rng = random.Random(71)
+        largest = sys.float_info.max / 8e9
+        for _ in range(400):
+            topo = extreme_topology(rng)
+            linked = len(topo) - (topo.nodes[-1].name == "island")
+            source, destination = rng.sample(range(linked), 2)
+            unlinked = sys.float_info.max / 8e9 * topo.nodes[-1].max_egress_mbps * 1e6
+            data_gb = rng.choice([10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0),
+                                  10.0 ** rng.uniform(-12.0, 298.0), largest,
+                                  min(largest, unlinked * 2.0 ** -rng.uniform(0.0, 8.0))])
+            try:
+                floor = floor_distance(topo, source, destination, data_gb, rule)
+            except ValueError:  # a node that k = 1 cannot price: the planner refuses it too
+                floor = rng.uniform(0.0, 10.0)
+            budget = rng.choice([floor * rng.uniform(1.0, 1.5), floor, floor * (1 + 1e-12),
+                                 rng.uniform(0.0, 100.0)])
+            request = TransferRequest(source, destination, data_gb, min(budget, 1e300),
+                                      rng.choice([rng.randint(1, 60), rng.randint(1, 1100), 1100]))
+
+            def outcome(plan):
+                try:
+                    return plan(topo, request, rule)
+                except ValueError as exc:
+                    return type(exc), str(exc)
+
+            lazy = outcome(plan_outcome)
+            assert lazy == outcome(plan_outcome_eager), (topo, request)
+            seen["refused" if isinstance(lazy, tuple) else f"{len(lazy.rounds) > 1} bisection"] += 1
+        assert len(seen) == 7 and min(seen.values()) >= 20, seen
+        assert len(confirms_refused) >= 3, confirms_refused
+
+    def test_bisection_rounds_price_under_0_7_of_node_rounds(self, monkeypatch):
+        # the work a lazy round saves, counted, not timed: over degree-8 graphs
+        # of 200 nodes and budgets between the floor and twice it, the bisection
+        # rounds price under 0.7 of their node-rounds (0.49 on the benchmark's
+        # plan-bsearch requests)
+        priced = node_rounds = 0
+
+        def counting_search(edges, a, b, source, destination, cost_cap, pricing=None):
+            nonlocal priced, node_rounds
+            result = search_core(edges, a, b, source, destination, cost_cap, pricing)
+            if pricing is not None:
+                priced += sum(value is not None for value in a)
+                node_rounds += len(a)
+            return result
+
+        monkeypatch.setattr(planner, "search_core", counting_search)
+        rng = random.Random(73)
+        for _ in range(3):
+            topo = sparse_topology(rng, 200, 8.0)
+            for _ in range(8):
+                source, destination = rng.sample(range(200), 2)
+                data_gb = rng.choice([3.0, 6.0, 10.0])
+                budget = floor_distance(topo, source, destination, data_gb, "threshold")
+                plan_outcome(topo, TransferRequest(source, destination, data_gb,
+                                                   budget * rng.uniform(1.0, 2.0), 30))
+        assert node_rounds >= 200 * 30 * 12, node_rounds
+        assert priced < 0.7 * node_rounds, priced / node_rounds
 
 
 class TestFloorCertificate:
