@@ -19,8 +19,11 @@ search first reads it; the same test checks that copy, and
 be refused.
 `select_billing` wraps `price` for callers that want a `NodeBillingConfig`,
 and `cost_floor` bounds it from below over every bandwidth fraction from the
-node's cost at full rate, as the k = 1 round priced it, which lets the
-planner prove a budget insufficient without a further round.
+node's cost at full rate, as the k = 1 round priced it. `floors_hold`
+bounds, in O(1), the fractions at which that holds in floats, up to
+`FLOOR_SHARE`: there the planner proves a budget insufficient without a
+further round, and a bisection round drops a label by its node's floor
+before it prices the node.
 
 Units are fixed package-wide: bandwidth in Mbps (10^6 bit/s), data size in
 GB (10^9 bytes), latency in seconds, money in USD.
@@ -275,7 +278,7 @@ def price_round(
 
 
 def refuses_no_node(
-    extremes: tuple[float, float, float, float, float], fraction_k: float, data_size_gb: float
+    extremes: tuple[float, ...], fraction_k: float, data_size_gb: float
 ) -> bool:
     """Whether a bound proves that `price_round` at `fraction_k` refuses no node.
 
@@ -288,7 +291,7 @@ def refuses_no_node(
     above 0. False only says the bound cannot tell, as near k = 2**-1000 or
     for caps and rates many orders of magnitude apart.
     """
-    payg_cap_lo, payg_cap_hi, payg_rate_hi, pfdt_cap_lo, pfdt_rate_hi = extremes
+    payg_cap_lo, payg_cap_hi, _, payg_rate_hi, pfdt_cap_lo, pfdt_rate_hi = extremes
     bits = data_size_gb * BITS_PER_GB
     bandwidth_lo = fraction_k * payg_cap_lo
     if not bandwidth_lo > 0:
@@ -316,11 +319,65 @@ def cost_floor(node: NodeSpec, full_rate_cost: float, data_size_gb: float) -> fl
     some k picks it: under `threshold` the cutoff `payg * k * bw / pfdt`
     only falls as k shrinks, so k = 1 picks PFDT too, and under
     `exact-cost` k = 1 bills the cheaper method.
+
+    That holds for exact numbers. In floats a PAYG bill can fall below the
+    bandwidth-hours by a few roundings, and by far more where a value in
+    it leaves the normal floats: at rates of 0.001 to 0.1 USD per
+    Mbps-hour, single nodes bill more than 1e-9 of their floor below it at
+    payloads up to 1e-8 GB, at subnormal bandwidths, and at a rate near
+    1e-300 at any payload. Where the bandwidth-hours overflow, the floor is
+    the full-rate cost, which a smaller k can bill below. `floors_hold`
+    bounds where none of this happens.
     """
     if node.payg_rate is None:
         return full_rate_cost
     bandwidth_hours = node.payg_rate * data_size_gb * BITS_PER_GB / BITS_PER_MBPS / SECONDS_PER_HOUR
     return min(full_rate_cost, bandwidth_hours)
+
+
+# The share of its `cost_floor` that a node's cost reaches at least, where
+# `floors_hold`: there a PAYG bill is at most about 2.5e-13 below its floor.
+# A rounding moves a normal value by at most 2**-53 of itself: six lower the
+# bill (bits, bits per second, time, hours, rate times bandwidth, times hours)
+# and four raise the floor, 1.1e-15 in all. A subnormal value moves by at most
+# 2**-1075: at a rate times bandwidth of 2**-1030 or more, that product and the
+# bill lose at most 2**-45 of the bill each, and the floor's products gain at
+# most 3.3 * 2**-1075, 1.9e-13 of a floor near the bill. A subnormal time or
+# hours mean less than an hour, billed as one hour, as unrounded. 1e-12 leaves
+# four times that, and is far below the planner's 1e-9 margin on the budget.
+FLOOR_SHARE = 1.0 - 1e-12
+
+
+def floors_hold(extremes: tuple[float, ...], fraction_k: float, data_size_gb: float) -> bool:
+    """Whether a bound proves that `price_round` at `fraction_k` bills each node at least
+    `FLOOR_SHARE` of its `cost_floor`, or refuses some node.
+
+    `extremes` are the nodes' `Topology.rate_extremes`. A PFDT cost is at
+    least its floor exactly (see `cost_floor`), and so is a PAYG bill at a
+    rate of 0. A PAYG bill at a rate above 0 is within `FLOOR_SHARE` of its
+    floor where its rate times its bandwidth is at least 2**-1030 and the
+    floor's bandwidth-hours do not overflow (a subnormal payload in bits or
+    bandwidth in bits per second is exact: a subnormal times a whole number
+    is). True if the least positive rate times the least bandwidth a billed
+    node can have is at least that, and the largest rate's bandwidth-hours
+    are finite. Only a node whose time, bits / (bandwidth * 1e6), is finite
+    is billed, so a node whose time overflows counts as refused, and a
+    billed bandwidth is above bits / 2**1024 / 1e6: at 10 GB and cloud-like
+    rates that bound alone holds at any k, down to 2**-1074. The bound grows
+    with k, so what holds at a k holds at every larger one. False only says
+    the bound cannot tell.
+    """
+    payg_cap_lo, _, payg_rate_lo, payg_rate_hi, _, _ = extremes
+    bandwidth_lo = fraction_k * payg_cap_lo
+    # half the least bandwidth whose time is finite, where that is a normal float
+    finite_time_lo = data_size_gb * BITS_PER_GB / sys.float_info.max / (2.0 * BITS_PER_MBPS)
+    if finite_time_lo >= sys.float_info.min:
+        bandwidth_lo = max(bandwidth_lo, finite_time_lo)
+    return (
+        payg_rate_lo * bandwidth_lo >= 2.0**-1030
+        # the bandwidth-hours' first two products, as `cost_floor` multiplies them
+        and payg_rate_hi * data_size_gb * BITS_PER_GB < math.inf
+    )
 
 
 def select_billing(

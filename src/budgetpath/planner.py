@@ -4,8 +4,9 @@ binary search that shrinks PAYG rates until a budget-feasible path exists.
 `plan_outcome` is the planner and says why a request ended; `plan_transfer`
 returns only its plan. Its k = 1 round prices every node, since the cost
 floors read those costs; each bisection round prices a node only when its
-search first reads the node's cost, and is still None if and only if some
-node cannot be priced at its k.
+search first reads the node's cost and the node's cost floor does not
+already put the label over the budget, and is still None if and only if
+some node cannot be priced at its k.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from collections.abc import Sequence
 from heapq import heappop, heappush
 
 from budgetpath.billing import (
+    FLOOR_SHARE,
     BillingMethod,
     NodeBillingConfig,
     TransferRequest,
     check_rule,
     cost_floor,
+    floors_hold,
     price,
     price_round,
     refuses_no_node,
@@ -143,11 +146,11 @@ def cost_floor_distance(
 
     `full_rate_costs` holds each node's cost at k = 1, the costs of
     `price_round(topology.nodes, 1.0, request.data_size_gb, rule)`. No round
-    at any k bills a path below this sum, save for a PAYG cost that
-    underflows at a bandwidth near the smallest float, which only a payload
-    under about 1e-10 GB reaches; inf means that no path leads from the
-    source to the destination. TopologyError for an endpoint that is not a
-    node id.
+    at any k bills a path below this sum by more than float rounding, save
+    where a PAYG bill underflows or the bandwidth-hours overflow, which
+    `billing.floors_hold` bounds (see `billing.cost_floor`); inf means that
+    no path leads from the source to the destination. TopologyError for an
+    endpoint that is not a node id.
     """
     check_node_ids(topology.edges.n, source=request.source, destination=request.destination)
     return _floor_distance(topology, request, full_rate_costs)
@@ -189,11 +192,13 @@ class PlanOutcome(Record):
     `plan` is the `Plan`, or None. `floor` is the request's
     `cost_floor_distance`, worked out only once the k = 1 round missed the
     budget, and None when that round met it. `proved` is whether the floor
-    is above the budget by more than the margin, so that no k can meet it:
-    a None plan that is not proved is one that no round of the heuristic
-    search met. `rounds` holds one (k, result) pair per round, step 1 first
-    at k = 1.0, where `result` is the round's `PathResult`, or None for a
-    round that found no path within the budget or could not price a node.
+    is above the budget by more than the margin and `billing.floors_hold` at
+    the least k the bisection reaches, so that no round can meet it: a None
+    plan that is not proved is one that no round of the heuristic search
+    met, though the floor may be above the budget. `rounds` holds one
+    (k, result) pair per round, step 1 first at k = 1.0, where `result` is
+    the round's `PathResult`, or None for a round that found no path within
+    the budget or could not price a node.
     """
 
     __slots__ = _fields = ("plan", "floor", "proved", "rounds")
@@ -210,25 +215,33 @@ def plan_outcome(
     with zero binary iterations if it fits the budget. Otherwise one
     `cost_floor_distance` search follows: NoPathError if no path reaches the
     destination, and a proved None without a further round if the least
-    summed cost floor is above the budget, which no k can meet. Then a
-    uniform bandwidth fraction k is binary searched in the bracket
-    [k_lower, k_upper] for at most `max_iterations` rounds, keeping the most
-    recent feasible round; its plan is built once, after the search, and
-    reports `max_iterations` as its iterations. A round that leaves k
-    unchanged ends the search: every later round would repeat its k, its
-    bracket and its plan. A None plan after the search is not proved: no
+    summed cost floor is above the budget and `billing.floors_hold` at the
+    least k the rounds can reach, 2**-max_iterations or the least float, so
+    that no round can meet it. Where the floors do not hold that far, as at
+    1100 rounds for a payload under about 3e-4 GB at $0.02 per Mbps-hour,
+    the rounds run. Then a uniform bandwidth fraction k is binary searched
+    in the bracket [k_lower, k_upper] for at most `max_iterations` rounds,
+    keeping the most recent feasible round; its plan is built once, after
+    the search, and reports `max_iterations` as its iterations. A round
+    that leaves k unchanged ends the search: every later round would repeat
+    its k, its bracket and its plan. A None plan after the search is not proved: no
     round was feasible, though the floors do not rule every k out.
 
     The k = 1 round is `billing.price_round` plus `search.search_core` on
     its two lists. A bisection round prices the source with `billing.price`
     and leaves every other node to the search, which prices a node the first
     time it reads its cost and ends the round with None at one it cannot
-    price. A round that finds a path reached only some nodes, so an O(1)
-    bound on the topology's `rate_extremes`, `billing.refuses_no_node`,
-    shows that none of the others would be refused; where it cannot,
-    `price_round` over every node confirms the round or makes it None. So
-    a round is None if and only if `price_round` refuses it or the search
-    on its lists finds no path.
+    price. Before it prices a node, it drops a label whose cost plus the
+    node's `billing.cost_floor`, times `billing.FLOOR_SHARE`, is over the
+    budget: the floors are worked out once, from the k = 1 costs, once the
+    bisection starts, and serve a round only where `billing.floors_hold` at
+    its k, so that no cost the node has at that k is below its floor and the
+    exact test would drop the label too. A round that finds a path priced
+    only some nodes, so an O(1) bound on the topology's `rate_extremes`,
+    `billing.refuses_no_node`, shows that none of the others would be
+    refused; where it cannot, `price_round` over every node confirms the
+    round or makes it None. So a round is None if and only if `price_round`
+    refuses it or the search on its lists finds no path.
 
     The request is checked once, in the order that `build_weights` and
     `search_min_latency` would check it: ValueError for an unknown rule,
@@ -250,22 +263,36 @@ def plan_outcome(
     floor = _floor_distance(topology, request, full_rate_costs)
     if floor == math.inf:
         raise NoPathError(source, destination)
-    if floor > budget * (1.0 + _FLOOR_MARGIN):
+    extremes = topology.rate_extremes
+    # whether the floors hold at every k the bisection reaches, which they do if
+    # they hold at the least one, 2**-max_iterations or the least float
+    floors_hold_always = floors_hold(
+        extremes, max(0.5**request.max_iterations, math.ulp(0.0)), data_size_gb
+    )
+    if floor > budget * (1.0 + _FLOOR_MARGIN) and floors_hold_always:
         return PlanOutcome(None, floor, True, tuple(rounds))
 
+    floors = [
+        cost_floor(node, cost, data_size_gb) * FLOOR_SHARE
+        for node, cost in zip(nodes, full_rate_costs)
+    ]
     feasible = None  # the last feasible round's (result, k)
-    extremes, source_node = topology.rate_extremes, nodes[source]
+    source_node = nodes[source]
     k, k_lower, k_upper = 0.5, 0.0, 1.0
     for _ in range(request.max_iterations):
-        # every node but the source is priced when the search first reads its cost
+        # every node but the source is priced when the search first reads its cost,
+        # unless its floor drops the label first; a floor of 0 drops none
         a, b = [None] * edges.n, [None] * edges.n
+        pricing = (
+            nodes, k, data_size_gb, rule,
+            floors if floors_hold_always or floors_hold(extremes, k, data_size_gb)
+            else [0.0] * edges.n,
+        )
         try:
             a[source], b[source] = price(
                 source_node, k * source_node.max_egress_mbps, data_size_gb, rule
             )[2:]
-            result = search_core(
-                edges, a, b, source, destination, budget, (nodes, k, data_size_gb, rule)
-            )
+            result = search_core(edges, a, b, source, destination, budget, pricing)
             if result is not None and not refuses_no_node(extremes, k, data_size_gb):
                 price_round(nodes, k, data_size_gb, rule)  # raises if a node it never read refuses
         except ValueError:

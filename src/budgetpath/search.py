@@ -24,8 +24,10 @@ the edge list and the two per-node lists as they are. `EdgeWeights` checks
 weights that a caller builds; the planner's rounds build none. Its k = 1
 round passes `billing.price_round`'s lists, finite and >= 0 where they are
 made, straight to the core. Its bisection rounds pass lists that hold None
-for every node but the source, and the round's pricing: the core prices a
-node at the push test that first reads its cost, with `price_round`'s float
+for every node but the source, and the round's pricing with a lower bound
+on each node's cost: at the push test that first reads a node's cost, the
+core drops the label if its cost plus that bound is over the cap, as the
+exact test would, and otherwise prices the node, with `price_round`'s float
 operations written out in its loop, and ends the round with None at a node
 that cannot be priced. Full lists never enter that fill, so one loop serves
 both.
@@ -110,7 +112,7 @@ def search_core(
     source: int,
     destination: int,
     cost_cap: float,
-    pricing: tuple[Sequence[NodeSpec], float, float, str] | None = None,
+    pricing: tuple[Sequence[NodeSpec], float, float, str, Sequence[float]] | None = None,
 ) -> PathResult | None:
     """`search_min_latency` without its checks, over a cost and a time per node of `edges`.
 
@@ -119,12 +121,15 @@ def search_core(
     endpoints and a cap >= 0. The planner's k = 1 round passes
     `billing.price_round`'s lists, which hold such values by construction.
 
-    With `pricing`, (nodes, fraction_k, data_size_gb, rule), an entry may
-    instead be None, both a[v] and b[v], save the source's: the push test
-    that first reads a[v] fills both in place with
+    With `pricing`, (nodes, fraction_k, data_size_gb, rule, floors), an
+    entry may instead be None, both a[v] and b[v], save the source's. A push
+    test that reads a[v] as None first drops the label, leaving v unpriced,
+    if its cost plus floors[v] is over the cap; the caller vouches that no
+    cost of v is below floors[v], so the exact test would drop it too, and
+    floors of 0 drop nothing. Otherwise it fills both entries in place with
     `price_round([nodes[v]], fraction_k, data_size_gb, rule)`'s values, and
     a node that `price_round` would refuse ends the search with None, as if
-    no path were found. Nodes the search never reaches stay None, so None
+    no path were found. Nodes the search never prices stay None, so None
     does not say that every node could be priced.
 
     Pops the frontier label with minimum accumulated latency (ties broken
@@ -141,7 +146,7 @@ def search_core(
     """
     offsets, dst, delay = edges.offsets, edges.dst, edges.delay
     if pricing is not None:
-        nodes, fraction_k, data_size_gb, rule = pricing
+        nodes, fraction_k, data_size_gb, rule, floors = pricing
         bits, threshold = data_size_gb * BITS_PER_GB, rule == "threshold"
     inf, ceil = math.inf, math.ceil
     min_b = [inf] * edges.n
@@ -174,6 +179,10 @@ def search_core(
                 if nxt != destination:
                     a_nxt = a[nxt]
                     if a_nxt is None:
+                        # no cost of the node is below its floor, so the test below
+                        # would drop the label too: drop it before pricing the node
+                        if new_a + floors[nxt] > cost_cap:
+                            continue
                         # `billing.price_round` for one node, its float operations
                         # in the same order; a refusal ends the round. Written out
                         # here, not called, because a call per node costs more than

@@ -226,13 +226,14 @@ class Topology(Record):
         return self._edges
 
     @property
-    def rate_extremes(self) -> tuple[float, float, float, float, float]:
+    def rate_extremes(self) -> tuple[float, float, float, float, float, float]:
         """The nodes' extreme caps and rates, worked out once per topology.
 
-        (least cap, largest cap, largest rate) over the nodes that offer
-        PAYG, then (least cap, largest rate) over those that offer PFDT. A
-        least cap over no node is inf and a largest value 0.0, so that
-        `billing.refuses_no_node` needs no case for a method no node offers.
+        (least cap, largest cap, least rate above 0, largest rate) over the
+        nodes that offer PAYG, then (least cap, largest rate) over those that
+        offer PFDT. A least value over no node is inf and a largest value
+        0.0, so that `billing.refuses_no_node` and `billing.floors_hold` need
+        no case for a method no node offers.
         """
         if self._extremes is None:
             payg = [node for node in self.nodes if node.payg_rate is not None]
@@ -240,6 +241,7 @@ class Topology(Record):
             extremes = (
                 min((node.max_egress_mbps for node in payg), default=math.inf),
                 max((node.max_egress_mbps for node in payg), default=0.0),
+                min((node.payg_rate for node in payg if node.payg_rate > 0), default=math.inf),
                 max((node.payg_rate for node in payg), default=0.0),
                 min((node.max_egress_mbps for node in pfdt), default=math.inf),
                 max((node.pfdt_rate for node in pfdt), default=0.0),

@@ -28,6 +28,7 @@ from budgetpath.billing import (
     check_rule,
     cost_floor,
     data_threshold,
+    floors_hold,
     pfdt_cost,
     price_round,
     select_billing,
@@ -453,11 +454,12 @@ def search_pruned_at_pop(
     It pushes every label that improves its node's latency and drops a
     label over the cap only when it pops it. `search_core` must give `==`
     results: the labels it does not push are the ones this loop drops.
-    Given `pricing`, (nodes, k, data size, rule), it prices every node
-    first with `price_round`, and raises its ValueError.
+    Given `pricing`, (nodes, k, data size, rule, floors), it prices every
+    node first with `price_round`, and raises its ValueError; it reads no
+    floor.
     """
     if pricing is not None:
-        a, b = price_round(*pricing)
+        a, b = price_round(*pricing[:4])
     offsets, dst, delay = edges.offsets, edges.dst, edges.delay
     min_b = [math.inf] * edges.n
     min_b[source] = 0.0
@@ -586,9 +588,11 @@ def plan_outcome_eager(topology: Topology, request: TransferRequest, rule: str) 
     """`planner.plan_outcome` as it was before its bisection rounds priced lazily.
 
     Every round, k = 1 and the bisection's alike, is `price_round` over all
-    nodes and then `search_core` on its two lists; a round that `price_round`
-    refuses is None, save for the k = 1 round, whose refusal is raised. The
-    k = 1 plan, the floors and the plan's configs come from the planner.
+    nodes and then `search_core` on its two lists, with no floor test; a
+    round that `price_round` refuses is None, save for the k = 1 round, whose
+    refusal is raised. The k = 1 plan, the floor distance, the rule that the
+    floors prove a budget too small (`floors_hold` at the least k the
+    bisection reaches) and the plan's configs come from the planner.
     """
     source, destination, budget = request.source, request.destination, request.budget_usd
     nodes, edges, data_gb = topology.nodes, topology.edges, request.data_size_gb
@@ -603,7 +607,10 @@ def plan_outcome_eager(topology: Topology, request: TransferRequest, rule: str) 
     floor = planner.cost_floor_distance(topology, request, full_rate_costs)
     if floor == math.inf:
         raise NoPathError(source, destination)
-    if floor > budget * (1.0 + planner._FLOOR_MARGIN):
+    least_k = max(0.5**request.max_iterations, math.ulp(0.0))
+    if floor > budget * (1.0 + planner._FLOOR_MARGIN) and floors_hold(
+        topology.rate_extremes, least_k, data_gb
+    ):
         return PlanOutcome(None, floor, True, tuple(rounds))
     feasible = None
     k, k_lower, k_upper = 0.5, 0.0, 1.0

@@ -10,13 +10,16 @@ from hypothesis import given, strategies as st
 from budgetpath.billing import (
     BITS_PER_GB,
     BITS_PER_MBPS,
+    FLOOR_SHARE,
     RULES,
     SECONDS_PER_HOUR,
     BillingMethod,
     TransferRequest,
     billed_hours,
+    cost_floor,
     data_threshold,
     edge_latency,
+    floors_hold,
     payg_cost,
     pfdt_cost,
     price,
@@ -295,9 +298,10 @@ class TestPriceRound:
     def lazily_priced(node, k, data_gb, rule):
         """What a bisection round's lazy fill in `search_core` writes for `node`,
         met as the middle of the chain 0 -> 1 -> 2, or None where it refuses
-        the node and ends the round with no path."""
+        the node and ends the round with no path. Floors of 0 drop no label."""
         a, b = [0.0, None, None], [0.0, None, None]
-        result = search_core(CHAIN, a, b, 0, 2, math.inf, ((None, node, None), k, data_gb, rule))
+        pricing = ((None, node, None), k, data_gb, rule, (0.0, 0.0, 0.0))
+        result = search_core(CHAIN, a, b, 0, 2, math.inf, pricing)
         if result is None:
             assert a[1] is None and b[1] is None
             return None
@@ -441,6 +445,57 @@ class TestPriceRound:
             assert all(0.0 <= value < math.inf for value in costs + seconds), (nodes, data_gb, k)
             seen["priced" + tiny] += 1
         assert len(seen) == 6 and min(seen.values()) > 20, seen
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_where_floors_hold_no_cost_is_below_its_share_of_the_floor(self, rule):
+        # what lets a bisection round drop a label by its node's floor unpriced,
+        # and the floors prove a budget too small: wherever `floors_hold` clears
+        # a round, it is refused or bills each node at least FLOOR_SHARE of its
+        # `cost_floor`, and it clears every larger k too. At rates from 1e-300 to
+        # 1e300, caps from 1e-300 to 1e300, payloads from 1e-30 GB, whole hours
+        # and k down to the smallest float, some bills it does not clear are far
+        # below their floor
+        rng = random.Random(83)
+
+        def rate():
+            return rng.choice([None, 0.0, 10.0 ** rng.uniform(-3.0, -1.0),
+                               10.0 ** rng.uniform(-300.0, 300.0)])
+
+        seen = Counter()
+        for _ in range(6000):
+            nodes = []
+            for j in range(rng.randint(1, 3)):
+                payg, pfdt = rate(), rate()
+                if payg is None and pfdt is None:
+                    payg = 0.0
+                cap = 10.0 ** rng.choice([rng.uniform(-300.0, 300.0), rng.uniform(0.0, 3.0)])
+                nodes.append(NodeSpec(j, f"n{j}", "203.0.113.1", cap, payg, pfdt))
+            k = rng.choice([2.0 ** -rng.randrange(1075), rng.random() or 1.0])
+            data_gb = 10.0 ** rng.uniform(-30.0, 12.0)
+            if rng.random() < 0.3:  # whole hours at node 0's bandwidth, where bills round low
+                hours = rng.randint(1, 10_000) * SECONDS_PER_HOUR
+                data_gb = hours * k * nodes[0].max_egress_mbps * BITS_PER_MBPS / BITS_PER_GB
+                if not 0.0 < data_gb * BITS_PER_GB < math.inf:
+                    continue
+            extremes = Topology(nodes, ()).rate_extremes
+            held = floors_hold(extremes, k, data_gb)
+            if held and k <= 0.5:
+                assert floors_hold(extremes, 2.0 * k, data_gb), (nodes, data_gb, k)
+            try:
+                full_rate_costs, _ = price_round(nodes, 1.0, data_gb, rule)
+                costs, _ = price_round(nodes, k, data_gb, rule)
+            except ValueError:
+                seen["refused"] += 1
+                continue
+            floors = [cost_floor(node, cost, data_gb)
+                      for node, cost in zip(nodes, full_rate_costs)]
+            below = [cost < floor * FLOOR_SHARE for cost, floor in zip(costs, floors)]
+            if held:
+                assert not any(below), (nodes, data_gb, k)
+            seen[f"held {held}"] += 1
+            seen["far below, not held"] += any(
+                cost < floor * (1 - 1e-9) for cost, floor in zip(costs, floors))
+        assert len(seen) == 4 and min(seen.values()) >= 50, seen
 
     def test_a_value_that_is_not_finite_names_the_node(self):
         # the one line for a time or cost that overflows, from `price` and the round;

@@ -68,6 +68,16 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == "insufficient budget: no feasible path found\n"
 
+    # the floors prove a zero budget too small even where the bisection would
+    # reach k = 2**-1074: `floors_hold` counts a node whose time overflows as
+    # refused, and at 10 GB a finite time bounds every billed bandwidth
+    @pytest.mark.parametrize("iterations", ["30", "1100"])
+    def test_zero_budget_at_10_gb_is_proved_infeasible(self, capsys, iterations):
+        code = run(["plan", "--topology", TESTBED, "--src", "0", "--dst", "5",
+                    "--data-gb", "10", "--budget-usd", "0", "--iterations", iterations])
+        assert code == 2
+        assert capsys.readouterr().err == "insufficient budget: no feasible path found\n"
+
     def test_usage_error(self, capsys):
         assert run(["plan", "--bogus"]) == 1
 
