@@ -332,7 +332,8 @@ def cost_floor(node: NodeSpec, full_rate_cost: float, data_size_gb: float) -> fl
     if node.payg_rate is None:
         return full_rate_cost
     bandwidth_hours = node.payg_rate * data_size_gb * BITS_PER_GB / BITS_PER_MBPS / SECONDS_PER_HOUR
-    return min(full_rate_cost, bandwidth_hours)
+    # min(full_rate_cost, bandwidth_hours), without a call
+    return bandwidth_hours if bandwidth_hours < full_rate_cost else full_rate_cost
 
 
 # The share of its `cost_floor` that a node's cost reaches at least, where

@@ -152,23 +152,27 @@ def cost_floor_distance(
     no path leads from the source to the destination. TopologyError for an
     endpoint that is not a node id.
     """
-    check_node_ids(topology.edges.n, source=request.source, destination=request.destination)
-    return _floor_distance(topology, request, full_rate_costs)
+    n = topology.edges.n
+    check_node_ids(n, source=request.source, destination=request.destination)
+    return _floor_distance(topology, request, full_rate_costs, [None] * n)
 
 
 def _floor_distance(
-    topology: Topology, request: TransferRequest, full_rate_costs: Sequence[float]
+    topology: Topology, request: TransferRequest, full_rate_costs: Sequence[float],
+    floors: list[float | None],
 ) -> float:
     """`cost_floor_distance` for endpoints that are node ids.
 
     A Dijkstra from the source, each sender adding its floor, worked out
-    only when the node is popped; it returns when the destination is popped.
+    only when the node is popped, at most once, and written to `floors`,
+    a list of one None per node; it returns when the destination is popped.
     A sum that overflows reads as the largest float, so a reached
     destination never reads as an unreachable one.
     """
     source, destination, data_size_gb = request.source, request.destination, request.data_size_gb
     nodes, edges = topology.nodes, topology.edges
     offsets, dst = edges.offsets, edges.dst
+    largest = sys.float_info.max
     dist = [math.inf] * edges.n
     dist[source] = 0.0
     frontier = [(0.0, source)]
@@ -178,7 +182,12 @@ def _floor_distance(
             return d
         if d > dist[u]:
             continue
-        new_d = min(d + cost_floor(nodes[u], full_rate_costs[u], data_size_gb), sys.float_info.max)
+        # a node is pushed only at a strictly smaller distance, so it is popped
+        # at its own distance once and its floor is worked out once
+        floor = floors[u] = cost_floor(nodes[u], full_rate_costs[u], data_size_gb)
+        new_d = d + floor
+        if new_d > largest:
+            new_d = largest
         for v in dst[offsets[u] : offsets[u + 1]]:
             if new_d < dist[v]:
                 dist[v] = new_d
@@ -228,19 +237,25 @@ def plan_outcome(
     round was feasible, though the floors do not rule every k out.
 
     The k = 1 round is `billing.price_round` plus `search.search_core` on
-    its two lists. A bisection round prices the source with `billing.price`
-    and leaves every other node to the search, which prices a node the first
-    time it reads its cost and ends the round with None at one it cannot
-    price. Before it prices a node, it drops a label whose cost plus the
-    node's `billing.cost_floor`, times `billing.FLOOR_SHARE`, is over the
-    budget: the floors are worked out once, from the k = 1 costs, once the
-    bisection starts, and serve a round only where `billing.floors_hold` at
-    its k, so that no cost the node has at that k is below its floor and the
-    exact test would drop the label too. A round that finds a path priced
-    only some nodes, so an O(1) bound on the topology's `rate_extremes`,
-    `billing.refuses_no_node`, shows that none of the others would be
-    refused; where it cannot, `price_round` over every node confirms the
-    round or makes it None. So a round is None if and only if `price_round`
+    its two lists. A bisection round prices the source with `price_round`
+    over the source alone and leaves every other node to the search, which
+    prices a node the first time it reads its cost and ends the round with
+    None at one it cannot price. Before it prices a node, it drops a label
+    whose cost plus the node's `billing.cost_floor`, times
+    `billing.FLOOR_SHARE`, is over the budget: each floor is worked out
+    once per request, from the k = 1 costs, by the floor search for the
+    nodes it pops and for the others once the bisection starts, and serves
+    a round only where `billing.floors_hold` at its k, so that no cost the
+    node has at that k is below its floor and the exact test would drop the
+    label too. The rounds share one list of out-edges per request, each
+    node's listed as (successor, delay) pairs by the first round that
+    expands it, and walk the same edges in the same order as its CSR row.
+    A round catches only `price_round`'s `ValueError`; the search itself
+    returns None at a node it cannot price. A round that finds a path
+    priced only some nodes, so an O(1) bound on the topology's
+    `rate_extremes`, `billing.refuses_no_node`, shows that none of the
+    others would be refused; where it cannot, `price_round` over every node
+    confirms the round or makes it None. So a round is None if and only if `price_round`
     refuses it or the search on its lists finds no path.
 
     The request is checked once, in the order that `build_weights` and
@@ -252,15 +267,17 @@ def plan_outcome(
     """
     source, destination, budget = request.source, request.destination, request.budget_usd
     nodes, edges, data_size_gb = topology.nodes, topology.edges, request.data_size_gb
+    n = edges.n
     check_rule(rule)
     full_rate_costs, b = price_round(nodes, 1.0, data_size_gb, rule)
-    check_node_ids(edges.n, source=source, destination=destination)
+    check_node_ids(n, source=source, destination=destination)
     result = search_core(edges, full_rate_costs, b, source, destination, budget)
     rounds = [(1.0, result)]
     if result is not None:
         plan = _finalize(topology, request, rule, result, 1.0, 0)
         return PlanOutcome(plan, None, False, tuple(rounds))
-    floor = _floor_distance(topology, request, full_rate_costs)
+    popped_floors = [None] * n
+    floor = _floor_distance(topology, request, full_rate_costs, popped_floors)
     if floor == math.inf:
         raise NoPathError(source, destination)
     extremes = topology.rate_extremes
@@ -272,34 +289,40 @@ def plan_outcome(
     if floor > budget * (1.0 + _FLOOR_MARGIN) and floors_hold_always:
         return PlanOutcome(None, floor, True, tuple(rounds))
 
+    # the floor search worked out the floors of the nodes it popped; the rest are worked out here
     floors = [
-        cost_floor(node, cost, data_size_gb) * FLOOR_SHARE
-        for node, cost in zip(nodes, full_rate_costs)
+        (cost_floor(node, cost, data_size_gb) if popped is None else popped) * FLOOR_SHARE
+        for node, cost, popped in zip(nodes, full_rate_costs, popped_floors)
     ]
+    no_floors = None if floors_hold_always else [0.0] * n  # a floor of 0 drops no label
+    # each node's out-edges as (successor, delay) pairs, listed when a round first
+    # expands the node; every later round of the request walks the same list
+    out_edges = [None] * n
     feasible = None  # the last feasible round's (result, k)
-    source_node = nodes[source]
+    source_nodes = (nodes[source],)
     k, k_lower, k_upper = 0.5, 0.0, 1.0
     for _ in range(request.max_iterations):
         # every node but the source is priced when the search first reads its cost,
-        # unless its floor drops the label first; a floor of 0 drops none
-        a, b = [None] * edges.n, [None] * edges.n
+        # unless its floor drops the label first
+        a, b = [None] * n, [None] * n
         pricing = (
             nodes, k, data_size_gb, rule,
-            floors if floors_hold_always or floors_hold(extremes, k, data_size_gb)
-            else [0.0] * edges.n,
+            floors if floors_hold_always or floors_hold(extremes, k, data_size_gb) else no_floors,
+            out_edges,
         )
         try:
-            a[source], b[source] = price(
-                source_node, k * source_node.max_egress_mbps, data_size_gb, rule
-            )[2:]
-            result = search_core(edges, a, b, source, destination, budget, pricing)
-            if result is not None and not refuses_no_node(extremes, k, data_size_gb):
-                price_round(nodes, k, data_size_gb, rule)  # raises if a node it never read refuses
+            # the source's cost and time at k, as `price` bills them, in one call
+            (a[source],), (b[source],) = price_round(source_nodes, k, data_size_gb, rule)
         except ValueError:
-            # k is in (0, 1] and the rule passed at k = 1, so a node cannot be
-            # priced at this k: its bandwidth is 0, or its time or cost is not
-            # a finite number. No path is affordable at this k
-            result = None
+            result = None  # the source cannot be priced at this k
+        else:
+            # outside the `try`: the core returns None for a node it cannot price
+            result = search_core(edges, a, b, source, destination, budget, pricing)
+            if result is not None and not (
+                refuses_no_node(extremes, k, data_size_gb)
+                or _prices_every_node(nodes, k, data_size_gb, rule)
+            ):
+                result = None
         rounds.append((k, result))
         if result is not None:
             feasible = result, k
@@ -317,6 +340,22 @@ def plan_outcome(
     if feasible is not None:
         plan = _finalize(topology, request, rule, *feasible, request.max_iterations)
     return PlanOutcome(plan, floor, False, tuple(rounds))
+
+
+def _prices_every_node(
+    nodes: Sequence, fraction_k: float, data_size_gb: float, rule: str
+) -> bool:
+    """Whether `price_round` prices every node at `fraction_k`.
+
+    k is in (0, 1] and the rule passed at k = 1, so a refusal means that a
+    node's bandwidth is 0, or its time or cost is not a finite number: no
+    path is affordable at this k.
+    """
+    try:
+        price_round(nodes, fraction_k, data_size_gb, rule)
+    except ValueError:
+        return False
+    return True
 
 
 def plan_transfer(

@@ -6,8 +6,9 @@ A record lists its fields once, in `_fields`, and stores them in `__slots__`.
 extra value, as a written signature would; `help()` shows it as
 `(*args, **kwargs)`, so read `_fields` for the order. A record that checks
 its inputs or has a default writes its own `__init__`, ending in
-`super().__init__(...)`. `NodeSpec` keeps a written constructor because the
-loader builds one per node entry and the generic one is slower.
+`super().__init__(...)`. `NodeSpec` and `search.PathResult` keep written
+constructors because the loader builds one per node entry and the search
+one per planner round, and the generic one is slower.
 
 Equality (with records of the same class only), hashing, `repr` and pickling
 follow from the field values, and assigning a field afterwards raises

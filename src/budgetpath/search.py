@@ -30,7 +30,9 @@ core drops the label if its cost plus that bound is over the cap, as the
 exact test would, and otherwise prices the node, with `price_round`'s float
 operations written out in its loop, and ends the round with None at a node
 that cannot be priced. Full lists never enter that fill, so one loop serves
-both.
+both. The bisection rounds of one request also share a list of each
+expanded node's out-edges as (successor, delay) pairs, listed by the first
+round that expands the node; a search that runs once walks the CSR row.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import math
 from collections.abc import Sequence
 
 from budgetpath.billing import BITS_PER_GB, BITS_PER_MBPS, SECONDS_PER_HOUR
-from budgetpath.records import Record
+from budgetpath.records import Record, set_field
 from budgetpath.topology import EdgeList, NodeSpec, check_node_ids
 
 
@@ -81,6 +83,11 @@ class PathResult(Record):
 
     __slots__ = _fields = ("path", "total_a", "total_b")
 
+    def __init__(self, path: tuple[int, ...], total_a: float, total_b: float) -> None:
+        set_field(self, "path", path)
+        set_field(self, "total_a", total_a)
+        set_field(self, "total_b", total_b)
+
 
 def _check_query(n: int, source: int, destination: int, cost_cap: float) -> None:
     """TopologyError for an end that is not a node id, SearchError for a cap that is not >= 0."""
@@ -112,7 +119,7 @@ def search_core(
     source: int,
     destination: int,
     cost_cap: float,
-    pricing: tuple[Sequence[NodeSpec], float, float, str, Sequence[float]] | None = None,
+    pricing: tuple[Sequence[NodeSpec], float, float, str, Sequence[float], list] | None = None,
 ) -> PathResult | None:
     """`search_min_latency` without its checks, over a cost and a time per node of `edges`.
 
@@ -121,16 +128,21 @@ def search_core(
     endpoints and a cap >= 0. The planner's k = 1 round passes
     `billing.price_round`'s lists, which hold such values by construction.
 
-    With `pricing`, (nodes, fraction_k, data_size_gb, rule, floors), an
-    entry may instead be None, both a[v] and b[v], save the source's. A push
-    test that reads a[v] as None first drops the label, leaving v unpriced,
-    if its cost plus floors[v] is over the cap; the caller vouches that no
-    cost of v is below floors[v], so the exact test would drop it too, and
-    floors of 0 drop nothing. Otherwise it fills both entries in place with
-    `price_round([nodes[v]], fraction_k, data_size_gb, rule)`'s values, and
-    a node that `price_round` would refuse ends the search with None, as if
-    no path were found. Nodes the search never prices stay None, so None
-    does not say that every node could be priced.
+    With `pricing`, (nodes, fraction_k, data_size_gb, rule, floors,
+    out_edges), an entry may instead be None, both a[v] and b[v], save the
+    source's. A push test that reads a[v] as None first drops the label,
+    leaving v unpriced, if its cost plus floors[v] is over the cap; the
+    caller vouches that no cost of v is below floors[v], so the exact test
+    would drop it too, and floors of 0 drop nothing. Otherwise it fills both
+    entries in place with `price_round([nodes[v]], fraction_k,
+    data_size_gb, rule)`'s values, and a node that `price_round` would
+    refuse ends the search with None, as if no path were found, not with an
+    exception. Nodes the search never prices stay None, so None does not
+    say that every node could be priced. `out_edges` holds one entry per
+    node: None, or the list `list(zip(dst[lo:hi], delay[lo:hi]))` of the
+    node's CSR row, which the search writes there when it first expands the
+    node and walks in place of the row from then on, in this call and in
+    every later one given the same `out_edges`.
 
     Pops the frontier label with minimum accumulated latency (ties broken
     by accumulated cost, then node id) and returns on the first destination
@@ -145,13 +157,15 @@ def search_core(
     `planner.cost_floor_distance`, before any binary-search round.
     """
     offsets, dst, delay = edges.offsets, edges.dst, edges.delay
+    out_edges = None
     if pricing is not None:
-        nodes, fraction_k, data_size_gb, rule, floors = pricing
+        nodes, fraction_k, data_size_gb, rule, floors, out_edges = pricing
         bits, threshold = data_size_gb * BITS_PER_GB, rule == "threshold"
     inf, ceil = math.inf, math.ceil
     min_b = [inf] * edges.n
     min_b[source] = 0.0
     labels = [(source, -1)]  # (node, parent label) of every pushed label; 0 is the source
+    pushed = 0  # the index in `labels` of the last pushed label
     frontier: list[tuple[float, float, int, int]] = [(0.0, 0.0, source, 0)]
     heappop, heappush = heapq.heappop, heapq.heappush
 
@@ -169,9 +183,17 @@ def search_core(
         if new_a > cost_cap:
             continue
         b_node = b[node]
-        for e in range(offsets[node], offsets[node + 1]):
-            nxt = dst[e]
-            new_b = curr_b + (delay[e] + b_node)
+        pairs = None if out_edges is None else out_edges[node]
+        if pairs is None:
+            lo, hi = offsets[node], offsets[node + 1]
+            pairs = zip(dst[lo:hi], delay[lo:hi])
+            if out_edges is not None:
+                # a list, not a tuple: CPython keeps up to 2000 freed tuples of
+                # each size below 20 for reuse, so tuples would stay allocated
+                # after the request, while a freed list gives its items back
+                pairs = out_edges[node] = list(pairs)
+        for nxt, d in pairs:
+            new_b = curr_b + (d + b_node)
             if new_b < min_b[nxt]:
                 min_b[nxt] = new_b
                 # the pop's own test, a step early: a label that cannot pay its
@@ -216,7 +238,8 @@ def search_core(
                         a[nxt], b[nxt] = a_nxt, b_nxt
                     if new_a + a_nxt > cost_cap:
                         continue
-                heappush(frontier, (new_b, new_a, nxt, len(labels)))
+                pushed += 1
+                heappush(frontier, (new_b, new_a, nxt, pushed))
                 labels.append((nxt, label))
     return None
 

@@ -454,12 +454,15 @@ def search_pruned_at_pop(
     It pushes every label that improves its node's latency and drops a
     label over the cap only when it pops it. `search_core` must give `==`
     results: the labels it does not push are the ones this loop drops.
-    Given `pricing`, (nodes, k, data size, rule, floors), it prices every
-    node first with `price_round`, and raises its ValueError; it reads no
-    floor.
+    Given `pricing`, (nodes, k, data size, rule, floors, out-edge lists), it
+    prices every node first with `price_round` and, as the core does, returns
+    None where a node is refused; it reads neither the floors nor the lists.
     """
     if pricing is not None:
-        a, b = price_round(*pricing[:4])
+        try:
+            a, b = price_round(*pricing[:4])
+        except ValueError:
+            return None
     offsets, dst, delay = edges.offsets, edges.dst, edges.delay
     min_b = [math.inf] * edges.n
     min_b[source] = 0.0

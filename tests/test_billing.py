@@ -300,7 +300,7 @@ class TestPriceRound:
         met as the middle of the chain 0 -> 1 -> 2, or None where it refuses
         the node and ends the round with no path. Floors of 0 drop no label."""
         a, b = [0.0, None, None], [0.0, None, None]
-        pricing = ((None, node, None), k, data_gb, rule, (0.0, 0.0, 0.0))
+        pricing = ((None, node, None), k, data_gb, rule, (0.0, 0.0, 0.0), [None] * 3)
         result = search_core(CHAIN, a, b, 0, 2, math.inf, pricing)
         if result is None:
             assert a[1] is None and b[1] is None

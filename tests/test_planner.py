@@ -1,7 +1,9 @@
+import gc
 import math
 import random
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -654,6 +656,25 @@ class ReadCounter:
         return self.values[i]
 
 
+def sparse_bisection_requests(rng, graphs=3, per_graph=8):
+    """(topology, request) pairs on degree-8 graphs of 200 nodes, with budgets
+    between the floor distance and twice it, so most requests bisect."""
+    for _ in range(graphs):
+        topo = sparse_topology(rng, 200, 8.0)
+        full_rate_costs = {
+            data_gb: price_round(topo.nodes, 1.0, data_gb, "threshold")[0]
+            for data_gb in (3.0, 6.0, 10.0)
+        }
+        for _ in range(per_graph):
+            source, destination = rng.sample(range(200), 2)
+            data_gb = rng.choice([3.0, 6.0, 10.0])
+            floor = cost_floor_distance(
+                topo, TransferRequest(source, destination, data_gb, 0.0, 30),
+                full_rate_costs[data_gb])
+            yield topo, TransferRequest(
+                source, destination, data_gb, floor * rng.uniform(1.0, 2.0), 30)
+
+
 class TestLazyRounds:
     """A bisection round prices a node when its search first reads the node's
     cost, and answers as if it had priced every node first."""
@@ -674,7 +695,8 @@ class TestLazyRounds:
             return proved
 
         def counting_confirm(nodes, k, data_gb, rule):
-            if k == 1.0:
+            # the k = 1 round and each bisection round's source are priced too
+            if k == 1.0 or nodes is not topo.nodes:
                 return price_round(nodes, k, data_gb, rule)
             try:
                 priced = price_round(nodes, k, data_gb, rule)
@@ -737,7 +759,7 @@ class TestLazyRounds:
                 return search_core(edges, a, b, source, destination, cost_cap)
             floors = ReadCounter(pricing[4])
             result = search_core(
-                edges, a, b, source, destination, cost_cap, (*pricing[:4], floors))
+                edges, a, b, source, destination, cost_cap, (*pricing[:4], floors, pricing[5]))
             # a floor read drops the label or prices the node, which may refuse
             # and end the search once: what no entry was priced for was dropped
             priced = sum(value is not None for value in a) - 1  # the source's came first
@@ -788,17 +810,118 @@ class TestLazyRounds:
             return result
 
         monkeypatch.setattr(planner, "search_core", counting_search)
-        rng = random.Random(73)
-        for _ in range(3):
-            topo = sparse_topology(rng, 200, 8.0)
-            for _ in range(8):
-                source, destination = rng.sample(range(200), 2)
-                data_gb = rng.choice([3.0, 6.0, 10.0])
-                budget = floor_distance(topo, source, destination, data_gb, "threshold")
-                plan_outcome(topo, TransferRequest(source, destination, data_gb,
-                                                   budget * rng.uniform(1.0, 2.0), 30))
+        for topo, request in sparse_bisection_requests(random.Random(73)):
+            plan_outcome(topo, request)
         assert node_rounds >= 200 * 30 * 12, node_rounds
         assert priced < 0.25 * node_rounds, priced / node_rounds
+
+    def test_a_round_swallows_only_pricing_refusals(self, monkeypatch):
+        # the core refuses a node by returning None and raises nothing, so an
+        # error inside a bisection round's search is not read as a round that
+        # found no path: it ends the request
+        def failing_search(edges, a, b, source, destination, cost_cap, pricing=None):
+            if pricing is not None:
+                raise ValueError("not a pricing refusal")
+            return search_core(edges, a, b, source, destination, cost_cap)
+
+        monkeypatch.setattr(planner, "search_core", failing_search)
+        request = TransferRequest(0, 5, 10.0, 1.2, 30)  # a $1.2 budget bisects on testbed6
+        with pytest.raises(ValueError, match="^not a pricing refusal$"):
+            plan_outcome(load_topology(TESTBED), request)
+
+    def test_a_request_works_each_cost_floor_out_once(self, monkeypatch):
+        # the floor search works out the floor of each node it pops, and the
+        # bisection's floor list reuses those and works out only the others:
+        # one `cost_floor` call per node and request at most (two for each
+        # node the floor search popped, when the list worked out every floor)
+        calls = Counter()
+        cost_floor = planner.cost_floor
+
+        def counting_cost_floor(node, *args):
+            calls[node.id] += 1
+            return cost_floor(node, *args)
+
+        monkeypatch.setattr(planner, "cost_floor", counting_cost_floor)
+        bisections = 0
+        for topo, request in sparse_bisection_requests(random.Random(89)):
+            calls.clear()
+            outcome = plan_outcome(topo, request)
+            assert max(calls.values(), default=0) <= 1, (request, calls.most_common(3))
+            if len(outcome.rounds) > 1:
+                # the bisection read a floor for every node
+                assert len(calls) == len(topo), request
+                bisections += 1
+        assert bisections >= 20, bisections
+
+    def test_a_request_lists_each_nodes_out_edges_once(self, monkeypatch):
+        # every bisection round of a request gets the same per-request list; a
+        # node's entry is its CSR row as (successor, delay) pairs, listed by the
+        # first round that expands the node and walked, not listed again, by
+        # every later round. A search that runs once gets no list
+        rounds = []
+
+        def recording_search(edges, a, b, source, destination, cost_cap, pricing=None):
+            result = search_core(edges, a, b, source, destination, cost_cap, pricing)
+            rounds.append(None if pricing is None else (pricing[5], list(pricing[5])))
+            return result
+
+        monkeypatch.setattr(planner, "search_core", recording_search)
+        reused = listed = 0
+        for topo, request in sparse_bisection_requests(random.Random(97)):
+            rounds.clear()
+            plan_outcome(topo, request)
+            assert rounds[0] is None  # the k = 1 round
+            if len(rounds) == 1:
+                continue
+            offsets, dst, delay = topo.edges.offsets, topo.edges.dst, topo.edges.delay
+            out_edges = rounds[1][0]
+            assert len(out_edges) == len(topo)
+            before = [None] * len(topo)
+            for shared, entries in rounds[1:]:
+                assert shared is out_edges
+                for node, (old, new) in enumerate(zip(before, entries)):
+                    if old is not None:
+                        assert new is old, (request, node)  # not listed again
+                        reused += 1
+                    elif new is not None:
+                        lo, hi = offsets[node], offsets[node + 1]
+                        assert type(new) is list, type(new)
+                        assert new == list(zip(dst[lo:hi], delay[lo:hi])), (request, node)
+                        listed += 1
+                before = entries
+        assert listed >= 500 and reused >= 10 * listed, (listed, reused)
+
+    def test_requests_leave_no_memory_behind(self):
+        # the out-edge lists live only as long as their request. A full
+        # collection empties CPython's free lists, which keep up to 2000 freed
+        # tuples of each size below 20 for reuse, so one runs first and the
+        # automatic collector stays off while the traced requests run: what
+        # stays traced after them is what they left on those free lists, since
+        # their results hold no reference cycles and dropping them frees them.
+        # 90 requests leave about 190 KB, as a planner without the lists does;
+        # lists stored as tuples left about 400 KB
+        cases = list(sparse_bisection_requests(random.Random(101), per_graph=30))
+        for topo, request in cases[::30]:  # fill the topologies' caches
+            plan_outcome(topo, request)
+        tracing, enabled = tracemalloc.is_tracing(), gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            if not tracing:
+                tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+            outcomes = [plan_outcome(topo, request) for topo, request in cases]
+            bisections = sum(len(outcome.rounds) > 1 for outcome in outcomes)
+            del outcomes
+            gc.collect(1)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert bisections >= 60, bisections
+        assert left < 280_000, left
 
 
 class TestFloorCertificate:
