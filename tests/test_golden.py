@@ -14,6 +14,10 @@ node-billed instance's per-edge expansion, a[e] = a[src[e]] and
 b[e] = delay[e] + b[src[e]], so they also pin that the node-billed search
 adds the same floats in the same order.
 
+`outcome_digests` hashes whole `PlanOutcome`s, every round's k, path and
+totals included, of the benchmark's plan-bsearch requests, so a change that
+alters how the planner gets to an answer shows even where the answer stays.
+
 Regenerate only for a change meant to alter answers:
 
     PYTHONPATH=src:tests python tests/test_golden.py --write
@@ -21,21 +25,27 @@ Regenerate only for a change meant to alter answers:
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import importlib
 import json
 import math
 import random
 import sys
+import tempfile
 from pathlib import Path
 
-from budgetpath.billing import TransferRequest, node_cost, select_billing
-from budgetpath.planner import build_weights, plan_to_dict, plan_transfer
+from budgetpath.billing import RULES, TransferRequest, node_cost, select_billing
+from budgetpath.planner import build_weights, plan_outcome, plan_to_dict, plan_transfer
 from budgetpath.search import enumerate_best_path, search_min_latency
 from budgetpath.simulate import compare
-from budgetpath.topology import LinkSpec, NodeSpec, NoPathError, Topology
+from budgetpath.topology import LinkSpec, NodeSpec, NoPathError, Topology, load_topology
 from helpers import random_topology, random_weights
 
 GOLDEN = Path(__file__).resolve().parent / "golden_answers.json"
+PERFBENCH = GOLDEN.parent.parent / "perfbench"
+OUTCOME_SEEDS = (7, 8, 9)
+OUTCOME_BLOCKS = 3
 SPARSE_SEED = 20261017
 SPARSE_GRAPHS = 3
 SPARSE_REQUESTS = 6
@@ -172,6 +182,58 @@ def answers(sparse: list[dict]) -> dict:
     return {"plans": plans, "reports": reports, "searches": searches, "sparse_plans": sparse_plans}
 
 
+def _plan_bsearch_blocks(seed: int) -> tuple[dict, list[dict]]:
+    """The topologies and the first `OUTCOME_BLOCKS` request blocks of the
+    benchmark's plan-bsearch workload at `seed`.
+
+    `perfbench/gen.py` never calls budgetpath, so the requests stay the same
+    when the program changes. It is imported without writing bytecode under
+    `perfbench/`, and its topology files go to a temporary directory.
+    """
+    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode = True
+    try:
+        gen = importlib.import_module("gen")
+        with tempfile.TemporaryDirectory() as work_dir:
+            inputs = gen.Inputs("plan-bsearch", seed, Path(work_dir), False, PERFBENCH.parent)
+            topologies = {path: load_topology(path) for path in inputs.files}
+            blocks = [request for _ in range(OUTCOME_BLOCKS) for request in inputs.block()]
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved_path, saved_flag
+    return topologies, blocks
+
+
+def _outcome_text(outcome) -> str:
+    """A whole `PlanOutcome` as exact text: floats as hex, each round's k, path and totals."""
+    rounds = [
+        [k.hex(), None if result is None
+         else [list(result.path), result.total_a.hex(), result.total_b.hex()]]
+        for k, result in outcome.rounds
+    ]
+    plan = None if outcome.plan is None else plan_to_dict(outcome.plan)
+    floor = None if outcome.floor is None else outcome.floor.hex()
+    return json.dumps([plan, floor, outcome.proved, rounds], sort_keys=True)
+
+
+def outcome_digests() -> dict[str, str]:
+    """Per seed and rule, a hash of the whole outcome of every plan-bsearch request."""
+    digests = {}
+    for seed in OUTCOME_SEEDS:
+        topologies, requests = _plan_bsearch_blocks(seed)
+        for rule in RULES:
+            text = "\n".join(
+                _outcome_text(plan_outcome(
+                    topologies[doc["topology"]],
+                    TransferRequest(doc["src"], doc["dst"], doc["data_gb"], doc["budget"], 30),
+                    rule,
+                ))
+                for doc in requests
+            )
+            digests[f"{seed} {rule}"] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    return digests
+
+
 def test_answers_match_golden():
     golden = json.loads(GOLDEN.read_text())
     computed = answers(golden["sparse_requests"])
@@ -180,6 +242,10 @@ def test_answers_match_golden():
         for i, (mine, pinned) in enumerate(zip(computed[key], golden[key])):
             # as JSON text, which tells 0 from 0.0 where == on numbers would not
             assert json.dumps(mine) == json.dumps(pinned), f"{key}[{i}]"
+
+
+def test_outcomes_match_golden_digests():
+    assert outcome_digests() == json.loads(GOLDEN.read_text())["outcome_digests"]
 
 
 def test_golden_covers_every_planner_outcome():
@@ -197,5 +263,6 @@ def test_golden_covers_every_planner_outcome():
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     sparse = sparse_requests()
-    GOLDEN.write_text(json.dumps({"sparse_requests": sparse, **answers(sparse)}, indent=1) + "\n")
+    golden = {"sparse_requests": sparse, **answers(sparse), "outcome_digests": outcome_digests()}
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
