@@ -11,19 +11,23 @@ Two billing methods are modeled:
 the method, bandwidth, cost and transmission time as plain values.
 `price_round` prices every node of a planner round in one pass, with
 `price`'s float operations written out in the same order; it must stay
-equal to `price` node by node, a refusal's message included, which a
-seeded test checks bit for bit. `search.search_core` writes the same
-operations out once more, to price one node of a bisection round when its
-search first reads it; the same test checks that copy, and
-`refuses_no_node` bounds, in O(1), whether any node it did not read would
-be refused.
-`select_billing` wraps `price` for callers that want a `NodeBillingConfig`,
-and `cost_floor` bounds it from below over every bandwidth fraction from the
-node's cost at full rate, as the k = 1 round priced it. `floors_hold`
-bounds, in O(1), the fractions at which that holds in floats, up to
-`FLOOR_SHARE`: there the planner proves a budget insufficient without a
+equal to `price` node by node, which a seeded test checks bit for bit.
+`search.search_core` writes the same operations out once more, to price one
+node of a bisection round when its search first reads it; the same test
+checks that copy. `select_billing` wraps `price` for callers that want a
+`NodeBillingConfig`, and `cost_floor` bounds it from below over every
+bandwidth fraction from the node's cost at full rate, as the k = 1 round
+priced it: the planner proves a budget insufficient by the floors without a
 further round, and a bisection round drops a label by its node's floor
 before it prices the node.
+
+The numbers are bounded where they are made: a node's cap and rates by
+`NodeSpec.validate` (topology.py), a payload by `TransferRequest`, and a
+bandwidth fraction k below by `LEAST_K`, where the bisection stops and
+below which `select_billing` and `planner.build_weights` refuse. Inside
+that domain every time, bill and cost floor is a finite normal float or 0
+(at most about 1.5e38 s and $2.2e18 a node), and no bill is below its
+floor by more than float rounding, so no pricer refuses a node.
 
 Units are fixed package-wide: bandwidth in Mbps (10^6 bit/s), data size in
 GB (10^9 bytes), latency in seconds, money in USD.
@@ -32,7 +36,6 @@ GB (10^9 bytes), latency in seconds, money in USD.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterable
 from enum import IntEnum
 
@@ -43,6 +46,10 @@ BITS_PER_GB = 8e9
 BITS_PER_MBPS = 1e6
 SECONDS_PER_HOUR = 3600.0
 RULES = ("threshold", "exact-cost")
+# A payload, in GB, from one byte to an exabyte.
+MIN_DATA_GB, MAX_DATA_GB = 1e-9, 1e12
+# The least bandwidth fraction: the bisection runs no round below it.
+LEAST_K = 2.0**-64
 
 
 class BillingMethod(IntEnum):
@@ -64,11 +71,10 @@ class TransferRequest(Record):
     """One bulk transfer to plan: endpoints, size, budget, iteration cap.
 
     The endpoints and the iteration cap must be integers (a bool is not one),
-    the endpoints two different nodes, the data size > 0 and small enough
-    (at most about 2.247e298 GB) that its size in bits is a finite number,
-    so no pricing makes a NaN, and the budget a number; an infinite budget
-    is valid and never binds. Whether the endpoints are node ids depends on
-    the topology, which the planner checks.
+    the endpoints two different nodes, the data size in the operating domain,
+    [`MIN_DATA_GB`, `MAX_DATA_GB`], and the budget a number; an infinite
+    budget is valid and never binds. Whether the endpoints are node ids
+    depends on the topology, which the planner checks.
     """
 
     __slots__ = _fields = ("source", "destination", "data_size_gb", "budget_usd", "max_iterations")
@@ -88,12 +94,9 @@ class TransferRequest(Record):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if source == destination:
             raise ValueError(f"source and destination are the same node ({source})")
-        if not data_size_gb > 0:
-            raise ValueError(f"data_size_gb must be > 0, got {data_size_gb}")
-        if not data_size_gb * BITS_PER_GB < math.inf:
+        if not MIN_DATA_GB <= data_size_gb <= MAX_DATA_GB:
             raise ValueError(
-                f"data_size_gb must be at most {sys.float_info.max / BITS_PER_GB!r}, so that "
-                f"its size in bits is a finite number, got {data_size_gb}"
+                f"data_size_gb must be in [{MIN_DATA_GB:g}, {MAX_DATA_GB:g}], got {data_size_gb}"
             )
         if not budget_usd >= 0:
             raise ValueError(f"budget_usd must be >= 0, got {budget_usd}")
@@ -164,14 +167,6 @@ def node_cost(node: NodeSpec, config: NodeBillingConfig, data_size_gb: float) ->
     return payg_cost(node.payg_rate, config.bandwidth_mbps, data_size_gb)
 
 
-def _not_finite(node: NodeSpec, what: str, data_size_gb: float) -> ValueError:
-    """The refusal of a node whose `what`, "time" or "cost", is not a finite number."""
-    return ValueError(
-        f"node {node.id} ({node.name}): its {what} to send {data_size_gb!r} GB "
-        "is not a finite number"
-    )
-
-
 def check_rule(rule: str) -> None:
     """ValueError unless `rule` is one of `RULES`."""
     if rule not in RULES:
@@ -191,10 +186,7 @@ def price(
     whichever method is strictly cheaper, ties going to PFDT since it is
     never slower. Nodes offering only one method always use it. Neither the
     rule nor the candidate's range is checked here; `check_rule` and
-    `select_billing` do that. ValueError for a bandwidth that is not > 0,
-    and one naming the node for a time, else a cost, that is not a finite
-    number; a PAYG time is refused before it is billed, even where
-    `exact-cost` would pick PFDT.
+    `select_billing` do that.
     """
     payg_rate, pfdt_rate = node.payg_rate, node.pfdt_rate
     if pfdt_rate is None:
@@ -208,8 +200,6 @@ def price(
     if not pfdt:
         method, bandwidth = BillingMethod.PAYG, bandwidth_candidate_mbps
         seconds = transfer_seconds(data_size_gb, bandwidth)
-        if not math.isfinite(seconds):
-            raise _not_finite(node, "time", data_size_gb)
         cost = payg_cost(payg_rate, bandwidth, data_size_gb)
         if pfdt is None and pfdt_cost(pfdt_rate, data_size_gb) <= cost:
             pfdt = True
@@ -217,9 +207,6 @@ def price(
         method, bandwidth = BillingMethod.PFDT, node.max_egress_mbps
         seconds = transfer_seconds(data_size_gb, bandwidth)
         cost = pfdt_cost(pfdt_rate, data_size_gb)
-    for what, value in (("time", seconds), ("cost", cost)):
-        if not math.isfinite(value):
-            raise _not_finite(node, what, data_size_gb)
     return method, bandwidth, cost, seconds
 
 
@@ -231,14 +218,13 @@ def price_round(
     The planner's per-round pricing: node i's entries are exactly
     `price(node, fraction_k * node.max_egress_mbps, data_size_gb, rule)[2:]`,
     with `price`'s float operations written out in the same order, so the
-    method choice still has one definition. It raises what `price` raises
-    for the first node that `price` refuses, testing each time and cost with
-    one comparison where it is made. The nodes are a topology's checked
-    nodes; the rule is not checked here.
+    method choice still has one definition. The nodes are a topology's
+    checked nodes and `fraction_k` is at least `LEAST_K`; the rule is not
+    checked here.
     """
     bits = data_size_gb * BITS_PER_GB
     threshold = rule == "threshold"
-    inf, ceil = math.inf, math.ceil
+    ceil = math.ceil
     costs, seconds = [], []
     for node in nodes:
         payg, pfdt, cap = node.payg_rate, node.pfdt_rate, node.max_egress_mbps
@@ -252,59 +238,17 @@ def price_round(
         else:
             pick_pfdt = None  # `exact-cost`: decided by the two bills below
         if not pick_pfdt:
-            if bandwidth <= 0:
-                raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
             payg_seconds = bits / (bandwidth * BITS_PER_MBPS)
-            if not payg_seconds < inf:
-                raise _not_finite(node, "time", data_size_gb)
             # `or 1` is `billed_hours`' one-hour minimum, max(1, ...), without a call
             payg_bill = payg * bandwidth * (ceil(payg_seconds / SECONDS_PER_HOUR) or 1)
             # an `exact-cost` tie goes to PFDT, as in `price`
             if pick_pfdt is False or payg_bill < pfdt * data_size_gb:
-                if not payg_bill < inf:
-                    raise _not_finite(node, "cost", data_size_gb)
                 costs.append(payg_bill)
                 seconds.append(payg_seconds)
                 continue
-        pfdt_seconds = bits / (cap * BITS_PER_MBPS)
-        if not pfdt_seconds < inf:
-            raise _not_finite(node, "time", data_size_gb)
-        pfdt_bill = pfdt * data_size_gb
-        if not pfdt_bill < inf:
-            raise _not_finite(node, "cost", data_size_gb)
-        costs.append(pfdt_bill)
-        seconds.append(pfdt_seconds)
+        costs.append(pfdt * data_size_gb)
+        seconds.append(bits / (cap * BITS_PER_MBPS))
     return costs, seconds
-
-
-def refuses_no_node(
-    extremes: tuple[float, ...], fraction_k: float, data_size_gb: float
-) -> bool:
-    """Whether a bound proves that `price_round` at `fraction_k` refuses no node.
-
-    `extremes` are the nodes' `Topology.rate_extremes`. Each float operation
-    of `price_round` is monotone in a node's cap and rates, so under either
-    rule the least PAYG bandwidth bounds every PAYG time from above, that
-    time's billed hours and the largest PAYG rate and bandwidth bound every
-    PAYG bill, and the least PFDT cap and largest PFDT rate bound every PFDT
-    time and bill. True if all of those are finite and the least bandwidth is
-    above 0. False only says the bound cannot tell, as near k = 2**-1000 or
-    for caps and rates many orders of magnitude apart.
-    """
-    payg_cap_lo, payg_cap_hi, _, payg_rate_hi, pfdt_cap_lo, pfdt_rate_hi = extremes
-    bits = data_size_gb * BITS_PER_GB
-    bandwidth_lo = fraction_k * payg_cap_lo
-    if not bandwidth_lo > 0:
-        return False
-    seconds_hi = bits / (bandwidth_lo * BITS_PER_MBPS)
-    if not seconds_hi < math.inf:
-        return False
-    hours_hi = math.ceil(seconds_hi / SECONDS_PER_HOUR) or 1
-    return (
-        payg_rate_hi * (fraction_k * payg_cap_hi) * hours_hi < math.inf
-        and bits / (pfdt_cap_lo * BITS_PER_MBPS) < math.inf
-        and pfdt_rate_hi * data_size_gb < math.inf
-    )
 
 
 def cost_floor(node: NodeSpec, full_rate_cost: float, data_size_gb: float) -> float:
@@ -318,16 +262,9 @@ def cost_floor(node: NodeSpec, full_rate_cost: float, data_size_gb: float) -> fl
     cost is the same at every k and never below the full-rate cost where
     some k picks it: under `threshold` the cutoff `payg * k * bw / pfdt`
     only falls as k shrinks, so k = 1 picks PFDT too, and under
-    `exact-cost` k = 1 bills the cheaper method.
-
-    That holds for exact numbers. In floats a PAYG bill can fall below the
-    bandwidth-hours by a few roundings, and by far more where a value in
-    it leaves the normal floats: at rates of 0.001 to 0.1 USD per
-    Mbps-hour, single nodes bill more than 1e-9 of their floor below it at
-    payloads up to 1e-8 GB, at subnormal bandwidths, and at a rate near
-    1e-300 at any payload. Where the bandwidth-hours overflow, the floor is
-    the full-rate cost, which a smaller k can bill below. `floors_hold`
-    bounds where none of this happens.
+    `exact-cost` k = 1 bills the cheaper method. In floats a PAYG bill can
+    fall below the bandwidth-hours by a few roundings, which `FLOOR_SHARE`
+    allows for.
     """
     if node.payg_rate is None:
         return full_rate_cost
@@ -336,49 +273,13 @@ def cost_floor(node: NodeSpec, full_rate_cost: float, data_size_gb: float) -> fl
     return bandwidth_hours if bandwidth_hours < full_rate_cost else full_rate_cost
 
 
-# The share of its `cost_floor` that a node's cost reaches at least, where
-# `floors_hold`: there a PAYG bill is at most about 2.5e-13 below its floor.
-# A rounding moves a normal value by at most 2**-53 of itself: six lower the
-# bill (bits, bits per second, time, hours, rate times bandwidth, times hours)
-# and four raise the floor, 1.1e-15 in all. A subnormal value moves by at most
-# 2**-1075: at a rate times bandwidth of 2**-1030 or more, that product and the
-# bill lose at most 2**-45 of the bill each, and the floor's products gain at
-# most 3.3 * 2**-1075, 1.9e-13 of a floor near the bill. A subnormal time or
-# hours mean less than an hour, billed as one hour, as unrounded. 1e-12 leaves
-# four times that, and is far below the planner's 1e-9 margin on the budget.
+# The share of its `cost_floor` that a node's cost reaches at least. In the
+# operating domain every value of a bill and of its floor is a normal float,
+# and a rounding moves a normal value by at most 2**-53 of itself: six lower
+# the bill (bits, bits per second, time, hours, rate times bandwidth, times
+# hours) and four raise the floor, 1.1e-15 in all. 1e-12 leaves far more than
+# that, and is far below the planner's 1e-9 margin on the budget.
 FLOOR_SHARE = 1.0 - 1e-12
-
-
-def floors_hold(extremes: tuple[float, ...], fraction_k: float, data_size_gb: float) -> bool:
-    """Whether a bound proves that `price_round` at `fraction_k` bills each node at least
-    `FLOOR_SHARE` of its `cost_floor`, or refuses some node.
-
-    `extremes` are the nodes' `Topology.rate_extremes`. A PFDT cost is at
-    least its floor exactly (see `cost_floor`), and so is a PAYG bill at a
-    rate of 0. A PAYG bill at a rate above 0 is within `FLOOR_SHARE` of its
-    floor where its rate times its bandwidth is at least 2**-1030 and the
-    floor's bandwidth-hours do not overflow (a subnormal payload in bits or
-    bandwidth in bits per second is exact: a subnormal times a whole number
-    is). True if the least positive rate times the least bandwidth a billed
-    node can have is at least that, and the largest rate's bandwidth-hours
-    are finite. Only a node whose time, bits / (bandwidth * 1e6), is finite
-    is billed, so a node whose time overflows counts as refused, and a
-    billed bandwidth is above bits / 2**1024 / 1e6: at 10 GB and cloud-like
-    rates that bound alone holds at any k, down to 2**-1074. The bound grows
-    with k, so what holds at a k holds at every larger one. False only says
-    the bound cannot tell.
-    """
-    payg_cap_lo, _, payg_rate_lo, payg_rate_hi, _, _ = extremes
-    bandwidth_lo = fraction_k * payg_cap_lo
-    # half the least bandwidth whose time is finite, where that is a normal float
-    finite_time_lo = data_size_gb * BITS_PER_GB / sys.float_info.max / (2.0 * BITS_PER_MBPS)
-    if finite_time_lo >= sys.float_info.min:
-        bandwidth_lo = max(bandwidth_lo, finite_time_lo)
-    return (
-        payg_rate_lo * bandwidth_lo >= 2.0**-1030
-        # the bandwidth-hours' first two products, as `cost_floor` multiplies them
-        and payg_rate_hi * data_size_gb * BITS_PER_GB < math.inf
-    )
 
 
 def select_billing(
@@ -387,10 +288,16 @@ def select_billing(
     data_size_gb: float,
     rule: str = "threshold",
 ) -> NodeBillingConfig:
-    """Pick PAYG vs. PFDT for one node at a candidate PAYG bandwidth, as `price` does."""
-    if not 0 < bandwidth_candidate_mbps <= node.max_egress_mbps:
+    """Pick PAYG vs. PFDT for one node at a candidate PAYG bandwidth, as `price` does.
+
+    ValueError for a candidate below `LEAST_K` of the node's cap or above the
+    cap, or for an unknown rule.
+    """
+    least = LEAST_K * node.max_egress_mbps
+    if not least <= bandwidth_candidate_mbps <= node.max_egress_mbps:
         raise ValueError(
-            f"candidate bandwidth {bandwidth_candidate_mbps} outside (0, {node.max_egress_mbps}]"
+            f"candidate bandwidth {bandwidth_candidate_mbps} outside "
+            f"[{least}, {node.max_egress_mbps}]"
         )
     check_rule(rule)
     method, bandwidth, _, _ = price(node, bandwidth_candidate_mbps, data_size_gb, rule)

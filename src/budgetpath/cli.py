@@ -148,8 +148,7 @@ def _cmd_simulate(args, topology) -> int:
 
 def _cmd_oracle(args, topology) -> int:
     request = _request(args)
-    # priced first at k = 1, as `plan` prices, so a node that cannot be priced is
-    # the one `plan` names; the floor distance reads the k = 1 costs
+    # the floor distance reads the k = 1 costs
     weights = build_weights(topology, request, 1.0, args.rule)
     full_rate_costs = weights.a
     if args.fraction != 1.0:

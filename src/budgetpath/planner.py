@@ -5,28 +5,28 @@ binary search that shrinks PAYG rates until a budget-feasible path exists.
 returns only its plan. Its k = 1 round prices every node, since the cost
 floors read those costs; each bisection round prices a node only when its
 search first reads the node's cost and the node's cost floor does not
-already put the label over the budget, and is still None if and only if
-some node cannot be priced at its k.
+already put the label over the budget. The bisection runs no round below
+`LEAST_K`, so every round prices inside the operating domain (see
+`billing`): a round is None only where no path is within the budget at its
+k, and a floor above the budget proves that no round can meet it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Sequence
 from heapq import heappop, heappush
 
 from budgetpath.billing import (
     FLOOR_SHARE,
+    LEAST_K,
     BillingMethod,
     NodeBillingConfig,
     TransferRequest,
     check_rule,
     cost_floor,
-    floors_hold,
     price,
     price_round,
-    refuses_no_node,
 )
 from budgetpath.records import Record
 from budgetpath.search import EdgeWeights, PathResult, search_core
@@ -105,12 +105,10 @@ def build_weights(
     equal to `billing.price` node by node) prices the round: a node's egress
     cost is its `a` and its transmission time at the configured bandwidth
     its `b`, whichever edge it sends on. ValueError for a fraction outside
-    (0, 1] or an unknown rule, then for a bandwidth of 0, and one that names
-    the first node whose time or cost is not a finite number, both from
-    `price_round`.
+    [`LEAST_K`, 1], then for an unknown rule.
     """
-    if not 0 < fraction_k <= 1:
-        raise ValueError(f"fraction_k must be in (0, 1], got {fraction_k}")
+    if not LEAST_K <= fraction_k <= 1:
+        raise ValueError(f"fraction_k must be in [2**-64, 1], got {fraction_k}")
     check_rule(rule)
     a, b = price_round(topology.nodes, fraction_k, request.data_size_gb, rule)
     return EdgeWeights(topology.edges, tuple(a), tuple(b))
@@ -146,11 +144,9 @@ def cost_floor_distance(
 
     `full_rate_costs` holds each node's cost at k = 1, the costs of
     `price_round(topology.nodes, 1.0, request.data_size_gb, rule)`. No round
-    at any k bills a path below this sum by more than float rounding, save
-    where a PAYG bill underflows or the bandwidth-hours overflow, which
-    `billing.floors_hold` bounds (see `billing.cost_floor`); inf means that
-    no path leads from the source to the destination. TopologyError for an
-    endpoint that is not a node id.
+    at any k bills a path below this sum by more than float rounding (see
+    `billing.cost_floor`); inf means that no path leads from the source to
+    the destination. TopologyError for an endpoint that is not a node id.
     """
     n = topology.edges.n
     check_node_ids(n, source=request.source, destination=request.destination)
@@ -166,13 +162,10 @@ def _floor_distance(
     A Dijkstra from the source, each sender adding its floor, worked out
     only when the node is popped, at most once, and written to `floors`,
     a list of one None per node; it returns when the destination is popped.
-    A sum that overflows reads as the largest float, so a reached
-    destination never reads as an unreachable one.
     """
     source, destination, data_size_gb = request.source, request.destination, request.data_size_gb
     nodes, edges = topology.nodes, topology.edges
     offsets, dst = edges.offsets, edges.dst
-    largest = sys.float_info.max
     dist = [math.inf] * edges.n
     dist[source] = 0.0
     frontier = [(0.0, source)]
@@ -186,8 +179,6 @@ def _floor_distance(
         # at its own distance once and its floor is worked out once
         floor = floors[u] = cost_floor(nodes[u], full_rate_costs[u], data_size_gb)
         new_d = d + floor
-        if new_d > largest:
-            new_d = largest
         for v in dst[offsets[u] : offsets[u + 1]]:
             if new_d < dist[v]:
                 dist[v] = new_d
@@ -201,13 +192,12 @@ class PlanOutcome(Record):
     `plan` is the `Plan`, or None. `floor` is the request's
     `cost_floor_distance`, worked out only once the k = 1 round missed the
     budget, and None when that round met it. `proved` is whether the floor
-    is above the budget by more than the margin and `billing.floors_hold` at
-    the least k the bisection reaches, so that no round can meet it: a None
-    plan that is not proved is one that no round of the heuristic search
-    met, though the floor may be above the budget. `rounds` holds one
+    is above the budget by more than the margin, so that no round can meet
+    it: a None plan that is not proved is one that no round of the heuristic
+    search met, though the floor may be above the budget. `rounds` holds one
     (k, result) pair per round, step 1 first at k = 1.0, where `result` is
     the round's `PathResult`, or None for a round that found no path within
-    the budget or could not price a node.
+    the budget.
     """
 
     __slots__ = _fields = ("plan", "floor", "proved", "rounds")
@@ -224,46 +214,35 @@ def plan_outcome(
     with zero binary iterations if it fits the budget. Otherwise one
     `cost_floor_distance` search follows: NoPathError if no path reaches the
     destination, and a proved None without a further round if the least
-    summed cost floor is above the budget and `billing.floors_hold` at the
-    least k the rounds can reach, 2**-max_iterations or the least float, so
-    that no round can meet it. Where the floors do not hold that far, as at
-    1100 rounds for a payload under about 3e-4 GB at $0.02 per Mbps-hour,
-    the rounds run. Then a uniform bandwidth fraction k is binary searched
-    in the bracket [k_lower, k_upper] for at most `max_iterations` rounds,
-    keeping the most recent feasible round; its plan is built once, after
-    the search, and reports `max_iterations` as its iterations. A round
-    that leaves k unchanged ends the search: every later round would repeat
-    its k, its bracket and its plan. A None plan after the search is not proved: no
-    round was feasible, though the floors do not rule every k out.
+    summed cost floor is above the budget, so that no round can meet it.
+    Then a uniform bandwidth fraction k is binary searched in the bracket
+    [k_lower, k_upper] for at most `max_iterations` rounds, keeping the most
+    recent feasible round; its plan is built once, after the search, and
+    reports `max_iterations` as its iterations. A round that leaves k
+    unchanged ends the search: every later round would repeat its k, its
+    bracket and its plan. So does a next k below `LEAST_K`, which only a
+    search whose every round was None reaches. A None plan after the search
+    is not proved: no round was feasible, though the floors do not rule
+    every k out.
 
     The k = 1 round is `billing.price_round` plus `search.search_core` on
     its two lists. A bisection round prices the source with `price_round`
     over the source alone and leaves every other node to the search, which
-    prices a node the first time it reads its cost and ends the round with
-    None at one it cannot price. Before it prices a node, it drops a label
-    whose cost plus the node's `billing.cost_floor`, times
-    `billing.FLOOR_SHARE`, is over the budget: each floor is worked out
-    once per request, from the k = 1 costs, by the floor search for the
-    nodes it pops and for the others once the bisection starts, and serves
-    a round only where `billing.floors_hold` at its k, so that no cost the
-    node has at that k is below its floor and the exact test would drop the
-    label too. The rounds share one list of out-edges per request, each
-    node's listed as (successor, delay) pairs by the first round that
-    expands it, and walk the same edges in the same order as its CSR row.
-    A round catches only `price_round`'s `ValueError`; the search itself
-    returns None at a node it cannot price. A round that finds a path
-    priced only some nodes, so an O(1) bound on the topology's
-    `rate_extremes`, `billing.refuses_no_node`, shows that none of the
-    others would be refused; where it cannot, `price_round` over every node
-    confirms the round or makes it None. So a round is None if and only if `price_round`
-    refuses it or the search on its lists finds no path.
+    prices a node the first time it reads its cost. Before it prices a node,
+    it drops a label whose cost plus the node's `billing.cost_floor`, times
+    `billing.FLOOR_SHARE`, is over the budget: no cost the node has at any
+    k is below that, so the exact test would drop the label too. Each floor
+    is worked out once per request, from the k = 1 costs, by the floor
+    search for the nodes it pops and for the others once the bisection
+    starts. The rounds share one list of out-edges per request, each node's
+    listed as (successor, delay) pairs by the first round that expands it,
+    and walk the same edges in the same order as its CSR row.
 
     The request is checked once, in the order that `build_weights` and
     `search_min_latency` would check it: ValueError for an unknown rule,
-    then `price_round`'s for a node it refuses at k = 1, then TopologyError
-    for an endpoint that is not a node id. The budget is >= 0, as every
-    `TransferRequest` holds, and the lists are finite and >= 0 where
-    `price_round` makes them, so no round checks them again.
+    then TopologyError for an endpoint that is not a node id. The budget is
+    >= 0, as every `TransferRequest` holds, and the lists are finite and
+    >= 0 where `price_round` makes them, so no round checks them again.
     """
     source, destination, budget = request.source, request.destination, request.budget_usd
     nodes, edges, data_size_gb = topology.nodes, topology.edges, request.data_size_gb
@@ -280,13 +259,7 @@ def plan_outcome(
     floor = _floor_distance(topology, request, full_rate_costs, popped_floors)
     if floor == math.inf:
         raise NoPathError(source, destination)
-    extremes = topology.rate_extremes
-    # whether the floors hold at every k the bisection reaches, which they do if
-    # they hold at the least one, 2**-max_iterations or the least float
-    floors_hold_always = floors_hold(
-        extremes, max(0.5**request.max_iterations, math.ulp(0.0)), data_size_gb
-    )
-    if floor > budget * (1.0 + _FLOOR_MARGIN) and floors_hold_always:
+    if floor > budget * (1.0 + _FLOOR_MARGIN):
         return PlanOutcome(None, floor, True, tuple(rounds))
 
     # the floor search worked out the floors of the nodes it popped; the rest are worked out here
@@ -294,7 +267,6 @@ def plan_outcome(
         (cost_floor(node, cost, data_size_gb) if popped is None else popped) * FLOOR_SHARE
         for node, cost, popped in zip(nodes, full_rate_costs, popped_floors)
     ]
-    no_floors = None if floors_hold_always else [0.0] * n  # a floor of 0 drops no label
     # each node's out-edges as (successor, delay) pairs, listed when a round first
     # expands the node; every later round of the request walks the same list
     out_edges = [None] * n
@@ -305,24 +277,10 @@ def plan_outcome(
         # every node but the source is priced when the search first reads its cost,
         # unless its floor drops the label first
         a, b = [None] * n, [None] * n
-        pricing = (
-            nodes, k, data_size_gb, rule,
-            floors if floors_hold_always or floors_hold(extremes, k, data_size_gb) else no_floors,
-            out_edges,
-        )
-        try:
-            # the source's cost and time at k, as `price` bills them, in one call
-            (a[source],), (b[source],) = price_round(source_nodes, k, data_size_gb, rule)
-        except ValueError:
-            result = None  # the source cannot be priced at this k
-        else:
-            # outside the `try`: the core returns None for a node it cannot price
-            result = search_core(edges, a, b, source, destination, budget, pricing)
-            if result is not None and not (
-                refuses_no_node(extremes, k, data_size_gb)
-                or _prices_every_node(nodes, k, data_size_gb, rule)
-            ):
-                result = None
+        # the source's cost and time at k, as `price` bills them, in one call
+        (a[source],), (b[source],) = price_round(source_nodes, k, data_size_gb, rule)
+        pricing = (nodes, k, data_size_gb, rule, floors, out_edges)
+        result = search_core(edges, a, b, source, destination, budget, pricing)
         rounds.append((k, result))
         if result is not None:
             feasible = result, k
@@ -331,31 +289,15 @@ def plan_outcome(
             k_upper = k
         next_k = (k_lower + k_upper) / 2.0
         # the midpoint rounds to k once the bracket is as narrow as floats allow,
-        # and halving the smallest positive float gives 0.0, which is no
-        # bandwidth: either way every later round would repeat this one
-        if next_k == k or next_k == 0.0:
+        # where every later round would repeat this one, and no round runs below
+        # the least k
+        if next_k == k or next_k < LEAST_K:
             break
         k = next_k
     plan = None
     if feasible is not None:
         plan = _finalize(topology, request, rule, *feasible, request.max_iterations)
     return PlanOutcome(plan, floor, False, tuple(rounds))
-
-
-def _prices_every_node(
-    nodes: Sequence, fraction_k: float, data_size_gb: float, rule: str
-) -> bool:
-    """Whether `price_round` prices every node at `fraction_k`.
-
-    k is in (0, 1] and the rule passed at k = 1, so a refusal means that a
-    node's bandwidth is 0, or its time or cost is not a finite number: no
-    path is affordable at this k.
-    """
-    try:
-        price_round(nodes, fraction_k, data_size_gb, rule)
-    except ValueError:
-        return False
-    return True
 
 
 def plan_transfer(

@@ -28,11 +28,12 @@ for every node but the source, and the round's pricing with a lower bound
 on each node's cost: at the push test that first reads a node's cost, the
 core drops the label if its cost plus that bound is over the cap, as the
 exact test would, and otherwise prices the node, with `price_round`'s float
-operations written out in its loop, and ends the round with None at a node
-that cannot be priced. Full lists never enter that fill, so one loop serves
-both. The bisection rounds of one request also share a list of each
-expanded node's out-edges as (successor, delay) pairs, listed by the first
-round that expands the node; a search that runs once walks the CSR row.
+operations written out in its loop. The operating domain (see `billing`)
+makes every such value finite, so pricing never ends a round. Full lists
+never enter that fill, so one loop serves both. The bisection rounds of one
+request also share a list of each expanded node's out-edges as (successor,
+delay) pairs, listed by the first round that expands the node; a search
+that runs once walks the CSR row.
 """
 
 from __future__ import annotations
@@ -133,12 +134,9 @@ def search_core(
     source's. A push test that reads a[v] as None first drops the label,
     leaving v unpriced, if its cost plus floors[v] is over the cap; the
     caller vouches that no cost of v is below floors[v], so the exact test
-    would drop it too, and floors of 0 drop nothing. Otherwise it fills both
-    entries in place with `price_round([nodes[v]], fraction_k,
-    data_size_gb, rule)`'s values, and a node that `price_round` would
-    refuse ends the search with None, as if no path were found, not with an
-    exception. Nodes the search never prices stay None, so None does not
-    say that every node could be priced. `out_edges` holds one entry per
+    would drop it too. Otherwise it fills both entries in place with
+    `price_round([nodes[v]], fraction_k, data_size_gb, rule)`'s values.
+    Nodes the search never prices stay None. `out_edges` holds one entry per
     node: None, or the list `list(zip(dst[lo:hi], delay[lo:hi]))` of the
     node's CSR row, which the search writes there when it first expands the
     node and walks in place of the row from then on, in this call and in
@@ -161,8 +159,8 @@ def search_core(
     if pricing is not None:
         nodes, fraction_k, data_size_gb, rule, floors, out_edges = pricing
         bits, threshold = data_size_gb * BITS_PER_GB, rule == "threshold"
-    inf, ceil = math.inf, math.ceil
-    min_b = [inf] * edges.n
+    ceil = math.ceil
+    min_b = [math.inf] * edges.n
     min_b[source] = 0.0
     labels = [(source, -1)]  # (node, parent label) of every pushed label; 0 is the source
     pushed = 0  # the index in `labels` of the last pushed label
@@ -206,9 +204,8 @@ def search_core(
                         if new_a + floors[nxt] > cost_cap:
                             continue
                         # `billing.price_round` for one node, its float operations
-                        # in the same order; a refusal ends the round. Written out
-                        # here, not called, because a call per node costs more than
-                        # the pricing it saves
+                        # in the same order. Written out here, not called, because a
+                        # call per node costs more than the pricing it saves
                         spec = nodes[nxt]
                         payg, pfdt, cap = spec.payg_rate, spec.pfdt_rate, spec.max_egress_mbps
                         bandwidth = fraction_k * cap
@@ -221,11 +218,7 @@ def search_core(
                         else:
                             pick_pfdt = None  # `exact-cost`: decided by the two bills below
                         if not pick_pfdt:
-                            if not bandwidth > 0:
-                                return None
                             b_nxt = bits / (bandwidth * BITS_PER_MBPS)
-                            if not b_nxt < inf:
-                                return None
                             a_nxt = payg * bandwidth * (ceil(b_nxt / SECONDS_PER_HOUR) or 1)
                             # an `exact-cost` tie goes to PFDT, as in `price`
                             if pick_pfdt is None and not a_nxt < pfdt * data_size_gb:
@@ -233,8 +226,6 @@ def search_core(
                         if pick_pfdt:
                             b_nxt = bits / (cap * BITS_PER_MBPS)
                             a_nxt = pfdt * data_size_gb
-                        if not (a_nxt < inf and b_nxt < inf):
-                            return None
                         a[nxt], b[nxt] = a_nxt, b_nxt
                     if new_a + a_nxt > cost_cap:
                         continue

@@ -2,6 +2,9 @@
 
 Topology files are JSON documents with top-level `nodes` and `links`
 arrays. RTTs are milliseconds at the file boundary and seconds internally.
+
+A node's cap and rates are bounded to an operating domain that spans every
+link a cloud bills with room to spare; `billing` says what that buys.
 """
 
 from __future__ import annotations
@@ -21,6 +24,13 @@ _NODE_KEYS = {
     "pfdt_usd_per_gb",
 }
 _LINK_KEYS = {"src", "dst", "rtt_ms"}
+
+
+# A cap, in Mbps, from 1 kbit/s to 1 Pbit/s.
+MIN_EGRESS_MBPS, MAX_EGRESS_MBPS = 1e-3, 1e9
+# A rate above 0, in USD per Mbps-hour or per GB, from a billionth of a dollar
+# to a million dollars; a rate may also be 0, a free method.
+MIN_RATE, MAX_RATE = 1e-9, 1e6
 
 
 class TopologyError(ValueError):
@@ -51,7 +61,8 @@ class NodeSpec(Record):
 
     Rates may be absent (None) individually, but not both: a node must
     offer at least one billing method. `payg_rate` is in USD per Mbps per
-    hour, `pfdt_rate` in USD per GB.
+    hour, `pfdt_rate` in USD per GB. `validate` bounds the cap and the
+    rates to the operating domain.
     """
 
     __slots__ = _fields = (
@@ -76,16 +87,20 @@ class NodeSpec(Record):
         set_field(self, "pfdt_rate", pfdt_rate)
 
     def validate(self) -> None:
-        if not 0 < self.max_egress_mbps < math.inf:
+        """TopologyError, naming the field, for a cap or rate outside the operating domain."""
+        if not MIN_EGRESS_MBPS <= self.max_egress_mbps <= MAX_EGRESS_MBPS:
             raise TopologyError(
-                f"node {self.id} ({self.name}): max_egress_mbps must be finite and > 0, "
-                f"got {self.max_egress_mbps}"
+                f"node {self.id} ({self.name}): max_egress_mbps must be in "
+                f"[{MIN_EGRESS_MBPS:g}, {MAX_EGRESS_MBPS:g}], got {self.max_egress_mbps}"
             )
         if self.payg_rate is None and self.pfdt_rate is None:
             raise TopologyError(f"node {self.id} ({self.name}): no billing rate given")
         for label, rate in (("payg", self.payg_rate), ("pfdt", self.pfdt_rate)):
-            if rate is not None and (rate < 0 or not math.isfinite(rate)):
-                raise TopologyError(f"node {self.id} ({self.name}): invalid {label} rate {rate}")
+            if rate is not None and not (rate == 0 or MIN_RATE <= rate <= MAX_RATE):
+                raise TopologyError(
+                    f"node {self.id} ({self.name}): {label} rate must be 0 or in "
+                    f"[{MIN_RATE:g}, {MAX_RATE:g}], got {rate}"
+                )
 
 
 class LinkSpec(Record):
@@ -129,12 +144,11 @@ class Topology(Record):
 
     A topology keeps a tuple of the nodes and copies of the link fields it was
     given, never the caller's lists; `links`, the same links as `LinkSpec`
-    records, and `edges` are built from the checked columns on first use, as
-    are the nodes' `rate_extremes`.
+    records, and `edges` are built from the checked columns on first use.
     """
 
     _fields = ("nodes", "links")
-    __slots__ = ("nodes", "_src", "_dst", "_rtt", "_links", "_edges", "_extremes")
+    __slots__ = ("nodes", "_src", "_dst", "_rtt", "_links", "_edges")
     # `__new__` builds a topology; Record's constructor would try to assign `links`
     __init__ = object.__init__
 
@@ -170,7 +184,7 @@ class Topology(Record):
             else:
                 raise _link_error(u, v, rtt_s, n)
         topology = object.__new__(cls)
-        values = (nodes, tuple(src), tuple(dst), tuple(rtt), None, None, None)
+        values = (nodes, tuple(src), tuple(dst), tuple(rtt), None, None)
         for name, value in zip(cls.__slots__, values):
             set_field(topology, name, value)
         return topology
@@ -224,30 +238,6 @@ class Topology(Record):
             )
             set_field(self, "_edges", edges)
         return self._edges
-
-    @property
-    def rate_extremes(self) -> tuple[float, float, float, float, float, float]:
-        """The nodes' extreme caps and rates, worked out once per topology.
-
-        (least cap, largest cap, least rate above 0, largest rate) over the
-        nodes that offer PAYG, then (least cap, largest rate) over those that
-        offer PFDT. A least value over no node is inf and a largest value
-        0.0, so that `billing.refuses_no_node` and `billing.floors_hold` need
-        no case for a method no node offers.
-        """
-        if self._extremes is None:
-            payg = [node for node in self.nodes if node.payg_rate is not None]
-            pfdt = [node for node in self.nodes if node.pfdt_rate is not None]
-            extremes = (
-                min((node.max_egress_mbps for node in payg), default=math.inf),
-                max((node.max_egress_mbps for node in payg), default=0.0),
-                min((node.payg_rate for node in payg if node.payg_rate > 0), default=math.inf),
-                max((node.payg_rate for node in payg), default=0.0),
-                min((node.max_egress_mbps for node in pfdt), default=math.inf),
-                max((node.pfdt_rate for node in pfdt), default=0.0),
-            )
-            set_field(self, "_extremes", extremes)
-        return self._extremes
 
 
 def _link_error(src, dst, rtt_s, n_nodes: int) -> TopologyError:

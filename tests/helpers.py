@@ -20,6 +20,8 @@ import pytest
 from budgetpath.billing import (
     BITS_PER_GB,
     BITS_PER_MBPS,
+    MAX_DATA_GB,
+    MIN_DATA_GB,
     SECONDS_PER_HOUR,
     BillingMethod,
     NodeBillingConfig,
@@ -28,7 +30,6 @@ from budgetpath.billing import (
     check_rule,
     cost_floor,
     data_threshold,
-    floors_hold,
     pfdt_cost,
     price_round,
     select_billing,
@@ -37,7 +38,8 @@ from budgetpath import planner
 from budgetpath.planner import PlanOutcome
 from budgetpath.search import EdgeWeights, PathResult, search_core
 from budgetpath.topology import (
-    EdgeList, LinkSpec, NodeSpec, NoPathError, Topology, TopologyError, check_node_ids,
+    MAX_EGRESS_MBPS, MAX_RATE, MIN_EGRESS_MBPS, MIN_RATE, EdgeList, LinkSpec, NodeSpec,
+    NoPathError, Topology, TopologyError, check_node_ids,
 )
 from budgetpath.tunnels import (
     PeerEntry, TunnelError, TunnelSpec, clamp_scalar, keypair_from_private_b64,
@@ -187,15 +189,28 @@ def sparse_topology(rng: random.Random, n: int, mean_degree: float) -> Topology:
     return Topology(nodes, tuple(links))
 
 
-def extreme_topology(rng: random.Random) -> Topology:
-    """A graph of 3 to 9 nodes, some at the extremes a topology takes.
+def domain_value(rng: random.Random, lo: float, hi: float) -> float:
+    """A value of [lo, hi] drawn log-uniformly, or one of its two ends, each in one draw of ten."""
+    roll = rng.random()
+    if roll < 0.1:
+        return lo
+    if roll < 0.2:
+        return hi
+    return min(max(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)), lo), hi)
 
-    One node in ten has a cap from 1e-300 to 1e-250 Mbps and one in ten
-    from 1e250 to 1e300; one rate in twenty is from 1e100 to 1e300 and one
-    in twenty is 0.0, so rounds often price a node too slow or too dear only
-    at a small k. The links connect every node. Half the graphs have one
-    more node, with no link and PAYG only at a cap from 1e-300 to 1e-250:
-    no search reaches it, though a round that prices every node prices it.
+
+def domain_payload(rng: random.Random) -> float:
+    """A payload drawn across the whole operating domain, by `domain_value`."""
+    return domain_value(rng, MIN_DATA_GB, MAX_DATA_GB)
+
+
+def domain_topology(rng: random.Random) -> Topology:
+    """A connected graph of 3 to 9 nodes whose caps and rates span the operating domain.
+
+    Each cap and each rate above 0 is drawn by `domain_value`, so a tenth of
+    them sit at each end of the domain; one rate in five is None and one in
+    twenty is 0.0. Rounds price nodes apart by up to 12 orders of magnitude
+    in cap and 15 in rate, so many are too slow or too dear only at a small k.
     """
     n = rng.randint(3, 9)
 
@@ -203,21 +218,14 @@ def extreme_topology(rng: random.Random) -> Topology:
         roll = rng.random()
         if roll < 0.2:
             return None
-        if roll < 0.25:
-            return 10.0 ** rng.uniform(100.0, 300.0)
-        return 0.0 if roll < 0.3 else 10.0 ** rng.uniform(-3.0, -1.0)
+        return 0.0 if roll < 0.25 else domain_value(rng, MIN_RATE, MAX_RATE)
 
     nodes = []
     for i in range(n):
-        roll = rng.random()
-        exponent = (rng.uniform(-300.0, -250.0) if roll < 0.1
-                    else rng.uniform(250.0, 300.0) if roll < 0.2 else rng.uniform(0.0, 3.5))
+        cap = domain_value(rng, MIN_EGRESS_MBPS, MAX_EGRESS_MBPS)
         payg, pfdt = rate(), rate()
-        nodes.append(NodeSpec(i, f"n{i}", "192.0.2.1", 10.0 ** exponent,
+        nodes.append(NodeSpec(i, f"n{i}", "192.0.2.1", cap,
                               0.02 if payg is None and pfdt is None else payg, pfdt))
-    if rng.random() < 0.5:
-        nodes.append(NodeSpec(n, "island", "192.0.2.1", 10.0 ** rng.uniform(-300.0, -250.0),
-                              10.0 ** rng.uniform(-3.0, -1.0), None))
     order = list(range(n))
     rng.shuffle(order)
     pairs = set(zip(order, order[1:]))
@@ -276,8 +284,8 @@ def reference_topology_from_dict(doc: dict, mode: str = "undirected") -> Topolog
     It builds a set of each entry's keys, converts and checks every entry
     with its own statements, checks the file's links, then adds the reverse
     links and checks the whole list again. The error messages are that
-    loader's: a non-contiguous id lists every id, and `max_egress_mbps` is
-    only checked to be > 0.
+    loader's: a non-contiguous id lists every id. Caps and rates are bounded
+    to the operating domain, as `NodeSpec.validate` bounds them.
     """
     if mode not in ("directed", "undirected"):
         raise TopologyError(f"unknown mode {mode!r}")
@@ -382,13 +390,17 @@ def reference_check(nodes: list[NodeSpec], links: list[LinkSpec]) -> None:
     if ids != list(range(len(nodes))):
         raise TopologyError(f"node ids must be unique and contiguous from 0, got {ids}")
     for node in nodes:
-        if node.max_egress_mbps <= 0:
-            raise TopologyError(f"node {node.id} ({node.name}): max_egress_mbps must be > 0")
+        where = f"node {node.id} ({node.name})"
+        cap = node.max_egress_mbps
+        if math.isnan(cap) or cap < 1e-3 or cap > 1e9:
+            raise TopologyError(f"{where}: max_egress_mbps must be in [0.001, 1e+09], got {cap}")
         if node.payg_rate is None and node.pfdt_rate is None:
-            raise TopologyError(f"node {node.id} ({node.name}): no billing rate given")
+            raise TopologyError(f"{where}: no billing rate given")
         for label, rate in (("payg", node.payg_rate), ("pfdt", node.pfdt_rate)):
-            if rate is not None and (rate < 0 or not math.isfinite(rate)):
-                raise TopologyError(f"node {node.id} ({node.name}): invalid {label} rate {rate}")
+            if rate is not None and rate != 0 and (math.isnan(rate) or rate < 1e-9 or rate > 1e6):
+                raise TopologyError(
+                    f"{where}: {label} rate must be 0 or in [1e-09, 1e+06], got {rate}"
+                )
     seen = set()
     for link in links:
         if link.src == link.dst:
@@ -455,14 +467,11 @@ def search_pruned_at_pop(
     label over the cap only when it pops it. `search_core` must give `==`
     results: the labels it does not push are the ones this loop drops.
     Given `pricing`, (nodes, k, data size, rule, floors, out-edge lists), it
-    prices every node first with `price_round` and, as the core does, returns
-    None where a node is refused; it reads neither the floors nor the lists.
+    prices every node first with `price_round`; it reads neither the floors
+    nor the lists.
     """
     if pricing is not None:
-        try:
-            a, b = price_round(*pricing[:4])
-        except ValueError:
-            return None
+        a, b = price_round(*pricing[:4])
     offsets, dst, delay = edges.offsets, edges.dst, edges.delay
     min_b = [math.inf] * edges.n
     min_b[source] = 0.0
@@ -591,11 +600,10 @@ def plan_outcome_eager(topology: Topology, request: TransferRequest, rule: str) 
     """`planner.plan_outcome` as it was before its bisection rounds priced lazily.
 
     Every round, k = 1 and the bisection's alike, is `price_round` over all
-    nodes and then `search_core` on its two lists, with no floor test; a
-    round that `price_round` refuses is None, save for the k = 1 round, whose
-    refusal is raised. The k = 1 plan, the floor distance, the rule that the
-    floors prove a budget too small (`floors_hold` at the least k the
-    bisection reaches) and the plan's configs come from the planner.
+    nodes and then `search_core` on its two lists, with no floor test. The
+    k = 1 plan, the floor distance, the margin by which the floors prove a
+    budget too small, the least k and the plan's configs come from the
+    planner.
     """
     source, destination, budget = request.source, request.destination, request.budget_usd
     nodes, edges, data_gb = topology.nodes, topology.edges, request.data_size_gb
@@ -610,27 +618,20 @@ def plan_outcome_eager(topology: Topology, request: TransferRequest, rule: str) 
     floor = planner.cost_floor_distance(topology, request, full_rate_costs)
     if floor == math.inf:
         raise NoPathError(source, destination)
-    least_k = max(0.5**request.max_iterations, math.ulp(0.0))
-    if floor > budget * (1.0 + planner._FLOOR_MARGIN) and floors_hold(
-        topology.rate_extremes, least_k, data_gb
-    ):
+    if floor > budget * (1.0 + planner._FLOOR_MARGIN):
         return PlanOutcome(None, floor, True, tuple(rounds))
     feasible = None
     k, k_lower, k_upper = 0.5, 0.0, 1.0
     for _ in range(request.max_iterations):
-        try:
-            a, b = price_round(nodes, k, data_gb, rule)
-        except ValueError:
-            result = None
-        else:
-            result = search_core(edges, a, b, source, destination, budget)
+        a, b = price_round(nodes, k, data_gb, rule)
+        result = search_core(edges, a, b, source, destination, budget)
         rounds.append((k, result))
         if result is not None:
             feasible, k_lower = (result, k), k
         else:
             k_upper = k
         next_k = (k_lower + k_upper) / 2.0
-        if next_k == k or next_k == 0.0:
+        if next_k == k or next_k < planner.LEAST_K:
             break
         k = next_k
     plan = None

@@ -59,8 +59,8 @@ class TestExitCodes:
         assert doc["path"][0] == 0 and doc["path"][-1] == 5
         assert doc["predicted_cost_usd"] <= 0.5
 
-    # past about a thousand halvings a PAYG bandwidth is too small to bill,
-    # and past about 1075 halving k again would reach 0.0
+    # the floors prove a zero budget too small whatever the iteration cap,
+    # beyond the 64 halvings that take k to its least value too
     @pytest.mark.parametrize("iterations", ["5", "1100", "1200"])
     def test_zero_budget_is_infeasible(self, capsys, iterations):
         code = run(["plan", "--topology", TESTBED, "--src", "0", "--dst", "5",
@@ -68,9 +68,8 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == "insufficient budget: no feasible path found\n"
 
-    # the floors prove a zero budget too small even where the bisection would
-    # reach k = 2**-1074: `floors_hold` counts a node whose time overflows as
-    # refused, and at 10 GB a finite time bounds every billed bandwidth
+    # the floors prove a zero budget too small at 30 rounds and where the
+    # bisection would reach the least k alike: no bill at any k is below them
     @pytest.mark.parametrize("iterations", ["30", "1100"])
     def test_zero_budget_at_10_gb_is_proved_infeasible(self, capsys, iterations):
         code = run(["plan", "--topology", TESTBED, "--src", "0", "--dst", "5",
@@ -134,103 +133,105 @@ class TestOutcomesThatNeedTheirOwnLine:
         return str(topology)
 
     @pytest.mark.parametrize("command", ["plan", "simulate", "oracle"])
-    def test_a_node_cost_that_is_not_finite_names_the_node(self, tmp_path, capsys, command):
-        # node 0 bills $1e300/GB for 1e9 GB, which is above the largest float; at
-        # 1e-300 Mbps, PFDT or PAYG, 1e9 GB takes more seconds than a float holds
+    def test_a_node_outside_the_domain_is_refused_where_it_is_loaded(
+        self, tmp_path, capsys, command
+    ):
+        # node 0 bills $1e300/GB, which would bill 1e9 GB above the largest float,
+        # or has a 1e-300 Mbps cap, at which 1e9 GB would take more seconds than a
+        # float holds: each is outside the operating domain, and refused as the
+        # topology is loaded, with one line that names the field
         tiny_cap = {"max_egress_mbps": 1e-300}
-        for topology, what in (
-            (self.OVERFLOW, "cost"),
-            (self.overflow_variant(tmp_path, "free-pfdt", **tiny_cap, pfdt_usd_per_gb=0.0), "time"),
+        for topology, field in (
+            (self.OVERFLOW, "pfdt rate must be 0 or in [1e-09, 1e+06], got 1e+300"),
+            (self.overflow_variant(tmp_path, "free-pfdt", **tiny_cap, pfdt_usd_per_gb=0.0),
+             "max_egress_mbps must be in [0.001, 1e+09], got 1e-300"),
             (self.overflow_variant(tmp_path, "payg", **tiny_cap, pfdt_usd_per_gb=None,
-                                   payg_usd_per_mbps_hour=0.021), "time"),
+                                   payg_usd_per_mbps_hour=0.021),
+             "max_egress_mbps must be in [0.001, 1e+09], got 1e-300"),
         ):
             code = run([command, "--topology", topology, "--src", "0", "--dst", "2",
                         "--data-gb", "1e9", "--budget-usd", "5"])
-            assert (code, capsys.readouterr()) == (1, ("", (
-                f"error: node 0 (alpha): its {what} to send 1000000000.0 GB is not a finite "
-                "number\n"))), topology
+            assert (code, capsys.readouterr()) == (1, ("", f"error: node 0 (alpha): {field}\n")), (
+                topology)
 
-    @pytest.mark.parametrize("options", [[], ["--fraction", "0.5"], ["--max-nodes", "2"]],
-                             ids=["default", "fraction", "max-nodes"])
-    def test_oracle_prices_before_it_looks_for_a_path(self, tmp_path, capsys, options):
-        # 2 -> 0 has no directed path, and every node's cost overflows: `oracle`
-        # prices first, as `plan` and `simulate` do, so it names node 0 as they do,
-        # ahead of the missing path and of a --max-nodes refusal
-        def assert_each_command_names_node_0(topology, data_gb):
-            base = ["--topology", topology, "--mode", "directed", "--src", "2", "--dst", "0",
-                    "--data-gb", data_gb, "--budget-usd", "5"]
-            line = (f"error: node 0 (alpha): its cost to send {float(data_gb)!r} GB "
-                    "is not a finite number\n")
-            for command in (["plan"], ["simulate"], ["oracle", *options]):
-                assert (run([*command, *base]), capsys.readouterr()) == (1, ("", line)), command
+    @pytest.mark.parametrize("options", [[], ["--max-nodes", "2"]], ids=["default", "max-nodes"])
+    def test_oracle_refuses_a_fraction_below_the_least_k_first(self, capsys, options):
+        # 5 -> 0 has no directed path: a fraction just below 2**-64 is refused
+        # ahead of the missing path and of a --max-nodes refusal, and 2**-64
+        # itself is accepted
+        base = ["oracle", "--topology", TESTBED, "--mode", "directed", "--src", "5", "--dst", "0",
+                "--data-gb", "1", "--budget-usd", "5", *options]
+        below = repr(math.nextafter(2.0 ** -64, 0.0))
+        assert (run([*base, "--fraction", below]), capsys.readouterr()) == (1, (
+            "", f"error: fraction_k must be in [2**-64, 1], got {below}\n"))
+        assert run([*base, "--fraction", repr(2.0 ** -64)]) == 2
+        assert capsys.readouterr().err == "no path from 5 to 0\n"
+        code = run(["oracle", "--topology", TESTBED, "--src", "0", "--dst", "5", "--data-gb", "1",
+                    "--budget-usd", "inf", "--fraction", repr(2.0 ** -64)])
+        assert code == 0 and json.loads(capsys.readouterr().out)["path"][0] == 0
 
-        assert_each_command_names_node_0(self.OVERFLOW, "1e9")
-        # at $1e306/Mbps/h, one hour at 250 Mbps overflows but at 125 Mbps does not: the
-        # floor distance, which prices at k = 1 in its own order, would name node 2
-        assert_each_command_names_node_0(self.overflow_variant(
-            tmp_path, "payg", max_egress_mbps=250.0, payg_usd_per_mbps_hour=1e306,
-            pfdt_usd_per_gb=None), "1")
-
-    def test_a_plan_whose_cost_overflows_is_refused(self, tmp_path, capsys):
-        # each sender bills 1e308, and no budget refuses the sum, inf; a plan
-        # file would hold `Infinity`, which is not JSON and which render-wg refuses
+    def test_a_topology_whose_plan_cost_would_overflow_is_refused(self, tmp_path, capsys):
+        # each sender would bill $1e300/GB * 1e8 GB, and no budget refuses the sum,
+        # inf: the rate is outside the operating domain, so the topology is
+        # refused before any plan file is written
         plan_file = tmp_path / "plan.json"
         args = ["--topology", self.OVERFLOW, "--src", "0", "--dst", "2",
                 "--data-gb", "1e8", "--budget-usd", "inf"]
-        refusal = "error: plan predicted_cost_usd must be a finite number >= 0, got inf\n"
+        refusal = "error: node 0 (alpha): pfdt rate must be 0 or in [1e-09, 1e+06], got 1e+300\n"
         assert run(["plan", *args, "--out", str(plan_file)]) == 1
         assert capsys.readouterr().err == refusal
         assert not plan_file.exists()
         assert run(["simulate", *args]) == 1
         assert capsys.readouterr() == ("", refusal)
 
-    @pytest.mark.parametrize("cap, dst, cost_text, cost", [
-        # three PAYG nodes at 1e303 Mbps: each sender bills 0.021 * 1e303 for one hour
-        (1e303, "2", "4.2000e+301", 0.021 * 1e303 + 0.021 * 1e303),
+    @pytest.mark.parametrize("rates, data_gb, dst, cost_text, cost", [
+        # three PFDT nodes at the domain's largest rate: each sender bills
+        # $1e6/GB * 1e12 GB = $1e18
+        ({"pfdt_usd_per_gb": 1e6}, "1e12", "2", "2.0000e+18", 2e18),
         # one sender at $1/Mbps/h: just under $1e9 in fixed point, at $1e9 in exponent form
-        (999999999.0, "1", "999999999.0000", 999999999.0),
-        (1e9, "1", "1.0000e+09", 1e9),
-    ])
+        ({"max_egress_mbps": 999999999.0, "payg_usd_per_mbps_hour": 1.0,
+          "pfdt_usd_per_gb": None}, "1", "1", "999999999.0000", 999999999.0),
+        ({"max_egress_mbps": 1e9, "payg_usd_per_mbps_hour": 1.0, "pfdt_usd_per_gb": None},
+         "1", "1", "1.0000e+09", 1e9),
+    ], ids=["pfdt-1e18", "payg-under-1e9", "payg-1e9"])
     def test_a_large_cost_is_summed_up_in_exponent_form(
-        self, tmp_path, capsys, cap, dst, cost_text, cost
+        self, tmp_path, capsys, rates, data_gb, dst, cost_text, cost
     ):
         # the summary line gives a cost of $1e9 or more in exponent form, not
-        # with its 300 digits; the plan file keeps the exact float
-        rate = 0.021 if cap == 1e303 else 1.0
-        topology = self.overflow_variant(tmp_path, "payg", max_egress_mbps=cap,
-                                         payg_usd_per_mbps_hour=rate, pfdt_usd_per_gb=None)
+        # with all its digits; the plan file keeps the exact float
+        topology = self.overflow_variant(tmp_path, "dear", **rates)
         plan_file = tmp_path / "plan.json"
         assert run(["plan", "--topology", topology, "--src", "0", "--dst", dst, "--data-gb",
-                    "2e298" if cap == 1e303 else "1", "--budget-usd", "inf",
-                    "--out", str(plan_file)]) == 0
+                    data_gb, "--budget-usd", "inf", "--out", str(plan_file)]) == 0
         err = capsys.readouterr().err
         assert f"  cost ${cost_text}  latency " in err, err
         assert json.loads(plan_file.read_text())["predicted_cost_usd"] == cost
 
     def test_a_huge_latency_is_summed_up_in_exponent_form(self, tmp_path, capsys):
-        # two PFDT senders at 1e-290 Mbps take 1.6e294 s for 1 GB: `plan`'s summary
-        # line and `simulate`'s table give it in exponent form, not with its 295
-        # digits, and the plan file and the structured report keep the exact float
-        topology = self.overflow_variant(tmp_path, "slow", max_egress_mbps=1e-290,
+        # two PFDT senders at the domain's least cap, 1e-3 Mbps, take 8e18 s each
+        # for 1e12 GB: `plan`'s summary line and `simulate`'s table give the
+        # latency and the cost in exponent form, not with all their digits, and
+        # the plan file and the structured report keep the exact floats
+        topology = self.overflow_variant(tmp_path, "slow", max_egress_mbps=1e-3,
                                          pfdt_usd_per_gb=0.081)
         plan_file = tmp_path / "plan.json"
-        args = ["--topology", topology, "--src", "0", "--dst", "2", "--data-gb", "1",
+        args = ["--topology", topology, "--src", "0", "--dst", "2", "--data-gb", "1e12",
                 "--budget-usd", "inf"]
         assert run(["plan", *args, "--out", str(plan_file)]) == 0
         assert capsys.readouterr().err == (
-            "path 0->1->2  cost $0.1620  latency 1.6000e+294s  k=1.0\n")
-        assert json.loads(plan_file.read_text())["predicted_latency_s"] == 1.6e294
+            "path 0->1->2  cost $1.6200e+11  latency 1.6000e+19s  k=1.0\n")
+        assert json.loads(plan_file.read_text())["predicted_latency_s"] == 1.6e19
         assert run(["simulate", *args]) == 0
         table = capsys.readouterr().out.splitlines()
         assert table[1:5] == [
-            "label    path     latency_s    cost_usd  feasible",
-            "planner  0->1->2  1.6000e+294  0.1620    yes",
-            "naive    0->1->2  1.6000e+294  0.1620    yes",
-            "oracle   0->1->2  1.6000e+294  0.1620    yes",
+            "label    path     latency_s   cost_usd    feasible",
+            "planner  0->1->2  1.6000e+19  1.6200e+11  yes",
+            "naive    0->1->2  1.6000e+19  1.6200e+11  yes",
+            "oracle   0->1->2  1.6000e+19  1.6200e+11  yes",
         ]
         assert run(["simulate", *args, "--format", "structured"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
-        assert [row["latency_s"] for row in rows] == [1.6e294] * 3
+        assert [row["latency_s"] for row in rows] == [1.6e19] * 3
 
     def test_a_no_plan_that_the_floors_did_not_prove_says_so(self, capsys):
         # a hair under the cheapest path's floor, inside the certificate's
@@ -581,8 +582,44 @@ class TestErrorsEndInOneLine:
         topology.write_text(json.dumps(doc).replace("12345.5", egress))
         code = run(["plan", "--topology", str(topology), "--src", "0", "--dst", "5",
                     "--data-gb", "1", "--budget-usd", "1"])
-        message = "node 2 (shenzhen): max_egress_mbps must be finite and > 0"
+        message = "node 2 (shenzhen): max_egress_mbps must be in [0.001, 1e+09], got "
         assert message in assert_one_error_line(capsys, code)
+
+    @pytest.mark.parametrize("command", ["plan", "simulate", "oracle"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_egress_mbps", 1e-3, None),
+        ("max_egress_mbps", 1e9, None),
+        ("max_egress_mbps", math.nextafter(1e-3, 0.0),
+         "max_egress_mbps must be in [0.001, 1e+09], got 0.0009999999999999998"),
+        ("max_egress_mbps", math.nextafter(1e9, math.inf),
+         "max_egress_mbps must be in [0.001, 1e+09], got 1000000000.0000001"),
+        ("payg_usd_per_mbps_hour", 0.0, None),
+        ("payg_usd_per_mbps_hour", 1e-9, None),
+        ("payg_usd_per_mbps_hour", 1e6, None),
+        ("payg_usd_per_mbps_hour", 5e-324,
+         "payg rate must be 0 or in [1e-09, 1e+06], got 5e-324"),
+        ("payg_usd_per_mbps_hour", math.nextafter(1e-9, 0.0),
+         "payg rate must be 0 or in [1e-09, 1e+06], got 9.999999999999999e-10"),
+        ("pfdt_usd_per_gb", math.nextafter(1e6, math.inf),
+         "pfdt rate must be 0 or in [1e-09, 1e+06], got 1000000.0000000001"),
+        ("pfdt_usd_per_gb", -1.0, "pfdt rate must be 0 or in [1e-09, 1e+06], got -1.0"),
+    ])
+    def test_a_cap_or_rate_outside_the_domain_is_one_line(
+        self, tmp_path, capsys, command, field, value, message
+    ):
+        # the bound itself is planned as any node is; the next float outside it
+        # is refused by every command that plans, with one line naming the field
+        doc = json.loads(Path(TESTBED).read_text())
+        doc["nodes"][2][field] = value
+        topology = tmp_path / "bounded.json"
+        topology.write_text(json.dumps(doc))
+        code = run([command, "--topology", str(topology), "--src", "0", "--dst", "5",
+                    "--data-gb", "1", "--budget-usd", "inf"])
+        if message is None:
+            assert code == 0, capsys.readouterr()
+            capsys.readouterr()
+        else:
+            assert assert_one_error_line(capsys, code) == f"error: node 2 (shenzhen): {message}"
 
     @pytest.mark.parametrize("content, reason", [
         (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
@@ -656,16 +693,15 @@ class TestErrorsEndInOneLine:
                     "--data-gb", "1", "--budget-usd", "1"])
         assert assert_one_error_line(capsys, code) == "error: path node 0 has no billing config"
 
-    TOO_LARGE = (
-        "error: data_size_gb must be at most 2.2471164185778946e+298, so that its size in bits "
-        "is a finite number, got "
-    )
+    OUTSIDE = "error: data_size_gb must be in [1e-09, 1e+12], got "
 
     @pytest.mark.parametrize("option, value, message", [
         ("--budget-usd", "nan", "error: budget_usd must be >= 0, got nan"),
-        ("--data-gb", "nan", "error: data_size_gb must be > 0, got nan"),
-        ("--data-gb", "inf", TOO_LARGE + "inf"),
-        ("--data-gb", "1e300", TOO_LARGE + "1e+300"),
+        ("--data-gb", "nan", OUTSIDE + "nan"),
+        ("--data-gb", "inf", OUTSIDE + "inf"),
+        ("--data-gb", "1e300", OUTSIDE + "1e+300"),
+        ("--data-gb", repr(math.nextafter(1e-9, 0.0)), OUTSIDE + "9.999999999999999e-10"),
+        ("--data-gb", repr(math.nextafter(1e12, math.inf)), OUTSIDE + "1000000000000.0001"),
     ])
     def test_request_number_out_of_range(self, capsys, option, value, message):
         numbers = {"--data-gb": "1", "--budget-usd": "1", option: value}

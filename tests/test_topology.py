@@ -14,6 +14,10 @@ from budgetpath.billing import TransferRequest
 from budgetpath.planner import plan_transfer
 from budgetpath.probe import probe_rtts
 from budgetpath.topology import (
+    MAX_EGRESS_MBPS,
+    MAX_RATE,
+    MIN_EGRESS_MBPS,
+    MIN_RATE,
     LinkSpec,
     NodeSpec,
     Topology,
@@ -209,7 +213,49 @@ class TestValidation:
         with pytest.raises(TopologyError) as info:
             topology_from_dict(json.loads(document))
         egress = float(json.loads(text))
-        assert str(info.value) == f"node 0 (a): max_egress_mbps must be finite and > 0, got {egress}"
+        assert str(info.value) == f"node 0 (a): max_egress_mbps must be in [0.001, 1e+09], got {egress}"
+
+    @pytest.mark.parametrize("field, lo, hi", [
+        ("max_egress_mbps", MIN_EGRESS_MBPS, MAX_EGRESS_MBPS),
+        ("payg_rate", MIN_RATE, MAX_RATE),
+        ("pfdt_rate", MIN_RATE, MAX_RATE),
+    ])
+    def test_caps_and_rates_are_bounded_at_both_ends(self, field, lo, hi):
+        # the bounds are accepted, as is a rate of 0; the next float outside
+        # either bound, NaN and the infinities are refused by both loaders
+        fields = {"max_egress_mbps": 100.0, "payg_rate": 0.021, "pfdt_rate": 0.081}
+
+        def check(value):
+            node = NodeSpec(0, "a", "127.0.0.1", **{**fields, field: value})
+            doc = two_node_doc()
+            key = {"payg_rate": "payg_usd_per_mbps_hour", "pfdt_rate": "pfdt_usd_per_gb"}
+            doc["nodes"][0][key.get(field, field)] = value
+            results = []
+            for load in (topology_from_dict, reference_topology_from_dict):
+                try:
+                    results.append(load(doc))
+                except TopologyError as exc:
+                    results.append(str(exc))
+            try:
+                node.validate()
+            except TopologyError as exc:
+                assert results == [str(exc)] * 2, (field, value)
+                return str(exc)
+            assert results[0] == results[1] and results[0].nodes[0] == node, (field, value)
+            return None
+
+        accepted = [lo, hi] + ([0.0] if field != "max_egress_mbps" else [])
+        for value in accepted:
+            assert check(value) is None, value
+        refused = [math.nextafter(lo, 0.0), math.nextafter(hi, math.inf), math.nan, math.inf,
+                   -math.inf, -lo]
+        if field != "max_egress_mbps":
+            refused.append(math.nextafter(0.0, 1.0))
+        for value in refused:
+            expected = (f"node 0 (a): max_egress_mbps must be in [0.001, 1e+09], got {value}"
+                        if field == "max_egress_mbps" else
+                        f"node 0 (a): {field[:4]} rate must be 0 or in [1e-09, 1e+06], got {value}")
+            assert check(value) == expected
 
     def test_duplicate_edge(self):
         nodes = (NodeSpec(0, "a", "x", 100.0, 0.01, 0.01),
@@ -511,14 +557,19 @@ def _bad_rate(rng, doc):
     node = doc["nodes"][index]
     if not isinstance(node, dict):
         return
-    change = rng.choice(["negative", "nan", "inf", "no rate", "zero egress", "negative egress"])
+    change = rng.choice(["negative", "nan", "inf", "tiny", "huge", "no rate", "zero egress",
+                         "negative egress", "tiny egress", "huge egress"])
     if change == "no rate":
         node["payg_usd_per_mbps_hour"] = node["pfdt_usd_per_gb"] = None
     elif change.endswith("egress"):
-        node["max_egress_mbps"] = 0 if change == "zero egress" else -rng.uniform(1.0, 9.0)
+        node["max_egress_mbps"] = {
+            "zero egress": 0, "negative egress": -rng.uniform(1.0, 9.0),
+            "tiny egress": math.nextafter(1e-3, 0.0), "huge egress": math.nextafter(1e9, math.inf),
+        }[change]
     else:
         key = rng.choice(["payg_usd_per_mbps_hour", "pfdt_usd_per_gb"])
-        node[key] = {"negative": -0.01, "nan": math.nan, "inf": math.inf}[change]
+        node[key] = {"negative": -0.01, "nan": math.nan, "inf": math.inf,
+                     "tiny": math.nextafter(1e-9, 0.0), "huge": math.nextafter(1e6, math.inf)}[change]
 
 
 def _noncontiguous_id(rng, doc):
@@ -533,8 +584,8 @@ FAULTS = [_self_loop, _endpoint_out_of_range, _bad_rtt, _duplicate_link, _confli
 # a part of each error message the loader can raise for an entry or a link
 ERRORS = ["expected an object", "unknown keys", "missing key", "must be an integer",
           "must be a string", "must be a number, got", "must be a number or null",
-          "too large to convert", "contiguous", "max_egress_mbps must be finite",
-          "no billing rate", "invalid payg rate", "invalid pfdt rate", "self-loop",
+          "too large to convert", "contiguous", "max_egress_mbps must be in",
+          "no billing rate", "payg rate must be 0 or in", "pfdt rate must be 0 or in", "self-loop",
           "is not a node id", "invalid rtt", "duplicate directed link", "disagree on rtt"]
 
 
@@ -547,7 +598,7 @@ def _load(load, doc, mode):
 
 
 def _reference_result(doc, mode):
-    """The reference loader's result, with the two messages this loader words differently."""
+    """The reference loader's result, with the message this loader words differently."""
     result = _load(reference_topology_from_dict, doc, mode)
     if not isinstance(result, tuple):
         return result
@@ -558,10 +609,6 @@ def _reference_result(doc, mode):
         index = next(i for i, node_id in enumerate(ids) if node_id != i)
         message = ("node ids must be unique and contiguous from 0, "
                    f"but node entry {index} has id {ids[index]!r}")
-    egress = re.fullmatch(r"(node (\d+) .*): max_egress_mbps must be > 0", message)
-    if egress:
-        value = float(doc["nodes"][int(egress.group(2))]["max_egress_mbps"])
-        message = f"{egress.group(1)}: max_egress_mbps must be finite and > 0, got {value}"
     return error, message
 
 
@@ -588,8 +635,11 @@ class TestMatchesReferenceLoader:
     @pytest.mark.parametrize("mode", ["directed", "undirected"])
     @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda path: path.name)
     def test_fixtures(self, fixture, mode):
+        # pfdt_overflow.json bills $1e300/GB, outside the operating domain: both refuse it
         doc = json.loads(fixture.read_text())
-        assert topology_from_dict(doc, mode) == reference_topology_from_dict(doc, mode)
+        expected = _reference_result(doc, mode)
+        assert _load(topology_from_dict, doc, mode) == expected
+        assert isinstance(expected, Topology) == (fixture.name != "pfdt_overflow.json")
 
     def test_reverse_links_follow_their_originals(self):
         doc = two_node_doc()
