@@ -17,14 +17,18 @@ adds the same floats in the same order.
 `outcome_digests` hashes whole `PlanOutcome`s, every round's k, path and
 totals included, of the benchmark's plan-bsearch requests, so a change that
 alters how the planner gets to an answer shows even where the answer stays.
+`work_counts` pins exact counts of the work done for the same requests, and
+`naive_baseline`'s topology reads for simulate-compare's, so a change that
+alters the work shows as a diff of this file.
 
-Regenerate only for a change meant to alter answers:
+Regenerate only for a change meant to alter answers or work:
 
     PYTHONPATH=src:tests python tests/test_golden.py --write
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import importlib
@@ -33,12 +37,16 @@ import math
 import random
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
+from unittest.mock import patch
 
+from budgetpath import planner, search
 from budgetpath.billing import RULES, TransferRequest, node_cost, select_billing
 from budgetpath.planner import build_weights, plan_outcome, plan_to_dict, plan_transfer
 from budgetpath.search import enumerate_best_path, search_min_latency
-from budgetpath.simulate import compare
+from budgetpath.simulate import compare, naive_baseline
 from budgetpath.topology import LinkSpec, NodeSpec, NoPathError, Topology, load_topology
 from helpers import random_topology, random_weights
 
@@ -182,9 +190,9 @@ def answers(sparse: list[dict]) -> dict:
     return {"plans": plans, "reports": reports, "searches": searches, "sparse_plans": sparse_plans}
 
 
-def _plan_bsearch_blocks(seed: int) -> tuple[dict, list[dict]]:
+def _benchmark_blocks(workload: str, seed: int) -> tuple[dict, list[dict]]:
     """The topologies and the first `OUTCOME_BLOCKS` request blocks of the
-    benchmark's plan-bsearch workload at `seed`.
+    benchmark's `workload` at `seed`.
 
     `perfbench/gen.py` never calls budgetpath, so the requests stay the same
     when the program changes. It is imported without writing bytecode under
@@ -196,7 +204,7 @@ def _plan_bsearch_blocks(seed: int) -> tuple[dict, list[dict]]:
     try:
         gen = importlib.import_module("gen")
         with tempfile.TemporaryDirectory() as work_dir:
-            inputs = gen.Inputs("plan-bsearch", seed, Path(work_dir), False, PERFBENCH.parent)
+            inputs = gen.Inputs(workload, seed, Path(work_dir), False, PERFBENCH.parent)
             topologies = {path: load_topology(path) for path in inputs.files}
             blocks = [request for _ in range(OUTCOME_BLOCKS) for request in inputs.block()]
     finally:
@@ -216,22 +224,92 @@ def _outcome_text(outcome) -> str:
     return json.dumps([plan, floor, outcome.proved, rounds], sort_keys=True)
 
 
-def outcome_digests() -> dict[str, str]:
-    """Per seed and rule, a hash of the whole outcome of every plan-bsearch request."""
-    digests = {}
-    for seed in OUTCOME_SEEDS:
-        topologies, requests = _plan_bsearch_blocks(seed)
-        for rule in RULES:
-            text = "\n".join(
-                _outcome_text(plan_outcome(
-                    topologies[doc["topology"]],
-                    TransferRequest(doc["src"], doc["dst"], doc["data_gb"], doc["budget"], 30),
-                    rule,
-                ))
-                for doc in requests
-            )
-            digests[f"{seed} {rule}"] = hashlib.sha256(text.encode()).hexdigest()[:16]
-    return digests
+def _benchmark_request(doc: dict) -> TransferRequest:
+    return TransferRequest(doc["src"], doc["dst"], doc["data_gb"], doc["budget"], 30)
+
+
+@functools.cache
+def plan_bsearch_runs() -> tuple[dict[str, str], dict[str, dict[str, int]]]:
+    """Per seed and rule, a hash of the whole outcome of every plan-bsearch
+    request, and exact counts of the work that planning them took.
+
+    The counts are taken from outside the program: the search's `heapq`, the
+    planner's `search_core` and its `cost_floor` are wrapped while the
+    requests run, so the program runs its own code and pays nothing. Heap
+    pushes and pops are `search_core`'s. A bisection round's priced node
+    entries are the entries of `a` it left filled, the source's included,
+    and its out-edge lists are those that `pricing[5]` holds after the round
+    and did not before.
+    """
+    digests, counts, work = {}, {}, Counter()
+    search_core, cost_floor = planner.search_core, planner.cost_floor
+
+    def heappush(heap, item):
+        work["heap pushes"] += 1
+        heapq.heappush(heap, item)
+
+    def heappop(heap):
+        work["heap pops"] += 1
+        return heapq.heappop(heap)
+
+    def counting_search(edges, a, b, source, destination, cost_cap, pricing=None):
+        if pricing is None:
+            return search_core(edges, a, b, source, destination, cost_cap)
+        out_edges = pricing[5]
+        listed = sum(entry is not None for entry in out_edges)
+        result = search_core(edges, a, b, source, destination, cost_cap, pricing)
+        work["node entries priced"] += sum(value is not None for value in a)
+        work["out-edge lists"] += sum(entry is not None for entry in out_edges) - listed
+        return result
+
+    def counting_cost_floor(*args):
+        work["floors"] += 1
+        return cost_floor(*args)
+
+    heap = SimpleNamespace(heappush=heappush, heappop=heappop)
+    with patch.object(search, "heapq", heap), \
+            patch.object(planner, "search_core", counting_search), \
+            patch.object(planner, "cost_floor", counting_cost_floor):
+        for seed in OUTCOME_SEEDS:
+            topologies, requests = _benchmark_blocks("plan-bsearch", seed)
+            for rule in RULES:
+                work.clear()
+                outcomes = [
+                    plan_outcome(topologies[doc["topology"]], _benchmark_request(doc), rule)
+                    for doc in requests
+                ]
+                work["rounds"] = sum(len(outcome.rounds) for outcome in outcomes)
+                text = "\n".join(map(_outcome_text, outcomes))
+                digests[f"{seed} {rule}"] = hashlib.sha256(text.encode()).hexdigest()[:16]
+                counts[f"{seed} {rule}"] = dict(sorted(work.items()))
+    return digests, counts
+
+
+def naive_baseline_reads() -> dict[str, int]:
+    """`Topology.neighbors` and `Topology.rtt` calls that `naive_baseline` makes
+    over simulate-compare's first `OUTCOME_BLOCKS` blocks at seed 7, counted
+    by wrapping the two methods."""
+    reads = Counter()
+
+    def counted(name):
+        method = getattr(Topology, name)
+
+        def counting(*args):
+            reads[name] += 1
+            return method(*args)
+
+        return patch.object(Topology, name, counting)
+
+    topologies, requests = _benchmark_blocks("simulate-compare", 7)
+    with counted("neighbors"), counted("rtt"):
+        for doc in requests:
+            naive_baseline(topologies[doc["topology"]], _benchmark_request(doc))
+    return dict(sorted(reads.items()))
+
+
+def work_counts() -> dict[str, dict[str, int]]:
+    """`plan_bsearch_runs`' counts, and `naive_baseline_reads` under "7 naive_baseline"."""
+    return {**plan_bsearch_runs()[1], "7 naive_baseline": naive_baseline_reads()}
 
 
 def test_answers_match_golden():
@@ -245,7 +323,11 @@ def test_answers_match_golden():
 
 
 def test_outcomes_match_golden_digests():
-    assert outcome_digests() == json.loads(GOLDEN.read_text())["outcome_digests"]
+    assert plan_bsearch_runs()[0] == json.loads(GOLDEN.read_text())["outcome_digests"]
+
+
+def test_work_counts_match_golden():
+    assert work_counts() == json.loads(GOLDEN.read_text())["work_counts"]
 
 
 def test_golden_covers_every_planner_outcome():
@@ -263,6 +345,7 @@ def test_golden_covers_every_planner_outcome():
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     sparse = sparse_requests()
-    golden = {"sparse_requests": sparse, **answers(sparse), "outcome_digests": outcome_digests()}
+    golden = {"sparse_requests": sparse, **answers(sparse),
+              "outcome_digests": plan_bsearch_runs()[0], "work_counts": work_counts()}
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
