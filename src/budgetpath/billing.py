@@ -264,7 +264,8 @@ def cost_floor(node: NodeSpec, full_rate_cost: float, data_size_gb: float) -> fl
     only falls as k shrinks, so k = 1 picks PFDT too, and under
     `exact-cost` k = 1 bills the cheaper method. In floats a PAYG bill can
     fall below the bandwidth-hours by a few roundings, which `FLOOR_SHARE`
-    allows for.
+    allows for. It is the one definition of a floor: the planner and the
+    `oracle` command list each node's once per request for `floor_distance`.
     """
     if node.payg_rate is None:
         return full_rate_cost

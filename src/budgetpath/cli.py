@@ -16,12 +16,14 @@ from pathlib import Path
 
 # Only what `plan` needs is imported here; the other subcommands import
 # their modules themselves, so no invocation pays for code it never runs.
-from budgetpath.billing import RULES, TransferRequest
+from budgetpath.billing import RULES, TransferRequest, cost_floor
 from budgetpath.planner import (
-    build_weights, cost_floor_distance, load_plan, plan_outcome, plan_to_dict,
+    build_weights, floor_distance, load_plan, plan_outcome, plan_to_dict,
 )
 from budgetpath.search import ORACLE_MAX_NODES, enumerate_best_path
-from budgetpath.topology import NoPathError, json_text, load_topology, number_text, read_json
+from budgetpath.topology import (
+    NoPathError, check_node_ids, json_text, load_topology, number_text, read_json,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -148,17 +150,22 @@ def _cmd_simulate(args, topology) -> int:
 
 def _cmd_oracle(args, topology) -> int:
     request = _request(args)
-    # the floor distance reads the k = 1 costs
+    source, destination = request.source, request.destination
+    # the floors read the k = 1 costs
     weights = build_weights(topology, request, 1.0, args.rule)
     full_rate_costs = weights.a
     if args.fraction != 1.0:
         weights = build_weights(topology, request, args.fraction, args.rule)
+    check_node_ids(len(topology), source=source, destination=destination)
+    floors = [
+        cost_floor(node, cost, request.data_size_gb)
+        for node, cost in zip(topology.nodes, full_rate_costs)
+    ]
     # checked before enumerating, so it comes ahead of a --max-nodes refusal
-    if cost_floor_distance(topology, request, full_rate_costs) == math.inf:
-        raise NoPathError(request.source, request.destination)
+    if floor_distance(topology.edges, source, destination, floors) == math.inf:
+        raise NoPathError(source, destination)
     result = enumerate_best_path(
-        weights, request.source, request.destination, request.budget_usd,
-        max_nodes=args.max_nodes,
+        weights, source, destination, request.budget_usd, max_nodes=args.max_nodes
     )
     if result is None:
         print(INSUFFICIENT_BUDGET, file=sys.stderr)

@@ -2,13 +2,14 @@
 binary search that shrinks PAYG rates until a budget-feasible path exists.
 
 `plan_outcome` is the planner and says why a request ended; `plan_transfer`
-returns only its plan. Its k = 1 round prices every node, since the cost
-floors read those costs; each bisection round prices a node only when its
-search first reads the node's cost and the node's cost floor does not
-already put the label over the budget. The bisection runs no round below
-`LEAST_K`, so every round prices inside the operating domain (see
-`billing`): a round is None only where no path is within the budget at its
-k, and a floor above the budget proves that no round can meet it.
+returns only its plan. Its k = 1 round prices every node, and the cost
+floors, one list per request, read those costs; each bisection round
+prices a node only when its search first reads the node's cost and the
+node's floor does not already put the label over the budget. The
+bisection runs no round below `LEAST_K`, so every round prices inside the
+operating domain (see `billing`): a round is None only where no path is
+within the budget at its k, and a floor above the budget proves that no
+round can meet it.
 """
 
 from __future__ import annotations
@@ -30,13 +31,21 @@ from budgetpath.billing import (
 )
 from budgetpath.records import Record
 from budgetpath.search import EdgeWeights, PathResult, search_core
-from budgetpath.topology import NoPathError, Topology, check_node_ids, read_json
+from budgetpath.topology import (
+    MAX_EGRESS_MBPS, MIN_EGRESS_MBPS, EdgeList, NoPathError, Topology, check_node_ids, read_json,
+)
 
+
+# the least bandwidth any plan bills: the least k times the least cap
+LEAST_BANDWIDTH_MBPS = LEAST_K * MIN_EGRESS_MBPS
 
 # (test, what it asks for) of each kind of number a plan holds
-_POSITIVE = (lambda value: 0 < value < math.inf, "a finite number > 0")
 _NON_NEGATIVE = (lambda value: 0 <= value < math.inf, "a finite number >= 0")
-_FRACTION = (lambda value: 0 < value <= 1, "a number in (0, 1]")
+_BANDWIDTH = (
+    lambda value: LEAST_BANDWIDTH_MBPS <= value <= MAX_EGRESS_MBPS,
+    f"a number in [{LEAST_BANDWIDTH_MBPS!r}, {MAX_EGRESS_MBPS:g}]",
+)
+_FRACTION = (lambda value: LEAST_K <= value <= 1, "a number in [2**-64, 1]")
 
 
 def _plan_number(key: str, value, kind: tuple, where: str = "plan") -> float:
@@ -137,34 +146,16 @@ def _finalize(
 _FLOOR_MARGIN = 1e-9
 
 
-def cost_floor_distance(
-    topology: Topology, request: TransferRequest, full_rate_costs: Sequence[float]
+def floor_distance(
+    edges: EdgeList, source: int, destination: int, floors: Sequence[float]
 ) -> float:
-    """The least sum of `billing.cost_floor` over the senders of any path to the destination.
+    """The least sum of `floors` over the senders of any path from `source` to `destination`.
 
-    `full_rate_costs` holds each node's cost at k = 1, the costs of
-    `price_round(topology.nodes, 1.0, request.data_size_gb, rule)`. No round
-    at any k bills a path below this sum by more than float rounding (see
-    `billing.cost_floor`); inf means that no path leads from the source to
-    the destination. TopologyError for an endpoint that is not a node id.
+    A Dijkstra over the edge list, each sender adding its own entry of
+    `floors`, one per node; inf means that no path leads there. Like
+    `search.search_core` it checks nothing: the caller vouches for node ids
+    as endpoints and one finite floor >= 0 per node.
     """
-    n = topology.edges.n
-    check_node_ids(n, source=request.source, destination=request.destination)
-    return _floor_distance(topology, request, full_rate_costs, [None] * n)
-
-
-def _floor_distance(
-    topology: Topology, request: TransferRequest, full_rate_costs: Sequence[float],
-    floors: list[float | None],
-) -> float:
-    """`cost_floor_distance` for endpoints that are node ids.
-
-    A Dijkstra from the source, each sender adding its floor, worked out
-    only when the node is popped, at most once, and written to `floors`,
-    a list of one None per node; it returns when the destination is popped.
-    """
-    source, destination, data_size_gb = request.source, request.destination, request.data_size_gb
-    nodes, edges = topology.nodes, topology.edges
     offsets, dst = edges.offsets, edges.dst
     dist = [math.inf] * edges.n
     dist[source] = 0.0
@@ -175,10 +166,7 @@ def _floor_distance(
             return d
         if d > dist[u]:
             continue
-        # a node is pushed only at a strictly smaller distance, so it is popped
-        # at its own distance once and its floor is worked out once
-        floor = floors[u] = cost_floor(nodes[u], full_rate_costs[u], data_size_gb)
-        new_d = d + floor
+        new_d = d + floors[u]
         for v in dst[offsets[u] : offsets[u + 1]]:
             if new_d < dist[v]:
                 dist[v] = new_d
@@ -190,7 +178,7 @@ class PlanOutcome(Record):
     """What planning one request found, and why it ended where it did.
 
     `plan` is the `Plan`, or None. `floor` is the request's
-    `cost_floor_distance`, worked out only once the k = 1 round missed the
+    `floor_distance`, worked out only once the k = 1 round missed the
     budget, and None when that round met it. `proved` is whether the floor
     is above the budget by more than the margin, so that no round can meet
     it: a None plan that is not proved is one that no round of the heuristic
@@ -211,10 +199,11 @@ def plan_outcome(
     """Plan a transfer: full bandwidth first, then a binary search over one fraction k.
 
     Step 1 tries every node at full bandwidth (k = 1) and returns the plan
-    with zero binary iterations if it fits the budget. Otherwise one
-    `cost_floor_distance` search follows: NoPathError if no path reaches the
-    destination, and a proved None without a further round if the least
-    summed cost floor is above the budget, so that no round can meet it.
+    with zero binary iterations if it fits the budget. Otherwise every
+    node's `billing.cost_floor` is worked out once, from its k = 1 cost, and
+    one `floor_distance` over that list follows: NoPathError if no path
+    reaches the destination, and a proved None without a further round if
+    the least summed floor is above the budget, so that no round can meet it.
     Then a uniform bandwidth fraction k is binary searched in the bracket
     [k_lower, k_upper] for at most `max_iterations` rounds, keeping the most
     recent feasible round; its plan is built once, after the search, and
@@ -231,12 +220,11 @@ def plan_outcome(
     prices a node the first time it reads its cost. Before it prices a node,
     it drops a label whose cost plus the node's `billing.cost_floor`, times
     `billing.FLOOR_SHARE`, is over the budget: no cost the node has at any
-    k is below that, so the exact test would drop the label too. Each floor
-    is worked out once per request, from the k = 1 costs, by the floor
-    search for the nodes it pops and for the others once the bisection
-    starts. The rounds share one list of out-edges per request, each node's
-    listed as (successor, delay) pairs by the first round that expands it,
-    and walk the same edges in the same order as its CSR row.
+    k is below that, so the exact test would drop the label too. The rounds
+    read the list that the floor search summed, so each floor is worked out
+    once per request. The rounds share one list of out-edges per request,
+    each node's listed as (successor, delay) pairs by the first round that
+    expands it, and walk the same edges in the same order as its CSR row.
 
     The request is checked once, in the order that `build_weights` and
     `search_min_latency` would check it: ValueError for an unknown rule,
@@ -255,18 +243,15 @@ def plan_outcome(
     if result is not None:
         plan = _finalize(topology, request, rule, result, 1.0, 0)
         return PlanOutcome(plan, None, False, tuple(rounds))
-    popped_floors = [None] * n
-    floor = _floor_distance(topology, request, full_rate_costs, popped_floors)
+    floors = [cost_floor(node, cost, data_size_gb) for node, cost in zip(nodes, full_rate_costs)]
+    floor = floor_distance(edges, source, destination, floors)
     if floor == math.inf:
         raise NoPathError(source, destination)
     if floor > budget * (1.0 + _FLOOR_MARGIN):
         return PlanOutcome(None, floor, True, tuple(rounds))
 
-    # the floor search worked out the floors of the nodes it popped; the rest are worked out here
-    floors = [
-        (cost_floor(node, cost, data_size_gb) if popped is None else popped) * FLOOR_SHARE
-        for node, cost, popped in zip(nodes, full_rate_costs, popped_floors)
-    ]
+    # no cost of a node falls below this share of its floor
+    drop_floors = [f * FLOOR_SHARE for f in floors]
     # each node's out-edges as (successor, delay) pairs, listed when a round first
     # expands the node; every later round of the request walks the same list
     out_edges = [None] * n
@@ -279,7 +264,7 @@ def plan_outcome(
         a, b = [None] * n, [None] * n
         # the source's cost and time at k, as `price` bills them, in one call
         (a[source],), (b[source],) = price_round(source_nodes, k, data_size_gb, rule)
-        pricing = (nodes, k, data_size_gb, rule, floors, out_edges)
+        pricing = (nodes, k, data_size_gb, rule, drop_floors, out_edges)
         result = search_core(edges, a, b, source, destination, budget, pricing)
         rounds.append((k, result))
         if result is not None:
@@ -342,8 +327,9 @@ def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
     path is a list naming only nodes of the topology and one `Plan` accepts
     (at least two nodes, none twice), `per_node` is an object keyed by
     exactly the path's senders as decimal strings, each an object with a
-    known method and a finite bandwidth > 0, the predicted totals are ones
-    `Plan` accepts (finite and >= 0), `fraction_k` is in (0, 1] and
+    known method and a bandwidth in [`LEAST_BANDWIDTH_MBPS`, 1e9], the
+    predicted totals are ones `Plan` accepts (finite and >= 0), `fraction_k`
+    is in [`LEAST_K`, 1], as in every plan the planner makes, and
     `iterations_used` is an integer >= 0. Booleans are not numbers, and no
     value is converted from another type.
     """
@@ -381,7 +367,7 @@ def plan_from_dict(doc: dict, n_nodes: int) -> Plan:
                 f"plan per_node entry {node_id} needs a method (payg or pfdt) and a bandwidth_mbps"
             )
         where = f"plan per_node entry {node_id}"
-        bandwidth = _plan_number("bandwidth_mbps", entry["bandwidth_mbps"], _POSITIVE, where)
+        bandwidth = _plan_number("bandwidth_mbps", entry["bandwidth_mbps"], _BANDWIDTH, where)
         configs[node_id] = NodeBillingConfig(_METHOD_VALUES[entry["method"]], bandwidth)
     iterations_used = doc["iterations_used"]
     if type(iterations_used) is not int or iterations_used < 0:

@@ -3,8 +3,8 @@
 `search_min_latency` is a Dijkstra variant keeping a single best-latency
 label per node while discarding labels whose accumulated cost exceeds the
 cap. A label is pushed only if it can pay its own node's cost within the
-cap, or if it reaches the destination, so no label but the source's is
-popped only to be dropped. Every label records its node and its parent
+cap, or if it reaches the destination, so no label but the source's leaves
+the frontier only to be dropped. Every label records its node and its parent
 label, so the path returned is the chain of the destination label itself:
 simple and within the cap by construction. The single-label pruning is a
 heuristic: it can discard a feasible label whose higher latency would have
@@ -148,11 +148,11 @@ def search_core(
     strictly improve its node's best, which it then becomes, so its chain
     never revisits a node and two labels at one node never tie. It is pushed
     only if it can pay its own node's cost within the cap, or if its node
-    is the destination: any other label would be popped only to be dropped.
+    is the destination: any other label would leave the frontier only to be dropped.
     None means no label reached the destination within the cap: the
     weights are too expensive, or no edge path leads there. The planner
-    tells the two apart after its k=1 round with
-    `planner.cost_floor_distance`, before any binary-search round.
+    tells the two apart after its k=1 round with `planner.floor_distance`,
+    before any binary-search round.
     """
     offsets, dst, delay = edges.offsets, edges.dst, edges.delay
     out_edges = None
@@ -195,7 +195,7 @@ def search_core(
             if new_b < min_b[nxt]:
                 min_b[nxt] = new_b
                 # the pop's own test, a step early: a label that cannot pay its
-                # node's cost would be popped only to be dropped
+                # node's cost would leave the frontier only to be dropped
                 if nxt != destination:
                     a_nxt = a[nxt]
                     if a_nxt is None:

@@ -576,6 +576,12 @@ def sender_configs_at(
     }
 
 
+def cost_floors(topology: Topology, data_gb: float, rule: str) -> list[float]:
+    """Every node's `billing.cost_floor`, from its k = 1 cost as `price_round` bills it."""
+    full_rate_costs, _ = price_round(topology.nodes, 1.0, data_gb, rule)
+    return [cost_floor(node, cost, data_gb) for node, cost in zip(topology.nodes, full_rate_costs)]
+
+
 def floor_distance(
     topology: Topology, source: int, destination: int, data_gb: float, rule: str
 ) -> float:
@@ -583,10 +589,7 @@ def floor_distance(
 
     Bellman-Ford over the topology's links, apart from the planner's own search.
     """
-    full_rate_costs, _ = price_round(topology.nodes, 1.0, data_gb, rule)
-    floors = [
-        cost_floor(node, cost, data_gb) for node, cost in zip(topology.nodes, full_rate_costs)
-    ]
+    floors = cost_floors(topology, data_gb, rule)
     dist = [math.inf] * len(topology)
     dist[source] = 0.0
     for _ in range(len(topology)):
@@ -615,7 +618,7 @@ def plan_outcome_eager(topology: Topology, request: TransferRequest, rule: str) 
     if result is not None:
         plan = planner._finalize(topology, request, rule, result, 1.0, 0)
         return PlanOutcome(plan, None, False, tuple(rounds))
-    floor = planner.cost_floor_distance(topology, request, full_rate_costs)
+    floor = planner.floor_distance(edges, source, destination, cost_floors(topology, data_gb, rule))
     if floor == math.inf:
         raise NoPathError(source, destination)
     if floor > budget * (1.0 + planner._FLOOR_MARGIN):

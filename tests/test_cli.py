@@ -252,13 +252,13 @@ class TestOutcomesThatNeedTheirOwnLine:
     def test_a_no_plan_works_the_floor_distance_out_once(self, monkeypatch, capsys, budget):
         # the line that `plan` prints reads the planner's own floor, with no second search
         calls = []
-        floor_distance = planner._floor_distance
+        floor_distance = planner.floor_distance
 
         def counting_floor_distance(*args):
             calls.append(args)
             return floor_distance(*args)
 
-        monkeypatch.setattr(planner, "_floor_distance", counting_floor_distance)
+        monkeypatch.setattr(planner, "floor_distance", counting_floor_distance)
         assert run(["plan", "--topology", TESTBED, "--src", "0", "--dst", "5", "--data-gb", "10",
                     "--budget-usd", budget]) == 2
         assert capsys.readouterr().err.startswith(("insufficient budget", "no plan found"))
@@ -349,6 +349,23 @@ def _fraction_is_zero(doc):
     doc["fraction_k"] = 0.0
 
 
+# the floats just outside the operating domain's bounds, which no plan the planner makes holds
+def _fraction_is_below_the_least_k(doc):
+    doc["fraction_k"] = math.nextafter(2.0 ** -64, 0.0)
+
+
+def _fraction_is_just_above_one(doc):
+    doc["fraction_k"] = math.nextafter(1.0, 2.0)
+
+
+def _bandwidth_is_below_the_least_k_of_the_least_cap(doc):
+    doc["per_node"]["0"]["bandwidth_mbps"] = math.nextafter(2.0 ** -64 * 1e-3, 0.0)
+
+
+def _bandwidth_is_above_the_largest_cap(doc):
+    doc["per_node"]["0"]["bandwidth_mbps"] = math.nextafter(1e9, math.inf)
+
+
 def _path_is_one_node(doc):
     doc["path"] = [5]
     doc["per_node"] = {}
@@ -371,7 +388,9 @@ class TestPlanFileValidation:
         _iterations_are_negative, _bandwidth_is_negative, _bandwidth_is_zero,
         _bandwidth_is_infinite, _cost_is_nan, _cost_is_negative, _latency_is_infinite,
         _latency_is_nan, _fraction_is_above_one, _fraction_is_zero, _hop_is_not_a_link,
-        _path_is_one_node, _path_revisits_a_node,
+        _path_is_one_node, _path_revisits_a_node, _fraction_is_below_the_least_k,
+        _fraction_is_just_above_one, _bandwidth_is_below_the_least_k_of_the_least_cap,
+        _bandwidth_is_above_the_largest_cap,
     ])
     def test_render_wg_rejects_plan_that_does_not_fit_topology(self, tmp_path, capsys, corrupt):
         plan_file = tmp_path / "plan.json"

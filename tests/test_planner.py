@@ -19,7 +19,6 @@ from budgetpath.billing import (
     node_cost,
     payg_cost,
     price,
-    price_round,
     select_billing,
     transfer_seconds,
 )
@@ -27,7 +26,6 @@ from budgetpath import planner, simulate
 from budgetpath.planner import (
     Plan,
     build_weights,
-    cost_floor_distance,
     load_plan,
     plan_from_dict,
     plan_outcome,
@@ -39,12 +37,14 @@ from budgetpath.search import (
 )
 from budgetpath.simulate import compare, simulate_transfer
 from budgetpath.topology import (
-    LinkSpec, NodeSpec, NoPathError, Topology, TopologyError, json_text, load_topology,
+    MAX_EGRESS_MBPS, MIN_EGRESS_MBPS, LinkSpec, NodeSpec, NoPathError, Topology, TopologyError,
+    json_text, load_topology,
 )
 from helpers import (
-    bisection_bracket, cut_off_one_node, domain_payload, domain_topology, floor_distance,
-    full_rate_floor, grid_topology, hour_aligned_fractions, is_connected, plan_outcome_eager,
-    random_topology, request_or_refusal, search_pruned_at_pop, sender_configs_at, sparse_topology,
+    bisection_bracket, cost_floors, cut_off_one_node, domain_payload, domain_topology,
+    floor_distance, full_rate_floor, grid_topology, hour_aligned_fractions, is_connected,
+    plan_outcome_eager, random_topology, request_or_refusal, search_pruned_at_pop,
+    sender_configs_at, sparse_topology,
 )
 
 TESTBED = Path(__file__).resolve().parent.parent / "fixtures" / "testbed6.json"
@@ -366,24 +366,29 @@ class TestPlanTransfer:
         # node 2 has no link: no budget reaches it, so no binary search starts.
         # Budgets 0 and 0.04 are below the $0.0467 floor, but no path at all is
         # the answer that holds at any budget. The one floor-distance search
-        # that finds it works out the floor of each node the source reaches,
-        # once, and of no other node. That search follows only a k = 1 round
-        # that missed the budget, and its NoPathError ends the request, so the
-        # floors it worked out show that the k = 1 round was the only one.
-        floors = []
+        # that finds it follows only a k = 1 round that missed the budget, with
+        # every node's floor worked out once, and its NoPathError ends the
+        # request, so the search core ran once: the k = 1 round was the only one
+        floors, searches = [], []
         cost_floor = planner.cost_floor
 
         def counting_cost_floor(node, *args):
             floors.append(node.id)
             return cost_floor(node, *args)
 
+        def counting_search(*args):
+            searches.append(args[-1])
+            return search_core(*args)
+
         monkeypatch.setattr(planner, "cost_floor", counting_cost_floor)
+        monkeypatch.setattr(planner, "search_core", counting_search)
         topo = Topology(make_topology(3).nodes, make_topology(2).links)
         request = TransferRequest(0, 2, 1.0, budget, 30)
         with pytest.raises(NoPathError, match=r"^no path from 0 to 2$"):
             plan_outcome(topo, request)
-        assert floors == [0, 1]
+        assert (floors, searches) == ([0, 1, 2], [budget])
         floors.clear()
+        searches.clear()
 
         def no_baseline(*args):
             raise AssertionError("compare ran the naive baseline")
@@ -392,7 +397,7 @@ class TestPlanTransfer:
         monkeypatch.setattr(simulate, "naive_baseline", no_baseline)
         with pytest.raises(NoPathError, match=r"^no path from 0 to 2$"):
             compare(topo, request)
-        assert floors == [0, 1]
+        assert (floors, searches) == ([0, 1, 2], [budget])
 
     # brackets as the planner found them before it told an unreachable
     # destination from an insufficient budget; a budget at the floor keeps
@@ -650,16 +655,11 @@ def sparse_bisection_requests(rng, graphs=3, per_graph=8):
     between the floor distance and twice it, so most requests bisect."""
     for _ in range(graphs):
         topo = sparse_topology(rng, 200, 8.0)
-        full_rate_costs = {
-            data_gb: price_round(topo.nodes, 1.0, data_gb, "threshold")[0]
-            for data_gb in (3.0, 6.0, 10.0)
-        }
+        floors = {data_gb: cost_floors(topo, data_gb, "threshold") for data_gb in (3.0, 6.0, 10.0)}
         for _ in range(per_graph):
             source, destination = rng.sample(range(200), 2)
             data_gb = rng.choice([3.0, 6.0, 10.0])
-            floor = cost_floor_distance(
-                topo, TransferRequest(source, destination, data_gb, 0.0, 30),
-                full_rate_costs[data_gb])
+            floor = planner.floor_distance(topo.edges, source, destination, floors[data_gb])
             yield topo, TransferRequest(
                 source, destination, data_gb, floor * rng.uniform(1.0, 2.0), 30)
 
@@ -767,10 +767,9 @@ class TestLazyRounds:
             plan_outcome(load_topology(TESTBED), request)
 
     def test_a_request_works_each_cost_floor_out_once(self, monkeypatch):
-        # the floor search works out the floor of each node it pops, and the
-        # bisection's floor list reuses those and works out only the others:
-        # one `cost_floor` call per node and request at most (two for each
-        # node the floor search popped, when the list worked out every floor)
+        # a request whose k = 1 round misses the budget works out every node's
+        # floor once, in one list that the floor search and the bisection both
+        # read; one whose k = 1 round meets it works out none
         calls = Counter()
         cost_floor = planner.cost_floor
 
@@ -783,11 +782,9 @@ class TestLazyRounds:
         for topo, request in sparse_bisection_requests(random.Random(89)):
             calls.clear()
             outcome = plan_outcome(topo, request)
-            assert max(calls.values(), default=0) <= 1, (request, calls.most_common(3))
-            if len(outcome.rounds) > 1:
-                # the bisection read a floor for every node
-                assert len(calls) == len(topo), request
-                bisections += 1
+            worked_out = Counter() if outcome.floor is None else Counter(range(len(topo)))
+            assert calls == worked_out, (request, calls.most_common(3))
+            bisections += len(outcome.rounds) > 1
         assert bisections >= 20, bisections
 
     def test_a_request_lists_each_nodes_out_edges_once(self, monkeypatch):
@@ -922,30 +919,21 @@ class TestFloorCertificate:
             topo = cut_off_one_node(topo, cut_rng)
             source, destination = rng.sample(range(len(topo)), 2)
             data_gb = rng.choice([rng.uniform(0.01, 1.0), rng.uniform(1.0, 60.0)])
-            request = TransferRequest(source, destination, data_gb, 1.0, 30)
             expected = floor_distance(topo, source, destination, data_gb, rule)
-            full_rate_costs, _ = price_round(topo.nodes, 1.0, data_gb, rule)
-            assert cost_floor_distance(topo, request, full_rate_costs) == expected, i
+            floors = cost_floors(topo, data_gb, rule)
+            assert planner.floor_distance(topo.edges, source, destination, floors) == expected, i
             assert (expected < math.inf) == is_connected(topo.edges, source, destination), i
             reached += expected < math.inf
             unreachable += expected == math.inf
         assert reached > 150 and unreachable > 20, (reached, unreachable)
 
-    def test_floor_distance_reachability_and_node_ids(self):
+    def test_floor_distance_reachability(self):
         # one directed link, 0 -> 1: the floor of node 0 one way, no path the other
         topo = Topology(make_topology(2).nodes, (LinkSpec(0, 1, 0.01),))
-
-        full_rate_costs, _ = price_round(topo.nodes, 1.0, 1.0, "threshold")
-
-        def distance(source, destination):
-            return cost_floor_distance(
-                topo, TransferRequest(source, destination, 1.0, 1.0, 5), full_rate_costs)
-
-        assert distance(0, 1) == full_rate_floor(topo.nodes[0], 1.0, "threshold")
-        assert distance(1, 0) == math.inf
-        for source, destination, label in ((9, 0, "source 9"), (0, -1, "destination -1")):
-            with pytest.raises(TopologyError, match=f"^{label} is not a valid node id$"):
-                distance(source, destination)
+        floors = cost_floors(topo, 1.0, "threshold")
+        assert floors[0] == full_rate_floor(topo.nodes[0], 1.0, "threshold")
+        assert planner.floor_distance(topo.edges, 0, 1, floors) == floors[0]
+        assert planner.floor_distance(topo.edges, 1, 0, floors) == math.inf
 
     def test_floors_at_the_dearest_corner_prove_an_insufficient_budget(self):
         # each sender bills the domain's largest PFDT rate for its largest payload,
@@ -958,8 +946,8 @@ class TestFloorCertificate:
         request = TransferRequest(0, 2, 1e12, 1.0, 30)
         outcome = plan_outcome(topo, request)
         assert outcome == planner.PlanOutcome(None, 2e18, True, ((1.0, None),))
-        full_rate_costs, _ = price_round(topo.nodes, 1.0, request.data_size_gb, "threshold")
-        assert cost_floor_distance(topo, request, full_rate_costs) == 2e18
+        floors = cost_floors(topo, request.data_size_gb, "threshold")
+        assert planner.floor_distance(topo.edges, 0, 2, floors) == 2e18
 
     @pytest.mark.parametrize("iterations", [30, 1100])
     def test_floors_prove_a_budget_too_small_down_to_the_least_k(self, iterations):
@@ -1064,6 +1052,29 @@ class TestPlanSerialization:
             Plan(**fields)
         with pytest.raises(ValueError, match=refusal):
             plan_from_dict(doc, 2)
+
+    @pytest.mark.parametrize("key, least, most, expected", [
+        ("fraction_k", LEAST_K, 1.0, "plan fraction_k must be a number in [2**-64, 1]"),
+        ("bandwidth_mbps", LEAST_K * MIN_EGRESS_MBPS, MAX_EGRESS_MBPS,
+         "plan per_node entry 0 bandwidth_mbps must be a number in "
+         "[5.421010862427522e-23, 1e+09]"),
+    ])
+    def test_a_plan_file_holds_only_numbers_of_the_operating_domain(
+        self, key, least, most, expected
+    ):
+        # every plan the planner makes has k in [2**-64, 1] and bills bandwidths
+        # from the least k times the least cap up to the largest cap: each bound
+        # is accepted, and the float just outside it is refused with the field's name
+        config = NodeBillingConfig(BillingMethod.PAYG, 50.0)
+        doc = plan_to_dict(Plan((0, 1), {0: config}, 0.081, 80.0, 0.5, 30))
+        entry = doc["per_node"]["0"] if key == "bandwidth_mbps" else doc
+        for value in (least, most):
+            entry[key] = value
+            assert plan_to_dict(plan_from_dict(doc, 2)) == doc
+        for value in (math.nextafter(least, 0.0), math.nextafter(most, math.inf)):
+            entry[key] = value
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{expected}, got {value!r}')}$"):
+                plan_from_dict(doc, 2)
 
     def test_a_topology_whose_plan_cost_would_overflow_is_refused(self):
         # each sender would bill $1e300/GB * 1e8 GB, and two of them would sum to
