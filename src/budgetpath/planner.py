@@ -151,12 +151,12 @@ def floor_distance(
 ) -> float:
     """The least sum of `floors` over the senders of any path from `source` to `destination`.
 
-    A Dijkstra over the edge list, each sender adding its own entry of
-    `floors`, one per node; inf means that no path leads there. Like
+    A Dijkstra over the edge list's rows, each sender adding its own entry
+    of `floors`, one per node; inf means that no path leads there. Like
     `search.search_core` it checks nothing: the caller vouches for node ids
     as endpoints and one finite floor >= 0 per node.
     """
-    offsets, dst = edges.offsets, edges.dst
+    rows = edges.rows
     dist = [math.inf] * edges.n
     dist[source] = 0.0
     frontier = [(0.0, source)]
@@ -167,7 +167,7 @@ def floor_distance(
         if d > dist[u]:
             continue
         new_d = d + floors[u]
-        for v in dst[offsets[u] : offsets[u + 1]]:
+        for v, _ in rows[u]:
             if new_d < dist[v]:
                 dist[v] = new_d
                 heappush(frontier, (new_d, v))
@@ -222,9 +222,8 @@ def plan_outcome(
     `billing.FLOOR_SHARE`, is over the budget: no cost the node has at any
     k is below that, so the exact test would drop the label too. The rounds
     read the list that the floor search summed, so each floor is worked out
-    once per request. The rounds share one list of out-edges per request,
-    each node's listed as (successor, delay) pairs by the first round that
-    expands it, and walk the same edges in the same order as its CSR row.
+    once per request. Every round walks the topology's edge list as it is,
+    so a request builds no edge state of its own.
 
     The request is checked once, in the order that `build_weights` and
     `search_min_latency` would check it: ValueError for an unknown rule,
@@ -252,9 +251,6 @@ def plan_outcome(
 
     # no cost of a node falls below this share of its floor
     drop_floors = [f * FLOOR_SHARE for f in floors]
-    # each node's out-edges as (successor, delay) pairs, listed when a round first
-    # expands the node; every later round of the request walks the same list
-    out_edges = [None] * n
     feasible = None  # the last feasible round's (result, k)
     source_nodes = (nodes[source],)
     k, k_lower, k_upper = 0.5, 0.0, 1.0
@@ -264,7 +260,7 @@ def plan_outcome(
         a, b = [None] * n, [None] * n
         # the source's cost and time at k, as `price` bills them, in one call
         (a[source],), (b[source],) = price_round(source_nodes, k, data_size_gb, rule)
-        pricing = (nodes, k, data_size_gb, rule, drop_floors, out_edges)
+        pricing = (nodes, k, data_size_gb, rule, drop_floors)
         result = search_core(edges, a, b, source, destination, budget, pricing)
         rounds.append((k, result))
         if result is not None:

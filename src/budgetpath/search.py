@@ -12,12 +12,11 @@ been the only way to stay under the cap further on. `enumerate_best_path`
 is the exact (exponential) reference used to quantify that gap on small
 graphs.
 
-Both walk a topology's `EdgeList`, its links in compressed sparse row form
-with each edge's propagation delay. The edge list is built once per
-topology from links that `Topology` has checked, and is not checked again.
-Cost is billed per sending node, so a set of weights adds only one cost and
-one transmission time per node: leaving node u by edge e costs a[u] and
-takes delay[e] + b[u].
+Both walk a topology's `EdgeList`, each node's out-edges as (successor,
+delay) pairs. The edge list is built once per topology from links that
+`Topology` has checked, and is not checked again. Cost is billed per sending
+node, so a set of weights adds only one cost and one transmission time per
+node: leaving node u by an edge of delay d costs a[u] and takes d + b[u].
 
 `search_min_latency` is its argument check plus `search_core`, which takes
 the edge list and the two per-node lists as they are. `EdgeWeights` checks
@@ -30,10 +29,8 @@ core drops the label if its cost plus that bound is over the cap, as the
 exact test would, and otherwise prices the node, with `price_round`'s float
 operations written out in its loop. The operating domain (see `billing`)
 makes every such value finite, so pricing never ends a round. Full lists
-never enter that fill, so one loop serves both. The bisection rounds of one
-request also share a list of each expanded node's out-edges as (successor,
-delay) pairs, listed by the first round that expands the node; a search
-that runs once walks the CSR row.
+never enter that fill, so one loop serves both, and every search walks the
+edge list's rows as they are, keeping no edge state of its own.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ class EdgeWeights(Record):
 
     `edges` is a topology's `EdgeList`. Node u pays a[u] to send the data
     once and spends b[u] seconds sending it, whichever of its edges it
-    takes; edge e adds its own delay[e].
+    takes; each edge adds its own delay.
     """
 
     __slots__ = _fields = ("edges", "a", "b")
@@ -120,7 +117,7 @@ def search_core(
     source: int,
     destination: int,
     cost_cap: float,
-    pricing: tuple[Sequence[NodeSpec], float, float, str, Sequence[float], list] | None = None,
+    pricing: tuple[Sequence[NodeSpec], float, float, str, Sequence[float]] | None = None,
 ) -> PathResult | None:
     """`search_min_latency` without its checks, over a cost and a time per node of `edges`.
 
@@ -129,35 +126,31 @@ def search_core(
     endpoints and a cap >= 0. The planner's k = 1 round passes
     `billing.price_round`'s lists, which hold such values by construction.
 
-    With `pricing`, (nodes, fraction_k, data_size_gb, rule, floors,
-    out_edges), an entry may instead be None, both a[v] and b[v], save the
-    source's. A push test that reads a[v] as None first drops the label,
-    leaving v unpriced, if its cost plus floors[v] is over the cap; the
-    caller vouches that no cost of v is below floors[v], so the exact test
-    would drop it too. Otherwise it fills both entries in place with
+    With `pricing`, (nodes, fraction_k, data_size_gb, rule, floors), an
+    entry may instead be None, both a[v] and b[v], save the source's. A push
+    test that reads a[v] as None first drops the label, leaving v unpriced,
+    if its cost plus floors[v] is over the cap; the caller vouches that no
+    cost of v is below floors[v], so the exact test would drop it too.
+    Otherwise it fills both entries in place with
     `price_round([nodes[v]], fraction_k, data_size_gb, rule)`'s values.
-    Nodes the search never prices stay None. `out_edges` holds one entry per
-    node: None, or the list `list(zip(dst[lo:hi], delay[lo:hi]))` of the
-    node's CSR row, which the search writes there when it first expands the
-    node and walks in place of the row from then on, in this call and in
-    every later one given the same `out_edges`.
+    Nodes the search never prices stay None.
 
     Pops the frontier label with minimum accumulated latency (ties broken
-    by accumulated cost, then node id) and returns on the first destination
-    pop, with that label's own chain and sums. A label's latency must
-    strictly improve its node's best, which it then becomes, so its chain
-    never revisits a node and two labels at one node never tie. It is pushed
-    only if it can pay its own node's cost within the cap, or if its node
-    is the destination: any other label would leave the frontier only to be dropped.
+    by accumulated cost, then node id), walks its node's row of `edges.rows`
+    in successor order, and returns on the first destination pop, with that
+    label's own chain and sums. A label's latency must strictly improve its
+    node's best, which it then becomes, so its chain never revisits a node
+    and two labels at one node never tie. It is pushed only if it can pay
+    its own node's cost within the cap, or if its node is the destination:
+    any other label would leave the frontier only to be dropped.
     None means no label reached the destination within the cap: the
     weights are too expensive, or no edge path leads there. The planner
     tells the two apart after its k=1 round with `planner.floor_distance`,
     before any binary-search round.
     """
-    offsets, dst, delay = edges.offsets, edges.dst, edges.delay
-    out_edges = None
+    rows = edges.rows
     if pricing is not None:
-        nodes, fraction_k, data_size_gb, rule, floors, out_edges = pricing
+        nodes, fraction_k, data_size_gb, rule, floors = pricing
         bits, threshold = data_size_gb * BITS_PER_GB, rule == "threshold"
     ceil = math.ceil
     min_b = [math.inf] * edges.n
@@ -181,16 +174,7 @@ def search_core(
         if new_a > cost_cap:
             continue
         b_node = b[node]
-        pairs = None if out_edges is None else out_edges[node]
-        if pairs is None:
-            lo, hi = offsets[node], offsets[node + 1]
-            pairs = zip(dst[lo:hi], delay[lo:hi])
-            if out_edges is not None:
-                # a list, not a tuple: CPython keeps up to 2000 freed tuples of
-                # each size below 20 for reuse, so tuples would stay allocated
-                # after the request, while a freed list gives its items back
-                pairs = out_edges[node] = list(pairs)
-        for nxt, d in pairs:
+        for nxt, d in rows[node]:
             new_b = curr_b + (d + b_node)
             if new_b < min_b[nxt]:
                 min_b[nxt] = new_b
@@ -252,9 +236,7 @@ def enumerate_best_path(
     if weights.n > max_nodes:
         raise SearchError(f"oracle enumeration refused for n={weights.n} > {max_nodes}")
 
-    edges = weights.edges
-    offsets, dst, delay = edges.offsets, edges.dst, edges.delay
-    a, b = weights.a, weights.b
+    rows, a, b = weights.edges.rows, weights.a, weights.b
     best: tuple[float, float, tuple[int, ...]] | None = None
     stack = [(source, 0.0, 0.0, (source,))]
     while stack:
@@ -267,10 +249,9 @@ def enumerate_best_path(
         if next_a > cost_cap:
             continue
         b_node = b[node]
-        for e in range(offsets[node], offsets[node + 1]):
-            nxt = dst[e]
+        for nxt, d in rows[node]:
             if nxt not in path:
-                stack.append((nxt, next_a, total_b + (delay[e] + b_node), path + (nxt,)))
+                stack.append((nxt, next_a, total_b + (d + b_node), path + (nxt,)))
     if best is None:
         return None
     total_b, total_a, path = best

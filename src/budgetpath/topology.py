@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 
 from budgetpath.records import Record, set_field
 
@@ -110,33 +109,24 @@ class LinkSpec(Record):
 
 
 class EdgeList(Record):
-    """A topology's links as directed edges in compressed sparse row form.
+    """A topology's links as directed edges, one row of out-edges per node.
 
-    The edges leaving node u are offsets[u] <= e < offsets[u + 1], in
-    increasing dst order; edge e runs to dst[e] and delays the data by
-    delay[e] seconds of propagation. Only `Topology.edges` builds one, from
-    links that `Topology` has checked, so no edge is a self-loop or a
-    duplicate, every dst is a node id and every delay is finite and >= 0.
+    `rows[u]` holds the edges leaving node u as (successor, delay) pairs, in
+    increasing successor order; an edge's delay is the seconds of
+    propagation it adds. Only `Topology.edges` builds one, from links that
+    `Topology` has checked, so no edge is a self-loop or a duplicate, every
+    successor is a node id and every delay is finite and >= 0.
     """
 
-    __slots__ = _fields = ("offsets", "dst", "delay")
+    __slots__ = _fields = ("rows",)
 
     @property
     def n(self) -> int:
-        return len(self.offsets) - 1
+        return len(self.rows)
 
     def successors(self, node: int) -> tuple[int, ...]:
         check_node_ids(self.n, node=node)
-        return self.dst[self.offsets[node] : self.offsets[node + 1]]
-
-    def index(self, src: int, dst: int) -> int:
-        """Index of edge (src, dst); KeyError if the graph has no such edge."""
-        check_node_ids(self.n, source=src, destination=dst)
-        lo, hi = self.offsets[src], self.offsets[src + 1]
-        e = bisect_left(self.dst, dst, lo, hi)
-        if e == hi or self.dst[e] != dst:
-            raise KeyError(f"no edge ({src}, {dst})")
-        return e
+        return tuple([v for v, _ in self.rows[node]])
 
 
 class Topology(Record):
@@ -213,30 +203,21 @@ class Topology(Record):
 
     @property
     def edges(self) -> EdgeList:
-        """The links as a compressed sparse row edge list, built once per topology.
+        """The links as rows of (successor, delay) pairs, built once per topology.
 
         Each edge's delay is its link's one-way propagation delay, rtt_s / 2.0;
         links with equal rtts, such as the two directions of an undirected
-        link, share one delay float.
+        link, share one delay float. The rows hold about 80 bytes per directed
+        edge for the topology's lifetime: its pair, its place in its row and,
+        where rtts differ, its delay float.
         """
         if self._edges is None:
             halves: dict[float, float] = {}
-            ordered = sorted(
-                (u, v, halves.setdefault(rtt_s, rtt_s / 2.0))
-                for u, v, rtt_s in zip(self._src, self._dst, self._rtt)
-            )
-            n = len(self.nodes)
-            offsets = [0] * (n + 1)
-            for u, _, _ in ordered:
-                offsets[u + 1] += 1
-            for u in range(n):
-                offsets[u + 1] += offsets[u]
-            edges = EdgeList(
-                tuple(offsets),
-                tuple(v for _, v, _ in ordered),
-                tuple(delay for _, _, delay in ordered),
-            )
-            set_field(self, "_edges", edges)
+            rows: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
+            for u, v, rtt_s in zip(self._src, self._dst, self._rtt):
+                rows[u].append((v, halves.setdefault(rtt_s, rtt_s / 2.0)))
+            # a row holds each successor once, so its pairs sort by successor alone
+            set_field(self, "_edges", EdgeList(tuple([tuple(sorted(row)) for row in rows])))
         return self._edges
 
 

@@ -71,12 +71,8 @@ def random_weights(rng: random.Random, n: int, edge_prob: float = 0.45) -> EdgeW
 
 
 def edge_triples(edges: EdgeList) -> list[tuple[int, int, float]]:
-    """(src, dst, delay) of every edge, in edge order."""
-    return [
-        (u, edges.dst[e], edges.delay[e])
-        for u in range(edges.n)
-        for e in range(edges.offsets[u], edges.offsets[u + 1])
-    ]
+    """(src, dst, delay) of every edge, row by row in successor order."""
+    return [(u, v, delay) for u, row in enumerate(edges.rows) for v, delay in row]
 
 
 def path_sums(weights: EdgeWeights, path: tuple[int, ...]) -> tuple[float, float]:
@@ -84,7 +80,7 @@ def path_sums(weights: EdgeWeights, path: tuple[int, ...]) -> tuple[float, float
     total_a = total_b = 0.0
     for u, v in zip(path, path[1:]):
         total_a += weights.a[u]
-        total_b += weights.edges.delay[weights.edges.index(u, v)] + weights.b[u]
+        total_b += dict(weights.edges.rows[u])[v] + weights.b[u]
     return total_a, total_b
 
 
@@ -466,13 +462,11 @@ def search_pruned_at_pop(
     It pushes every label that improves its node's latency and drops a
     label over the cap only when it pops it. `search_core` must give `==`
     results: the labels it does not push are the ones this loop drops.
-    Given `pricing`, (nodes, k, data size, rule, floors, out-edge lists), it
-    prices every node first with `price_round`; it reads neither the floors
-    nor the lists.
+    Given `pricing`, (nodes, k, data size, rule, floors), it prices every
+    node first with `price_round`; it reads no floor.
     """
     if pricing is not None:
         a, b = price_round(*pricing[:4])
-    offsets, dst, delay = edges.offsets, edges.dst, edges.delay
     min_b = [math.inf] * edges.n
     min_b[source] = 0.0
     labels = [(source, -1)]
@@ -490,9 +484,8 @@ def search_pruned_at_pop(
         if new_a > cost_cap:
             continue
         b_node = b[node]
-        for e in range(offsets[node], offsets[node + 1]):
-            nxt = dst[e]
-            new_b = curr_b + (delay[e] + b_node)
+        for nxt, d in edges.rows[node]:
+            new_b = curr_b + (d + b_node)
             if new_b < min_b[nxt]:
                 min_b[nxt] = new_b
                 heapq.heappush(frontier, (new_b, new_a, nxt, len(labels)))

@@ -316,7 +316,7 @@ class TestPriceRound:
         """What a bisection round's lazy fill in `search_core` writes for `node`,
         met as the middle of the chain 0 -> 1 -> 2. Floors of 0 drop no label."""
         a, b = [0.0, None, None], [0.0, None, None]
-        pricing = ((None, node, None), k, data_gb, rule, (0.0, 0.0, 0.0), [None] * 3)
+        pricing = ((None, node, None), k, data_gb, rule, (0.0, 0.0, 0.0))
         result = search_core(CHAIN, a, b, 0, 2, math.inf, pricing)
         assert result.path == (0, 1, 2) and (result.total_a, result.total_b) == (a[1], b[1])
         return a[1], b[1]

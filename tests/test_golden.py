@@ -237,9 +237,7 @@ def plan_bsearch_runs() -> tuple[dict[str, str], dict[str, dict[str, int]]]:
     planner's `search_core` and its `cost_floor` are wrapped while the
     requests run, so the program runs its own code and pays nothing. Heap
     pushes and pops are `search_core`'s. A bisection round's priced node
-    entries are the entries of `a` it left filled, the source's included,
-    and its out-edge lists are those that `pricing[5]` holds after the round
-    and did not before.
+    entries are the entries of `a` it left filled, the source's included.
     """
     digests, counts, work = {}, {}, Counter()
     search_core, cost_floor = planner.search_core, planner.cost_floor
@@ -255,11 +253,8 @@ def plan_bsearch_runs() -> tuple[dict[str, str], dict[str, dict[str, int]]]:
     def counting_search(edges, a, b, source, destination, cost_cap, pricing=None):
         if pricing is None:
             return search_core(edges, a, b, source, destination, cost_cap)
-        out_edges = pricing[5]
-        listed = sum(entry is not None for entry in out_edges)
         result = search_core(edges, a, b, source, destination, cost_cap, pricing)
         work["node entries priced"] += sum(value is not None for value in a)
-        work["out-edge lists"] += sum(entry is not None for entry in out_edges) - listed
         return result
 
     def counting_cost_floor(*args):

@@ -125,9 +125,9 @@ class TestBuildWeights:
         weights = build_weights(topo, request, 1.0)
         for node in topo.nodes:
             assert select_billing(node, 100.0, 1.0).method is BillingMethod.PFDT
-        e = weights.edges.index(0, 1)
+        delay = dict(weights.edges.rows[0])[1]
         assert weights.a[0] == pytest.approx(0.081)
-        assert weights.edges.delay[e] + weights.b[0] == pytest.approx(0.020 + 80.0)
+        assert delay + weights.b[0] == pytest.approx(0.020 + 80.0)
 
     def test_large_data_all_payg(self):
         topo = make_topology(2)
@@ -168,10 +168,10 @@ class TestBuildWeights:
                         transfer_seconds(data_gb, config.bandwidth_mbps),
                     )
                 for link in topo.links:
-                    e = weights.edges.index(link.src, link.dst)
+                    delay = dict(weights.edges.rows[link.src])[link.dst]
                     config = configs[link.src]
                     assert weights.a[link.src] == node_cost(topo.node(link.src), config, data_gb)
-                    assert weights.edges.delay[e] + weights.b[link.src] == edge_latency(
+                    assert delay + weights.b[link.src] == edge_latency(
                         link.rtt_s, data_gb, config.bandwidth_mbps
                     )
 
@@ -707,7 +707,7 @@ class TestLazyRounds:
                 return search_core(edges, a, b, source, destination, cost_cap)
             floors = ReadCounter(pricing[4])
             result = search_core(
-                edges, a, b, source, destination, cost_cap, (*pricing[:4], floors, pricing[5]))
+                edges, a, b, source, destination, cost_cap, (*pricing[:4], floors))
             # a floor read drops the label or prices the node: what no entry was
             # priced for was dropped
             priced = sum(value is not None for value in a) - 1  # the source's came first
@@ -787,53 +787,15 @@ class TestLazyRounds:
             bisections += len(outcome.rounds) > 1
         assert bisections >= 20, bisections
 
-    def test_a_request_lists_each_nodes_out_edges_once(self, monkeypatch):
-        # every bisection round of a request gets the same per-request list; a
-        # node's entry is its CSR row as (successor, delay) pairs, listed by the
-        # first round that expands the node and walked, not listed again, by
-        # every later round. A search that runs once gets no list
-        rounds = []
-
-        def recording_search(edges, a, b, source, destination, cost_cap, pricing=None):
-            result = search_core(edges, a, b, source, destination, cost_cap, pricing)
-            rounds.append(None if pricing is None else (pricing[5], list(pricing[5])))
-            return result
-
-        monkeypatch.setattr(planner, "search_core", recording_search)
-        reused = listed = 0
-        for topo, request in sparse_bisection_requests(random.Random(97)):
-            rounds.clear()
-            plan_outcome(topo, request)
-            assert rounds[0] is None  # the k = 1 round
-            if len(rounds) == 1:
-                continue
-            offsets, dst, delay = topo.edges.offsets, topo.edges.dst, topo.edges.delay
-            out_edges = rounds[1][0]
-            assert len(out_edges) == len(topo)
-            before = [None] * len(topo)
-            for shared, entries in rounds[1:]:
-                assert shared is out_edges
-                for node, (old, new) in enumerate(zip(before, entries)):
-                    if old is not None:
-                        assert new is old, (request, node)  # not listed again
-                        reused += 1
-                    elif new is not None:
-                        lo, hi = offsets[node], offsets[node + 1]
-                        assert type(new) is list, type(new)
-                        assert new == list(zip(dst[lo:hi], delay[lo:hi])), (request, node)
-                        listed += 1
-                before = entries
-        assert listed >= 500 and reused >= 10 * listed, (listed, reused)
-
     def test_requests_leave_no_memory_behind(self):
-        # the out-edge lists live only as long as their request. A full
-        # collection empties CPython's free lists, which keep up to 2000 freed
-        # tuples of each size below 20 for reuse, so one runs first and the
-        # automatic collector stays off while the traced requests run: what
-        # stays traced after them is what they left on those free lists, since
-        # their results hold no reference cycles and dropping them frees them.
-        # 90 requests leave about 190 KB, as a planner without the lists does;
-        # lists stored as tuples left about 400 KB
+        # a request keeps no state once its outcome is dropped: every round
+        # walks the topology's edge rows, built before the traced requests
+        # run. A full collection empties CPython's free lists, which keep up to
+        # 2000 freed tuples of each size below 20 for reuse, so one runs first
+        # and the automatic collector stays off while the traced requests run:
+        # what stays traced after them is what they left on those free lists,
+        # since their results hold no reference cycles and dropping them frees
+        # them. 90 requests leave about 190 KB
         cases = list(sparse_bisection_requests(random.Random(101), per_graph=30))
         for topo, request in cases[::30]:  # fill the topologies' caches
             plan_outcome(topo, request)

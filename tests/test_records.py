@@ -47,7 +47,7 @@ def _node(i):
 
 
 def _edges():
-    return EdgeList(offsets=(0, 1, 2), dst=(1, 0), delay=(0.005, 0.005))
+    return EdgeList(rows=(((1, 0.005),), ((0, 0.005),)))
 
 
 def _config():
@@ -72,7 +72,7 @@ FIELDS = {
     NodeBillingConfig: lambda: {"method": BillingMethod.PAYG, "bandwidth_mbps": 50.0},
     TransferRequest: lambda: {"source": 0, "destination": 1, "data_size_gb": 1.0,
                               "budget_usd": 2.0, "max_iterations": 5},
-    EdgeList: lambda: {"offsets": (0, 1, 2), "dst": (1, 0), "delay": (0.005, 0.02)},
+    EdgeList: lambda: {"rows": (((1, 0.005),), ((0, 0.02),))},
     EdgeWeights: lambda: {"edges": _edges(), "a": (0.1, 0.2), "b": (1.0, 2.0)},
     PathResult: lambda: {"path": (0, 1), "total_a": 0.081, "total_b": 80.0},
     NodeSpec: lambda: {"id": 0, "name": "n0", "public_address": "203.0.113.1",

@@ -1,10 +1,12 @@
 import ast
+import gc
 import json
 import logging
 import math
 import pickle
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ from budgetpath.topology import (
     save_topology,
     topology_from_dict,
 )
-from helpers import edge_triples, random_topology, reference_topology_from_dict
+from helpers import edge_triples, random_topology, reference_topology_from_dict, sparse_topology
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -325,10 +327,29 @@ class TestEdgeList:
         edges = topology_from_dict(two_node_doc()).edges
         with pytest.raises(TopologyError, match=f"^node {node} is not a valid node id$"):
             edges.successors(node)
-        with pytest.raises(TopologyError, match=f"^source {node} is not a valid node id$"):
-            edges.index(node, 1)
-        with pytest.raises(TopologyError, match=f"^destination {node} is not a valid node id$"):
-            edges.index(0, node)
+
+    def test_rows_hold_under_96_bytes_per_directed_edge(self):
+        # the rows live as long as their topology: a (successor, delay) pair per
+        # edge, its place in its row, one delay float per distinct rtt and one
+        # tuple per node. On a degree-8 graph of 1600 nodes, whose 6400 links
+        # each have their own rtt, tracemalloc traces about 82 bytes per edge
+        # (Python 3.10 to 3.12). Full collections around the build empty
+        # CPython's free lists, so what stays traced is what the rows hold
+        topo = sparse_topology(random.Random(7), 1600, 8.0)
+        tracing = tracemalloc.is_tracing()
+        gc.collect()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            edges = topo.edges
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(edge_triples(edges)) == len(topo.links) == 12_800
+        assert held < 96 * 12_800, held / 12_800
 
 
 class TestRoundTripAndExpansion:

@@ -156,10 +156,10 @@ class TestBuildTunnels:
         assert specs[2].peers[0].public_key_b64 == stable.public_b64
 
     @pytest.mark.parametrize("path, hop", [
-        ([0, 2], (0, 2)), ([0, 1, 3], (1, 3)), ([-2, 1], (-2, 1)),
+        ([0, 2], (0, 2)), ([0, 1, 3], (1, 3)), ([-1, 1], (-1, 1)),
     ])
     def test_every_hop_must_be_a_link(self, path, hop):
-        # (-2, 1): offsets[-2] starts node 2's row, and node 2 links to 1
+        # (-1, 1): rows[-1] is node 2's row, and node 2 links to 1
         topo = make_topology(3)
         drawn = []
         with pytest.raises(TunnelError, match=rf"plan hop \({hop[0]}, {hop[1]}\) is not a link"):
